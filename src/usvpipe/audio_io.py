@@ -8,6 +8,7 @@ nothing else special-cases 250 kHz.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,18 +52,33 @@ class AudioClip:
         return self.samples.size / self.sample_rate
 
 
-def _chunks(data: bytes):
-    """Yield (chunk_id, payload) for every RIFF sub-chunk."""
+def _wav_layout(fh, path: Path) -> tuple[bytes, int, int]:
+    """(fmt body, data offset, data size) of the first fmt and data chunks;
+    seeks over the rest, checking each chunk's size against the file's."""
+    file_size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+        raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
+    fmt = data = None
     pos = 12
-    while pos + 8 <= len(data):
-        cid = data[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + size]
-        if len(body) < size:
+    while pos + 8 <= file_size:
+        fh.seek(pos)
+        cid, size = struct.unpack("<4sI", fh.read(8))
+        if pos + 8 + size > file_size:
             raise MalformedWavError(
-                f"chunk {cid!r} declares {size} bytes but file is truncated")
-        yield cid, body
+                f"{path}: chunk {cid!r} declares {size} bytes but file is truncated")
+        if cid == b"fmt " and fmt is None:
+            fmt = fh.read(size)
+        elif cid == b"data" and data is None:
+            data = (pos + 8, size)
         pos += 8 + size + (size & 1)  # chunks are word-aligned
+    if fmt is None or len(fmt) < 16:
+        raise MalformedWavError(f"{path}: missing or short fmt chunk")
+    if data is None:
+        raise MalformedWavError(f"{path}: missing data chunk")
+    if data[1] == 0:
+        raise MalformedWavError(f"{path}: empty data chunk")
+    return fmt, data[0], data[1]
 
 
 def _decode_pcm(body: bytes, bits: int) -> np.ndarray:
@@ -93,23 +109,10 @@ def load_wav(path: str | Path) -> AudioClip:
         UnsupportedFormatError: multi-channel audio or compressed encodings.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
-
-    fmt = None
-    payload = None
-    for cid, body in _chunks(data):
-        if cid == b"fmt " and fmt is None:
-            fmt = body
-        elif cid == b"data" and payload is None:
-            payload = body
-    if fmt is None or len(fmt) < 16:
-        raise MalformedWavError(f"{path}: missing or short fmt chunk")
-    if payload is None:
-        raise MalformedWavError(f"{path}: missing data chunk")
-    if len(payload) == 0:
-        raise MalformedWavError(f"{path}: empty data chunk")
+    with open(path, "rb") as fh:
+        fmt, offset, size = _wav_layout(fh, path)
+        fh.seek(offset)
+        payload = fh.read(size)
 
     tag, channels, rate, _byte_rate, block_align, bits = struct.unpack_from(
         "<HHIIHH", fmt, 0)
@@ -145,25 +148,16 @@ def load_wav(path: str | Path) -> AudioClip:
 
 
 def wav_duration(path: str | Path) -> float:
-    """Duration in seconds from the WAV header, without decoding samples."""
+    """Duration in seconds from the WAV header, without reading the samples;
+    channel count and encoding are left to load_wav, so extract reports them."""
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
-    fmt = None
-    data_len = None
-    for cid, body in _chunks(data):
-        if cid == b"fmt " and fmt is None:
-            fmt = body
-        elif cid == b"data" and data_len is None:
-            data_len = len(body)
-    if fmt is None or len(fmt) < 16 or data_len is None:
-        raise MalformedWavError(f"{path}: missing fmt or data chunk")
+    with open(path, "rb") as fh:
+        fmt, _offset, size = _wav_layout(fh, path)
     _tag, _channels, rate, _byte_rate, block_align, _bits = struct.unpack_from(
         "<HHIIHH", fmt, 0)
-    if rate <= 0 or block_align == 0 or data_len == 0:
+    if rate <= 0 or block_align == 0:
         raise MalformedWavError(f"{path}: invalid header fields")
-    return (data_len // block_align) / rate
+    return (size // block_align) / rate
 
 
 def write_wav(path: str | Path, clip: AudioClip, encoding: str = "int16") -> None:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .artifacts import write_atomic, write_table
 from .audio_io import load_wav
 from .corpus import (CONTEXT_LABELS, SchemaConfig, Utterance, filter_cohort,
                      load_annotations, write_filter_report)
@@ -144,11 +145,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     write_feature_csv(cfg.output_dir / "features.csv", records,
                       comment=cfg.provenance())
-    with open(cfg.output_dir / "skip_report.csv", "w", newline="") as fh:
-        fh.write(f"# {cfg.provenance()}\n")
-        fh.write("utterance_id,reason\n")
-        for uid, reason in sorted(skips):
-            fh.write(f"{uid},{reason}\n")
+    write_table(cfg.output_dir / "skip_report.csv", ("utterance_id", "reason"),
+                sorted(skips), cfg.provenance())
     print(f"extract: {len(records)} feature rows, {len(skips)} skipped "
           f"({failures} file errors)")
     if cohort and failures / len(cohort) > EXTRACT_FAILURE_TOLERANCE:
@@ -158,18 +156,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cohort_from_features(path: Path) -> tuple[list[Utterance], dict[str, FeatureRecord]]:
-    records = read_feature_csv(path)
-    cohort = [Utterance(id=r.utterance_id, audio_path=None, emitter_id=r.emitter_id,
-                        context=r.context, duration_s=r.duration_s)
-              for r in records]
-    return cohort, {r.utterance_id: r for r in records}
+def _cohort_from_features(path: Path) -> list[Utterance]:
+    return [Utterance(id=r.utterance_id, audio_path=None, emitter_id=r.emitter_id,
+                      context=r.context, duration_s=r.duration_s)
+            for r in read_feature_csv(path)]
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
     """Build the subject-independent 3-fold plan from the feature table."""
     cfg = _resolve_config(args)
-    cohort, _ = _cohort_from_features(cfg.output_dir / "features.csv")
+    cohort = _cohort_from_features(cfg.output_dir / "features.csv")
     plan = build_plan(cohort, cfg.seed)
     write_fold_plan(cfg.output_dir / "folds.csv", plan, comment=cfg.provenance())
     print(f"partition: {len(cohort)} utterances over {plan.fold_count} folds")
@@ -210,9 +206,8 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
                  fold, diag["chosen_cost"], len(test_ids))
 
     preds = PredictionSet(predictions)
-    labels = [lab for lab in CONTEXT_LABELS
-              if any(p.true_label == lab or p.predicted_label == lab
-                     for p in preds.records)] or None
+    observed = set(preds.true_labels) | set(preds.predicted_labels)
+    labels = [lab for lab in CONTEXT_LABELS if lab in observed] or None
     report = build_report(preds, labels=labels,
                           replicates=cfg.bootstrap_replicates, seed=cfg.seed)
     write_predictions_csv(cfg.output_dir / "predictions.csv", preds,
@@ -220,8 +215,8 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
     provenance = {"tool": f"usvpipe {__version__}", "seed": cfg.seed,
                   "config": cfg.config_hash(), "chosen_costs": chosen_costs,
                   "validation_uar": validation_uar}
-    (cfg.output_dir / "report.json").write_text(
-        report_to_json(report, provenance=provenance))
+    write_atomic(cfg.output_dir / "report.json",
+                 report_to_json(report, provenance=provenance).encode("utf-8"))
     write_confusion_csv(cfg.output_dir / "confusion.csv", report,
                         comment=cfg.provenance())
     print(f"train-eval: UAR {report.uar:.4f} "
@@ -242,11 +237,9 @@ def cmd_export_spectrograms(args: argparse.Namespace) -> int:
         write_tensor(spec, out_path)
         manifest_rows.append((utt.id, f"spectrograms/{utt.id}.usvt",
                               spec.frame_count, spec.bin_count))
-    with open(cfg.output_dir / "spectrogram_manifest.csv", "w", newline="") as fh:
-        fh.write(f"# {cfg.provenance()}\n")
-        fh.write("utterance_id,file,frames,bins\n")
-        for row in manifest_rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    write_table(cfg.output_dir / "spectrogram_manifest.csv",
+                ("utterance_id", "file", "frames", "bins"), manifest_rows,
+                cfg.provenance())
     print(f"export-spectrograms: {len(manifest_rows)} tensors in {tensor_dir}")
     return 0
 
@@ -262,13 +255,11 @@ def cmd_table1(args: argparse.Namespace) -> int:
                                       f.f0_max_voiced, f.f0_min_voiced,
                                       f.f0_slope_voiced))
     out_path = cfg.output_dir / "context_f0_stats.csv"
-    with open(out_path, "w", newline="") as fh:
-        fh.write(f"# {cfg.provenance()}\n")
-        fh.write("context,n,mean_hz,std_hz,max_hz,min_hz,slope_hz_per_s\n")
-        for context in sorted(by_context):
-            stats = np.array(by_context[context]).mean(axis=0)
-            fh.write(context + f",{len(by_context[context])}," +
-                     ",".join(format(v, ".6g") for v in stats) + "\n")
+    write_table(out_path, ("context", "n", "mean_hz", "std_hz", "max_hz", "min_hz",
+                           "slope_hz_per_s"),
+                ([context, len(rows)]
+                 + [format(v, ".6g") for v in np.array(rows).mean(axis=0)]
+                 for context, rows in sorted(by_context.items())), cfg.provenance())
     print(f"table1: {len(by_context)} contexts in {out_path}")
     return 0
 

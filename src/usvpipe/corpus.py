@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .artifacts import write_table
 from .audio_io import wav_duration
 from .exceptions import AnnotationParseError, SchemaMismatchError
 
@@ -232,9 +233,4 @@ def filter_cohort(records: list[RawRecord],
 
 def write_filter_report(path: str | Path, report: FilterReport,
                         comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("rule", "count"))
-        writer.writerows(report.rows())
+    write_table(path, ("rule", "count"), report.rows(), comment)

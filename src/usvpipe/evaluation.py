@@ -7,7 +7,6 @@ each replicate's UAR averaged over the classes present in that replicate.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,11 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import read_table, write_table
 from .exceptions import EmptyPredictionsError
 from .seeding import rng_for
 
 BOOTSTRAP_REPLICATES = 1000
 CI_PERCENTILES = (2.5, 97.5)
+PREDICTIONS_CSV_HEADER = ("utterance_id", "fold", "true", "predicted")
 
 
 @dataclass(frozen=True)
@@ -38,28 +39,26 @@ class PredictionSet:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate utterance ids in prediction set")
         self.records = tuple(sorted(records, key=lambda r: r.utterance_id))
+        self.true_labels = tuple(r.true_label for r in self.records)
+        self.predicted_labels = tuple(r.predicted_label for r in self.records)
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def label_order(self) -> tuple[str, ...]:
-        observed = {r.true_label for r in self.records} | \
-                   {r.predicted_label for r in self.records}
-        return tuple(sorted(observed))
 
-
-def _encode(preds: PredictionSet,
-            labels: Sequence[str] | None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    if len(preds) == 0:
-        raise EmptyPredictionsError("prediction set is empty")
-    order = tuple(labels) if labels is not None else preds.label_order()
+def _encode(y_true: Sequence[str], y_pred: Sequence[str], labels: Sequence[str] | None,
+            ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Class indices into labels, by default the sorted observed labels."""
+    if len(y_true) == 0:
+        raise EmptyPredictionsError("no predictions to score")
+    order = tuple(labels if labels is not None else sorted(set(y_true) | set(y_pred)))
     index = {lab: i for i, lab in enumerate(order)}
     try:
-        y_true = np.array([index[r.true_label] for r in preds.records])
-        y_pred = np.array([index[r.predicted_label] for r in preds.records])
+        t = np.array([index[v] for v in y_true])
+        p = np.array([index[v] for v in y_pred])
     except KeyError as exc:
         raise ValueError(f"label {exc} not in the supplied label order") from exc
-    return y_true, y_pred, order
+    return t, p, order
 
 
 def _recalls(y_true: np.ndarray, y_pred: np.ndarray, k: int) -> np.ndarray:
@@ -72,18 +71,13 @@ def _recalls(y_true: np.ndarray, y_pred: np.ndarray, k: int) -> np.ndarray:
 
 def uar(preds: PredictionSet, labels: Sequence[str] | None = None) -> float:
     """Mean recall over the classes present in the true labels."""
-    y_true, y_pred, order = _encode(preds, labels)
+    y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels, labels)
     return float(np.nanmean(_recalls(y_true, y_pred, len(order))))
 
 
 def uar_from_labels(y_true: Sequence[str], y_pred: Sequence[str]) -> float:
     """UAR over plain label sequences (no ids); used for model selection."""
-    if len(y_true) == 0:
-        raise EmptyPredictionsError("no labels to score")
-    order = sorted(set(y_true) | set(y_pred))
-    index = {lab: i for i, lab in enumerate(order)}
-    t = np.array([index[v] for v in y_true])
-    p = np.array([index[v] for v in y_pred])
+    t, p, order = _encode(y_true, y_pred, None)
     return float(np.nanmean(_recalls(t, p, len(order))))
 
 
@@ -98,7 +92,7 @@ def bootstrap_ci(preds: PredictionSet, replicates: int = BOOTSTRAP_REPLICATES,
     derive from (seed, replicate index), so the result is reproducible and
     replicates could be evaluated concurrently.
     """
-    y_true, y_pred, order = _encode(preds, labels)
+    y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels, labels)
     n, k = len(y_true), len(order)
     stats = np.empty(replicates)
     for r in range(replicates):
@@ -115,7 +109,7 @@ def confusion(preds: PredictionSet, labels: Sequence[str] | None = None,
     Entry (r, c) is the fraction of class r predicted as class c; rows for
     classes with no test instances are all zero.
     """
-    y_true, y_pred, order = _encode(preds, labels)
+    y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels, labels)
     k = len(order)
     counts = np.bincount(y_true * k + y_pred, minlength=k * k).reshape(k, k).astype(float)
     totals = counts.sum(axis=1, keepdims=True)
@@ -139,7 +133,7 @@ class EvaluationReport:
 def build_report(preds: PredictionSet, labels: Sequence[str] | None = None,
                  replicates: int = BOOTSTRAP_REPLICATES, seed: int = 0,
                  ) -> EvaluationReport:
-    y_true, y_pred, order = _encode(preds, labels)
+    y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels, labels)
     recalls = _recalls(y_true, y_pred, len(order))
     matrix, _ = confusion(preds, order)
     low, high = bootstrap_ci(preds, replicates=replicates, seed=seed, labels=order)
@@ -172,33 +166,19 @@ def report_to_json(report: EvaluationReport, provenance: dict | None = None) -> 
 
 def write_confusion_csv(path: str | Path, report: EvaluationReport,
                         comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("true\\pred",) + report.labels)
-        for lab, row in zip(report.labels, report.confusion):
-            writer.writerow((lab,) + tuple(format(v, ".6g") for v in row))
+    write_table(path, ("true\\pred",) + report.labels,
+                ((lab,) + tuple(format(v, ".6g") for v in row)
+                 for lab, row in zip(report.labels, report.confusion)), comment)
 
 
 def write_predictions_csv(path: str | Path, preds: PredictionSet,
                           comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("utterance_id", "fold", "true", "predicted"))
-        for r in preds.records:
-            writer.writerow((r.utterance_id, r.fold, r.true_label, r.predicted_label))
+    write_table(path, PREDICTIONS_CSV_HEADER,
+                ((r.utterance_id, r.fold, r.true_label, r.predicted_label)
+                 for r in preds.records), comment)
 
 
 def read_predictions_csv(path: str | Path) -> PredictionSet:
-    records = []
-    with open(path, newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, None)
-        if header != ["utterance_id", "fold", "true", "predicted"]:
-            raise ValueError(f"{path}: unexpected predictions header")
-        for uid, fold, true_label, predicted in rows:
-            records.append(Prediction(uid, true_label, predicted, int(fold)))
-    return PredictionSet(records)
+    return PredictionSet([Prediction(uid, true_label, predicted, int(fold))
+                          for uid, fold, true_label, predicted
+                          in read_table(path, PREDICTIONS_CSV_HEADER)])

@@ -10,11 +10,11 @@ consumed only to break exact ties.
 """
 from __future__ import annotations
 
-import csv
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .artifacts import read_table, write_table
 from .corpus import Utterance
 from .exceptions import TooFewEmittersError
 from .seeding import rng_for
@@ -25,6 +25,7 @@ VALIDATION_FRACTION = 0.3
 ROLE_TEST = "test"
 ROLE_TRAIN = "train"
 ROLE_VAL = "val"
+FOLD_CSV_HEADER = ("utterance_id", "fold", "role")
 
 
 @dataclass
@@ -155,14 +156,10 @@ def write_fold_plan(path: str | Path, plan: FoldPlan,
     for fold in range(plan.fold_count):
         if fold not in plan.dev_roles:
             raise ValueError(f"fold {fold} has no train/validation split yet")
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("utterance_id", "fold", "role"))
-        for uid in sorted(plan.test_fold):
-            for fold in range(plan.fold_count):
-                writer.writerow((uid, fold, plan.role(fold, uid)))
+    write_table(path, FOLD_CSV_HEADER,
+                ((uid, fold, plan.role(fold, uid))
+                 for uid in sorted(plan.test_fold)
+                 for fold in range(plan.fold_count)), comment)
 
 
 def read_fold_plan(path: str | Path) -> FoldPlan:
@@ -170,19 +167,14 @@ def read_fold_plan(path: str | Path) -> FoldPlan:
     test_fold: dict[str, int] = {}
     dev_roles: dict[int, dict[str, str]] = defaultdict(dict)
     max_fold = -1
-    with open(path, newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, None)
-        if header != ["utterance_id", "fold", "role"]:
-            raise ValueError(f"{path}: unexpected fold plan header")
-        for uid, fold_text, role in rows:
-            fold = int(fold_text)
-            max_fold = max(max_fold, fold)
-            if role == ROLE_TEST:
-                test_fold[uid] = fold
-            elif role in (ROLE_TRAIN, ROLE_VAL):
-                dev_roles[fold][uid] = role
-            else:
-                raise ValueError(f"{path}: unknown role '{role}'")
+    for uid, fold_text, role in read_table(path, FOLD_CSV_HEADER):
+        fold = int(fold_text)
+        max_fold = max(max_fold, fold)
+        if role == ROLE_TEST:
+            test_fold[uid] = fold
+        elif role in (ROLE_TRAIN, ROLE_VAL):
+            dev_roles[fold][uid] = role
+        else:
+            raise ValueError(f"{path}: unknown role '{role}'")
     return FoldPlan(fold_count=max_fold + 1, seed=None, test_fold=test_fold,
                     emitter_groups={}, dev_roles=dict(dev_roles))

@@ -7,12 +7,12 @@ is invariant to any positive rescaling of the input.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_table, write_table
 from .audio_io import AudioClip
 from .exceptions import EmptyVoicedSetError
 from .spectral import stft
@@ -161,29 +161,18 @@ def _fmt(x: float) -> str:
 def write_feature_csv(path: str | Path, records: list[FeatureRecord],
                       comment: str | None = None) -> None:
     """Write the feature table, sorted by utterance id, floats to 6 significant digits."""
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_CSV_HEADER)
-        for rec in sorted(records, key=lambda r: r.utterance_id):
-            writer.writerow(
-                [rec.utterance_id, rec.emitter_id, rec.context, _fmt(rec.duration_s)]
-                + [_fmt(v) for v in rec.features.as_row()])
+    write_table(path, FEATURE_CSV_HEADER, (
+        [rec.utterance_id, rec.emitter_id, rec.context, _fmt(rec.duration_s)]
+        + [_fmt(v) for v in rec.features.as_row()]
+        for rec in sorted(records, key=lambda r: r.utterance_id)), comment)
 
 
 def read_feature_csv(path: str | Path) -> list[FeatureRecord]:
-    """Read a feature table written by write_feature_csv (comment lines skipped)."""
+    """Read a feature table written by write_feature_csv."""
     records = []
-    with open(path, newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, None)
-        if header is None or tuple(header) != FEATURE_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected feature CSV header")
-        for row in rows:
-            values = [float(v) for v in row[3:]]
-            records.append(FeatureRecord(
-                utterance_id=row[0], emitter_id=row[1], context=row[2],
-                duration_s=values[0],
-                features=FeatureVector(*values[1:])))
+    for row in read_table(path, FEATURE_CSV_HEADER):
+        values = [float(v) for v in row[3:]]
+        records.append(FeatureRecord(
+            utterance_id=row[0], emitter_id=row[1], context=row[2],
+            duration_s=values[0], features=FeatureVector(*values[1:])))
     return records

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .audio_io import AudioClip, pad_to_duration
 from .exceptions import ClipTooShortError
 
@@ -113,7 +114,7 @@ def write_tensor(spec: Spectrogram, path: str | Path) -> None:
     frames, bins = spec.magnitudes.shape
     header = _TENSOR_MAGIC + struct.pack(
         "<IIIII", _TENSOR_VERSION, _TENSOR_DTYPE_F32, 2, frames, bins)
-    Path(path).write_bytes(header + spec.magnitudes.astype("<f4").tobytes(order="C"))
+    write_atomic(path, header + spec.magnitudes.astype("<f4").tobytes(order="C"))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

@@ -13,7 +13,6 @@ final dual iterate.
 """
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -22,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import read_table, write_table
 from .evaluation import uar_from_labels
 from .exceptions import SingleClassDataError
 from .seeding import rng_for
@@ -263,45 +263,35 @@ def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
 
 def write_model(path: str | Path, model: OvoModel,
                 comment: str | None = None) -> None:
-    """CSV-like model dump: standardiser stats, chosen cost, one row per machine."""
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("cost", repr(float(model.cost))))
-        writer.writerow(["labels"] + list(model.labels))
-        writer.writerow(["mean"] + [repr(float(v)) for v in model.standardiser.mean])
-        writer.writerow(["std"] + [repr(float(v)) for v in model.standardiser.std])
-        writer.writerow(["zero_variance"]
-                        + [str(int(v)) for v in model.standardiser.zero_variance])
-        for m in model.machines:
-            writer.writerow(["machine", m.class_pos, m.class_neg,
-                             repr(float(m.bias))]
-                            + [repr(float(w)) for w in m.weights])
+    """CSV-like model dump: the chosen cost in the header's place, standardiser
+    stats, then one row per machine (so rows vary in width and have no header)."""
+    write_table(path, ("cost", repr(float(model.cost))), [
+        ["labels"] + list(model.labels),
+        ["mean"] + [repr(float(v)) for v in model.standardiser.mean],
+        ["std"] + [repr(float(v)) for v in model.standardiser.std],
+        ["zero_variance"] + [str(int(v)) for v in model.standardiser.zero_variance],
+    ] + [["machine", m.class_pos, m.class_neg, repr(float(m.bias))]
+         + [repr(float(w)) for w in m.weights] for m in model.machines], comment)
 
 
 def read_model(path: str | Path) -> OvoModel:
     rows: dict[str, list[str]] = {}
-    machines = []
-    cost = None
-    with open(path, newline="") as fh:
-        for row in csv.reader(line for line in fh if not line.startswith("#")):
-            if row[0] == "cost":
-                cost = float(row[1])
-            elif row[0] == "machine":
-                machines.append(BinarySvm(
-                    class_pos=row[1], class_neg=row[2],
-                    weights=np.array([float(v) for v in row[4:]]),
-                    bias=float(row[3]), cost=0.0))
-            else:
-                rows[row[0]] = row[1:]
-    if cost is None or "labels" not in rows:
+    machine_rows = []
+    for row in read_table(path):
+        if row[0] == "machine":
+            machine_rows.append(row)
+        else:
+            rows[row[0]] = row[1:]
+    if "cost" not in rows or "labels" not in rows:
         raise ValueError(f"{path}: incomplete model file")
+    cost = float(rows["cost"][0])
     standardiser = Standardiser(
         mean=np.array([float(v) for v in rows["mean"]]),
         std=np.array([float(v) for v in rows["std"]]),
         zero_variance=np.array([v == "1" for v in rows["zero_variance"]]))
-    machines = [BinarySvm(m.class_pos, m.class_neg, m.weights, m.bias, cost)
-                for m in machines]
+    machines = tuple(BinarySvm(class_pos=row[1], class_neg=row[2],
+                               weights=np.array([float(v) for v in row[4:]]),
+                               bias=float(row[3]), cost=cost)
+                     for row in machine_rows)
     return OvoModel(labels=tuple(rows["labels"]), standardiser=standardiser,
-                    cost=cost, machines=tuple(machines))
+                    cost=cost, machines=machines)

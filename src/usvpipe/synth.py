@@ -7,7 +7,6 @@ keep runtime small; every downstream parameter derives from the actual rate.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,6 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import lfilter
 
+from .artifacts import write_table
 from .audio_io import AudioClip, write_wav
 from .corpus import CONTEXT_LABELS
 from .exceptions import SpecOutOfRangeError
@@ -119,11 +119,8 @@ def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
             counter += 1
 
     annotation_path = out_dir / "annotations.csv"
-    with open(annotation_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("utterance_id", "emitter_id", "context_code",
-                         "file", "duration_s"))
-        writer.writerows(rows)
+    write_table(annotation_path, ("utterance_id", "emitter_id", "context_code",
+                                  "file", "duration_s"), rows)
 
     schema_path = out_dir / "schema.json"
     schema = {

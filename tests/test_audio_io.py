@@ -126,3 +126,46 @@ class TestPadToDuration:
         loaded = load_wav(path)
         padded = pad_to_duration(loaded, 0.5)
         np.testing.assert_array_equal(padded.samples[:5000], loaded.samples)
+
+
+def _riff(*chunks) -> bytes:
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) & 1)
+                    for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+_FMT = struct.pack("<HHIIHH", 1, 1, 50_000, 100_000, 2, 16)
+_DATA = b"\x00\x00" * 100
+
+CONTAINER_DEFECTS = {
+    "not_riff": b"OggS" + b"\x00" * 64,
+    "shorter_than_riff_header": b"RIFF\x00\x00",
+    "truncated_data_chunk": _riff((b"fmt ", _FMT), (b"data", _DATA))[:-37],
+    "truncated_trailing_chunk": _riff((b"fmt ", _FMT), (b"data", _DATA))
+    + b"LIST" + struct.pack("<I", 64) + b"abc",
+    "missing_fmt": _riff((b"data", _DATA)),
+    "short_fmt": _riff((b"fmt ", _FMT[:14]), (b"data", _DATA)),
+    "missing_data": _riff((b"fmt ", _FMT)),
+    "empty_data": _riff((b"fmt ", _FMT), (b"data", b"")),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CONTAINER_DEFECTS))
+def test_container_defects_rejected_alike(tmp_path, defect):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(CONTAINER_DEFECTS[defect])
+    with pytest.raises(MalformedWavError) as by_load:
+        load_wav(path)
+    with pytest.raises(MalformedWavError) as by_duration:
+        wav_duration(path)
+    assert type(by_load.value) is type(by_duration.value)
+
+
+@pytest.mark.parametrize("kwargs", [{"channels": 2}, {"fmt_tag": 0x0055},
+                                    {"payload": b"\x00" * 201}])
+def test_wav_duration_leaves_format_checks_to_load_wav(tmp_wav_factory, kwargs):
+    # filter_cohort must not abort a run over a file extract can skip
+    path = tmp_wav_factory(**kwargs)
+    assert wav_duration(path) > 0
+    with pytest.raises((UnsupportedFormatError, MalformedWavError)):
+        load_wav(path)

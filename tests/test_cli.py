@@ -102,6 +102,8 @@ def test_artifacts_carry_provenance_header(small_corpus):
         first = (root / "results" / name).read_text().splitlines()[0]
         assert first.startswith("# usvpipe ")
         assert "seed=21" in first and "config=" in first
+    for path in (root / "results").glob("*.csv"):
+        assert b"\r" not in path.read_bytes(), path.name
     report = json.loads((root / "results" / "report.json").read_text())
     assert report["provenance"]["seed"] == 21
     assert report["provenance"]["tool"].startswith("usvpipe ")
@@ -164,3 +166,36 @@ def test_artifacts_byte_identical_across_reruns(tmp_path):
     for name in ("features.csv", "folds.csv", "predictions.csv", "report.json",
                  "confusion.csv", "model_fold0.csv"):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+
+def test_truncated_feature_table_exits_2_naming_the_line(tmp_path, caplog):
+    from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
+    out = tmp_path / "results"
+    out.mkdir()
+    fv = FeatureVector(*([9000.0] * 10))
+    write_feature_csv(out / "features.csv", [
+        FeatureRecord(f"u{i}", f"bat{i % 3}", "biting", 0.5, fv) for i in range(6)],
+        comment="stamp")
+    lines = (out / "features.csv").read_text().splitlines(keepends=True)
+    (out / "features.csv").write_text("".join(lines[:-1]) + lines[-1][:4])  # "u5,b"
+    assert main(["partition", "--out", str(out)]) == 2
+    assert "features.csv:8: expected 14 fields, got 2" in caplog.text
+
+
+def test_hash_prefixed_utterance_id_is_tested_once(tmp_path):
+    from usvpipe.partition import read_fold_plan
+    specs = {k: SEPARABLE_CLASS_SPECS[k] for k in ("biting", "feeding")}
+    annotations, schema = synth_corpus(tmp_path, n_emitters=3, per_class_count=3,
+                                       class_specs=specs, seed=4, sample_rate=50_000)
+    # id column last, so the annotation reader does not take "#u000000" for a comment
+    lines = annotations.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    rows[1][0] = "#" + rows[1][0]
+    annotations.write_text("".join(",".join(r[1:] + r[:1]) + "\n" for r in rows))
+    out = tmp_path / "out"
+    args = ["--annotations", str(annotations), "--schema", str(schema),
+            "--audio-dir", str(tmp_path), "--out", str(out)]
+    assert main(["extract"] + args) == 0
+    assert main(["partition"] + args) == 0
+    plan = read_fold_plan(out / "folds.csv")
+    assert sorted(plan.test_fold) == ["#u000000"] + [f"u{i:06d}" for i in range(1, 6)]
