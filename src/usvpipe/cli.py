@@ -32,7 +32,8 @@ from .partition import build_plan, read_fold_plan, write_fold_plan
 from .pitch import (FeatureRecord, contour_stats, extract_f0,
                     read_feature_csv, write_feature_csv)
 from .spectral import export_spectrogram, write_tensor
-from .svm import COST_GRID, nested_select, predict, write_model
+from .svm import (COST_GRID, SOLVER_MAX_EPOCHS, SOLVER_TOL, nested_select,
+                  predict, write_model)
 from .synth import synth_corpus
 
 log = logging.getLogger("usvpipe")
@@ -182,6 +183,7 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
     predictions: list[Prediction] = []
     chosen_costs: dict[str, float] = {}
     validation_uar: dict[str, dict] = {}
+    capped_machines: dict[str, int] = {}
     for fold in range(plan.fold_count):
         train_ids, val_ids, test_ids = plan.fold_membership(fold)
         dev_ids = train_ids + val_ids
@@ -196,6 +198,11 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
         chosen_costs[str(fold)] = diag["chosen_cost"]
         validation_uar[str(fold)] = {format(c, "g"): u
                                      for c, u in diag["validation_uar"].items()}
+        capped_machines[str(fold)] = diag["capped_machines"]
+        if diag["capped_machines"]:
+            log.warning("fold %d: %d machines stopped at the %d-epoch cap "
+                        "without reaching tol %g", fold, diag["capped_machines"],
+                        SOLVER_MAX_EPOCHS, SOLVER_TOL)
 
         X_test = np.array([by_id[uid].features.as_row() for uid in test_ids])
         for uid, predicted in zip(test_ids, predict(model, X_test)):
@@ -214,7 +221,8 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
                           comment=cfg.provenance())
     provenance = {"tool": f"usvpipe {__version__}", "seed": cfg.seed,
                   "config": cfg.config_hash(), "chosen_costs": chosen_costs,
-                  "validation_uar": validation_uar}
+                  "validation_uar": validation_uar,
+                  "capped_machines": capped_machines}
     write_atomic(cfg.output_dir / "report.json",
                  report_to_json(report, provenance=provenance).encode("utf-8"))
     write_confusion_csv(cfg.output_dir / "confusion.csv", report,

@@ -51,6 +51,9 @@ def test_train_eval_report(small_corpus):
     assert (root / "results" / "model_fold0.csv").exists()
     assert (root / "results" / "predictions.csv").exists()
     assert (root / "results" / "confusion.csv").exists()
+    capped = report["provenance"]["capped_machines"]
+    assert set(capped) == set(report["provenance"]["chosen_costs"])
+    assert all(isinstance(count, int) and count >= 0 for count in capped.values())
 
 
 def test_table1_per_context_stats(small_corpus):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from usvpipe.exceptions import SingleClassDataError
 from usvpipe.svm import (BinarySvm, COST_GRID, OvoModel, fit_ovo,
@@ -16,6 +17,7 @@ class TestSolver:
                          cost=1.0, seed=0)
         assert abs(m.weights[0] - 1.0) < 1e-3
         assert abs(m.bias) < 1e-3
+        assert m.converged is True
 
     def test_separable_blobs_perfect_training_accuracy(self):
         rng = np.random.default_rng(1)
@@ -77,6 +79,46 @@ class TestSolver:
             md = train_binary(Xd, yd, cost=0.5, seed=8)
             assert np.abs(mw.weights - md.weights).max() < 1e-3
             assert abs(mw.bias - md.bias) < 1e-3
+
+    def test_capped_solve_reports_not_converged(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(40, 3))
+        y = np.where(X[:, 0] + rng.normal(size=40) > 0, 1.0, -1.0)
+        m = train_binary(X, y, cost=1.0, seed=0, max_epochs=1)
+        assert len(m.objective_history) == 2
+        assert m.converged is False
+
+    def test_primal_matches_box_constrained_dual_oracle(self):
+        """Problems large enough for shrinking to act, checked against the
+        dual optimum found by L-BFGS-B (an independent solver).  Weak
+        duality bounds the primal below by any feasible dual value."""
+        rng = np.random.default_rng(30)
+        for trial in range(20):
+            n = int(rng.integers(40, 81))
+            X = rng.normal(size=(n, 10))
+            y = np.where(X @ rng.normal(size=10) + rng.normal(0, 1.5, n) > 0,
+                         1.0, -1.0)
+            cost = float(rng.choice([0.1, 0.5, 1.0]))
+            wp, wn = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
+            m = train_binary(X, y, cost, weight_pos=wp, weight_neg=wn,
+                             seed=trial)
+            assert m.converged
+            box = cost * np.where(y > 0, wp, wn)
+            Xy = np.hstack([X, np.ones((n, 1))]) * y[:, None]
+            Q = Xy @ Xy.T
+
+            def negative_dual(alpha):
+                Qa = Q @ alpha
+                return 0.5 * alpha @ Qa - alpha.sum(), Qa - 1.0
+
+            res = minimize(negative_dual, np.zeros(n), jac=True,
+                           method="L-BFGS-B", bounds=list(zip(np.zeros(n), box)),
+                           options={"maxiter": 10_000, "ftol": 1e-15,
+                                    "gtol": 1e-12})
+            dual = -res.fun
+            primal = weighted_primal(m.weights, m.bias, X, y, box)
+            assert primal <= dual * (1 + 1e-3), (trial, primal, dual)
+            assert primal >= dual - 1e-9 * abs(dual), (trial, primal, dual)
 
 
 class TestStandardiser:
@@ -193,6 +235,7 @@ class TestOvoAndSelection:
         model, diag = nested_select(X, y, train, val, grid=[0.1], seed=0)
         assert model.cost == 0.1
         assert list(diag["validation_uar"]) == [0.1]
+        assert diag["capped_machines"] == 0
 
     def test_tie_resolves_to_smaller_cost(self):
         rng = np.random.default_rng(14)
