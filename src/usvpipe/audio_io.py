@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,8 +26,10 @@ _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
-# one warning per unexpected rate per process, not per file
+# one warning per unexpected rate per process, not per file, also when
+# several threads load files at once
 _warned_rates: set[int] = set()
+_warned_rates_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,12 @@ def load_wav(path: str | Path) -> AudioClip:
         raise UnsupportedFormatError(f"{path}: {channels} channels, mono required")
     if rate <= 0 or block_align == 0:
         raise MalformedWavError(f"{path}: invalid fmt fields")
+    # one ceil(bits / 8)-byte sample per frame; any other block_align fails
+    # inside the decoder or decodes a different number of samples
+    if (tag in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT)
+            and block_align != -(-bits // 8)):
+        raise MalformedWavError(
+            f"{path}: block_align {block_align} does not fit {bits}-bit samples")
     if len(payload) % block_align != 0:
         raise MalformedWavError(f"{path}: data chunk is not a whole number of frames")
 
@@ -140,16 +149,20 @@ def load_wav(path: str | Path) -> AudioClip:
         raise UnsupportedFormatError(
             f"{path}: compressed or unknown encoding (format tag 0x{tag:04x})")
 
-    if rate != CORPUS_SAMPLE_RATE_HZ and rate not in _warned_rates:
-        _warned_rates.add(rate)
-        log.warning("sample rate %d Hz differs from the expected corpus rate %d Hz",
-                    rate, CORPUS_SAMPLE_RATE_HZ)
+    if rate != CORPUS_SAMPLE_RATE_HZ:
+        with _warned_rates_lock:
+            first = rate not in _warned_rates
+            _warned_rates.add(rate)
+        if first:
+            log.warning("sample rate %d Hz differs from the expected corpus rate "
+                        "%d Hz", rate, CORPUS_SAMPLE_RATE_HZ)
     return AudioClip(samples=samples, sample_rate=int(rate), source_id=path.stem)
 
 
 def wav_duration(path: str | Path) -> float:
     """Duration in seconds from the WAV header, without reading the samples;
-    channel count and encoding are left to load_wav, so extract reports them."""
+    channel count, encoding and frame size are left to load_wav, so extract
+    reports them as one file error rather than ending the run."""
     path = Path(path)
     with open(path, "rb") as fh:
         fmt, _offset, size = _wav_layout(fh, path)

@@ -5,6 +5,11 @@ Stages communicate exclusively through files under the output directory
 stage by stage and audited in between.  Every text artifact starts with a
 provenance comment (tool version, seed, config hash) and reruns with
 identical inputs and seed are byte-identical.
+
+The per-utterance stages (extract, export-spectrograms) run their files on
+a thread per CPU the process may use: numpy's FFT and array loops release
+the GIL.  Results are taken back in cohort order, so every artifact is the
+same for any thread count.
 """
 from __future__ import annotations
 
@@ -12,8 +17,10 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +34,7 @@ from .corpus import (CONTEXT_LABELS, SchemaConfig, Utterance, filter_cohort,
 from .evaluation import (Prediction, PredictionSet, build_report,
                          report_to_json, write_confusion_csv,
                          write_predictions_csv)
-from .exceptions import (ClipTooShortError, EmptyVoicedSetError, PipelineError)
+from .exceptions import ClipTooShortError, EmptyVoicedSetError, PipelineError
 from .partition import build_plan, read_fold_plan, write_fold_plan
 from .pitch import (FeatureRecord, contour_stats, extract_f0,
                     read_feature_csv, write_feature_csv)
@@ -39,6 +46,9 @@ from .synth import synth_corpus
 log = logging.getLogger("usvpipe")
 
 EXTRACT_FAILURE_TOLERANCE = 0.01  # corrupt-file fraction tolerated per run
+# Per-file errors that cost one skip-report row; anything else is a bug and
+# stops the stage.
+_FILE_ERRORS = (PipelineError, OSError, ValueError)
 
 
 @dataclass
@@ -118,31 +128,71 @@ def _load_cohort(cfg: RunConfig) -> list[Utterance]:
     return cohort
 
 
+def _worker_count(items: int) -> int:
+    """Threads for a per-utterance map: one per CPU in this process's
+    affinity mask, at most one per item."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, items))
+
+
+def _map_ordered(fn, items: list):
+    """Yield fn(item) for each item, in order.  An exception raised for an
+    item is yielded as that item's result, so the caller accounts for it in
+    order on its own thread and the other items still run."""
+    def call(item):
+        try:
+            return fn(item)
+        except Exception as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=_worker_count(len(items))) as pool:
+        yield from pool.map(call, items)
+
+
+def _skip_for_error(exc: Exception, utt_id: str, skips: list) -> None:
+    """One error row in a skip report; exceptions that are no file's fault
+    are raised again."""
+    if not isinstance(exc, _FILE_ERRORS):
+        raise exc
+    skips.append((utt_id, f"error:{type(exc).__name__}"))
+    log.error("%s: %s", utt_id, exc)
+
+
+def _failure_status(stage: str, failures: int, total: int) -> int:
+    """Exit code 1 when more files failed than the tolerance allows."""
+    if total and failures / total > EXTRACT_FAILURE_TOLERANCE:
+        log.error("%s: %d of %d files failed, above the %.0f%% tolerance",
+                  stage, failures, total, 100 * EXTRACT_FAILURE_TOLERANCE)
+        return 1
+    return 0
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     """Pitch features for every cohort utterance with at least one voiced frame."""
     cfg = _resolve_config(args)
-    cohort = _load_cohort(cfg)
+    cohort = sorted(_load_cohort(cfg), key=lambda u: u.id)
+
+    def features(utt: Utterance):
+        return contour_stats(extract_f0(load_wav(utt.audio_path)))
+
     records: list[FeatureRecord] = []
     skips: list[tuple[str, str]] = []
     failures = 0
-    for utt in sorted(cohort, key=lambda u: u.id):
-        try:
-            contour = extract_f0(load_wav(utt.audio_path))
-            features = contour_stats(contour)
-        except EmptyVoicedSetError:
+    for utt, result in zip(cohort, _map_ordered(features, cohort)):
+        if isinstance(result, EmptyVoicedSetError):
             skips.append((utt.id, "all_unvoiced"))
-            continue
-        except ClipTooShortError:
+        elif isinstance(result, ClipTooShortError):
             skips.append((utt.id, "too_short"))
-            continue
-        except (PipelineError, OSError, ValueError) as exc:
+        elif isinstance(result, Exception):
+            _skip_for_error(result, utt.id, skips)
             failures += 1
-            skips.append((utt.id, f"error:{type(exc).__name__}"))
-            log.error("%s: %s", utt.id, exc)
-            continue
-        records.append(FeatureRecord(
-            utterance_id=utt.id, emitter_id=utt.emitter_id, context=utt.context,
-            duration_s=utt.duration_s, features=features))
+        else:
+            records.append(FeatureRecord(
+                utterance_id=utt.id, emitter_id=utt.emitter_id, context=utt.context,
+                duration_s=utt.duration_s, features=result))
 
     write_feature_csv(cfg.output_dir / "features.csv", records,
                       comment=cfg.provenance())
@@ -150,11 +200,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 sorted(skips), cfg.provenance())
     print(f"extract: {len(records)} feature rows, {len(skips)} skipped "
           f"({failures} file errors)")
-    if cohort and failures / len(cohort) > EXTRACT_FAILURE_TOLERANCE:
-        log.error("%d of %d files failed, above the %.0f%% tolerance",
-                  failures, len(cohort), 100 * EXTRACT_FAILURE_TOLERANCE)
-        return 1
-    return 0
+    return _failure_status("extract", failures, len(cohort))
 
 
 def _cohort_from_features(path: Path) -> list[Utterance]:
@@ -233,23 +279,36 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_export_spectrograms(args: argparse.Namespace) -> int:
-    """Fixed-shape linear-magnitude spectrogram tensors for external consumers."""
+    """Fixed-shape linear-magnitude spectrogram tensors for external consumers.
+
+    A file that cannot be exported (unreadable, or longer than the 3 s pad)
+    costs one row in export_skip_report.csv and is left out of the manifest.
+    """
     cfg = _resolve_config(args)
-    cohort = _load_cohort(cfg)
+    cohort = sorted(_load_cohort(cfg), key=lambda u: u.id)
     tensor_dir = cfg.output_dir / "spectrograms"
     tensor_dir.mkdir(parents=True, exist_ok=True)
-    manifest_rows = []
-    for utt in sorted(cohort, key=lambda u: u.id):
+
+    def export(utt: Utterance) -> tuple[int, int]:
         spec = export_spectrogram(load_wav(utt.audio_path))
-        out_path = tensor_dir / f"{utt.id}.usvt"
-        write_tensor(spec, out_path)
-        manifest_rows.append((utt.id, f"spectrograms/{utt.id}.usvt",
-                              spec.frame_count, spec.bin_count))
+        write_tensor(spec, tensor_dir / f"{utt.id}.usvt")
+        return spec.frame_count, spec.bin_count
+
+    manifest_rows = []
+    skips: list[tuple[str, str]] = []
+    for utt, result in zip(cohort, _map_ordered(export, cohort)):
+        if isinstance(result, Exception):
+            _skip_for_error(result, utt.id, skips)
+        else:
+            manifest_rows.append((utt.id, f"spectrograms/{utt.id}.usvt", *result))
     write_table(cfg.output_dir / "spectrogram_manifest.csv",
                 ("utterance_id", "file", "frames", "bins"), manifest_rows,
                 cfg.provenance())
-    print(f"export-spectrograms: {len(manifest_rows)} tensors in {tensor_dir}")
-    return 0
+    write_table(cfg.output_dir / "export_skip_report.csv", ("utterance_id", "reason"),
+                skips, cfg.provenance())
+    print(f"export-spectrograms: {len(manifest_rows)} tensors in {tensor_dir}, "
+          f"{len(skips)} skipped")
+    return _failure_status("export-spectrograms", len(skips), len(cohort))
 
 
 def cmd_table1(args: argparse.Namespace) -> int:

@@ -84,17 +84,19 @@ def extract_f0(clip: AudioClip) -> PitchContour:
     Frames with nothing left after the gate are unvoiced, as are frames
     whose argmax is the DC bin (keeps the f0 = 0 <=> unvoiced convention).
 
+    The gate needs no gated copy: squaring is monotone, so a frame whose
+    largest cell passes the gate has the plain first argmax as its gated
+    argmax, and a frame whose largest cell fails is zeroed whole.
+
     Raises ClipTooShortError if the clip does not admit one analysis window.
     """
     spec = stft(clip, PITCH_WINDOW_S, PITCH_HOP_S)
-    power = spec.magnitudes ** 2
-    reference = power.mean(axis=0).max()
+    mags = spec.magnitudes
+    peak_bin = np.argmax(mags, axis=1)
+    peak_mag = mags[np.arange(mags.shape[0]), peak_bin]
+    reference = np.square(mags, out=mags).mean(axis=0).max()  # mags is now power
     threshold = reference * 10.0 ** (-GATE_DB / 10.0)
-    gated = np.where(power >= threshold, spec.magnitudes, 0.0)
-
-    peak_bin = np.argmax(gated, axis=1)
-    peak_mag = gated[np.arange(gated.shape[0]), peak_bin]
-    voiced = (peak_mag > 0.0) & (peak_bin > 0)
+    voiced = (peak_mag * peak_mag >= threshold) & (peak_mag > 0.0) & (peak_bin > 0)
     f0 = np.where(voiced, peak_bin * spec.bin_hz, 0.0)
     return PitchContour(f0_hz=f0, voiced=voiced,
                         frame_times_s=spec.frame_times_s())

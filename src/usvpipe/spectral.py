@@ -7,6 +7,7 @@ centre padding, frames fully inside the signal.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,11 @@ EXPORT_PAD_S = 3.0
 _TENSOR_MAGIC = b"USVT"
 _TENSOR_VERSION = 1
 _TENSOR_DTYPE_F32 = 1
+
+# Frames windowed and transformed per rfft call: about 2 MB of float64
+# frames, so the windowed copy and its complex spectrum stay small for any
+# clip length instead of each matching the whole magnitude matrix.
+_STFT_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,12 @@ class Spectrogram:
         return np.arange(self.bin_count) * self.bin_hz
 
 
+@functools.lru_cache(maxsize=8)
 def _hann(n: int) -> np.ndarray:
-    """Periodic Hann window."""
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    """Periodic Hann window (cached per length, read-only)."""
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window.flags.writeable = False
+    return window
 
 
 def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int) -> Spectrogram:
@@ -66,7 +75,9 @@ def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int) -> Spec
 
     Frame t covers samples [t*hop, t*hop + window); the frame count is
     floor((len - window) / hop) + 1.  FFT size equals the window length,
-    so the bin width is sample_rate / window_samples.
+    so the bin width is sample_rate / window_samples.  Frames are windowed
+    and transformed a block at a time straight into the magnitude matrix;
+    every row is the same one-shot rfft of its own windowed frame.
     """
     if window_samples < 1 or hop_samples < 1:
         raise ValueError("window and hop must each span at least one sample")
@@ -76,7 +87,12 @@ def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int) -> Spec
             f"{clip.source_id or 'clip'}: {x.size} samples but the analysis "
             f"window needs {window_samples}")
     frames = np.lib.stride_tricks.sliding_window_view(x, window_samples)[::hop_samples]
-    mags = np.abs(np.fft.rfft(frames * _hann(window_samples), axis=1))
+    window = _hann(window_samples)
+    mags = np.empty((frames.shape[0], window_samples // 2 + 1))
+    block = max(1, _STFT_BLOCK_BYTES // (frames.itemsize * window_samples))
+    for start in range(0, frames.shape[0], block):
+        np.abs(np.fft.rfft(frames[start:start + block] * window, axis=1),
+               out=mags[start:start + block])
     return Spectrogram(
         magnitudes=mags,
         frame_hop_s=hop_samples / clip.sample_rate,

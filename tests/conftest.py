@@ -56,9 +56,10 @@ def refine_grid_minimum(X, y, box, half_range=4.0, points=13, rounds=9):
 
 
 def write_raw_wav(path, *, channels=1, sample_rate=50_000, bits=16, fmt_tag=1,
-                  payload=b"\x00\x00" * 100) -> None:
+                  payload=b"\x00\x00" * 100, block_align=None) -> None:
     """Hand-assembled WAV bytes so malformed/unsupported cases are explicit."""
-    block_align = channels * (bits // 8)
+    if block_align is None:
+        block_align = channels * (bits // 8)
     fmt = struct.pack("<HHIIHH", fmt_tag, channels, sample_rate,
                       sample_rate * block_align, block_align, bits)
     body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt

@@ -2,10 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usvpipe.audio_io import (AudioClip, load_wav, pad_to_duration, wav_duration,
                               write_wav)
-from usvpipe.exceptions import (ClipTooLongError, MalformedWavError,
+from usvpipe.exceptions import (ClipTooLongError, MalformedWavError, PipelineError,
                                 UnsupportedFormatError)
 
 from conftest import write_raw_wav
@@ -162,10 +164,52 @@ def test_container_defects_rejected_alike(tmp_path, defect):
 
 
 @pytest.mark.parametrize("kwargs", [{"channels": 2}, {"fmt_tag": 0x0055},
-                                    {"payload": b"\x00" * 201}])
+                                    {"payload": b"\x00" * 201},
+                                    {"bits": 16, "block_align": 1}])
 def test_wav_duration_leaves_format_checks_to_load_wav(tmp_wav_factory, kwargs):
     # filter_cohort must not abort a run over a file extract can skip
     path = tmp_wav_factory(**kwargs)
     assert wav_duration(path) > 0
     with pytest.raises((UnsupportedFormatError, MalformedWavError)):
         load_wav(path)
+
+
+@pytest.mark.parametrize("fmt_tag,bits,block_align", [
+    (1, 16, 1), (1, 24, 1), (3, 32, 1), (1, 16, 4)])
+def test_block_align_must_fit_the_sample_width(tmp_wav_factory, fmt_tag, bits,
+                                               block_align):
+    # 12 bytes: a whole number of frames for every block_align above
+    path = tmp_wav_factory(fmt_tag=fmt_tag, bits=bits, block_align=block_align,
+                           payload=bytes(range(12)))
+    with pytest.raises(MalformedWavError):
+        load_wav(path)
+
+
+def _fuzzed_wav():
+    """Arbitrary bytes, or a RIFF container, whole or cut short, with fmt
+    fields drawn near the valid ones and an arbitrary payload, so that both
+    the chunk walker and the decoder are reached."""
+    fields = st.tuples(
+        st.sampled_from([1, 1, 3, 0xFFFE, 0x55]), st.sampled_from([1, 1, 1, 0, 2]),
+        st.sampled_from([1, 50_000, 250_000, 0, 2 ** 32 - 1]),
+        st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3, 4, 8, 0]),
+        st.sampled_from([8, 16, 24, 32, 64, 0, 12]))
+    fmt = st.tuples(fields.map(lambda f: struct.pack("<HHIIHH", *f)),
+                    st.binary(max_size=28)).map(b"".join)
+    container = st.builds(lambda f, data: _riff((b"fmt ", f), (b"data", data)),
+                          fmt, st.binary(min_size=1, max_size=64))
+    cut = st.tuples(container, st.integers(1, 200)).map(
+        lambda pair: pair[0][:-pair[1]])
+    return st.one_of(container, container, cut, st.binary(max_size=128))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=_fuzzed_wav())
+def test_fuzzed_bytes_raise_only_pipeline_errors(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+    path.write_bytes(data)
+    for read in (load_wav, wav_duration):
+        try:
+            read(path)
+        except PipelineError:
+            pass

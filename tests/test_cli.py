@@ -1,10 +1,16 @@
 import json
+import time
 
+import numpy as np
 import pytest
 
+from usvpipe import audio_io, cli
+from usvpipe.audio_io import AudioClip, write_wav
 from usvpipe.cli import main
 from usvpipe.spectral import read_tensor
 from usvpipe.synth import SEPARABLE_CLASS_SPECS, synth_corpus
+
+from conftest import write_raw_wav
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +146,25 @@ def test_corrupt_wav_below_tolerance_still_succeeds(tmp_path):
     assert "error:MalformedWavError" in skip
 
 
+def test_bad_frame_size_without_annotated_duration_costs_one_row(tmp_path):
+    # the cohort filter reads durations from the WAV headers, so a header
+    # that only load_wav rejects must not end the run
+    specs = {k: SEPARABLE_CLASS_SPECS[k] for k in ("biting", "feeding")}
+    annotations, schema = synth_corpus(tmp_path, n_emitters=3, per_class_count=60,
+                                       class_specs=specs, seed=5, sample_rate=50_000)
+    rows = annotations.read_text().splitlines()
+    annotations.write_text("\n".join([rows[0]] + [r.rsplit(",", 1)[0] + ","
+                                                   for r in rows[1:]]) + "\n")
+    victim = sorted((tmp_path / "wavs").iterdir())[7]
+    write_raw_wav(victim, bits=16, block_align=1, payload=b"\x00" * 2000)
+    code = main(["extract", "--annotations", str(annotations), "--schema", str(schema),
+                 "--audio-dir", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 0  # 1 of 120 files is under the 1 % tolerance
+    skips = [l for l in (tmp_path / "out" / "skip_report.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    assert skips == ["utterance_id,reason", f"{victim.stem},error:MalformedWavError"]
+
+
 def test_many_corrupt_wavs_exit_nonzero(tmp_path):
     specs = {"biting": SEPARABLE_CLASS_SPECS["biting"]}
     synth_corpus(tmp_path, n_emitters=3, per_class_count=20, class_specs=specs,
@@ -202,3 +227,77 @@ def test_hash_prefixed_utterance_id_is_tested_once(tmp_path):
     assert main(["partition"] + args) == 0
     plan = read_fold_plan(out / "folds.csv")
     assert sorted(plan.test_fold) == ["#u000000"] + [f"u{i:06d}" for i in range(1, 6)]
+
+
+def _three_class_corpus(root, per_class=4, seed=9):
+    specs = {k: SEPARABLE_CLASS_SPECS[k] for k in ("biting", "feeding", "grooming")}
+    annotations, schema = synth_corpus(root, n_emitters=3, per_class_count=per_class,
+                                       class_specs=specs, seed=seed,
+                                       sample_rate=50_000)
+    return ["--annotations", str(annotations), "--schema", str(schema),
+            "--audio-dir", str(root)]
+
+
+def _use_workers(monkeypatch, workers):
+    monkeypatch.setattr(cli, "_worker_count", lambda items: max(1, min(workers, items)))
+
+
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert [cli._worker_count(n) for n in (0, 1, 2, 3, 50)] == [1, 1, 2, 3, 3]
+
+
+def test_ordered_map_keeps_order_and_returns_errors(monkeypatch):
+    _use_workers(monkeypatch, 2)
+
+    def slow_for_early_items(i):
+        time.sleep(0.02 * (5 - i))  # later items finish first
+        if i == 2:
+            raise ValueError("item 2")
+        return i * 10
+
+    results = list(cli._map_ordered(slow_for_early_items, list(range(5))))
+    assert [r for r in results if not isinstance(r, Exception)] == [0, 10, 30, 40]
+    assert isinstance(results[2], ValueError) and str(results[2]) == "item 2"
+
+
+def test_artifacts_identical_for_one_and_two_workers(tmp_path, monkeypatch):
+    args = _three_class_corpus(tmp_path / "c")
+    outputs = []
+    for workers in (1, 2):
+        _use_workers(monkeypatch, workers)
+        out = tmp_path / f"w{workers}"
+        for cmd in ("extract", "export-spectrograms"):
+            assert main([cmd] + args + ["--out", str(out)]) == 0
+        outputs.append({p.relative_to(out): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(outputs[0]) == 5 + 12  # five tables plus one tensor per utterance
+    assert outputs[0] == outputs[1]
+
+
+def test_rate_warning_logged_once_with_two_workers(tmp_path, monkeypatch, caplog):
+    args = _three_class_corpus(tmp_path / "c", per_class=6)
+    monkeypatch.setattr(audio_io, "_warned_rates", set())
+    _use_workers(monkeypatch, 2)
+    assert main(["extract"] + args + ["--out", str(tmp_path / "out")]) == 0
+    warnings = [r for r in caplog.records
+                if "50000 Hz differs from the expected corpus rate" in r.getMessage()]
+    assert len(warnings) == 1
+
+
+def test_export_skips_an_over_long_clip(tmp_path):
+    args = _three_class_corpus(tmp_path / "c")
+    # annotated as under a second, so the cohort filter keeps it
+    victim = sorted((tmp_path / "c" / "wavs").iterdir())[4]
+    write_wav(victim, AudioClip(samples=np.zeros(175_000), sample_rate=50_000))
+    out = tmp_path / "out"
+    assert main(["export-spectrograms"] + args + ["--out", str(out)]) == 1  # 1/12 > 1 %
+    skips = [l for l in (out / "export_skip_report.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    assert skips == ["utterance_id,reason", f"{victim.stem},error:ClipTooLongError"]
+    manifest = [l.split(",") for l in
+                (out / "spectrogram_manifest.csv").read_text().splitlines()[2:]]
+    assert len(manifest) == 11
+    assert victim.stem not in {row[0] for row in manifest}
+    for uid, rel, frames, bins in manifest:
+        assert read_tensor(out / rel).shape == (int(frames), int(bins))

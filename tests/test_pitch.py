@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from usvpipe import pitch
 from usvpipe.audio_io import AudioClip
 from usvpipe.exceptions import ClipTooShortError, EmptyVoicedSetError
-from usvpipe.pitch import (FeatureRecord, FeatureVector, PitchContour,
+from usvpipe.pitch import (GATE_DB, FeatureRecord, FeatureVector, PitchContour,
                            contour_stats, extract_f0, read_feature_csv,
                            write_feature_csv)
+from usvpipe.spectral import Spectrogram
 
 from conftest import sine_clip
 
@@ -53,6 +55,92 @@ class TestExtractF0:
                                        sample_rate=50_000))
         assert contour.voiced.any() and not contour.voiced.all()
         np.testing.assert_array_equal(contour.voiced, contour.f0_hz > 0)
+
+
+def gated_argmax_oracle(mags: np.ndarray, bin_hz: float):
+    """The original gate, kept as an oracle: zero every cell more than 20 dB
+    (in energy) below the reference, then take each frame's argmax."""
+    power = mags ** 2
+    reference = power.mean(axis=0).max()
+    threshold = reference * 10.0 ** (-GATE_DB / 10.0)
+    gated = np.where(power >= threshold, mags, 0.0)
+    peak_bin = np.argmax(gated, axis=1)
+    peak_mag = gated[np.arange(gated.shape[0]), peak_bin]
+    voiced = (peak_mag > 0.0) & (peak_bin > 0)
+    return np.where(voiced, peak_bin * bin_hz, 0.0), voiced
+
+
+def _sweep(f_start, f_stop, duration_s, sample_rate):
+    t = np.arange(int(duration_s * sample_rate)) / sample_rate
+    phase = 2 * np.pi * (f_start * t + 0.5 * (f_stop - f_start) / duration_s * t * t)
+    return 0.6 * np.sin(phase)
+
+
+def _noisy_tone():
+    rng = np.random.default_rng(12)
+    t = np.arange(40_000) / 50_000
+    return 0.4 * np.sin(2 * np.pi * 9000 * t) + 0.05 * rng.standard_normal(t.size)
+
+
+def _fading_tone():
+    t = np.arange(30_000) / 50_000
+    return np.sin(2 * np.pi * 12_000 * t) * np.exp(-8.0 * t)  # tail falls below the gate
+
+
+def _nan_clip():
+    samples = _noisy_tone().astype(np.float32).astype(np.float64)
+    samples[20_000] = np.nan
+    return samples
+
+
+ORACLE_CLIPS = {
+    "sweep_250k": lambda: AudioClip(_sweep(20_000, 60_000, 0.4, 250_000), 250_000),
+    "noisy_50k": lambda: AudioClip(_noisy_tone(), 50_000),
+    "silence": lambda: AudioClip(np.zeros(20_000), 50_000),
+    "one_frame": lambda: AudioClip(_noisy_tone()[:5000], 50_000),
+    "fading_below_gate": lambda: AudioClip(_fading_tone(), 50_000),
+    "float_with_nan": lambda: AudioClip(_nan_clip(), 50_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CLIPS))
+def test_extract_f0_matches_gated_argmax_oracle(monkeypatch, name):
+    seen = []
+
+    def recording_stft(clip, window_s, hop_s):
+        spec = pitch_stft(clip, window_s, hop_s)
+        seen.append((spec.magnitudes.copy(), spec))  # extract_f0 squares in place
+        return spec
+
+    pitch_stft = pitch.stft
+    monkeypatch.setattr(pitch, "stft", recording_stft)
+    contour = extract_f0(ORACLE_CLIPS[name]())
+    (mags, spec), = seen
+    f0, voiced = gated_argmax_oracle(mags, spec.bin_hz)
+    assert np.array_equal(contour.f0_hz, f0)
+    assert np.array_equal(contour.voiced, voiced)
+    assert np.array_equal(contour.frame_times_s, spec.frame_times_s())
+    if name == "fading_below_gate":
+        assert voiced[0] and not voiced[-1]
+    if name == "one_frame":
+        assert contour.frame_count == 1
+
+
+def test_extract_f0_matches_oracle_on_exact_argmax_ties(monkeypatch):
+    # rows: tie above the gate (first wins), tie with the DC bin, tie below
+    # the gate, all-zero row
+    mags = np.array([[0.0, 3.0, 1.0, 3.0, 2.0],
+                     [3.0, 1.0, 3.0, 0.5, 0.0],
+                     [0.0, 0.1, 0.05, 0.1, 0.0],
+                     [0.0, 0.0, 0.0, 0.0, 0.0]])
+    spec = Spectrogram(magnitudes=mags.copy(), frame_hop_s=0.016, window_s=0.1,
+                       bin_hz=10.0, sample_rate=50_000)
+    monkeypatch.setattr(pitch, "stft", lambda clip, window_s, hop_s: spec)
+    contour = extract_f0(AudioClip(np.zeros(5000), 50_000))
+    f0, voiced = gated_argmax_oracle(mags, 10.0)
+    assert np.array_equal(contour.f0_hz, f0)
+    assert np.array_equal(contour.voiced, voiced)
+    assert contour.f0_hz.tolist() == [10.0, 0.0, 0.0, 0.0]
 
 
 class TestContourStats:

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from usvpipe.audio_io import AudioClip
 from usvpipe.exceptions import ClipTooShortError
-from usvpipe.spectral import (export_spectrogram, read_tensor, stft,
-                              stft_samples, write_tensor)
+from usvpipe.spectral import (_STFT_BLOCK_BYTES, export_spectrogram, read_tensor,
+                              stft, stft_samples, write_tensor)
 
 from conftest import brute_force_dft_magnitudes, sine_clip
 
@@ -63,6 +63,24 @@ def test_frame_count_formula(length, window, hop):
     clip = AudioClip(samples=np.ones(length), sample_rate=8000)
     spec = stft_samples(clip, window, hop)
     assert spec.frame_count == (length - window) // hop + 1
+
+
+@pytest.mark.parametrize("window", [4096, 5000])
+@pytest.mark.parametrize("offset", ["one", "block-1", "block", "block+1"])
+def test_block_wise_stft_equals_one_shot_rfft(window, offset):
+    block = _STFT_BLOCK_BYTES // (8 * window)
+    frames = {"one": 1, "block-1": block - 1, "block": block,
+              "block+1": block + 1}[offset]
+    hop = 500
+    rng = np.random.default_rng(frames)
+    clip = AudioClip(samples=rng.uniform(-1, 1, window + (frames - 1) * hop + 7),
+                     sample_rate=50_000)
+    spec = stft_samples(clip, window, hop)
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+    windowed = np.lib.stride_tricks.sliding_window_view(clip.samples, window)[::hop]
+    assert np.array_equal(spec.magnitudes,
+                          np.abs(np.fft.rfft(windowed * hann, axis=1)))
+    assert spec.frame_count == frames
 
 
 def test_magnitudes_scale_linearly_with_amplitude():
