@@ -25,6 +25,8 @@ CORPUS_SAMPLE_RATE_HZ = 250_000
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# bits per sample that each supported encoding may carry
+_SAMPLE_BITS = {_WAVE_FORMAT_PCM: (8, 16, 24, 32), _WAVE_FORMAT_IEEE_FLOAT: (32, 64)}
 
 # one warning per unexpected rate per process, not per file, also when
 # several threads load files at once
@@ -55,9 +57,18 @@ class AudioClip:
         return self.samples.size / self.sample_rate
 
 
-def _wav_layout(fh, path: Path) -> tuple[bytes, int, int]:
-    """(fmt body, data offset, data size) of the first fmt and data chunks;
-    seeks over the rest, checking each chunk's size against the file's."""
+def _wav_header(fh, path: Path) -> tuple[int, int, int, int, int]:
+    """(format tag, bits per sample, rate, data offset, data size) of a mono
+    PCM or IEEE-float WAV whose data chunk holds whole frames.  Walks the
+    chunks by seeking over their bodies, checking each size against the
+    file's, and reads only the fmt body.
+
+    Raises:
+        MalformedWavError: unreadable/truncated container, empty data chunk,
+            or fmt fields that do not describe the data.
+        UnsupportedFormatError: multi-channel audio, compressed encodings or
+            an unsupported sample width.
+    """
     file_size = os.fstat(fh.fileno()).st_size
     head = fh.read(12)
     if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
@@ -79,43 +90,9 @@ def _wav_layout(fh, path: Path) -> tuple[bytes, int, int]:
         raise MalformedWavError(f"{path}: missing or short fmt chunk")
     if data is None:
         raise MalformedWavError(f"{path}: missing data chunk")
-    if data[1] == 0:
+    offset, size = data
+    if size == 0:
         raise MalformedWavError(f"{path}: empty data chunk")
-    return fmt, data[0], data[1]
-
-
-def _decode_pcm(body: bytes, bits: int) -> np.ndarray:
-    """Integer PCM scaled to [-1, 1] by the type's maximum magnitude."""
-    if bits == 8:
-        x = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
-        return (x - 128.0) / 128.0
-    if bits == 16:
-        return np.frombuffer(body, dtype="<i2").astype(np.float64) / 32768.0
-    if bits == 24:
-        raw = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        x = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-        x = (x << 8) >> 8  # sign-extend from 24 bits
-        return x.astype(np.float64) / float(2 ** 23)
-    if bits == 32:
-        return np.frombuffer(body, dtype="<i4").astype(np.float64) / float(2 ** 31)
-    raise UnsupportedFormatError(f"unsupported PCM bit depth: {bits}")
-
-
-def load_wav(path: str | Path) -> AudioClip:
-    """Read a mono PCM or IEEE-float WAV file.
-
-    Integer samples are scaled to [-1, 1] by the type's maximum magnitude
-    (e.g. 32768 for 16-bit); float samples are taken as-is.
-
-    Raises:
-        MalformedWavError: unreadable/truncated container or empty data chunk.
-        UnsupportedFormatError: multi-channel audio or compressed encodings.
-    """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        fmt, offset, size = _wav_layout(fh, path)
-        fh.seek(offset)
-        payload = fh.read(size)
 
     tag, channels, rate, _byte_rate, block_align, bits = struct.unpack_from(
         "<HHIIHH", fmt, 0)
@@ -127,27 +104,49 @@ def load_wav(path: str | Path) -> AudioClip:
         raise UnsupportedFormatError(f"{path}: {channels} channels, mono required")
     if rate <= 0 or block_align == 0:
         raise MalformedWavError(f"{path}: invalid fmt fields")
-    # one ceil(bits / 8)-byte sample per frame; any other block_align fails
-    # inside the decoder or decodes a different number of samples
-    if (tag in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT)
-            and block_align != -(-bits // 8)):
-        raise MalformedWavError(
-            f"{path}: block_align {block_align} does not fit {bits}-bit samples")
-    if len(payload) % block_align != 0:
-        raise MalformedWavError(f"{path}: data chunk is not a whole number of frames")
-
-    if tag == _WAVE_FORMAT_PCM:
-        samples = _decode_pcm(payload, bits)
-    elif tag == _WAVE_FORMAT_IEEE_FLOAT:
-        if bits == 32:
-            samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        elif bits == 64:
-            samples = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        else:
-            raise UnsupportedFormatError(f"{path}: {bits}-bit float not supported")
-    else:
+    if tag not in _SAMPLE_BITS:
         raise UnsupportedFormatError(
             f"{path}: compressed or unknown encoding (format tag 0x{tag:04x})")
+    if block_align != (bits + 7) // 8:  # one whole-byte sample per frame
+        raise MalformedWavError(
+            f"{path}: block_align {block_align} does not fit {bits}-bit samples")
+    if size % block_align != 0:
+        raise MalformedWavError(f"{path}: data chunk is not a whole number of frames")
+    if bits not in _SAMPLE_BITS[tag]:
+        raise UnsupportedFormatError(f"{path}: {bits}-bit samples not supported "
+                                     f"for format tag 0x{tag:04x}")
+    return tag, bits, rate, offset, size
+
+
+def _decode(body: bytes, tag: int, bits: int) -> np.ndarray:
+    """Float samples as-is; integer PCM scaled to [-1, 1] by the type's
+    maximum magnitude."""
+    if tag == _WAVE_FORMAT_IEEE_FLOAT:
+        return np.frombuffer(body, dtype=f"<f{bits // 8}").astype(np.float64)
+    if bits == 8:
+        x = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
+        return (x - 128.0) / 128.0
+    if bits == 24:
+        raw = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+        x = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
+        x = (x << 8) >> 8  # sign-extend from 24 bits
+        return x.astype(np.float64) / float(2 ** 23)
+    return (np.frombuffer(body, dtype=f"<i{bits // 8}").astype(np.float64)
+            / float(2 ** (bits - 1)))
+
+
+def load_wav(path: str | Path) -> AudioClip:
+    """Read a mono PCM or IEEE-float WAV file.
+
+    Integer samples are scaled to [-1, 1] by the type's maximum magnitude
+    (e.g. 32768 for 16-bit); float samples are taken as-is.  Rejects exactly
+    the files wav_duration rejects, with the same errors (see _wav_header).
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        tag, bits, rate, offset, size = _wav_header(fh, path)
+        fh.seek(offset)
+        samples = _decode(fh.read(size), tag, bits)
 
     if rate != CORPUS_SAMPLE_RATE_HZ:
         with _warned_rates_lock:
@@ -161,16 +160,11 @@ def load_wav(path: str | Path) -> AudioClip:
 
 def wav_duration(path: str | Path) -> float:
     """Duration in seconds from the WAV header, without reading the samples;
-    channel count, encoding and frame size are left to load_wav, so extract
-    reports them as one file error rather than ending the run."""
+    raises for exactly the files load_wav raises for."""
     path = Path(path)
     with open(path, "rb") as fh:
-        fmt, _offset, size = _wav_layout(fh, path)
-    _tag, _channels, rate, _byte_rate, block_align, _bits = struct.unpack_from(
-        "<HHIIHH", fmt, 0)
-    if rate <= 0 or block_align == 0:
-        raise MalformedWavError(f"{path}: invalid header fields")
-    return (size // block_align) / rate
+        _tag, bits, rate, _offset, size = _wav_header(fh, path)
+    return (size // ((bits + 7) // 8)) / rate
 
 
 def write_wav(path: str | Path, clip: AudioClip, encoding: str = "int16") -> None:

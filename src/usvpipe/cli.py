@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from collections import defaultdict
@@ -49,6 +50,8 @@ EXTRACT_FAILURE_TOLERANCE = 0.01  # corrupt-file fraction tolerated per run
 # Per-file errors that cost one skip-report row; anything else is a bug and
 # stops the stage.
 _FILE_ERRORS = (PipelineError, OSError, ValueError)
+# Per-file outcomes that cost a skip-report row but are no failure
+_SKIP_REASONS = {EmptyVoicedSetError: "all_unvoiced", ClipTooShortError: "too_short"}
 
 
 @dataclass
@@ -81,33 +84,50 @@ class RunConfig:
         return f"usvpipe {__version__} seed={self.seed} config={self.config_hash()}"
 
 
+def _cost_grid(value) -> tuple[float, ...]:
+    """A comma-separated string (flag) or a list (config file) of costs."""
+    grid = tuple(float(v) for v in (value.split(",") if isinstance(value, str)
+                                    else value))
+    if not grid or not all(math.isfinite(c) and c > 0 for c in grid):
+        raise ValueError(f"{value!r}: need one or more finite positive costs")
+    return grid
+
+
+def _replicate_count(value) -> int:
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"{value!r}: need at least 1")
+    return count
+
+
+# RunConfig field, the flag's argparse dest, and the parser of both the flag
+# and the config-file value
+_SETTINGS = (
+    ("annotation_file", "annotations", Path),
+    ("schema_file", "schema", Path),
+    ("audio_dir", "audio_dir", Path),
+    ("output_dir", "out", Path),
+    ("seed", "seed", int),
+    ("cost_grid", "grid", _cost_grid),
+    ("bootstrap_replicates", "replicates", _replicate_count),
+)
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Each setting from its flag, else the config file, else the default."""
+    config = getattr(args, "config", None)
+    raw = json.loads(Path(config).read_text()) if config else {}
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text())
-        for key in ("annotation_file", "schema_file", "audio_dir", "output_dir"):
-            if key in raw:
-                setattr(cfg, key, Path(raw[key]))
-        if "seed" in raw:
-            cfg.seed = int(raw["seed"])
-        if "cost_grid" in raw:
-            cfg.cost_grid = tuple(float(v) for v in raw["cost_grid"])
-        if "bootstrap_replicates" in raw:
-            cfg.bootstrap_replicates = int(raw["bootstrap_replicates"])
-    if getattr(args, "annotations", None):
-        cfg.annotation_file = Path(args.annotations)
-    if getattr(args, "schema", None):
-        cfg.schema_file = Path(args.schema)
-    if getattr(args, "audio_dir", None):
-        cfg.audio_dir = Path(args.audio_dir)
-    if getattr(args, "out", None):
-        cfg.output_dir = Path(args.out)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "grid", None):
-        cfg.cost_grid = tuple(float(v) for v in args.grid.split(","))
-    if getattr(args, "replicates", None) is not None:
-        cfg.bootstrap_replicates = args.replicates
+    for field, dest, parse in _SETTINGS:
+        value = getattr(args, dest, None)
+        if value is None:
+            value = raw.get(field)
+        if value is not None:
+            try:
+                setattr(cfg, field, parse(value))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"invalid {field} (--{dest.replace('_', '-')}): "
+                                 f"{exc}") from None
     if cfg.audio_dir is None and cfg.annotation_file is not None:
         cfg.audio_dir = cfg.annotation_file.parent
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -152,55 +172,47 @@ def _map_ordered(fn, items: list):
         yield from pool.map(call, items)
 
 
-def _skip_for_error(exc: Exception, utt_id: str, skips: list) -> None:
-    """One error row in a skip report; exceptions that are no file's fault
-    are raised again."""
-    if not isinstance(exc, _FILE_ERRORS):
-        raise exc
-    skips.append((utt_id, f"error:{type(exc).__name__}"))
-    log.error("%s: %s", utt_id, exc)
-
-
-def _failure_status(stage: str, failures: int, total: int) -> int:
-    """Exit code 1 when more files failed than the tolerance allows."""
-    if total and failures / total > EXTRACT_FAILURE_TOLERANCE:
+def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
+    """Map fn over the sorted cohort.  Returns (utterance, result) for each
+    file fn succeeded on, and the exit status: 1 when more files failed than
+    EXTRACT_FAILURE_TOLERANCE allows.  An exception in _SKIP_REASONS, or a
+    file error, costs one row in skip_report; any other is raised again."""
+    cohort = sorted(_load_cohort(cfg), key=lambda u: u.id)
+    done, skips, failures = [], [], 0
+    for utt, result in zip(cohort, _map_ordered(fn, cohort)):
+        if not isinstance(result, Exception):
+            done.append((utt, result))
+        elif type(result) in _SKIP_REASONS:
+            skips.append((utt.id, _SKIP_REASONS[type(result)]))
+        elif isinstance(result, _FILE_ERRORS):
+            skips.append((utt.id, f"error:{type(result).__name__}"))
+            log.error("%s: %s", utt.id, result)
+            failures += 1
+        else:
+            raise result
+    write_table(cfg.output_dir / skip_report, ("utterance_id", "reason"), skips,
+                cfg.provenance())
+    print(f"{stage}: {len(done)} of {len(cohort)} utterances done, "
+          f"{len(skips)} skipped ({failures} file errors)")
+    if cohort and failures / len(cohort) > EXTRACT_FAILURE_TOLERANCE:
         log.error("%s: %d of %d files failed, above the %.0f%% tolerance",
-                  stage, failures, total, 100 * EXTRACT_FAILURE_TOLERANCE)
-        return 1
-    return 0
+                  stage, failures, len(cohort), 100 * EXTRACT_FAILURE_TOLERANCE)
+        return done, 1
+    return done, 0
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
     """Pitch features for every cohort utterance with at least one voiced frame."""
     cfg = _resolve_config(args)
-    cohort = sorted(_load_cohort(cfg), key=lambda u: u.id)
-
-    def features(utt: Utterance):
-        return contour_stats(extract_f0(load_wav(utt.audio_path)))
-
-    records: list[FeatureRecord] = []
-    skips: list[tuple[str, str]] = []
-    failures = 0
-    for utt, result in zip(cohort, _map_ordered(features, cohort)):
-        if isinstance(result, EmptyVoicedSetError):
-            skips.append((utt.id, "all_unvoiced"))
-        elif isinstance(result, ClipTooShortError):
-            skips.append((utt.id, "too_short"))
-        elif isinstance(result, Exception):
-            _skip_for_error(result, utt.id, skips)
-            failures += 1
-        else:
-            records.append(FeatureRecord(
-                utterance_id=utt.id, emitter_id=utt.emitter_id, context=utt.context,
-                duration_s=utt.duration_s, features=result))
-
-    write_feature_csv(cfg.output_dir / "features.csv", records,
+    done, status = _per_utterance(
+        cfg, "extract", lambda utt: contour_stats(extract_f0(load_wav(utt.audio_path))),
+        "skip_report.csv")
+    write_feature_csv(cfg.output_dir / "features.csv",
+                      [FeatureRecord(utterance_id=utt.id, emitter_id=utt.emitter_id,
+                                     context=utt.context, duration_s=utt.duration_s,
+                                     features=features) for utt, features in done],
                       comment=cfg.provenance())
-    write_table(cfg.output_dir / "skip_report.csv", ("utterance_id", "reason"),
-                sorted(skips), cfg.provenance())
-    print(f"extract: {len(records)} feature rows, {len(skips)} skipped "
-          f"({failures} file errors)")
-    return _failure_status("extract", failures, len(cohort))
+    return status
 
 
 def _cohort_from_features(path: Path) -> list[Utterance]:
@@ -285,7 +297,6 @@ def cmd_export_spectrograms(args: argparse.Namespace) -> int:
     costs one row in export_skip_report.csv and is left out of the manifest.
     """
     cfg = _resolve_config(args)
-    cohort = sorted(_load_cohort(cfg), key=lambda u: u.id)
     tensor_dir = cfg.output_dir / "spectrograms"
     tensor_dir.mkdir(parents=True, exist_ok=True)
 
@@ -294,21 +305,13 @@ def cmd_export_spectrograms(args: argparse.Namespace) -> int:
         write_tensor(spec, tensor_dir / f"{utt.id}.usvt")
         return spec.frame_count, spec.bin_count
 
-    manifest_rows = []
-    skips: list[tuple[str, str]] = []
-    for utt, result in zip(cohort, _map_ordered(export, cohort)):
-        if isinstance(result, Exception):
-            _skip_for_error(result, utt.id, skips)
-        else:
-            manifest_rows.append((utt.id, f"spectrograms/{utt.id}.usvt", *result))
+    done, status = _per_utterance(cfg, "export-spectrograms", export,
+                                  "export_skip_report.csv")
     write_table(cfg.output_dir / "spectrogram_manifest.csv",
-                ("utterance_id", "file", "frames", "bins"), manifest_rows,
-                cfg.provenance())
-    write_table(cfg.output_dir / "export_skip_report.csv", ("utterance_id", "reason"),
-                skips, cfg.provenance())
-    print(f"export-spectrograms: {len(manifest_rows)} tensors in {tensor_dir}, "
-          f"{len(skips)} skipped")
-    return _failure_status("export-spectrograms", len(skips), len(cohort))
+                ("utterance_id", "file", "frames", "bins"),
+                [(utt.id, f"spectrograms/{utt.id}.usvt", *shape)
+                 for utt, shape in done], cfg.provenance())
+    return status
 
 
 def cmd_table1(args: argparse.Namespace) -> int:

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .artifacts import write_table
 from .audio_io import wav_duration
-from .exceptions import AnnotationParseError, SchemaMismatchError
+from .exceptions import AnnotationParseError, PipelineError, SchemaMismatchError
 
 CONTEXT_LABELS = (
     "biting", "feeding", "fighting", "general", "grooming", "isolation",
@@ -84,16 +84,18 @@ class RawRecord:
 
 @dataclass(frozen=True)
 class Utterance:
-    """A cohort member: one annotated vocalisation admitted to the analysis."""
+    """A cohort member: one annotated vocalisation admitted to the analysis.
+    duration_s is None when neither the annotation nor the WAV header gives
+    one; such a file fails to load in the per-file stages."""
 
     id: str
     audio_path: Path | None
     emitter_id: str
     context: str
-    duration_s: float
+    duration_s: float | None
 
     def __post_init__(self):
-        if self.duration_s <= 0:
+        if self.duration_s is not None and self.duration_s <= 0:
             raise ValueError(f"utterance {self.id}: non-positive duration")
 
 
@@ -197,7 +199,9 @@ def filter_cohort(records: list[RawRecord],
     Rules, in order (a dropped record is counted under the first that fires):
     unknown context, landing, unidentified emitter (empty or one of the
     schema's placeholder codes), duration strictly over 3 s.  Records
-    without an annotated duration fall back to the WAV header.
+    without an annotated duration fall back to the WAV header; a header
+    that cannot be read keeps the record with no duration, so the stage
+    that loads the file reports it as one file error.
     """
     placeholders = frozenset(emitter_placeholders)
     root = Path(audio_root) if audio_root is not None else None
@@ -221,8 +225,11 @@ def filter_cohort(records: list[RawRecord],
             if path is None:
                 raise AnnotationParseError(
                     f"record {rec.id}: no duration and no file reference")
-            duration = wav_duration(path)
-        if duration > MAX_UTTERANCE_S:
+            try:
+                duration = wav_duration(path)
+            except (PipelineError, OSError):
+                pass
+        if duration is not None and duration > MAX_UTTERANCE_S:
             report.too_long += 1
             continue
         cohort.append(Utterance(id=rec.id, audio_path=path, emitter_id=rec.emitter,

@@ -47,10 +47,6 @@ class PitchContour:
     def frame_count(self) -> int:
         return len(self.f0_hz)
 
-    @property
-    def voiced_count(self) -> int:
-        return int(np.count_nonzero(self.voiced))
-
 
 @dataclass(frozen=True)
 class FeatureVector:

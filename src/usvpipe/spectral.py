@@ -58,9 +58,6 @@ class Spectrogram:
         """Start time of every frame in seconds."""
         return np.arange(self.frame_count) * self.frame_hop_s
 
-    def bin_frequencies_hz(self) -> np.ndarray:
-        return np.arange(self.bin_count) * self.bin_hz
-
 
 @functools.lru_cache(maxsize=8)
 def _hann(n: int) -> np.ndarray:

@@ -102,9 +102,6 @@ class BinarySvm:
     objective_history: tuple = field(default=(), repr=False, compare=False)
     converged: bool = field(default=True, repr=False, compare=False)
 
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(X) @ self.weights + self.bias
-
 
 def _primal_objective(v: np.ndarray, Xy: np.ndarray, box: np.ndarray) -> float:
     slack = 1.0 - Xy.dot(v)

@@ -163,15 +163,30 @@ def test_container_defects_rejected_alike(tmp_path, defect):
     assert type(by_load.value) is type(by_duration.value)
 
 
-@pytest.mark.parametrize("kwargs", [{"channels": 2}, {"fmt_tag": 0x0055},
-                                    {"payload": b"\x00" * 201},
-                                    {"bits": 16, "block_align": 1}])
-def test_wav_duration_leaves_format_checks_to_load_wav(tmp_wav_factory, kwargs):
-    # filter_cohort must not abort a run over a file extract can skip
+FORMAT_DEFECTS = {
+    "stereo": ({"channels": 2}, UnsupportedFormatError),
+    "compressed": ({"fmt_tag": 0x0055}, UnsupportedFormatError),
+    "compressed_partial_frame": ({"fmt_tag": 0x0055, "payload": b"\x00" * 201},
+                                 UnsupportedFormatError),
+    "partial_frame": ({"payload": b"\x00" * 201}, MalformedWavError),
+    "block_align_under_sample_width": ({"bits": 16, "block_align": 1},
+                                       MalformedWavError),
+    "pcm_bit_depth": ({"bits": 12, "block_align": 2}, UnsupportedFormatError),
+    "float_bit_depth": ({"fmt_tag": 3, "bits": 16}, UnsupportedFormatError),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(FORMAT_DEFECTS))
+def test_format_defects_rejected_alike(tmp_wav_factory, defect):
+    # filter_cohort reads durations with wav_duration, extract loads with
+    # load_wav: a file either passes both or costs the same error in both
+    kwargs, error = FORMAT_DEFECTS[defect]
     path = tmp_wav_factory(**kwargs)
-    assert wav_duration(path) > 0
-    with pytest.raises((UnsupportedFormatError, MalformedWavError)):
+    with pytest.raises(error) as by_load:
         load_wav(path)
+    with pytest.raises(error) as by_duration:
+        wav_duration(path)
+    assert type(by_load.value) is type(by_duration.value)
 
 
 @pytest.mark.parametrize("fmt_tag,bits,block_align", [
@@ -213,3 +228,19 @@ def test_fuzzed_bytes_raise_only_pipeline_errors(tmp_path_factory, data):
             read(path)
         except PipelineError:
             pass
+
+
+def _outcome(read, path):
+    try:
+        read(path)
+    except PipelineError as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=_fuzzed_wav())
+def test_readers_agree_on_fuzzed_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "agree.wav"
+    path.write_bytes(data)
+    assert _outcome(load_wav, path) is _outcome(wav_duration, path)

@@ -1,5 +1,7 @@
 import json
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,23 +148,49 @@ def test_corrupt_wav_below_tolerance_still_succeeds(tmp_path):
     assert "error:MalformedWavError" in skip
 
 
-def test_bad_frame_size_without_annotated_duration_costs_one_row(tmp_path):
-    # the cohort filter reads durations from the WAV headers, so a header
-    # that only load_wav rejects must not end the run
+def _blank_duration_corpus(root, per_class):
+    """Two classes, 3 emitters, with the duration column blanked, so the
+    cohort filter reads every duration from the WAV header."""
     specs = {k: SEPARABLE_CLASS_SPECS[k] for k in ("biting", "feeding")}
-    annotations, schema = synth_corpus(tmp_path, n_emitters=3, per_class_count=60,
+    annotations, schema = synth_corpus(root, n_emitters=3, per_class_count=per_class,
                                        class_specs=specs, seed=5, sample_rate=50_000)
     rows = annotations.read_text().splitlines()
     annotations.write_text("\n".join([rows[0]] + [r.rsplit(",", 1)[0] + ","
                                                    for r in rows[1:]]) + "\n")
+    return ["--annotations", str(annotations), "--schema", str(schema),
+            "--audio-dir", str(root)]
+
+
+def test_bad_frame_size_without_annotated_duration_costs_one_row(tmp_path):
+    # the cohort filter reads durations from the WAV headers, so a header
+    # it rejects must cost one row, not end the run
+    args = _blank_duration_corpus(tmp_path, per_class=60)
     victim = sorted((tmp_path / "wavs").iterdir())[7]
     write_raw_wav(victim, bits=16, block_align=1, payload=b"\x00" * 2000)
-    code = main(["extract", "--annotations", str(annotations), "--schema", str(schema),
-                 "--audio-dir", str(tmp_path), "--out", str(tmp_path / "out")])
+    code = main(["extract"] + args + ["--out", str(tmp_path / "out")])
     assert code == 0  # 1 of 120 files is under the 1 % tolerance
     skips = [l for l in (tmp_path / "out" / "skip_report.csv").read_text().splitlines()
              if not l.startswith("#")]
     assert skips == ["utterance_id,reason", f"{victim.stem},error:MalformedWavError"]
+
+
+def test_unreadable_headers_without_durations_cost_one_row_per_stage(tmp_path):
+    args = _blank_duration_corpus(tmp_path, per_class=100)
+    garbage, stereo = sorted((tmp_path / "wavs").iterdir())[3:5]
+    garbage.write_bytes(b"RIFFgarbage")
+    write_raw_wav(stereo, channels=2)
+    out = tmp_path / "out"
+    expected = ["utterance_id,reason", f"{garbage.stem},error:MalformedWavError",
+                f"{stereo.stem},error:UnsupportedFormatError"]
+    for stage, skip_report in (("extract", "skip_report.csv"),
+                               ("export-spectrograms", "export_skip_report.csv")):
+        assert main([stage] + args + ["--out", str(out)]) == 0  # 2 of 200 is 1 %
+        skips = [l for l in (out / skip_report).read_text().splitlines()
+                 if not l.startswith("#")]
+        assert skips == expected, stage
+        assert "retained,200" in (out / "filter_report.csv").read_text()
+    assert len((out / "features.csv").read_text().splitlines()) == 2 + 198
+    assert len(list((out / "spectrograms").glob("*.usvt"))) == 198
 
 
 def test_many_corrupt_wavs_exit_nonzero(tmp_path):
@@ -301,3 +329,58 @@ def test_export_skips_an_over_long_clip(tmp_path):
     assert victim.stem not in {row[0] for row in manifest}
     for uid, rel, frames, bins in manifest:
         assert read_tensor(out / rel).shape == (int(frames), int(bins))
+
+
+@pytest.mark.parametrize("flag,setting", [
+    ("--grid=-1", "cost_grid"), ("--grid=0", "cost_grid"),
+    ("--replicates=0", "bootstrap_replicates"),
+    ("--replicates=-1", "bootstrap_replicates")])
+def test_invalid_setting_exits_2_naming_it(small_corpus, tmp_path, caplog, flag,
+                                          setting):
+    root, _config = small_corpus
+    for name in ("features.csv", "folds.csv"):  # train-eval's inputs
+        (tmp_path / name).write_bytes((root / "results" / name).read_bytes())
+    assert main(["train-eval", "--out", str(tmp_path), flag]) == 2
+    assert f"invalid {setting}" in caplog.text
+    assert not (tmp_path / "report.json").exists()
+
+
+SETTING_FLAGS = {  # RunConfig field: (flag arguments, value from the flag)
+    "annotation_file": (["--annotations", "f/a.csv"], Path("f/a.csv")),
+    "schema_file": (["--schema", "f/s.json"], Path("f/s.json")),
+    "audio_dir": (["--audio-dir", "f/audio"], Path("f/audio")),
+    "output_dir": (["--out", "f/out"], Path("f/out")),
+    "seed": (["--seed", "9"], 9),
+    "cost_grid": (["--grid", "0.1,1"], (0.1, 1.0)),
+    "bootstrap_replicates": (["--replicates", "30"], 30),
+}
+SETTING_FILE = {"annotation_file": "c/a.csv", "schema_file": "c/s.json",
+                "audio_dir": "c/audio", "output_dir": "c/out", "seed": 5,
+                "cost_grid": [0.5, 2], "bootstrap_replicates": 20}
+
+
+def _resolved(argv):
+    return cli._resolve_config(cli.build_parser().parse_args(["extract"] + argv))
+
+
+@pytest.mark.parametrize("field", sorted(SETTING_FLAGS))
+def test_setting_takes_flag_then_config_file_then_default(tmp_path, monkeypatch,
+                                                          field):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SETTING_FILE))
+    from_file = cli.RunConfig(
+        annotation_file=Path("c/a.csv"), schema_file=Path("c/s.json"),
+        audio_dir=Path("c/audio"), output_dir=Path("c/out"), seed=5,
+        cost_grid=(0.5, 2.0), bootstrap_replicates=20)
+    flag_args, flag_value = SETTING_FLAGS[field]
+    assert _resolved(["--config", str(config)]) == from_file
+    assert _resolved(["--config", str(config)] + flag_args) == replace(
+        from_file, **{field: flag_value})
+
+    config.write_text(json.dumps({k: v for k, v in SETTING_FILE.items() if k != field}))
+    default = getattr(cli.RunConfig(), field)
+    if field == "audio_dir":  # defaults to the annotation file's directory
+        default = Path("c")
+    assert getattr(_resolved(["--config", str(config)]), field) == default
+    assert getattr(_resolved([]), field) == getattr(cli.RunConfig(), field)
