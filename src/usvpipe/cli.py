@@ -14,6 +14,7 @@ same for any thread count.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import logging
@@ -40,7 +41,7 @@ from .partition import build_plan, read_fold_plan, write_fold_plan
 from .pitch import (FeatureRecord, contour_stats, extract_f0,
                     read_feature_csv, write_feature_csv)
 from .spectral import export_spectrogram, write_tensor
-from .svm import (COST_GRID, SOLVER_MAX_EPOCHS, SOLVER_TOL, nested_select,
+from .svm import (COST_GRID, SOLVER_GAP, SOLVER_MAX_EPOCHS, nested_select,
                   predict, write_model)
 from .synth import synth_corpus
 
@@ -50,6 +51,9 @@ EXTRACT_FAILURE_TOLERANCE = 0.01  # corrupt-file fraction tolerated per run
 # Per-file errors that cost one skip-report row; anything else is a bug and
 # stops the stage.
 _FILE_ERRORS = (PipelineError, OSError, ValueError)
+# OSError numbers of a full output device: every later file would fail alike,
+# so they stop the stage.
+_DISK_FULL = (errno.ENOSPC, errno.EDQUOT)
 # Per-file outcomes that cost a skip-report row but are no failure
 _SKIP_REASONS = {EmptyVoicedSetError: "all_unvoiced", ClipTooShortError: "too_short"}
 
@@ -117,6 +121,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Each setting from its flag, else the config file, else the default."""
     config = getattr(args, "config", None)
     raw = json.loads(Path(config).read_text()) if config else {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"{config}: a config file must hold a JSON object")
+    unknown = sorted(set(raw) - {field for field, _, _ in _SETTINGS})
+    if unknown:
+        raise ValueError(f"{config}: unknown settings {unknown}")
     cfg = RunConfig()
     for field, dest, parse in _SETTINGS:
         value = getattr(args, dest, None)
@@ -176,7 +185,8 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
     """Map fn over the sorted cohort.  Returns (utterance, result) for each
     file fn succeeded on, and the exit status: 1 when more files failed than
     EXTRACT_FAILURE_TOLERANCE allows.  An exception in _SKIP_REASONS, or a
-    file error, costs one row in skip_report; any other is raised again."""
+    file error, costs one row in skip_report; any other, and a full disk,
+    is raised again and the files not yet started are dropped."""
     cohort = sorted(_load_cohort(cfg), key=lambda u: u.id)
     done, skips, failures = [], [], 0
     for utt, result in zip(cohort, _map_ordered(fn, cohort)):
@@ -184,7 +194,8 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
             done.append((utt, result))
         elif type(result) in _SKIP_REASONS:
             skips.append((utt.id, _SKIP_REASONS[type(result)]))
-        elif isinstance(result, _FILE_ERRORS):
+        elif (isinstance(result, _FILE_ERRORS)
+              and getattr(result, "errno", None) not in _DISK_FULL):
             skips.append((utt.id, f"error:{type(result).__name__}"))
             log.error("%s: %s", utt.id, result)
             failures += 1
@@ -259,8 +270,8 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
         capped_machines[str(fold)] = diag["capped_machines"]
         if diag["capped_machines"]:
             log.warning("fold %d: %d machines stopped at the %d-epoch cap "
-                        "without reaching tol %g", fold, diag["capped_machines"],
-                        SOLVER_MAX_EPOCHS, SOLVER_TOL)
+                        "without meeting the duality gap %g", fold,
+                        diag["capped_machines"], SOLVER_MAX_EPOCHS, SOLVER_GAP)
 
         X_test = np.array([by_id[uid].features.as_row() for uid in test_ids])
         for uid, predicted in zip(test_ids, predict(model, X_test)):

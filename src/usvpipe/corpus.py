@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -107,7 +108,7 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[RawRecord]:
     AnnotationParseError (with the file line number) for malformed rows.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         numbered = [(i + 1, line) for i, line in enumerate(fh)
                     if not line.startswith("#")]
     if not numbered:
@@ -152,19 +153,21 @@ def _row_duration(row, index, schema: SchemaConfig) -> float | None:
     if schema.duration_column is not None:
         text = row[index[schema.duration_column]].strip()
         if text:
-            duration = float(text)
-            if duration <= 0:
-                raise ValueError(f"non-positive duration {duration}")
-            return duration
+            return _checked_duration(float(text), "duration")
     if schema.start_column is not None and schema.end_column is not None:
         start = row[index[schema.start_column]].strip()
         end = row[index[schema.end_column]].strip()
         if start and end:
-            duration = float(end) - float(start)
-            if duration <= 0:
-                raise ValueError(f"non-positive start/end duration {duration}")
-            return duration
+            return _checked_duration(float(end) - float(start), "start/end duration")
     return None
+
+
+def _checked_duration(duration: float, what: str) -> float:
+    if not math.isfinite(duration):
+        raise ValueError(f"non-finite {what} {duration}")
+    if duration <= 0:
+        raise ValueError(f"non-positive {what} {duration}")
+    return duration
 
 
 @dataclass

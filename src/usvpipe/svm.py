@@ -9,17 +9,17 @@ the dual with a per-sample box [0, U_i] and shrinking (Hsieh et al., ICML
 section 3.2).  An epoch is one pass over the active rows in a seeded
 shuffle.  A row at alpha = 0 whose gradient is above the previous epoch's
 largest projected gradient, or at alpha = U_i with a gradient below the
-most negative one, leaves the active set.  A full pass over every row,
-with nothing shrunk, comes first and comes again when the active rows'
-largest |projected gradient| falls below tol or below a tenth of the one
-measured on the last full pass; the second trigger brings back rows that
-were shrunk too early.  The solver stops only after a full pass whose
-largest |projected gradient| is below tol, and the machine records whether
-it got there before the epoch cap.  After every epoch the primal objective
-of the current iterate is evaluated and the best iterate seen so far
-becomes the solution estimate (the best-primal incumbent).  The exposed
-objective history is the incumbent's, so it is non-increasing, and the
-returned machine is never worse than the final dual iterate.
+most negative one, leaves the active set.  A full pass over every row
+comes first and comes again when the active rows' largest |projected
+gradient| falls below a tenth of the one measured on the last full pass,
+which brings back rows that were shrunk too early.  After every epoch the
+best-primal iterate so far (the incumbent) becomes the solution estimate,
+so the exposed objective history is non-increasing.  The solver stops once
+the relative duality gap (incumbent primal - dual) / incumbent primal, with
+the dual sum(alpha) - 0.5*||v||^2 of the current iterate (Hsieh et al.,
+section 2), is at most SOLVER_GAP.  By weak duality the gap bounds the
+incumbent's relative suboptimality over every row, shrunk or not (the gap
+as a stopping certificate: Shalev-Shwartz & Zhang, JMLR 2013).
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .exceptions import SingleClassDataError
 from .seeding import rng_for
 
 COST_GRID = (0.0001, 0.001, 0.005, 0.05, 0.1, 0.5, 1.0)
-SOLVER_TOL = 1e-4
+SOLVER_GAP = 1e-4  # relative duality gap that certifies a machine
 SOLVER_MAX_EPOCHS = 2000
 
 
@@ -90,8 +90,8 @@ class BinarySvm:
 
     d > 0 votes class_pos, d < 0 votes class_neg, d = 0 votes class_pos
     (the alphabetically lower class of the pair).  converged is False when
-    the solver stopped at its epoch cap; model files do not record it, so a
-    machine read back from one says True.
+    the solver reached its epoch cap before the duality gap met SOLVER_GAP;
+    model files do not record it, so a machine read back from one says True.
     """
 
     class_pos: str
@@ -109,12 +109,12 @@ def _primal_objective(v: np.ndarray, Xy: np.ndarray, box: np.ndarray) -> float:
 
 
 def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
-                rng: np.random.Generator, tol: float, max_epochs: int,
+                rng: np.random.Generator, max_epochs: int,
                 ) -> tuple[np.ndarray, tuple[float, ...], bool]:
     """Dual coordinate ascent with shrinking.
 
     Returns the best-primal iterate, its history (one entry per epoch) and
-    whether a full pass over every row met tol before max_epochs ran out.
+    whether the relative duality gap met SOLVER_GAP within max_epochs.
     """
     n = Xa.shape[0]
     Xy = Xa * y[:, None]
@@ -125,6 +125,7 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
     upper = box.tolist()
     v = np.zeros(Xa.shape[1])
     alpha = [0.0] * n
+    alpha_sum = 0.0
     best_obj = _primal_objective(v, Xy, box)
     best_v = v.copy()
     history = [best_obj]
@@ -166,19 +167,20 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
             if new_a != a:
                 v = daxpy(rows[i], v, a=new_a - a)  # in place
                 alpha[i] = new_a
+                alpha_sum += new_a - a
         obj = _primal_objective(v, Xy, box)
         if obj < best_obj:
             best_obj = obj
             best_v = v.copy()
         history.append(best_obj)
+        if best_obj - (alpha_sum - 0.5 * v.dot(v)) <= SOLVER_GAP * best_obj:
+            converged = True
+            break
         violation = max(pg_hi, -pg_lo)
         if full_pass:
-            if violation < tol:
-                converged = True
-                break
             full_violation = violation
             full_pass = False
-        elif violation < tol or violation < 0.1 * full_violation:
+        elif violation < 0.1 * full_violation:
             full_pass = True
         if full_pass:
             active, shrink_hi, shrink_lo = everyone, np.inf, -np.inf
@@ -192,13 +194,11 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
 def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
                  weight_pos: float = 1.0, weight_neg: float = 1.0,
                  seed=0, class_pair: tuple[str, str] = ("+1", "-1"),
-                 tol: float = SOLVER_TOL,
                  max_epochs: int = SOLVER_MAX_EPOCHS) -> BinarySvm:
     """Train one weighted hinge-loss machine on +/-1 labels.
 
-    Deterministic for fixed inputs and seed; convergence when the largest
-    |projected dual gradient| over a full pass drops below tol.  converged
-    is False when max_epochs ran out first.
+    Deterministic for fixed inputs and seed; converged is False when
+    max_epochs ran out before the relative duality gap met SOLVER_GAP.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -208,8 +208,7 @@ def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
         raise SingleClassDataError("both classes must be present")
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
     box = cost * np.where(y > 0, weight_pos, weight_neg)
-    v, history, converged = _solve_dual(Xa, y, box, _as_rng(seed), tol,
-                                        max_epochs)
+    v, history, converged = _solve_dual(Xa, y, box, _as_rng(seed), max_epochs)
     return BinarySvm(class_pos=class_pair[0], class_neg=class_pair[1],
                      weights=v[:-1], bias=float(v[-1]), cost=cost,
                      objective_history=history, converged=converged)
@@ -284,7 +283,7 @@ def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
     The standardiser and the class weights come from the full development
     set and are reused in both stages.  Ties in validation UAR resolve to
     the smaller cost.  The diagnostics count the machines of both stages
-    that stopped at the epoch cap without reaching tol.
+    that stopped at the epoch cap without meeting the duality gap.
     """
     X_dev = np.asarray(X_dev, dtype=np.float64)
     y_dev = np.asarray(y_dev, dtype=object)

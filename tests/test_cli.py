@@ -1,3 +1,4 @@
+import errno
 import json
 import time
 from dataclasses import replace
@@ -329,6 +330,37 @@ def test_export_skips_an_over_long_clip(tmp_path):
     assert victim.stem not in {row[0] for row in manifest}
     for uid, rel, frames, bins in manifest:
         assert read_tensor(out / rel).shape == (int(frames), int(bins))
+
+
+def test_full_disk_stops_export_at_once(tmp_path, monkeypatch):
+    args = _three_class_corpus(tmp_path / "c")
+    _use_workers(monkeypatch, 2)
+    calls = []
+
+    def disk_full(spec, path):
+        calls.append(path)
+        time.sleep(0.05)
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli, "write_tensor", disk_full)
+    out = tmp_path / "out"
+    assert main(["export-spectrograms"] + args + ["--out", str(out)]) == 2
+    assert not (out / "spectrogram_manifest.csv").exists()
+    assert not (out / "export_skip_report.csv").exists()
+    time.sleep(0.5)  # time enough for two workers to reach all 12 files
+    assert len(calls) < 12  # the files not yet started were dropped
+
+
+@pytest.mark.parametrize("payload,message", [
+    ([1, 2], "a config file must hold a JSON object"),
+    ({"seed": 3, "cost_gird": [0.1]}, "unknown settings ['cost_gird']")])
+def test_config_file_must_be_an_object_of_known_settings(tmp_path, caplog,
+                                                         payload, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    assert main(["train-eval", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{config}: {message}" in caplog.text
 
 
 @pytest.mark.parametrize("flag,setting", [

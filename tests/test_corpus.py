@@ -1,10 +1,14 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usvpipe.corpus import (CONTEXT_LABELS, FilterReport, SchemaConfig,
                             filter_cohort, load_annotations)
-from usvpipe.exceptions import AnnotationParseError, SchemaMismatchError
+from usvpipe.exceptions import (AnnotationParseError, PipelineError,
+                                SchemaMismatchError)
 
 
 @pytest.fixture
@@ -65,6 +69,22 @@ class TestLoadAnnotations:
         with pytest.raises(AnnotationParseError):
             load_annotations(path, schema)
 
+    @pytest.mark.parametrize("row", [
+        "a1,b-17,7,nan,,", "a1,b-17,7,-nan,,", "a1,b-17,7,inf,,",
+        "a1,b-17,7,1e400,,", "a1,b-17,7,,nan,1.0"])
+    def test_nonfinite_duration_rejected(self, tmp_path, row):
+        raw = {
+            "columns": {"id": "uid", "emitter": "bat", "context": "ctx",
+                        "duration": "dur", "start": "t0", "end": "t1"},
+            "context_map": {"7": "fighting"},
+        }
+        schema_path = tmp_path / "s.json"
+        schema_path.write_text(json.dumps(raw))
+        path = write_annotations(tmp_path, [row], header="uid,bat,ctx,dur,t0,t1")
+        with pytest.raises(AnnotationParseError, match="annotations.csv:2: ") as err:
+            load_annotations(path, SchemaConfig.from_json(schema_path))
+        assert err.value.row_number == 2
+
     def test_start_end_duration(self, tmp_path):
         raw = {
             "columns": {"id": "uid", "emitter": "bat", "context": "ctx",
@@ -98,6 +118,49 @@ class TestLoadAnnotations:
         records = load_annotations(path, schema)
         assert records[0].context == "fighting"
         assert records[0].duration_s == 0.4
+
+
+def _fuzzed_table(delimiter):
+    """An annotation table whose fields are plain text or junk that mixes
+    random text, the delimiter, quotes and '#', with '#' lines between rows.
+    Durations, and the start and end times used when the duration is
+    blank, are floats written with repr, blanks or fields."""
+    plain = st.text(st.characters(codec="utf-8",
+                                  exclude_characters=delimiter + '"#\r\n'),
+                    max_size=4)
+    junk = st.lists(st.one_of(st.text(max_size=4),
+                              st.sampled_from([delimiter, '"', "#", "#" + delimiter])),
+                    max_size=3).map("".join)
+    field = st.one_of(plain, plain, junk)
+    time = st.one_of(st.floats().map(repr), st.floats().map(repr), st.just(""),
+                     field)
+    row = st.tuples(field, field, st.one_of(st.just("7"), field), time, time, time)
+    line = st.one_of(row.map(delimiter.join), row.map(delimiter.join),
+                     field.map(lambda text: "#" + text))
+    header = delimiter.join(["uid", "bat", "ctx", "dur", "t0", "t1"])
+    return st.lists(line, max_size=8).map(
+        lambda lines: "\n".join([header] + lines) + "\n")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_fuzzed_tables_give_valid_durations_or_pipeline_errors(tmp_path_factory,
+                                                              data):
+    delimiter = data.draw(st.sampled_from([",", "\t", ";"]))
+    schema = SchemaConfig(
+        id_column="uid", emitter_column="bat", context_column="ctx",
+        context_map={"7": "fighting"}, emitter_placeholders=frozenset(),
+        duration_column="dur", start_column="t0", end_column="t1",
+        delimiter=delimiter)
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_text(data.draw(_fuzzed_table(delimiter)), encoding="utf-8")
+    try:
+        records = load_annotations(path, schema)
+    except PipelineError:
+        return
+    for rec in records:
+        assert rec.duration_s is None or (math.isfinite(rec.duration_s)
+                                          and rec.duration_s > 0), rec
 
 
 class TestFilterCohort:

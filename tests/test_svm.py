@@ -3,10 +3,12 @@ import pytest
 from scipy.optimize import minimize
 
 from usvpipe.exceptions import SingleClassDataError
-from usvpipe.svm import (BinarySvm, COST_GRID, OvoModel, fit_ovo,
-                         fit_standardiser, inverse_frequency_weights,
-                         nested_select, predict, read_model, train_binary,
-                         write_model, _predict_standardised)
+from usvpipe.seeding import rng_for
+from usvpipe.svm import (BinarySvm, COST_GRID, OvoModel, SOLVER_GAP,
+                         SOLVER_MAX_EPOCHS, fit_ovo, fit_standardiser,
+                         inverse_frequency_weights, nested_select, predict,
+                         read_model, train_binary, write_model,
+                         _predict_standardised)
 
 from conftest import refine_grid_minimum, weighted_primal
 
@@ -88,10 +90,21 @@ class TestSolver:
         assert len(m.objective_history) == 2
         assert m.converged is False
 
+    def test_overlapping_probe_meets_the_gap_before_the_cap(self):
+        """The n = 4 000, cost-1 problem of the benchmark's SVM probe: two
+        overlapping classes whose means are 0.5 standard deviations apart."""
+        rng = rng_for(7, 1)
+        y = np.where(rng.random(4000) < 0.5, 1.0, -1.0)
+        X = rng.standard_normal((4000, 10)) + 0.25 * y[:, None]
+        m = train_binary(X, y, 1.0)
+        assert m.converged is True
+        assert len(m.objective_history) - 1 < SOLVER_MAX_EPOCHS
+
     def test_primal_matches_box_constrained_dual_oracle(self):
         """Problems large enough for shrinking to act, checked against the
         dual optimum found by L-BFGS-B (an independent solver).  Weak
-        duality bounds the primal below by any feasible dual value."""
+        duality bounds the primal below by any feasible dual value, and a
+        converged machine's primal is within SOLVER_GAP of the optimum."""
         rng = np.random.default_rng(30)
         for trial in range(20):
             n = int(rng.integers(40, 81))
@@ -117,6 +130,8 @@ class TestSolver:
                                     "gtol": 1e-12})
             dual = -res.fun
             primal = weighted_primal(m.weights, m.bias, X, y, box)
+            assert primal * (1 - SOLVER_GAP) <= dual + 1e-9 * abs(dual), \
+                (trial, primal, dual)
             assert primal <= dual * (1 + 1e-3), (trial, primal, dual)
             assert primal >= dual - 1e-9 * abs(dual), (trial, primal, dual)
 
