@@ -21,7 +21,7 @@ import logging
 import math
 import os
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +37,7 @@ from .evaluation import (Prediction, PredictionSet, build_report,
                          report_to_json, write_confusion_csv,
                          write_predictions_csv)
 from .exceptions import ClipTooShortError, EmptyVoicedSetError, PipelineError
-from .partition import build_plan, read_fold_plan, write_fold_plan
+from .partition import FOLD_COUNT, build_plan, read_fold_plan, write_fold_plan
 from .pitch import (FeatureRecord, contour_stats, extract_f0,
                     read_feature_csv, write_feature_csv)
 from .spectral import export_spectrogram, write_tensor
@@ -238,22 +238,33 @@ def cmd_partition(args: argparse.Namespace) -> int:
     cohort = _cohort_from_features(cfg.output_dir / "features.csv")
     plan = build_plan(cohort, cfg.seed)
     write_fold_plan(cfg.output_dir / "folds.csv", plan, comment=cfg.provenance())
-    print(f"partition: {len(cohort)} utterances over {plan.fold_count} folds")
+    print(f"partition: {len(cohort)} utterances over {FOLD_COUNT} folds")
     return 0
 
 
 def cmd_train_eval(args: argparse.Namespace) -> int:
     """Nested cost selection per fold, pooled predictions, UAR report."""
     cfg = _resolve_config(args)
-    records = read_feature_csv(cfg.output_dir / "features.csv")
-    plan = read_fold_plan(cfg.output_dir / "folds.csv")
+    features_path = cfg.output_dir / "features.csv"
+    folds_path = cfg.output_dir / "folds.csv"
+    records = read_feature_csv(features_path)
+    plan = read_fold_plan(folds_path)
     by_id = {r.utterance_id: r for r in records}
+    featured, planned = by_id.keys(), plan.roles.keys()
+    problems = [(uid, "is listed twice in features.csv")
+                for uid, n in Counter(r.utterance_id for r in records).items() if n > 1]
+    problems += [(uid, "has no row in folds.csv") for uid in featured - planned]
+    problems += [(uid, "has no row in features.csv") for uid in planned - featured]
+    if problems:
+        uid, reason = min(problems)
+        raise ValueError(f"{features_path} and {folds_path} must list the same "
+                         f"utterances once each: utterance {uid} {reason}")
 
     predictions: list[Prediction] = []
     chosen_costs: dict[str, float] = {}
     validation_uar: dict[str, dict] = {}
     capped_machines: dict[str, int] = {}
-    for fold in range(plan.fold_count):
+    for fold in range(FOLD_COUNT):
         train_ids, val_ids, test_ids = plan.fold_membership(fold)
         dev_ids = train_ids + val_ids
         X_dev = np.array([by_id[uid].features.as_row() for uid in dev_ids])

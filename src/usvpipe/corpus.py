@@ -103,12 +103,13 @@ class Utterance:
 def load_annotations(path: str | Path, schema: SchemaConfig) -> list[RawRecord]:
     """Parse the delimited annotation table into raw records.
 
-    Context codes missing from the schema map become 'unknown'.  Raises
+    Context codes missing from the schema map become 'unknown', and a leading
+    UTF-8 byte-order mark (spreadsheet "CSV UTF-8" exports) is dropped.  Raises
     SchemaMismatchError when a required column is absent and
     AnnotationParseError (with the file line number) for malformed rows.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         numbered = [(i + 1, line) for i, line in enumerate(fh)
                     if not line.startswith("#")]
     if not numbered:

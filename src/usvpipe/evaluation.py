@@ -69,10 +69,9 @@ def _recalls(y_true: np.ndarray, y_pred: np.ndarray, k: int) -> np.ndarray:
         return np.where(totals > 0, correct / totals, np.nan)
 
 
-def uar(preds: PredictionSet, labels: Sequence[str] | None = None) -> float:
+def uar(preds: PredictionSet) -> float:
     """Mean recall over the classes present in the true labels."""
-    y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels, labels)
-    return float(np.nanmean(_recalls(y_true, y_pred, len(order))))
+    return uar_from_labels(preds.true_labels, preds.predicted_labels)
 
 
 def uar_from_labels(y_true: Sequence[str], y_pred: Sequence[str]) -> float:

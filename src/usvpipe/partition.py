@@ -11,7 +11,7 @@ consumed only to break exact ties.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .artifacts import read_table, write_table
@@ -28,32 +28,24 @@ ROLE_VAL = "val"
 FOLD_CSV_HEADER = ("utterance_id", "fold", "role")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FoldPlan:
-    """Per-utterance roles: test in exactly one fold, train/val in the others."""
+    """Each utterance's role in folds 0, 1 and 2: test in exactly one, train
+    or val in the others.  Row for row what folds.csv holds."""
 
-    fold_count: int
-    seed: int | None
-    test_fold: dict[str, int]
-    emitter_groups: dict[str, int]
-    dev_roles: dict[int, dict[str, str]] = field(default_factory=dict)
-
-    def role(self, fold: int, utterance_id: str) -> str:
-        if self.test_fold[utterance_id] == fold:
-            return ROLE_TEST
-        return self.dev_roles[fold][utterance_id]
+    roles: dict[str, tuple[str, ...]]
 
     def fold_membership(self, fold: int) -> tuple[list[str], list[str], list[str]]:
         """Sorted (train, val, test) utterance ids for one fold."""
-        train, val, test = [], [], []
-        for uid in sorted(self.test_fold):
-            role = self.role(fold, uid)
-            {ROLE_TRAIN: train, ROLE_VAL: val, ROLE_TEST: test}[role].append(uid)
-        return train, val, test
+        members: dict[str, list[str]] = {ROLE_TRAIN: [], ROLE_VAL: [], ROLE_TEST: []}
+        for uid in sorted(self.roles):
+            members[self.roles[uid][fold]].append(uid)
+        return members[ROLE_TRAIN], members[ROLE_VAL], members[ROLE_TEST]
 
 
-def make_folds(cohort: list[Utterance], seed: int) -> FoldPlan:
-    """Greedy emitter-to-group assignment; fold f tests on group f.
+def make_folds(cohort: list[Utterance], seed: int) -> dict[str, int]:
+    """Each utterance's test fold: greedy emitter-to-group assignment, and
+    fold f tests on group f.
 
     Each group is scored by the L1 divergence of its label distribution from
     the global one (an empty group's distribution is the zero vector, giving
@@ -108,12 +100,10 @@ def make_folds(cohort: list[Utterance], seed: int) -> FoldPlan:
         group_counts[choice].update(emitter_counts)
         group_sizes[choice] += n_emitter
 
-    test_fold = {utt.id: emitter_groups[utt.emitter_id] for utt in cohort}
-    return FoldPlan(fold_count=FOLD_COUNT, seed=seed, test_fold=test_fold,
-                    emitter_groups=emitter_groups)
+    return {utt.id: emitter_groups[utt.emitter_id] for utt in cohort}
 
 
-def split_dev(plan: FoldPlan, fold: int, cohort: list[Utterance],
+def split_dev(test_fold: dict[str, int], fold: int, cohort: list[Utterance],
               seed: int) -> dict[str, str]:
     """Stratified 70/30 train/validation split of one fold's development set.
 
@@ -121,11 +111,11 @@ def split_dev(plan: FoldPlan, fold: int, cohort: list[Utterance],
     at random under the seed; a label with a single development utterance
     stays in train.  Identity is deliberately ignored here.
     """
-    if not 0 <= fold < plan.fold_count:
+    if not 0 <= fold < FOLD_COUNT:
         raise ValueError(f"fold index {fold} out of range")
     by_label: dict[str, list[str]] = defaultdict(list)
     for utt in cohort:
-        if plan.test_fold[utt.id] != fold:
+        if test_fold[utt.id] != fold:
             by_label[utt.context].append(utt.id)
 
     rng = rng_for(seed, fold)
@@ -138,43 +128,47 @@ def split_dev(plan: FoldPlan, fold: int, cohort: list[Utterance],
         chosen = set(perm[:n_val].tolist())
         for i, uid in enumerate(ids):
             roles[uid] = ROLE_VAL if i in chosen else ROLE_TRAIN
-    plan.dev_roles[fold] = roles
     return roles
 
 
 def build_plan(cohort: list[Utterance], seed: int) -> FoldPlan:
     """make_folds plus the inner split of every fold's development set."""
-    plan = make_folds(cohort, seed)
-    for fold in range(plan.fold_count):
-        split_dev(plan, fold, cohort, seed)
-    return plan
+    test_fold = make_folds(cohort, seed)
+    dev_roles = [split_dev(test_fold, fold, cohort, seed) for fold in range(FOLD_COUNT)]
+    return FoldPlan({uid: tuple(ROLE_TEST if fold == tested else dev_roles[fold][uid]
+                                for fold in range(FOLD_COUNT))
+                     for uid, tested in test_fold.items()})
 
 
 def write_fold_plan(path: str | Path, plan: FoldPlan,
                     comment: str | None = None) -> None:
     """Serialise as utterance_id,fold,role rows, sorted for byte stability."""
-    for fold in range(plan.fold_count):
-        if fold not in plan.dev_roles:
-            raise ValueError(f"fold {fold} has no train/validation split yet")
     write_table(path, FOLD_CSV_HEADER,
-                ((uid, fold, plan.role(fold, uid))
-                 for uid in sorted(plan.test_fold)
-                 for fold in range(plan.fold_count)), comment)
+                ((uid, fold, role) for uid in sorted(plan.roles)
+                 for fold, role in enumerate(plan.roles[uid])), comment)
 
 
 def read_fold_plan(path: str | Path) -> FoldPlan:
-    """Read back a plan written by write_fold_plan."""
-    test_fold: dict[str, int] = {}
-    dev_roles: dict[int, dict[str, str]] = defaultdict(dict)
-    max_fold = -1
-    for uid, fold_text, role in read_table(path, FOLD_CSV_HEADER):
-        fold = int(fold_text)
-        max_fold = max(max_fold, fold)
-        if role == ROLE_TEST:
-            test_fold[uid] = fold
-        elif role in (ROLE_TRAIN, ROLE_VAL):
-            dev_roles[fold][uid] = role
-        else:
-            raise ValueError(f"{path}: unknown role '{role}'")
-    return FoldPlan(fold_count=max_fold + 1, seed=None, test_fold=test_fold,
-                    emitter_groups={}, dev_roles=dict(dev_roles))
+    """Read back a plan written by write_fold_plan.
+
+    Raises ValueError naming the file and the utterance unless every
+    utterance has one known role in each of the FOLD_COUNT folds and exactly
+    one test fold.
+    """
+    cells: dict[str, list[tuple[str, str]]] = defaultdict(list)
+    for uid, fold, role in read_table(path, FOLD_CSV_HEADER):
+        cells[uid].append((fold, role))
+    folds = [str(fold) for fold in range(FOLD_COUNT)]
+    roles = {}
+    for uid, pairs in cells.items():
+        pairs.sort()
+        uid_roles = tuple(role for _, role in pairs)
+        if ([fold for fold, _ in pairs] != folds or uid_roles.count(ROLE_TEST) != 1
+                or not set(uid_roles) <= {ROLE_TEST, ROLE_TRAIN, ROLE_VAL}):
+            found = ", ".join(f"fold {fold} {role}" for fold, role in pairs)
+            raise ValueError(
+                f"{path}: utterance {uid} has {found}; each utterance needs one "
+                f"role of {ROLE_TEST}/{ROLE_TRAIN}/{ROLE_VAL} in each of folds "
+                f"{', '.join(folds)} and exactly one {ROLE_TEST} role")
+        roles[uid] = uid_roles
+    return FoldPlan(roles)

@@ -64,7 +64,6 @@ class FeatureVector:
     f0_max_voiced: float
     f0_min_voiced: float
     f0_slope_voiced: float
-    degenerate_slope: bool = False  # < 2 points in some fit; that slope is 0
 
     def as_row(self) -> list[float]:
         return [getattr(self, name) for name in FEATURE_NAMES]
@@ -98,15 +97,13 @@ def extract_f0(clip: AudioClip) -> PitchContour:
                         frame_times_s=spec.frame_times_s())
 
 
-def _slope(times: np.ndarray, values: np.ndarray) -> tuple[float, bool]:
-    """Least-squares line slope in Hz/s; (0, degenerate) below 2 points."""
-    if len(values) < 2:
-        return 0.0, True
+def _slope(times: np.ndarray, values: np.ndarray) -> float:
+    """Least-squares line slope in Hz/s; 0 below 2 distinct times."""
     t = times - times.mean()
     denom = float(np.dot(t, t))
     if denom == 0.0:
-        return 0.0, True
-    return float(np.dot(t, values - values.mean()) / denom), False
+        return 0.0
+    return float(np.dot(t, values - values.mean()) / denom)
 
 
 def contour_stats(contour: PitchContour) -> FeatureVector:
@@ -124,20 +121,17 @@ def contour_stats(contour: PitchContour) -> FeatureVector:
     f0 = contour.f0_hz
     t = contour.frame_times_s
     fv, tv = f0[mask], t[mask]
-    slope_all, degen_all = _slope(t, f0)
-    slope_voiced, degen_voiced = _slope(tv, fv)
     return FeatureVector(
         f0_mean_all=float(f0.mean()),
         f0_std_all=float(f0.std()),
         f0_max_all=float(f0.max()),
         f0_min_all=float(f0.min()),
-        f0_slope_all=slope_all,
+        f0_slope_all=_slope(t, f0),
         f0_mean_voiced=float(fv.mean()),
         f0_std_voiced=float(fv.std()),
         f0_max_voiced=float(fv.max()),
         f0_min_voiced=float(fv.min()),
-        f0_slope_voiced=slope_voiced,
-        degenerate_slope=degen_all or degen_voiced,
+        f0_slope_voiced=_slope(tv, fv),
     )
 
 

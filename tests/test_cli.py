@@ -255,7 +255,7 @@ def test_hash_prefixed_utterance_id_is_tested_once(tmp_path):
     assert main(["extract"] + args) == 0
     assert main(["partition"] + args) == 0
     plan = read_fold_plan(out / "folds.csv")
-    assert sorted(plan.test_fold) == ["#u000000"] + [f"u{i:06d}" for i in range(1, 6)]
+    assert sorted(plan.roles) == ["#u000000"] + [f"u{i:06d}" for i in range(1, 6)]
 
 
 def _three_class_corpus(root, per_class=4, seed=9):
@@ -375,6 +375,44 @@ def test_invalid_setting_exits_2_naming_it(small_corpus, tmp_path, caplog, flag,
     assert main(["train-eval", "--out", str(tmp_path), flag]) == 2
     assert f"invalid {setting}" in caplog.text
     assert not (tmp_path / "report.json").exists()
+
+
+def _set_role(row: str, role: str) -> str:
+    return row.rsplit(",", 1)[0] + f",{role}\n"
+
+
+def _test_once_more(rows: list[str]) -> list[str]:
+    """The first utterance's first train/val row made a second test row."""
+    i = next(i for i, row in enumerate(rows[:3]) if not row.endswith(",test\n"))
+    return rows[:i] + [_set_role(rows[i], "test")] + rows[i + 1:]
+
+
+# (table edited, edit of its data rows); the first utterance is the stale one
+STALE_INPUTS = {
+    "featured_utterance_not_in_folds": ("folds.csv", lambda rows: rows[3:]),
+    "fold_row_without_features": ("features.csv", lambda rows: rows[1:]),
+    "one_fold_row_missing": ("folds.csv", lambda rows: rows[1:]),
+    "tested_in_two_folds": ("folds.csv", _test_once_more),
+    "unknown_role": ("folds.csv",
+                     lambda rows: [_set_role(rows[0], "holdout")] + rows[1:]),
+    "feature_row_twice": ("features.csv", lambda rows: rows[:1] + rows),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALE_INPUTS))
+def test_train_eval_refuses_features_and_folds_that_disagree(small_corpus, tmp_path,
+                                                             caplog, case):
+    root, _config = small_corpus
+    name, edit = STALE_INPUTS[case]
+    for table in ("features.csv", "folds.csv"):
+        (tmp_path / table).write_bytes((root / "results" / table).read_bytes())
+    lines = (tmp_path / name).read_text().splitlines(keepends=True)
+    (tmp_path / name).write_text("".join(lines[:2] + edit(lines[2:])))  # stamp, header
+    stale_id = lines[2].split(",")[0]
+    assert main(["train-eval", "--out", str(tmp_path)]) == 2
+    assert f"utterance {stale_id} " in caplog.text
+    assert "folds.csv" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
 
 
 SETTING_FLAGS = {  # RunConfig field: (flag arguments, value from the flag)

@@ -41,6 +41,11 @@ class TestLoadAnnotations:
         assert (rec.id, rec.emitter, rec.context, rec.duration_s) == \
             ("a1", "b-17", "fighting", 0.4)
 
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path, schema):
+        path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4"])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # "CSV UTF-8" export
+        assert load_annotations(path, schema)[0].id == "a1"
+
     def test_unmapped_code_becomes_unknown(self, tmp_path, schema):
         path = write_annotations(tmp_path, ["a1,b-17,99,x.wav,0.4"])
         assert load_annotations(path, schema)[0].context == "unknown"

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -31,11 +32,12 @@ class TestMakeFolds:
                     cohort.append(Utterance(id=f"u{i}{j}{k}", audio_path=None,
                                             emitter_id=emitter, context=label,
                                             duration_s=0.5))
-        plan = make_folds(cohort, seed=1)
-        assert sorted(plan.emitter_groups.values()) == [0, 1, 2]
+        test_fold = make_folds(cohort, seed=1)
+        groups = {u.emitter_id: test_fold[u.id] for u in cohort}
+        assert sorted(groups.values()) == [0, 1, 2]
         # each fold's test distribution equals the global one exactly
         for fold in range(3):
-            test = [u for u in cohort if plan.test_fold[u.id] == fold]
+            test = [u for u in cohort if test_fold[u.id] == fold]
             counts = Counter(u.context for u in test)
             assert counts["feeding"] == counts["fighting"] == 4
 
@@ -46,28 +48,26 @@ class TestMakeFolds:
 
     def test_every_utterance_tested_exactly_once(self):
         cohort = make_cohort(12, 20)
-        plan = make_folds(cohort, seed=3)
-        assert set(plan.test_fold) == {u.id for u in cohort}
-        assert set(plan.test_fold.values()) <= {0, 1, 2}
+        test_fold = make_folds(cohort, seed=3)
+        assert set(test_fold) == {u.id for u in cohort}
+        assert set(test_fold.values()) <= {0, 1, 2}
 
     def test_emitter_disjointness(self):
         cohort = make_cohort(9, 15)
-        plan = make_folds(cohort, seed=5)
+        test_fold = make_folds(cohort, seed=5)
         emitter = {u.id: u.emitter_id for u in cohort}
         for fold in range(3):
-            test_emitters = {emitter[uid] for uid, f in plan.test_fold.items()
-                             if f == fold}
-            dev_emitters = {emitter[uid] for uid, f in plan.test_fold.items()
-                            if f != fold}
+            test_emitters = {emitter[uid] for uid, f in test_fold.items() if f == fold}
+            dev_emitters = {emitter[uid] for uid, f in test_fold.items() if f != fold}
             assert not test_emitters & dev_emitters
 
     def test_thirty_emitters_l1_divergence_under_0_05(self):
         cohort = make_cohort(30, 44)  # 11 labels x 44 = 484 utterances
-        plan = make_folds(cohort, seed=7)
+        test_fold = make_folds(cohort, seed=7)
         total = len(cohort)
         global_counts = Counter(u.context for u in cohort)
         for fold in range(3):
-            test = [u for u in cohort if plan.test_fold[u.id] == fold]
+            test = [u for u in cohort if test_fold[u.id] == fold]
             counts = Counter(u.context for u in test)
             l1 = sum(abs(counts[lab] / len(test) - global_counts[lab] / total)
                      for lab in global_counts)
@@ -87,38 +87,37 @@ class TestMakeFolds:
                                         context=label_pool[i % len(label_pool)],
                                         duration_s=0.5))
                 uid += 1
-        plan = make_folds(cohort, seed=2)
-        sizes = Counter(plan.test_fold.values())
+        sizes = Counter(make_folds(cohort, seed=2).values())
         assert all(sizes[g] > 0 for g in range(3))
 
 
 class TestSplitDev:
     def test_thirty_percent_of_ten(self):
         cohort = make_cohort(5, 10, labels=("feeding",))  # 10 dev per fold? no:
-        plan = make_folds(cohort, seed=0)
-        roles = split_dev(plan, 0, cohort, seed=0)
-        dev = [uid for uid, f in plan.test_fold.items() if f != 0]
+        test_fold = make_folds(cohort, seed=0)
+        roles = split_dev(test_fold, 0, cohort, seed=0)
+        dev = [uid for uid, f in test_fold.items() if f != 0]
         n_val = sum(1 for uid in dev if roles[uid] == "val")
         assert abs(n_val - 0.3 * len(dev)) <= 0.5 + 1e-9  # round(0.3 n)
 
     def test_single_dev_utterance_goes_to_train(self):
         cohort = make_cohort(4, 1, labels=("feeding", "fighting", "grooming"))
-        plan = make_folds(cohort, seed=0)
+        test_fold = make_folds(cohort, seed=0)
         for fold in range(3):
-            roles = split_dev(plan, fold, cohort, seed=0)
+            roles = split_dev(test_fold, fold, cohort, seed=0)
             label_dev = Counter()
             for u in cohort:
-                if plan.test_fold[u.id] != fold:
+                if test_fold[u.id] != fold:
                     label_dev[u.context] += 1
             for u in cohort:
-                if plan.test_fold[u.id] != fold and label_dev[u.context] == 1:
+                if test_fold[u.id] != fold and label_dev[u.context] == 1:
                     assert roles[u.id] == "train"
 
     def test_same_seed_reproduces_assignment(self):
         cohort = make_cohort(6, 12)
-        plan = make_folds(cohort, seed=4)
-        r1 = split_dev(plan, 1, cohort, seed=9)
-        r2 = split_dev(plan, 1, cohort, seed=9)
+        test_fold = make_folds(cohort, seed=4)
+        r1 = split_dev(test_fold, 1, cohort, seed=9)
+        r2 = split_dev(test_fold, 1, cohort, seed=9)
         assert r1 == r2
 
     def test_stratification_bound_per_label(self):
@@ -126,12 +125,11 @@ class TestSplitDev:
         plan = build_plan(cohort, seed=6)
         by_label_fold = {}
         for u in cohort:
-            for fold in range(3):
-                if plan.test_fold[u.id] == fold:
+            for fold, role in enumerate(plan.roles[u.id]):
+                if role == "test":
                     continue
                 key = (fold, u.context)
                 dev, val = by_label_fold.get(key, (0, 0))
-                role = plan.dev_roles[fold][u.id]
                 by_label_fold[key] = (dev + 1, val + (role == "val"))
         for (fold, label), (dev, val) in by_label_fold.items():
             assert abs(val / dev - 0.3) <= 1.0 / dev + 1e-12
@@ -147,18 +145,26 @@ class TestFoldPlanCsv:
         write_fold_plan(p2, plan2, comment="seed=11")
         assert p1.read_bytes() == p2.read_bytes()
 
-        back = read_fold_plan(p1)
-        assert back.test_fold == plan1.test_fold
-        assert back.dev_roles == plan1.dev_roles
+        assert read_fold_plan(p1) == plan1
 
     def test_different_seed_changes_inner_split(self, tmp_path):
         cohort = make_cohort(6, 30)
         plan1 = build_plan(cohort, seed=1)
         plan2 = build_plan(cohort, seed=2)
-        assert any(plan1.dev_roles[f] != plan2.dev_roles[f] for f in range(3))
+        assert plan1.roles != plan2.roles
 
-    def test_unsplit_plan_rejected(self, tmp_path):
-        cohort = make_cohort(6, 8)
-        plan = make_folds(cohort, seed=0)
-        with pytest.raises(ValueError):
-            write_fold_plan(tmp_path / "x.csv", plan)
+    @pytest.mark.parametrize("rows", [
+        ["u1,0,test", "u1,1,train"],                 # no row for fold 2
+        ["u1,0,test", "u1,1,train", "u1,1,val"],     # fold 1 twice, no fold 2
+        ["u1,0,test", "u1,1,train", "u1,3,val"],     # no fold 3
+        ["u1,0,test", "u1,1,test", "u1,2,val"],      # tested twice
+        ["u1,0,train", "u1,1,val", "u1,2,train"],    # never tested
+        ["u1,0,test", "u1,1,train", "u1,2,holdout"],  # unknown role
+    ])
+    def test_read_rejects_an_utterance_without_one_role_per_fold(self, tmp_path,
+                                                                 rows):
+        path = tmp_path / "folds.csv"
+        path.write_text("\n".join(["utterance_id,fold,role", "u0,0,train",
+                                    "u0,1,test", "u0,2,val"] + rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: utterance u1 has")):
+            read_fold_plan(path)

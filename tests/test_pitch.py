@@ -186,7 +186,6 @@ class TestContourStats:
                                frame_times_s=np.arange(3) * 0.016)
         fv = contour_stats(contour)
         assert fv.f0_slope_voiced == 0.0
-        assert fv.degenerate_slope
 
     def test_slope_sign_flips_under_time_reversal(self):
         times = np.arange(20) * 0.016
