@@ -11,16 +11,18 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Replace path with data in one rename (no fsync: safe against a killed
-    process, not against power loss).  The file mode is 0o666 less the umask,
-    as with a plain open(path, "w")."""
+def write_atomic(path: str | Path, *chunks) -> None:
+    """Replace path with the bytes-like chunks, written in order, in one
+    rename (no fsync: safe against a killed process, not against power loss).
+    The chunks are written as they are, never joined into one copy.  The
+    file mode is 0o666 less the umask, as with a plain open(path, "w")."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -39,12 +41,14 @@ def write_table(path: str | Path, header: Sequence, rows: Iterable[Sequence],
     write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
-def read_table(path: str | Path, header: Sequence[str] | None = None) -> list[list[str]]:
+def read_table(path: str | Path, header: Sequence[str] | None = None,
+               unique: bool = False) -> list[list[str]]:
     """Data rows of a table.  Only lines before the header are comments.
 
     With a header, the file's header and the field count of every row must
-    match it, else ValueError names path:line.  Without one, every row after
-    the comments is data, of any width.  "\\r\\n" rows read as "\\n" ones.
+    match it, and with unique as well no two rows may share a first field,
+    else ValueError names path:line.  Without a header, every row after the
+    comments is data, of any width.  "\\r\\n" rows read as "\\n" ones.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -52,7 +56,7 @@ def read_table(path: str | Path, header: Sequence[str] | None = None) -> list[li
     while skipped < len(lines) and lines[skipped].startswith("#"):
         skipped += 1
     reader = csv.reader(lines[skipped:])
-    rows = []
+    rows, keys = [], set()
     try:
         if header is not None and next(reader, None) != list(header):
             raise ValueError(f"{path}:{skipped + 1}: expected header {','.join(header)}")
@@ -60,6 +64,11 @@ def read_table(path: str | Path, header: Sequence[str] | None = None) -> list[li
             if header is not None and len(row) != len(header):
                 raise ValueError(f"{path}:{skipped + reader.line_num}: expected "
                                  f"{len(header)} fields, got {len(row)}")
+            if unique:
+                if row[0] in keys:
+                    raise ValueError(f"{path}:{skipped + reader.line_num}: "
+                                     f"{header[0]} {row[0]} is listed twice")
+                keys.add(row[0])
             rows.append(row)
     except csv.Error as exc:
         raise ValueError(f"{path}:{skipped + reader.line_num}: {exc}") from exc

@@ -191,17 +191,28 @@ def write_wav(path: str | Path, clip: AudioClip, encoding: str = "int16") -> Non
     path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
 
 
+def padded_length(clip: AudioClip, duration_s: float) -> int:
+    """round(duration_s * rate): the length in samples of the clip zero-padded
+    at the tail to duration_s.
+
+    Raises ClipTooLongError if the clip is already longer than that.
+    """
+    target = int(round(duration_s * clip.sample_rate))
+    if clip.samples.size > target:
+        raise ClipTooLongError(
+            f"{clip.source_id or 'clip'}: {clip.samples.size} samples exceed the "
+            f"{duration_s} s target of {target}")
+    return target
+
+
 def pad_to_duration(clip: AudioClip, duration_s: float) -> AudioClip:
-    """Zero-pad a clip at the tail to exactly round(duration_s * rate) samples.
+    """Zero-pad a clip at the tail to exactly padded_length(clip, duration_s)
+    samples.
 
     Raises ClipTooLongError if the clip is already longer than the target.
     """
-    target = int(round(duration_s * clip.sample_rate))
+    target = padded_length(clip, duration_s)
     n = clip.samples.size
-    if n > target:
-        raise ClipTooLongError(
-            f"{clip.source_id or 'clip'}: {n} samples exceed the "
-            f"{duration_s} s target of {target}")
     if n == target:
         return clip
     padded = np.zeros(target, dtype=np.float64)

@@ -21,7 +21,7 @@ import logging
 import math
 import os
 import sys
-from collections import Counter, defaultdict
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -251,9 +251,7 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
     plan = read_fold_plan(folds_path)
     by_id = {r.utterance_id: r for r in records}
     featured, planned = by_id.keys(), plan.roles.keys()
-    problems = [(uid, "is listed twice in features.csv")
-                for uid, n in Counter(r.utterance_id for r in records).items() if n > 1]
-    problems += [(uid, "has no row in folds.csv") for uid in featured - planned]
+    problems = [(uid, "has no row in folds.csv") for uid in featured - planned]
     problems += [(uid, "has no row in features.csv") for uid in planned - featured]
     if problems:
         uid, reason = min(problems)

@@ -3,7 +3,9 @@
 The estimator is deliberately simple: long-window STFT, a relative 20 dB
 noise gate, and a per-frame spectral argmax.  The gate reference is the
 frequency bin with the maximum time-averaged energy, so the whole contour
-is invariant to any positive rescaling of the input.
+is invariant to any positive rescaling of the input.  extract_f0 reduces
+the STFT block by block as spectral.stft_samples hands it over, keeping
+per-frame peaks and a per-bin power sum, never the magnitude matrix.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 from .artifacts import read_table, write_table
 from .audio_io import AudioClip
 from .exceptions import EmptyVoicedSetError
-from .spectral import stft
+from .spectral import stft_samples
 
 PITCH_WINDOW_S = 0.100
 PITCH_HOP_S = 0.016
@@ -81,20 +83,33 @@ def extract_f0(clip: AudioClip) -> PitchContour:
 
     The gate needs no gated copy: squaring is monotone, so a frame whose
     largest cell passes the gate has the plain first argmax as its gated
-    argmax, and a frame whose largest cell fails is zeroed whole.
+    argmax, and a frame whose largest cell fails is zeroed whole.  So the
+    STFT is reduced a block at a time, never held whole: each frame's first
+    argmax and its magnitude, and a per-bin power sum added frame by frame
+    in frame order, which is exactly the sum the mean over frames takes.
 
     Raises ClipTooShortError if the clip does not admit one analysis window.
     """
-    spec = stft(clip, PITCH_WINDOW_S, PITCH_HOP_S)
-    mags = spec.magnitudes
-    peak_bin = np.argmax(mags, axis=1)
-    peak_mag = mags[np.arange(mags.shape[0]), peak_bin]
-    reference = np.square(mags, out=mags).mean(axis=0).max()  # mags is now power
+    window_samples = int(round(PITCH_WINDOW_S * clip.sample_rate))
+    hop_samples = int(round(PITCH_HOP_S * clip.sample_rate))
+    peak_bins, peak_mags = [], []
+    power_sum = np.zeros(window_samples // 2 + 1)
+
+    def reduce(_first: int, mags: np.ndarray) -> None:
+        peak_bin = np.argmax(mags, axis=1)
+        peak_bins.append(peak_bin)
+        peak_mags.append(mags[np.arange(mags.shape[0]), peak_bin])
+        for power in np.square(mags, out=mags):
+            np.add(power_sum, power, out=power_sum)
+
+    frames = stft_samples(clip, window_samples, hop_samples, reduce)
+    peak_bin, peak_mag = np.concatenate(peak_bins), np.concatenate(peak_mags)
+    reference = (power_sum / frames).max()
     threshold = reference * 10.0 ** (-GATE_DB / 10.0)
     voiced = (peak_mag * peak_mag >= threshold) & (peak_mag > 0.0) & (peak_bin > 0)
-    f0 = np.where(voiced, peak_bin * spec.bin_hz, 0.0)
+    f0 = np.where(voiced, peak_bin * (clip.sample_rate / window_samples), 0.0)
     return PitchContour(f0_hz=f0, voiced=voiced,
-                        frame_times_s=spec.frame_times_s())
+                        frame_times_s=np.arange(frames) * (hop_samples / clip.sample_rate))
 
 
 def _slope(times: np.ndarray, values: np.ndarray) -> float:
@@ -160,9 +175,10 @@ def write_feature_csv(path: str | Path, records: list[FeatureRecord],
 
 
 def read_feature_csv(path: str | Path) -> list[FeatureRecord]:
-    """Read a feature table written by write_feature_csv."""
+    """Read a feature table written by write_feature_csv.  An utterance id
+    listed twice is a ValueError naming path:line."""
     records = []
-    for row in read_table(path, FEATURE_CSV_HEADER):
+    for row in read_table(path, FEATURE_CSV_HEADER, unique=True):
         values = [float(v) for v in row[3:]]
         records.append(FeatureRecord(
             utterance_id=row[0], emitter_id=row[1], context=row[2],

@@ -2,8 +2,12 @@
 
 Two parameterisations are in play: long 100 ms windows for pitch analysis
 (see pitch.py) and short 4096-sample windows for spectrogram export.  Both
-share the same core: Hann window, FFT size equal to the window length, no
-centre padding, frames fully inside the signal.
+run through one kernel, stft_samples: Hann window, FFT size equal to the
+window length, no centre padding.  It transforms about 2 MB of frames at a
+time in reused buffers and hands each magnitude block to a consumer, so no
+caller has to hold the whole spectrogram.  Pitch analysis reduces the
+blocks as they come; export stores them as float32 in its 3 s tensor, with
+the padding read as zeros rather than copied.
 """
 from __future__ import annotations
 
@@ -11,11 +15,12 @@ import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .artifacts import write_atomic
-from .audio_io import AudioClip, pad_to_duration
+from .audio_io import AudioClip, padded_length
 from .exceptions import ClipTooShortError
 
 EXPORT_WINDOW_SAMPLES = 4096
@@ -34,7 +39,8 @@ _STFT_BLOCK_BYTES = 2 << 20
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Linear magnitude STFT, frames along axis 0, frequency bins along axis 1."""
+    """Linear magnitude STFT, frames along axis 0, frequency bins along axis 1:
+    float64 from stft, float32 from export_spectrogram."""
 
     magnitudes: np.ndarray
     frame_hop_s: float
@@ -54,10 +60,6 @@ class Spectrogram:
     def bin_count(self) -> int:
         return self.magnitudes.shape[1]
 
-    def frame_times_s(self) -> np.ndarray:
-        """Start time of every frame in seconds."""
-        return np.arange(self.frame_count) * self.frame_hop_s
-
 
 @functools.lru_cache(maxsize=8)
 def _hann(n: int) -> np.ndarray:
@@ -67,54 +69,113 @@ def _hann(n: int) -> np.ndarray:
     return window
 
 
-def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int) -> Spectrogram:
-    """STFT with explicit sample counts.
-
-    Frame t covers samples [t*hop, t*hop + window); the frame count is
-    floor((len - window) / hop) + 1.  FFT size equals the window length,
-    so the bin width is sample_rate / window_samples.  Frames are windowed
-    and transformed a block at a time straight into the magnitude matrix;
-    every row is the same one-shot rfft of its own windowed frame.
-    """
+def _frame_count(clip: AudioClip, window_samples: int, hop_samples: int,
+                 span: int | None) -> int:
+    """Frames of the clip zero-padded to span samples (default: its length):
+    floor((span - window) / hop) + 1."""
     if window_samples < 1 or hop_samples < 1:
         raise ValueError("window and hop must each span at least one sample")
-    x = clip.samples
-    if x.size < window_samples:
+    span = clip.samples.size if span is None else span
+    if span < window_samples:
         raise ClipTooShortError(
-            f"{clip.source_id or 'clip'}: {x.size} samples but the analysis "
+            f"{clip.source_id or 'clip'}: {span} samples but the analysis "
             f"window needs {window_samples}")
-    frames = np.lib.stride_tricks.sliding_window_view(x, window_samples)[::hop_samples]
+    return (span - window_samples) // hop_samples + 1
+
+
+def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int,
+                 consume: Callable[[int, np.ndarray], None],
+                 span: int | None = None) -> int:
+    """Magnitude STFT of the clip zero-padded at the tail to span samples
+    (default: its own length, so no padding), handed to consume a block of
+    frames at a time.  Returns the frame count.
+
+    Frame t covers samples [t*hop, t*hop + window); the frame count is
+    floor((span - window) / hop) + 1.  FFT size equals the window length,
+    so the bin width is sample_rate / window_samples.  consume(first, mags)
+    gets frames first, first + 1, ... as a frames x (window // 2 + 1)
+    float64 block, blocks in frame order.  The block is a buffer the next
+    block reuses, so consume keeps what it needs and may overwrite it.
+    Every row is the one-shot rfft magnitude of its own windowed frame.
+
+    A frame that runs past the clip's end reads zeros there.  A frame that
+    starts at or past the end holds only zeros, so its magnitudes are
+    exactly 0: it is never transformed and never handed to consume.
+    """
+    frames = _frame_count(clip, window_samples, hop_samples, span)
+    x = clip.samples
+    started = min(frames, -(-x.size // hop_samples))
+    inside = min(started, max(0, (x.size - window_samples) // hop_samples + 1))
+    parts = [(0, x, inside)]
+    if started > inside:
+        # The frames that run past the end read a zero-padded copy of the
+        # samples they cover, under window + ceil(window / hop) * hop of them.
+        tail = np.zeros((started - inside - 1) * hop_samples + window_samples)
+        tail[:x.size - inside * hop_samples] = x[inside * hop_samples:]
+        parts.append((inside, tail, started - inside))
+
     window = _hann(window_samples)
-    mags = np.empty((frames.shape[0], window_samples // 2 + 1))
-    block = max(1, _STFT_BLOCK_BYTES // (frames.itemsize * window_samples))
-    for start in range(0, frames.shape[0], block):
-        np.abs(np.fft.rfft(frames[start:start + block] * window, axis=1),
-               out=mags[start:start + block])
+    bins = window_samples // 2 + 1
+    block = max(1, _STFT_BLOCK_BYTES // (x.itemsize * window_samples))
+    buffer = np.empty((min(block, started), window_samples))
+    for offset, samples, count in parts:
+        if count == 0:
+            continue
+        view = np.lib.stride_tricks.sliding_window_view(samples, window_samples)
+        view = view[::hop_samples][:count]
+        for start in range(0, count, block):
+            rows = min(block, count - start)
+            windowed = np.multiply(view[start:start + rows], window, out=buffer[:rows])
+            # Once transformed, the windowed frames are spent, so their buffer
+            # takes the magnitudes; the spectrum is freed before consume runs.
+            mags = buffer.reshape(-1)[:rows * bins].reshape(rows, bins)
+            consume(offset + start, np.abs(np.fft.rfft(windowed, axis=1), out=mags))
+    return frames
+
+
+def _store(out: np.ndarray, first: int, mags: np.ndarray) -> None:
+    """A consumer for stft_samples that copies each block into out."""
+    out[first:first + mags.shape[0]] = mags
+
+
+def _spectrogram(mags: np.ndarray, sample_rate: int, window_samples: int,
+                 hop_samples: int) -> Spectrogram:
     return Spectrogram(
         magnitudes=mags,
-        frame_hop_s=hop_samples / clip.sample_rate,
-        window_s=window_samples / clip.sample_rate,
-        bin_hz=clip.sample_rate / window_samples,
-        sample_rate=clip.sample_rate,
+        frame_hop_s=hop_samples / sample_rate,
+        window_s=window_samples / sample_rate,
+        bin_hz=sample_rate / window_samples,
+        sample_rate=sample_rate,
     )
 
 
 def stft(clip: AudioClip, window_s: float, hop_s: float) -> Spectrogram:
-    """STFT with window/hop given in seconds, rounded to whole samples."""
+    """The whole magnitude matrix, window/hop given in seconds and rounded to
+    whole samples (see stft_samples)."""
     window_samples = int(round(window_s * clip.sample_rate))
     hop_samples = int(round(hop_s * clip.sample_rate))
-    return stft_samples(clip, window_samples, hop_samples)
+    mags = np.empty((_frame_count(clip, window_samples, hop_samples, None),
+                     window_samples // 2 + 1))
+    stft_samples(clip, window_samples, hop_samples, functools.partial(_store, mags))
+    return _spectrogram(mags, clip.sample_rate, window_samples, hop_samples)
 
 
 def export_spectrogram(clip: AudioClip) -> Spectrogram:
-    """Spectrogram for external consumers: pad to 3 s, 4096-sample window, 10 ms hop.
+    """Spectrogram for external consumers: the clip zero-padded to 3 s,
+    4096-sample window, 10 ms hop.
 
     At 250 kHz this yields exactly 299 frames x 2049 bins.  Magnitudes are
-    linear; consumers apply their own compression.
+    linear float32; consumers apply their own compression.  No padded copy
+    of the clip is made, and frames that lie wholly in the padding stay 0
+    without a transform.  Raises ClipTooLongError for a clip over 3 s.
     """
-    padded = pad_to_duration(clip, EXPORT_PAD_S)
+    span = padded_length(clip, EXPORT_PAD_S)
     hop_samples = int(round(EXPORT_HOP_S * clip.sample_rate))
-    return stft_samples(padded, EXPORT_WINDOW_SAMPLES, hop_samples)
+    mags = np.zeros((_frame_count(clip, EXPORT_WINDOW_SAMPLES, hop_samples, span),
+                     EXPORT_WINDOW_SAMPLES // 2 + 1), dtype="<f4")
+    stft_samples(clip, EXPORT_WINDOW_SAMPLES, hop_samples,
+                 functools.partial(_store, mags), span)
+    return _spectrogram(mags, clip.sample_rate, EXPORT_WINDOW_SAMPLES, hop_samples)
 
 
 def write_tensor(spec: Spectrogram, path: str | Path) -> None:
@@ -122,12 +183,14 @@ def write_tensor(spec: Spectrogram, path: str | Path) -> None:
 
     Layout: magic "USVT", version u32, dtype u32 (1 = float32), rank u32 (2),
     dims u32 each (frames, bins), then the payload row-major.  The header is
-    24 bytes for rank 2.
+    24 bytes for rank 2.  A C-ordered "<f4" matrix, as export_spectrogram
+    returns, is written from its own buffer without a copy.
     """
-    frames, bins = spec.magnitudes.shape
+    payload = np.ascontiguousarray(spec.magnitudes, dtype="<f4")
+    frames, bins = payload.shape
     header = _TENSOR_MAGIC + struct.pack(
         "<IIIII", _TENSOR_VERSION, _TENSOR_DTYPE_F32, 2, frames, bins)
-    write_atomic(path, header + spec.magnitudes.astype("<f4").tobytes(order="C"))
+    write_atomic(path, header, memoryview(payload).cast("B"))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

@@ -395,7 +395,6 @@ STALE_INPUTS = {
     "tested_in_two_folds": ("folds.csv", _test_once_more),
     "unknown_role": ("folds.csv",
                      lambda rows: [_set_role(rows[0], "holdout")] + rows[1:]),
-    "feature_row_twice": ("features.csv", lambda rows: rows[:1] + rows),
 }
 
 
@@ -413,6 +412,20 @@ def test_train_eval_refuses_features_and_folds_that_disagree(small_corpus, tmp_p
     assert f"utterance {stale_id} " in caplog.text
     assert "folds.csv" in caplog.text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+
+
+@pytest.mark.parametrize("stage", ["partition", "train-eval", "table1"])
+def test_repeated_feature_row_exits_2_naming_it(small_corpus, tmp_path, caplog, stage):
+    root, _config = small_corpus
+    for table in ("features.csv", "folds.csv"):
+        (tmp_path / table).write_bytes((root / "results" / table).read_bytes())
+    lines = (tmp_path / "features.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "features.csv").write_text("".join(lines + lines[2:3]))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    repeated_id = lines[2].split(",")[0]
+    assert main([stage, "--out", str(tmp_path)]) == 2
+    assert f"features.csv:{len(lines) + 1}: utterance_id {repeated_id} " in caplog.text
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 SETTING_FLAGS = {  # RunConfig field: (flag arguments, value from the flag)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from usvpipe.exceptions import ClipTooShortError, EmptyVoicedSetError
 from usvpipe.pitch import (GATE_DB, FeatureRecord, FeatureVector, PitchContour,
                            contour_stats, extract_f0, read_feature_csv,
                            write_feature_csv)
-from usvpipe.spectral import Spectrogram
+from usvpipe.spectral import _STFT_BLOCK_BYTES
 
 from conftest import sine_clip
 
@@ -76,9 +78,9 @@ def _sweep(f_start, f_stop, duration_s, sample_rate):
     return 0.6 * np.sin(phase)
 
 
-def _noisy_tone():
+def _noisy_tone(samples=40_000):
     rng = np.random.default_rng(12)
-    t = np.arange(40_000) / 50_000
+    t = np.arange(samples) / 50_000
     return 0.4 * np.sin(2 * np.pi * 9000 * t) + 0.05 * rng.standard_normal(t.size)
 
 
@@ -93,6 +95,18 @@ def _nan_clip():
     return samples
 
 
+# At 50 kHz the pitch STFT has a 5000-sample window and an 800-sample hop,
+# and stft_samples transforms _PITCH_BLOCK frames at a time.
+_PITCH_BLOCK = _STFT_BLOCK_BYTES // (8 * 5000)
+
+
+def _frames_50k(frames):
+    """A fading noisy tone of the given pitch frame count at 50 kHz."""
+    samples = _noisy_tone(5000 + (frames - 1) * 800 + 13)
+    return lambda: AudioClip(samples * np.exp(np.linspace(0.0, -4.0, samples.size)),
+                             50_000)
+
+
 ORACLE_CLIPS = {
     "sweep_250k": lambda: AudioClip(_sweep(20_000, 60_000, 0.4, 250_000), 250_000),
     "noisy_50k": lambda: AudioClip(_noisy_tone(), 50_000),
@@ -100,30 +114,43 @@ ORACLE_CLIPS = {
     "one_frame": lambda: AudioClip(_noisy_tone()[:5000], 50_000),
     "fading_below_gate": lambda: AudioClip(_fading_tone(), 50_000),
     "float_with_nan": lambda: AudioClip(_nan_clip(), 50_000),
+    "block-1_frames": _frames_50k(_PITCH_BLOCK - 1),
+    "block_frames": _frames_50k(_PITCH_BLOCK),
+    "block+1_frames": _frames_50k(_PITCH_BLOCK + 1),
+    "2block+1_frames": _frames_50k(2 * _PITCH_BLOCK + 1),
 }
 
 
+def one_shot_pitch_stft(clip):
+    """The whole pitch magnitude matrix in one rfft call, independent of
+    usvpipe.spectral: periodic Hann, 100 ms window, 16 ms hop, frames
+    wholly inside the clip.  Returns (magnitudes, bin width, frame hop s)."""
+    window = int(round(0.100 * clip.sample_rate))
+    hop = int(round(0.016 * clip.sample_rate))
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, window)[::hop]
+    return (np.abs(np.fft.rfft(frames * hann, axis=1)), clip.sample_rate / window,
+            hop / clip.sample_rate)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_CLIPS))
-def test_extract_f0_matches_gated_argmax_oracle(monkeypatch, name):
-    seen = []
-
-    def recording_stft(clip, window_s, hop_s):
-        spec = pitch_stft(clip, window_s, hop_s)
-        seen.append((spec.magnitudes.copy(), spec))  # extract_f0 squares in place
-        return spec
-
-    pitch_stft = pitch.stft
-    monkeypatch.setattr(pitch, "stft", recording_stft)
-    contour = extract_f0(ORACLE_CLIPS[name]())
-    (mags, spec), = seen
-    f0, voiced = gated_argmax_oracle(mags, spec.bin_hz)
+def test_extract_f0_matches_gated_argmax_oracle(name):
+    clip = ORACLE_CLIPS[name]()
+    contour = extract_f0(clip)
+    mags, bin_hz, hop_s = one_shot_pitch_stft(clip)
+    f0, voiced = gated_argmax_oracle(mags, bin_hz)
     assert np.array_equal(contour.f0_hz, f0)
     assert np.array_equal(contour.voiced, voiced)
-    assert np.array_equal(contour.frame_times_s, spec.frame_times_s())
+    assert np.array_equal(contour.frame_times_s, np.arange(len(mags)) * hop_s)
     if name == "fading_below_gate":
         assert voiced[0] and not voiced[-1]
     if name == "one_frame":
         assert contour.frame_count == 1
+    if name.endswith("_frames"):
+        blocks = {"block-1": _PITCH_BLOCK - 1, "block": _PITCH_BLOCK,
+                  "block+1": _PITCH_BLOCK + 1, "2block+1": 2 * _PITCH_BLOCK + 1}
+        assert contour.frame_count == blocks[name[:-len("_frames")]]
+        assert voiced.any() and not voiced.all()
 
 
 def test_extract_f0_matches_oracle_on_exact_argmax_ties(monkeypatch):
@@ -133,14 +160,32 @@ def test_extract_f0_matches_oracle_on_exact_argmax_ties(monkeypatch):
                      [3.0, 1.0, 3.0, 0.5, 0.0],
                      [0.0, 0.1, 0.05, 0.1, 0.0],
                      [0.0, 0.0, 0.0, 0.0, 0.0]])
-    spec = Spectrogram(magnitudes=mags.copy(), frame_hop_s=0.016, window_s=0.1,
-                       bin_hz=10.0, sample_rate=50_000)
-    monkeypatch.setattr(pitch, "stft", lambda clip, window_s, hop_s: spec)
-    contour = extract_f0(AudioClip(np.zeros(5000), 50_000))
+
+    def crafted_blocks(clip, window_samples, hop_samples, consume, span=None):
+        assert (window_samples, hop_samples, span) == (8, 1, None)  # 5 bins
+        consume(0, mags[:3].copy())  # extract_f0 may square a block in place
+        consume(3, mags[3:].copy())
+        return len(mags)
+
+    monkeypatch.setattr(pitch, "stft_samples", crafted_blocks)
+    # at 80 Hz the 100 ms window is 8 samples (5 bins of 10 Hz), the hop 1
+    contour = extract_f0(AudioClip(np.zeros(11), 80))
     f0, voiced = gated_argmax_oracle(mags, 10.0)
     assert np.array_equal(contour.f0_hz, f0)
     assert np.array_equal(contour.voiced, voiced)
     assert contour.f0_hz.tolist() == [10.0, 0.0, 0.0, 0.0]
+
+
+def test_extract_f0_never_holds_the_whole_spectrogram():
+    # 3 s at 250 kHz: the whole 182 x 12501 magnitude matrix is 18 MB
+    clip = AudioClip(_sweep(20_000, 60_000, 3.0, 250_000), 250_000)
+    tracemalloc.start()
+    try:
+        extract_f0(clip)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 class TestContourStats:
@@ -234,6 +279,18 @@ def test_feature_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
+        read_feature_csv(path)
+
+
+def test_feature_csv_rejects_repeated_id(tmp_path):
+    fv = FeatureVector(*range(10))
+    path = tmp_path / "features.csv"
+    write_feature_csv(path, [FeatureRecord("u001", "batA", "feeding", 0.5, fv),
+                             FeatureRecord("u002", "batB", "biting", 0.5, fv)],
+                      comment="stamp")
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + lines[2:3]))  # u001 again, on line 5
+    with pytest.raises(ValueError, match=f"^{path}:5: utterance_id u001 is listed twice"):
         read_feature_csv(path)
 
 

@@ -1,9 +1,12 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usvpipe.audio_io import AudioClip
+from usvpipe.audio_io import AudioClip, pad_to_duration
 from usvpipe.exceptions import ClipTooShortError
 from usvpipe.spectral import (_STFT_BLOCK_BYTES, export_spectrogram, read_tensor,
                               stft, stft_samples, write_tensor)
@@ -54,6 +57,21 @@ def test_clip_shorter_than_window_rejected():
         stft(clip, 0.100, 0.016)
 
 
+def _one_shot(samples, window, hop):
+    """Every frame's rfft magnitude in one call, independent of the kernel."""
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+    frames = np.lib.stride_tricks.sliding_window_view(samples, window)[::hop]
+    return np.abs(np.fft.rfft(frames * hann, axis=1))
+
+
+def _kernel_blocks(clip, window, hop, span=None):
+    """(frame count, [(first frame, copy of block)]) from stft_samples."""
+    blocks = []
+    frames = stft_samples(clip, window, hop,
+                          lambda first, mags: blocks.append((first, mags.copy())), span)
+    return frames, blocks
+
+
 @settings(max_examples=60, deadline=None)
 @given(length=st.integers(8, 4000), window=st.integers(2, 500),
        hop=st.integers(1, 600))
@@ -61,8 +79,30 @@ def test_frame_count_formula(length, window, hop):
     if length < window:
         length = window + length  # keep the precondition len >= win
     clip = AudioClip(samples=np.ones(length), sample_rate=8000)
-    spec = stft_samples(clip, window, hop)
-    assert spec.frame_count == (length - window) // hop + 1
+    frames, blocks = _kernel_blocks(clip, window, hop)
+    assert frames == (length - window) // hop + 1
+    assert sum(len(mags) for _, mags in blocks) == frames
+    assert stft(clip, window / 8000, hop / 8000).frame_count == frames
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(1, 3000), window=st.integers(1, 400),
+       hop=st.integers(1, 500), pad=st.integers(0, 3000))
+def test_kernel_pads_with_zeros_and_skips_frames_past_the_end(length, window, hop, pad):
+    span = max(length, window) + pad
+    samples = np.random.default_rng(length).uniform(-1, 1, length)
+    frames, blocks = _kernel_blocks(AudioClip(samples, 8000), window, hop, span)
+    reference = _one_shot(np.concatenate([samples, np.zeros(span - length)]),
+                          window, hop)
+    assert frames == len(reference)
+    # blocks come in frame order and cover exactly the frames that start
+    # inside the clip; every later frame is all padding, so exactly 0
+    started = min(frames, -(-length // hop))
+    assert [first for first, _ in blocks] == [
+        sum(len(mags) for _, mags in blocks[:i]) for i in range(len(blocks))]
+    handed = np.concatenate([mags for _, mags in blocks])
+    assert np.array_equal(handed, reference[:started])
+    assert not reference[started:].any()
 
 
 @pytest.mark.parametrize("window", [4096, 5000])
@@ -75,12 +115,12 @@ def test_block_wise_stft_equals_one_shot_rfft(window, offset):
     rng = np.random.default_rng(frames)
     clip = AudioClip(samples=rng.uniform(-1, 1, window + (frames - 1) * hop + 7),
                      sample_rate=50_000)
-    spec = stft_samples(clip, window, hop)
-    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
-    windowed = np.lib.stride_tricks.sliding_window_view(clip.samples, window)[::hop]
-    assert np.array_equal(spec.magnitudes,
-                          np.abs(np.fft.rfft(windowed * hann, axis=1)))
+    spec = stft(clip, window / 50_000, hop / 50_000)
+    assert np.array_equal(spec.magnitudes, _one_shot(clip.samples, window, hop))
     assert spec.frame_count == frames
+    _frames, blocks = _kernel_blocks(clip, window, hop)
+    assert [len(mags) for _, mags in blocks] == (
+        [block] * (frames // block) + [frames % block] * (frames % block > 0))
 
 
 def test_magnitudes_scale_linearly_with_amplitude():
@@ -115,6 +155,51 @@ class TestExportSpectrogram:
         clip = AudioClip(samples=np.zeros(775_000), sample_rate=250_000)  # 3.1 s
         with pytest.raises(ClipTooLongError):
             export_spectrogram(clip)
+
+
+def _export_clip(rate, length, nan=False):
+    samples = np.random.default_rng(length).uniform(-1, 1, length)
+    if nan:
+        samples[length // 2] = np.nan
+    return AudioClip(samples, rate, source_id="clip")
+
+
+def _export_lengths(rate):
+    """Clip lengths whose frames meet the clip's end in each way that matters."""
+    hop, window, k = rate // 100, 4096, 23
+    return {"1_sample": 1, "window-1": window - 1, "window": window,
+            "window+1": window + 1, "hop*k-1": hop * k - 1, "hop*k": hop * k,
+            "hop*k+1": hop * k + 1, "3_s": 3 * rate}
+
+
+EXPORT_CASES = [(rate, name, length, False)
+                for rate in (50_000, 250_000)
+                for name, length in _export_lengths(rate).items()]
+EXPORT_CASES += [(rate, "nan_sample", 3 * rate // 2, True) for rate in (50_000, 250_000)]
+
+
+@pytest.mark.parametrize("rate,name,length,nan", EXPORT_CASES,
+                         ids=[f"{rate}-{name}" for rate, name, _, _ in EXPORT_CASES])
+def test_export_tensor_bytes_equal_one_shot_padded_reference(tmp_path, rate, name,
+                                                            length, nan):
+    clip = _export_clip(rate, length, nan)
+    path = tmp_path / "t.usvt"
+    write_tensor(export_spectrogram(clip), path)
+    reference = _one_shot(pad_to_duration(clip, 3.0).samples, 4096, rate // 100)
+    header = b"USVT" + struct.pack("<IIIII", 1, 1, 2, *reference.shape)
+    assert path.read_bytes() == header + reference.astype("<f4").tobytes()
+
+
+def test_export_and_write_never_hold_a_padded_copy(tmp_path):
+    # 3 s at 250 kHz: the padded clip is 6 MB and the float64 magnitudes 4.9 MB
+    clip = _export_clip(250_000, 750_000)
+    tracemalloc.start()
+    try:
+        write_tensor(export_spectrogram(clip), tmp_path / "t.usvt")
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 class TestTensorFormat:
