@@ -51,6 +51,8 @@ EXTRACT_FAILURE_TOLERANCE = 0.01  # corrupt-file fraction tolerated per run
 # Per-file errors that cost one skip-report row; anything else is a bug and
 # stops the stage.
 _FILE_ERRORS = (PipelineError, OSError, ValueError)
+# nested_select diagnostics that report.json's provenance lists per fold
+_SOLVER_DIAGNOSTICS = ("capped_machines", "max_relative_gap", "solver_epochs")
 # OSError numbers of a full output device: every later file would fail alike,
 # so they stop the stage.
 _DISK_FULL = (errno.ENOSPC, errno.EDQUOT)
@@ -261,7 +263,7 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
     predictions: list[Prediction] = []
     chosen_costs: dict[str, float] = {}
     validation_uar: dict[str, dict] = {}
-    capped_machines: dict[str, int] = {}
+    solver: dict[str, dict] = {key: {} for key in _SOLVER_DIAGNOSTICS}
     for fold in range(FOLD_COUNT):
         train_ids, val_ids, test_ids = plan.fold_membership(fold)
         dev_ids = train_ids + val_ids
@@ -276,7 +278,8 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
         chosen_costs[str(fold)] = diag["chosen_cost"]
         validation_uar[str(fold)] = {format(c, "g"): u
                                      for c, u in diag["validation_uar"].items()}
-        capped_machines[str(fold)] = diag["capped_machines"]
+        for key in _SOLVER_DIAGNOSTICS:
+            solver[key][str(fold)] = diag[key]
         if diag["capped_machines"]:
             log.warning("fold %d: %d machines stopped at the %d-epoch cap "
                         "without meeting the duality gap %g", fold,
@@ -299,8 +302,7 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
                           comment=cfg.provenance())
     provenance = {"tool": f"usvpipe {__version__}", "seed": cfg.seed,
                   "config": cfg.config_hash(), "chosen_costs": chosen_costs,
-                  "validation_uar": validation_uar,
-                  "capped_machines": capped_machines}
+                  "validation_uar": validation_uar, **solver}
     write_atomic(cfg.output_dir / "report.json",
                  report_to_json(report, provenance=provenance).encode("utf-8"))
     write_confusion_csv(cfg.output_dir / "confusion.csv", report,

@@ -12,11 +12,19 @@ largest projected gradient, or at alpha = U_i with a gradient below the
 most negative one, leaves the active set.  A full pass over every row
 comes first and comes again when the active rows' largest |projected
 gradient| falls below a tenth of the one measured on the last full pass,
-which brings back rows that were shrunk too early.  After every epoch the
-best-primal iterate so far (the incumbent) becomes the solution estimate,
-so the exposed objective history is non-increasing.  The solver stops once
-the relative duality gap (incumbent primal - dual) / incumbent primal, with
-the dual sum(alpha) - 0.5*||v||^2 of the current iterate (Hsieh et al.,
+which brings back rows that were shrunk too early.  After each epoch on
+the shrunk active set, when the free rows F (0 < alpha_i < U_i) number at
+least one and at most the feature count plus the bias column, a Newton
+step on their face solves (X_F X_F^T) delta = -g_F by least squares and
+moves alpha_F as far along delta as the box allows, up to the full step.
+Single-coordinate steps crawl where a few free rows are strongly coupled,
+as on separable pairs with a handful of support vectors; the face step
+reaches the face's optimum in one move unless a row meets its bound first,
+and it never lowers the dual.  After every epoch the best-primal iterate so
+far (the incumbent) becomes the solution estimate, so the exposed objective
+history is non-increasing.  The solver stops once the relative duality gap
+(incumbent primal - dual) / incumbent primal, with the dual
+sum(alpha) - 0.5*||v||^2 of the current iterate (Hsieh et al.,
 section 2), is at most SOLVER_GAP.  By weak duality the gap bounds the
 incumbent's relative suboptimality over every row, shrunk or not (the gap
 as a stopping certificate: Shalev-Shwartz & Zhang, JMLR 2013).
@@ -90,8 +98,9 @@ class BinarySvm:
 
     d > 0 votes class_pos, d < 0 votes class_neg, d = 0 votes class_pos
     (the alphabetically lower class of the pair).  converged is False when
-    the solver reached its epoch cap before the duality gap met SOLVER_GAP;
-    model files do not record it, so a machine read back from one says True.
+    the solver reached its epoch cap before the duality gap met SOLVER_GAP,
+    and gap is the last relative duality gap the solver measured.  Model
+    files record neither, so a machine read back from one says True and NaN.
     """
 
     class_pos: str
@@ -101,34 +110,76 @@ class BinarySvm:
     cost: float
     objective_history: tuple = field(default=(), repr=False, compare=False)
     converged: bool = field(default=True, repr=False, compare=False)
+    gap: float = field(default=float("nan"), repr=False, compare=False)
 
 
-def _primal_objective(v: np.ndarray, Xy: np.ndarray, box: np.ndarray) -> float:
+def _primal_objective(v: np.ndarray, Xy: np.ndarray, box: np.ndarray,
+                      ) -> tuple[float, float]:
+    """The primal objective at v, and ||v||^2 for the dual."""
+    vv = float(v.dot(v))
     slack = 1.0 - Xy.dot(v)
-    return 0.5 * float(v.dot(v)) + float(box.dot(np.maximum(slack, 0.0, out=slack)))
+    return 0.5 * vv + float(box.dot(np.maximum(slack, 0.0, out=slack))), vv
+
+
+def _face_step(Xy: np.ndarray, box: np.ndarray, v: np.ndarray,
+               alpha: list, free: list) -> float:
+    """Newton step on the free rows F, truncated to their box.
+
+    Solves (X_F X_F^T) delta = -g_F by least squares, so duplicated or
+    collinear free rows are safe, and moves alpha_F by t * delta with the
+    largest t <= 1 that stays in the box.  With Q = X_F X_F^T the dual rises
+    by (t - t^2/2) * g_F^T Q^+ g_F >= 0 along this direction.  Updates v
+    and alpha in place and returns the change of sum(alpha).
+    """
+    XF = Xy[free]
+    a = np.array([alpha[i] for i in free])
+    upper = box[free]
+    delta = np.linalg.lstsq(XF @ XF.T, 1.0 - XF.dot(v), rcond=None)[0]
+    # |delta| over the room towards the bound it heads for; free rows lie
+    # strictly inside their box, so every room is positive.
+    reach = np.abs(delta) / np.where(delta < 0.0, a, upper - a)
+    block = int(reach.argmax())
+    if reach[block] <= 1.0:
+        new = np.clip(a + delta, 0.0, upper)
+    else:  # t = 1 / reach[block] < 1: the blocking row lands on its bound
+        new = np.clip(a + delta / reach[block], 0.0, upper)
+        new[block] = 0.0 if delta[block] < 0.0 else upper[block]
+    step = new - a
+    v += XF.T.dot(step)
+    for i, value in zip(free, new.tolist()):
+        alpha[i] = value
+    return float(step.sum())
 
 
 def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
                 rng: np.random.Generator, max_epochs: int,
-                ) -> tuple[np.ndarray, tuple[float, ...], bool]:
-    """Dual coordinate ascent with shrinking.
+                ) -> tuple[np.ndarray, tuple[float, ...], bool, float]:
+    """Dual coordinate ascent with shrinking and a Newton step on the free face.
 
-    Returns the best-primal iterate, its history (one entry per epoch) and
-    whether the relative duality gap met SOLVER_GAP within max_epochs.
+    An epoch is one coordinate sweep over the active rows; after a sweep of
+    the shrunk set (not a full pass) that left between 1 and Xa.shape[1]
+    rows strictly inside their box, _face_step moves those rows together.
+    The dual rises under both moves, so the incumbent, the gap stop and
+    max_epochs need no change for the face step.
+
+    Returns the best-primal iterate, its history (one entry per epoch),
+    whether the relative duality gap met SOLVER_GAP within max_epochs, and
+    the last relative duality gap measured.
     """
-    n = Xa.shape[0]
+    n, dim = Xa.shape
     Xy = Xa * y[:, None]
     # Row views bound once for BLAS ddot/daxpy, whose call cost on rows
     # this short is about a third of ndarray.dot's and v += c * row's.
     rows = list(Xy)
     qdiag = np.einsum("ij,ij->i", Xy, Xy).tolist()  # >= 1: the bias feature
     upper = box.tolist()
-    v = np.zeros(Xa.shape[1])
+    v = np.zeros(dim)
     alpha = [0.0] * n
     alpha_sum = 0.0
-    best_obj = _primal_objective(v, Xy, box)
+    best_obj, _ = _primal_objective(v, Xy, box)
     best_v = v.copy()
     history = [best_obj]
+    gap = 1.0  # the dual is 0 at alpha = 0
     everyone = list(range(n))
     active = everyone
     full_pass, converged = True, False
@@ -136,7 +187,7 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
     shrink_lo = -np.inf
     for _ in range(max_epochs):
         pg_hi = pg_lo = 0.0  # largest and most negative projected gradient
-        kept = []
+        kept, free = [], []
         order = list(active)
         rng.shuffle(order)  # the same draws and order as rng.permutation
         for i in order:
@@ -164,16 +215,21 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
                 new_a = 0.0
             elif new_a > upper[i]:
                 new_a = upper[i]
+            elif 0.0 < new_a < upper[i]:
+                free.append(i)  # a row is visited once, so it ends free
             if new_a != a:
                 v = daxpy(rows[i], v, a=new_a - a)  # in place
                 alpha[i] = new_a
                 alpha_sum += new_a - a
-        obj = _primal_objective(v, Xy, box)
+        if not full_pass and 0 < len(free) <= dim:
+            alpha_sum += _face_step(Xy, box, v, alpha, free)
+        obj, vv = _primal_objective(v, Xy, box)
         if obj < best_obj:
             best_obj = obj
             best_v = v.copy()
         history.append(best_obj)
-        if best_obj - (alpha_sum - 0.5 * v.dot(v)) <= SOLVER_GAP * best_obj:
+        gap = (best_obj - (alpha_sum - 0.5 * vv)) / best_obj
+        if gap <= SOLVER_GAP:
             converged = True
             break
         violation = max(pg_hi, -pg_lo)
@@ -188,7 +244,7 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
             active = sorted(kept)  # the order depends on the set and rng only
             shrink_hi = pg_hi if pg_hi > 0.0 else np.inf
             shrink_lo = pg_lo if pg_lo < 0.0 else -np.inf
-    return best_v, tuple(history), converged
+    return best_v, tuple(history), converged, gap
 
 
 def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
@@ -208,10 +264,11 @@ def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
         raise SingleClassDataError("both classes must be present")
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
     box = cost * np.where(y > 0, weight_pos, weight_neg)
-    v, history, converged = _solve_dual(Xa, y, box, _as_rng(seed), max_epochs)
+    v, history, converged, gap = _solve_dual(Xa, y, box, _as_rng(seed),
+                                             max_epochs)
     return BinarySvm(class_pos=class_pair[0], class_neg=class_pair[1],
                      weights=v[:-1], bias=float(v[-1]), cost=cost,
-                     objective_history=history, converged=converged)
+                     objective_history=history, converged=converged, gap=gap)
 
 
 @dataclass(frozen=True)
@@ -282,8 +339,9 @@ def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
 
     The standardiser and the class weights come from the full development
     set and are reused in both stages.  Ties in validation UAR resolve to
-    the smaller cost.  The diagnostics count the machines of both stages
-    that stopped at the epoch cap without meeting the duality gap.
+    the smaller cost.  Over the machines of both stages, the diagnostics
+    count those that stopped at the epoch cap without meeting the duality
+    gap, give the largest final relative duality gap and sum the epochs.
     """
     X_dev = np.asarray(X_dev, dtype=np.float64)
     y_dev = np.asarray(y_dev, dtype=object)
@@ -296,22 +354,25 @@ def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
     y_val = list(y_dev[val_idx])
     best_cost, best_uar = None, -1.0
     validation_uar: dict[float, float] = {}
-    capped = 0
+    trained: list[BinarySvm] = []
     for grid_index, cost in enumerate(sorted(grid)):
         machines = fit_ovo(X_std[train_idx], list(y_dev[train_idx]), cost,
                            weights, seed=base + (1, grid_index))
-        capped += sum(not m.converged for m in machines)
+        trained += machines
         score = uar_from_labels(
             y_val, _predict_standardised(machines, labels, X_std[val_idx]))
         validation_uar[cost] = score
         if score > best_uar:
             best_uar, best_cost = score, cost
     final = fit_ovo(X_std, list(y_dev), best_cost, weights, seed=base + (2,))
-    capped += sum(not m.converged for m in final)
+    trained += final
     model = OvoModel(labels=labels, standardiser=standardiser,
                      cost=best_cost, machines=final)
     return model, {"chosen_cost": best_cost, "validation_uar": validation_uar,
-                   "capped_machines": capped}
+                   "capped_machines": sum(not m.converged for m in trained),
+                   "max_relative_gap": max(m.gap for m in trained),
+                   "solver_epochs": sum(len(m.objective_history) - 1
+                                        for m in trained)}
 
 
 def write_model(path: str | Path, model: OvoModel,
@@ -328,23 +389,56 @@ def write_model(path: str | Path, model: OvoModel,
 
 
 def read_model(path: str | Path) -> OvoModel:
+    """Read back a write_model file.
+
+    ValueError names the path when a row is missing or empty, a number does
+    not parse, a machine's weight count differs from the standardiser's, a
+    machine names a label not in labels, or the K labels do not come with
+    K*(K-1)/2 machines.
+    """
     rows: dict[str, list[str]] = {}
     machine_rows = []
     for row in read_table(path):
         if row[0] == "machine":
-            machine_rows.append(row)
+            machine_rows.append(row[1:])
         else:
             rows[row[0]] = row[1:]
-    if "cost" not in rows or "labels" not in rows:
-        raise ValueError(f"{path}: incomplete model file")
-    cost = float(rows["cost"][0])
+    missing = [key for key in ("cost", "labels", "mean", "std", "zero_variance")
+               if not rows.get(key)]
+    if missing:
+        raise ValueError(f"{path}: incomplete model file, no {', '.join(missing)}")
+    labels = tuple(rows["labels"])
+    width = len(rows["mean"])
+    if len(rows["std"]) != width or len(rows["zero_variance"]) != width:
+        raise ValueError(f"{path}: the mean, std and zero_variance rows differ "
+                         "in length")
+    pairs = len(labels) * (len(labels) - 1) // 2
+    if len(machine_rows) != pairs:
+        raise ValueError(f"{path}: {len(machine_rows)} machines for "
+                         f"{len(labels)} labels, expected {pairs}")
+    for number, row in enumerate(machine_rows):
+        if len(row) != 3 + width:
+            raise ValueError(f"{path}: machine {number} has {len(row) - 3} "
+                             f"weights, the standardiser {width} features")
+        if row[0] not in labels or row[1] not in labels:
+            raise ValueError(f"{path}: machine {number} ({row[0]} vs {row[1]}) "
+                             "names a label not in labels")
+
+    def floats(values: list[str]) -> np.ndarray:
+        try:
+            return np.array([float(v) for v in values])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+    cost = float(floats(rows["cost"])[0])
     standardiser = Standardiser(
-        mean=np.array([float(v) for v in rows["mean"]]),
-        std=np.array([float(v) for v in rows["std"]]),
+        mean=floats(rows["mean"]), std=floats(rows["std"]),
         zero_variance=np.array([v == "1" for v in rows["zero_variance"]]))
-    machines = tuple(BinarySvm(class_pos=row[1], class_neg=row[2],
-                               weights=np.array([float(v) for v in row[4:]]),
-                               bias=float(row[3]), cost=cost)
-                     for row in machine_rows)
-    return OvoModel(labels=tuple(rows["labels"]), standardiser=standardiser,
-                    cost=cost, machines=machines)
+    machines = []
+    for class_pos, class_neg, *numbers in machine_rows:
+        values = floats(numbers)
+        machines.append(BinarySvm(class_pos=class_pos, class_neg=class_neg,
+                                  weights=values[1:], bias=float(values[0]),
+                                  cost=cost))
+    return OvoModel(labels=labels, standardiser=standardiser,
+                    cost=cost, machines=tuple(machines))

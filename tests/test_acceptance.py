@@ -2,7 +2,8 @@
 
 Criteria 1-9 are self-contained and run in CI.  Criterion 10 needs the
 public corpus on disk and is skipped unless the USV_CORPUS_* environment
-variables point at it (see README).
+variables point at it (see README).  One more test reads the end-to-end
+run's solver certificate from report.json.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from usvpipe.evaluation import Prediction, PredictionSet, bootstrap_ci, uar
 from usvpipe.partition import read_fold_plan
 from usvpipe.pitch import contour_stats, extract_f0, read_feature_csv
 from usvpipe.spectral import export_spectrogram, read_tensor, write_tensor
-from usvpipe.svm import train_binary
+from usvpipe.svm import SOLVER_GAP, train_binary
 from usvpipe.synth import SynthSpec, synth_corpus, synth_utterance
 
 from conftest import brute_force_dft_magnitudes, refine_grid_minimum, weighted_primal
@@ -265,6 +266,18 @@ def test_criterion_8_end_to_end_uar(e2e_run):
     report(8, ok, f"pooled UAR {pooled_uar:.4f} (>= 0.80) over {payload['n']} "
                   f"predictions; extract+partition+train-eval took "
                   f"{elapsed:.0f} s (< 300 s)")
+
+
+def test_every_fold_certified_without_capped_machines(e2e_run):
+    """The separable pairs of this corpus meet the duality gap before the
+    epoch cap, validation and refit machines alike."""
+    provenance = json.loads(
+        (e2e_run["results"] / "report.json").read_text())["provenance"]
+    folds = set(provenance["chosen_costs"])
+    assert set(provenance["capped_machines"]) == folds
+    assert all(count == 0 for count in provenance["capped_machines"].values())
+    assert set(provenance["max_relative_gap"]) == folds
+    assert all(gap <= SOLVER_GAP for gap in provenance["max_relative_gap"].values())
 
 
 def test_criterion_9_spectrogram_export(tmp_path):

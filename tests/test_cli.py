@@ -60,9 +60,15 @@ def test_train_eval_report(small_corpus):
     assert (root / "results" / "model_fold0.csv").exists()
     assert (root / "results" / "predictions.csv").exists()
     assert (root / "results" / "confusion.csv").exists()
-    capped = report["provenance"]["capped_machines"]
-    assert set(capped) == set(report["provenance"]["chosen_costs"])
-    assert all(isinstance(count, int) and count >= 0 for count in capped.values())
+    provenance = report["provenance"]
+    for key in ("capped_machines", "max_relative_gap", "solver_epochs"):
+        assert set(provenance[key]) == set(provenance["chosen_costs"])
+    assert all(isinstance(count, int) and count >= 0
+               for count in provenance["capped_machines"].values())
+    assert all(isinstance(gap, float) and gap >= 0.0
+               for gap in provenance["max_relative_gap"].values())
+    assert all(isinstance(epochs, int) and epochs > 0
+               for epochs in provenance["solver_epochs"].values())
 
 
 def test_table1_per_context_stats(small_corpus):

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from usvpipe import svm
 from usvpipe.exceptions import SingleClassDataError
 from usvpipe.seeding import rng_for
 from usvpipe.svm import (BinarySvm, COST_GRID, OvoModel, SOLVER_GAP,
@@ -11,6 +14,24 @@ from usvpipe.svm import (BinarySvm, COST_GRID, OvoModel, SOLVER_GAP,
                          _predict_standardised)
 
 from conftest import refine_grid_minimum, weighted_primal
+
+
+def separable_level_pair(seed: int, n: int = 46):
+    """A separable pair shaped like two contexts of the synthetic corpus.
+
+    The classes' pitch levels sit 1.2 apart with 0.025 of jitter, the max
+    and min features follow the level within 0.01, the spread and slope
+    features are unit noise, and every column appears twice, as the
+    all-frame and voiced-frame features of pure tones do.  A handful of
+    rows hold the margin, and they are strongly coupled.
+    """
+    rng = np.random.default_rng(seed)
+    y = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    level = 0.6 * y + 0.025 * rng.standard_normal(n)
+    cols = [level, rng.standard_normal(n),
+            level + 0.01 * rng.standard_normal(n),
+            level + 0.01 * rng.standard_normal(n), rng.standard_normal(n)]
+    return np.column_stack(cols + cols), y
 
 
 class TestSolver:
@@ -89,6 +110,47 @@ class TestSolver:
         m = train_binary(X, y, cost=1.0, seed=0, max_epochs=1)
         assert len(m.objective_history) == 2
         assert m.converged is False
+        assert m.gap > SOLVER_GAP
+        done = train_binary(X, y, cost=1.0, seed=0)
+        assert done.converged is True
+        assert 0.0 <= done.gap <= SOLVER_GAP
+
+    def test_separable_pair_with_few_support_vectors_meets_the_gap_early(self):
+        """Plain coordinate steps crawl along the few coupled margin rows of
+        such a pair; the step on the free face meets the gap at once."""
+        X, y = separable_level_pair(5)
+        for seed in range(3):
+            m = train_binary(X, y, 1.0, seed=seed)
+            margins = y * (X @ m.weights + m.bias)
+            assert np.sum(margins < 1.01) <= 6
+            assert m.converged is True
+            assert m.gap <= SOLVER_GAP
+            assert len(m.objective_history) - 1 < SOLVER_MAX_EPOCHS // 10
+
+    def test_duplicated_free_rows_match_the_weighted_problem(self, monkeypatch):
+        """Both copies of a margin row are free at once, so the face step
+        meets a singular X_F X_F^T; its least-squares solve still moves the
+        duplicated problem to the weighted one's optimum."""
+        ranks = []
+        face_step = svm._face_step
+
+        def spy(Xy, box, v, alpha, free):
+            ranks.append((len(free), np.linalg.matrix_rank(Xy[free])))
+            return face_step(Xy, box, v, alpha, free)
+
+        monkeypatch.setattr(svm, "_face_step", spy)
+        rng = np.random.default_rng(2)
+        X = np.vstack([rng.normal(-1.5, 1, (6, 2)), rng.normal(1.5, 1, (6, 2))])
+        y = np.concatenate([-np.ones(6), np.ones(6)])
+        doubled = train_binary(np.vstack([X, X]), np.concatenate([y, y]), 0.5,
+                               seed=3)
+        assert any(rank < size for size, rank in ranks)
+        weighted = train_binary(X, y, 0.5, weight_pos=2.0, weight_neg=2.0,
+                                seed=3)
+        assert doubled.converged is True
+        assert np.abs(doubled.weights - weighted.weights).max() < 1e-3
+        assert abs(doubled.bias - weighted.bias) < 1e-3
+        assert np.all(np.diff(doubled.objective_history) <= 0.0)
 
     def test_overlapping_probe_meets_the_gap_before_the_cap(self):
         """The n = 4 000, cost-1 problem of the benchmark's SVM probe: two
@@ -251,6 +313,8 @@ class TestOvoAndSelection:
         assert model.cost == 0.1
         assert list(diag["validation_uar"]) == [0.1]
         assert diag["capped_machines"] == 0
+        assert 0.0 <= diag["max_relative_gap"] <= SOLVER_GAP
+        assert diag["solver_epochs"] >= 6  # 3 pairs, validation and refit
 
     def test_tie_resolves_to_smaller_cost(self):
         rng = np.random.default_rng(14)
@@ -305,3 +369,51 @@ def test_model_roundtrip(tmp_path):
                                   model.machines[0].weights)
     probe = rng.normal(size=(10, 10))
     assert predict(back, probe) == predict(model, probe)
+
+
+@pytest.fixture
+def model_lines(tmp_path):
+    """A three-label model file's lines, and the path to write edits to."""
+    rng = np.random.default_rng(21)
+    labels = ("a", "b", "c")
+    X = np.vstack([rng.normal(3 * i, 0.5, (10, 4)) for i in range(3)])
+    y = np.repeat(labels, 10).astype(object)
+    std = fit_standardiser(X)
+    machines = fit_ovo(std.transform(X), y, 0.5, dict.fromkeys(labels, 1.0))
+    path = tmp_path / "model.csv"
+    write_model(path, OvoModel(labels=labels, standardiser=std, cost=0.5,
+                               machines=machines), comment="test model")
+    return path.read_text().splitlines(keepends=True), path
+
+
+def refused(path, lines):
+    path.write_text("".join(lines))
+    return pytest.raises(ValueError, match=re.escape(str(path)))
+
+
+@pytest.mark.parametrize("row", ["mean", "std", "zero_variance"])
+def test_read_model_refuses_a_missing_standardiser_row(model_lines, row):
+    lines, path = model_lines
+    with refused(path, [l for l in lines if not l.startswith(row + ",")]):
+        read_model(path)
+
+
+def test_read_model_refuses_a_file_cut_mid_row(model_lines):
+    lines, path = model_lines
+    last = lines[-1]
+    cut = last[:[i for i, ch in enumerate(last) if ch == ","][5]]
+    with refused(path, lines[:-1] + [cut]):
+        read_model(path)
+
+
+def test_read_model_refuses_a_machine_with_an_unknown_label(model_lines):
+    lines, path = model_lines
+    lines[-1] = lines[-1].replace("machine,b,c,", "machine,b,z,")
+    with refused(path, lines):
+        read_model(path)
+
+
+def test_read_model_refuses_a_missing_machine(model_lines):
+    lines, path = model_lines
+    with refused(path, lines[:-1]):
+        read_model(path)
