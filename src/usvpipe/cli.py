@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .artifacts import write_atomic, write_table
 from .audio_io import load_wav
-from .corpus import (CONTEXT_LABELS, SchemaConfig, Utterance, filter_cohort,
-                     load_annotations, write_filter_report)
+from .corpus import (SchemaConfig, Utterance, filter_cohort, load_annotations,
+                     write_filter_report)
 from .evaluation import (Prediction, PredictionSet, build_report,
                          report_to_json, write_confusion_csv,
                          write_predictions_csv)
@@ -294,10 +294,7 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
                  fold, diag["chosen_cost"], len(test_ids))
 
     preds = PredictionSet(predictions)
-    observed = set(preds.true_labels) | set(preds.predicted_labels)
-    labels = [lab for lab in CONTEXT_LABELS if lab in observed] or None
-    report = build_report(preds, labels=labels,
-                          replicates=cfg.bootstrap_replicates, seed=cfg.seed)
+    report = build_report(preds, replicates=cfg.bootstrap_replicates, seed=cfg.seed)
     write_predictions_csv(cfg.output_dir / "predictions.csv", preds,
                           comment=cfg.provenance())
     provenance = {"tool": f"usvpipe {__version__}", "seed": cfg.seed,

@@ -131,13 +131,11 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[RawRecord]:
         row = next(csv.reader([line], delimiter=schema.delimiter))
         if len(row) != len(header):
             raise AnnotationParseError(
-                f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}",
-                row_number=line_no)
+                f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
         try:
             duration = _row_duration(row, index, schema)
         except ValueError as exc:
-            raise AnnotationParseError(f"{path}:{line_no}: {exc}",
-                                       row_number=line_no) from exc
+            raise AnnotationParseError(f"{path}:{line_no}: {exc}") from exc
         code = row[index[schema.context_column]].strip()
         records.append(RawRecord(
             id=row[index[schema.id_column]].strip(),

@@ -46,19 +46,15 @@ class PredictionSet:
         return len(self.records)
 
 
-def _encode(y_true: Sequence[str], y_pred: Sequence[str], labels: Sequence[str] | None,
+def _encode(y_true: Sequence[str], y_pred: Sequence[str],
             ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Class indices into labels, by default the sorted observed labels."""
+    """Class indices into the sorted observed labels."""
     if len(y_true) == 0:
         raise EmptyPredictionsError("no predictions to score")
-    order = tuple(labels if labels is not None else sorted(set(y_true) | set(y_pred)))
+    order = tuple(sorted(set(y_true) | set(y_pred)))
     index = {lab: i for i, lab in enumerate(order)}
-    try:
-        t = np.array([index[v] for v in y_true])
-        p = np.array([index[v] for v in y_pred])
-    except KeyError as exc:
-        raise ValueError(f"label {exc} not in the supplied label order") from exc
-    return t, p, order
+    return (np.array([index[v] for v in y_true]),
+            np.array([index[v] for v in y_pred]), order)
 
 
 def _recalls(y_true: np.ndarray, y_pred: np.ndarray, k: int) -> np.ndarray:
@@ -76,13 +72,12 @@ def uar(preds: PredictionSet) -> float:
 
 def uar_from_labels(y_true: Sequence[str], y_pred: Sequence[str]) -> float:
     """UAR over plain label sequences (no ids); used for model selection."""
-    t, p, order = _encode(y_true, y_pred, None)
+    t, p, order = _encode(y_true, y_pred)
     return float(np.nanmean(_recalls(t, p, len(order))))
 
 
 def bootstrap_ci(preds: PredictionSet, replicates: int = BOOTSTRAP_REPLICATES,
-                 seed: int = 0, labels: Sequence[str] | None = None,
-                 ) -> tuple[float, float]:
+                 seed: int = 0) -> tuple[float, float]:
     """Percentile bootstrap 95% CI of the UAR.
 
     Each replicate resamples len(preds) predictions with replacement and
@@ -91,7 +86,7 @@ def bootstrap_ci(preds: PredictionSet, replicates: int = BOOTSTRAP_REPLICATES,
     derive from (seed, replicate index), so the result is reproducible and
     replicates could be evaluated concurrently.
     """
-    y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels, labels)
+    y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels)
     n, k = len(y_true), len(order)
     stats = np.empty(replicates)
     for r in range(replicates):
@@ -101,14 +96,13 @@ def bootstrap_ci(preds: PredictionSet, replicates: int = BOOTSTRAP_REPLICATES,
     return float(low), float(high)
 
 
-def confusion(preds: PredictionSet, labels: Sequence[str] | None = None,
-              ) -> tuple[np.ndarray, tuple[str, ...]]:
+def confusion(preds: PredictionSet) -> tuple[np.ndarray, tuple[str, ...]]:
     """Row-normalised confusion matrix in a fixed alphabetical label order.
 
     Entry (r, c) is the fraction of class r predicted as class c; rows for
     classes with no test instances are all zero.
     """
-    y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels, labels)
+    y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels)
     k = len(order)
     counts = np.bincount(y_true * k + y_pred, minlength=k * k).reshape(k, k).astype(float)
     totals = counts.sum(axis=1, keepdims=True)
@@ -129,13 +123,12 @@ class EvaluationReport:
     n: int
 
 
-def build_report(preds: PredictionSet, labels: Sequence[str] | None = None,
-                 replicates: int = BOOTSTRAP_REPLICATES, seed: int = 0,
-                 ) -> EvaluationReport:
-    y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels, labels)
+def build_report(preds: PredictionSet, replicates: int = BOOTSTRAP_REPLICATES,
+                 seed: int = 0) -> EvaluationReport:
+    y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels)
     recalls = _recalls(y_true, y_pred, len(order))
-    matrix, _ = confusion(preds, order)
-    low, high = bootstrap_ci(preds, replicates=replicates, seed=seed, labels=order)
+    matrix, _ = confusion(preds)
+    low, high = bootstrap_ci(preds, replicates=replicates, seed=seed)
     per_class = {lab: (None if np.isnan(rec) else float(rec))
                  for lab, rec in zip(order, recalls)}
     return EvaluationReport(
@@ -150,6 +143,7 @@ def build_report(preds: PredictionSet, labels: Sequence[str] | None = None,
 
 
 def report_to_json(report: EvaluationReport, provenance: dict | None = None) -> str:
+    """Strict JSON: a NaN or infinity in the report or provenance is a ValueError."""
     payload = {
         "n": report.n,
         "uar": report.uar,
@@ -160,7 +154,7 @@ def report_to_json(report: EvaluationReport, provenance: dict | None = None) -> 
     }
     if provenance:
         payload["provenance"] = provenance
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_confusion_csv(path: str | Path, report: EvaluationReport,

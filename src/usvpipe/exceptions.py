@@ -32,10 +32,6 @@ class SchemaMismatchError(PipelineError):
 class AnnotationParseError(PipelineError):
     """A row of the annotation table could not be parsed."""
 
-    def __init__(self, message: str, row_number: int | None = None):
-        super().__init__(message)
-        self.row_number = row_number
-
 
 class TooFewEmittersError(PipelineError):
     """Fewer distinct emitters than folds."""

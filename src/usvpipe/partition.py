@@ -20,7 +20,6 @@ from .exceptions import TooFewEmittersError
 from .seeding import rng_for
 
 FOLD_COUNT = 3
-VALIDATION_FRACTION = 0.3
 
 ROLE_TEST = "test"
 ROLE_TRAIN = "train"

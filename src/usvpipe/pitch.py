@@ -9,6 +9,7 @@ per-frame peaks and a per-bin power sum, never the magnitude matrix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .artifacts import read_table, write_table
 from .audio_io import AudioClip
+from .corpus import CONTEXT_LABELS
 from .exceptions import EmptyVoicedSetError
 from .spectral import stft_samples
 
@@ -174,13 +176,37 @@ def write_feature_csv(path: str | Path, records: list[FeatureRecord],
         for rec in sorted(records, key=lambda r: r.utterance_id)), comment)
 
 
+def _finite(path: str | Path, uid: str, column: str, text: str) -> float:
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{path}: utterance {uid}: {column} {text!r} is not a "
+                     "finite number")
+
+
 def read_feature_csv(path: str | Path) -> list[FeatureRecord]:
-    """Read a feature table written by write_feature_csv.  An utterance id
-    listed twice is a ValueError naming path:line."""
+    """Read a feature table written by write_feature_csv.
+
+    An utterance id listed twice is a ValueError naming path:line.  A context
+    outside CONTEXT_LABELS, a duration or feature that is not a finite
+    number, or a duration not above 0 is a ValueError naming the path, the
+    utterance and the column.
+    """
     records = []
     for row in read_table(path, FEATURE_CSV_HEADER, unique=True):
-        values = [float(v) for v in row[3:]]
+        uid, emitter, context = row[:3]
+        if context not in CONTEXT_LABELS:
+            raise ValueError(f"{path}: utterance {uid}: context {context!r} is "
+                             "not a context label")
+        values = [_finite(path, uid, column, text)
+                  for column, text in zip(FEATURE_CSV_HEADER[3:], row[3:])]
+        if values[0] <= 0.0:
+            raise ValueError(f"{path}: utterance {uid}: duration_s {row[3]!r} is "
+                             "not above 0")
         records.append(FeatureRecord(
-            utterance_id=row[0], emitter_id=row[1], context=row[2],
+            utterance_id=uid, emitter_id=emitter, context=context,
             duration_s=values[0], features=FeatureVector(*values[1:])))
     return records

@@ -7,7 +7,8 @@ window length, no centre padding.  It transforms about 2 MB of frames at a
 time in reused buffers and hands each magnitude block to a consumer, so no
 caller has to hold the whole spectrogram.  Pitch analysis reduces the
 blocks as they come; export stores them as float32 in its 3 s tensor, with
-the padding read as zeros rather than copied.
+the padding read as zeros rather than copied.  That tensor is the only
+magnitude matrix ever held whole; there is no float64 whole-matrix path.
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ _STFT_BLOCK_BYTES = 2 << 20
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Linear magnitude STFT, frames along axis 0, frequency bins along axis 1:
-    float64 from stft, float32 from export_spectrogram."""
+    """Linear magnitude STFT, frames along axis 0, frequency bins along axis 1,
+    as export_spectrogram returns it (float32)."""
 
     magnitudes: np.ndarray
     frame_hop_s: float
@@ -138,28 +139,6 @@ def _store(out: np.ndarray, first: int, mags: np.ndarray) -> None:
     out[first:first + mags.shape[0]] = mags
 
 
-def _spectrogram(mags: np.ndarray, sample_rate: int, window_samples: int,
-                 hop_samples: int) -> Spectrogram:
-    return Spectrogram(
-        magnitudes=mags,
-        frame_hop_s=hop_samples / sample_rate,
-        window_s=window_samples / sample_rate,
-        bin_hz=sample_rate / window_samples,
-        sample_rate=sample_rate,
-    )
-
-
-def stft(clip: AudioClip, window_s: float, hop_s: float) -> Spectrogram:
-    """The whole magnitude matrix, window/hop given in seconds and rounded to
-    whole samples (see stft_samples)."""
-    window_samples = int(round(window_s * clip.sample_rate))
-    hop_samples = int(round(hop_s * clip.sample_rate))
-    mags = np.empty((_frame_count(clip, window_samples, hop_samples, None),
-                     window_samples // 2 + 1))
-    stft_samples(clip, window_samples, hop_samples, functools.partial(_store, mags))
-    return _spectrogram(mags, clip.sample_rate, window_samples, hop_samples)
-
-
 def export_spectrogram(clip: AudioClip) -> Spectrogram:
     """Spectrogram for external consumers: the clip zero-padded to 3 s,
     4096-sample window, 10 ms hop.
@@ -175,7 +154,13 @@ def export_spectrogram(clip: AudioClip) -> Spectrogram:
                      EXPORT_WINDOW_SAMPLES // 2 + 1), dtype="<f4")
     stft_samples(clip, EXPORT_WINDOW_SAMPLES, hop_samples,
                  functools.partial(_store, mags), span)
-    return _spectrogram(mags, clip.sample_rate, EXPORT_WINDOW_SAMPLES, hop_samples)
+    return Spectrogram(
+        magnitudes=mags,
+        frame_hop_s=hop_samples / clip.sample_rate,
+        window_s=EXPORT_WINDOW_SAMPLES / clip.sample_rate,
+        bin_hz=clip.sample_rate / EXPORT_WINDOW_SAMPLES,
+        sample_rate=clip.sample_rate,
+    )
 
 
 def write_tensor(spec: Spectrogram, path: str | Path) -> None:

@@ -27,7 +27,8 @@ history is non-increasing.  The solver stops once the relative duality gap
 sum(alpha) - 0.5*||v||^2 of the current iterate (Hsieh et al.,
 section 2), is at most SOLVER_GAP.  By weak duality the gap bounds the
 incumbent's relative suboptimality over every row, shrunk or not (the gap
-as a stopping certificate: Shalev-Shwartz & Zhang, JMLR 2013).
+as a stopping certificate: Shalev-Shwartz & Zhang, JMLR 2013).  A machine
+is converged exactly when its final gap met SOLVER_GAP within SOLVER_MAX_EPOCHS.
 """
 from __future__ import annotations
 
@@ -97,10 +98,9 @@ class BinarySvm:
     """One pairwise machine; decision d(x) = w.x + b in standardised space.
 
     d > 0 votes class_pos, d < 0 votes class_neg, d = 0 votes class_pos
-    (the alphabetically lower class of the pair).  converged is False when
-    the solver reached its epoch cap before the duality gap met SOLVER_GAP,
-    and gap is the last relative duality gap the solver measured.  Model
-    files record neither, so a machine read back from one says True and NaN.
+    (the alphabetically lower class of the pair).  gap is the last relative
+    duality gap the solver measured.  Model files do not record it, so a
+    machine read back from one has gap NaN.
     """
 
     class_pos: str
@@ -109,8 +109,13 @@ class BinarySvm:
     bias: float
     cost: float
     objective_history: tuple = field(default=(), repr=False, compare=False)
-    converged: bool = field(default=True, repr=False, compare=False)
     gap: float = field(default=float("nan"), repr=False, compare=False)
+
+    @property
+    def converged(self) -> bool:
+        """False when the solver reached SOLVER_MAX_EPOCHS before the gap met
+        SOLVER_GAP; True for a machine read back from a model file."""
+        return not self.gap > SOLVER_GAP
 
 
 def _primal_objective(v: np.ndarray, Xy: np.ndarray, box: np.ndarray,
@@ -152,19 +157,19 @@ def _face_step(Xy: np.ndarray, box: np.ndarray, v: np.ndarray,
 
 
 def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
-                rng: np.random.Generator, max_epochs: int,
-                ) -> tuple[np.ndarray, tuple[float, ...], bool, float]:
+                rng: np.random.Generator,
+                ) -> tuple[np.ndarray, tuple[float, ...], float]:
     """Dual coordinate ascent with shrinking and a Newton step on the free face.
 
     An epoch is one coordinate sweep over the active rows; after a sweep of
     the shrunk set (not a full pass) that left between 1 and Xa.shape[1]
     rows strictly inside their box, _face_step moves those rows together.
     The dual rises under both moves, so the incumbent, the gap stop and
-    max_epochs need no change for the face step.
+    the epoch cap need no change for the face step.
 
-    Returns the best-primal iterate, its history (one entry per epoch),
-    whether the relative duality gap met SOLVER_GAP within max_epochs, and
-    the last relative duality gap measured.
+    Returns the best-primal iterate, its history (one entry per epoch), and
+    the last relative duality gap measured: at most SOLVER_GAP unless
+    SOLVER_MAX_EPOCHS ran out first.
     """
     n, dim = Xa.shape
     Xy = Xa * y[:, None]
@@ -182,10 +187,10 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
     gap = 1.0  # the dual is 0 at alpha = 0
     everyone = list(range(n))
     active = everyone
-    full_pass, converged = True, False
+    full_pass = True
     full_violation = shrink_hi = np.inf
     shrink_lo = -np.inf
-    for _ in range(max_epochs):
+    for _ in range(SOLVER_MAX_EPOCHS):
         pg_hi = pg_lo = 0.0  # largest and most negative projected gradient
         kept, free = [], []
         order = list(active)
@@ -230,7 +235,6 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
         history.append(best_obj)
         gap = (best_obj - (alpha_sum - 0.5 * vv)) / best_obj
         if gap <= SOLVER_GAP:
-            converged = True
             break
         violation = max(pg_hi, -pg_lo)
         if full_pass:
@@ -244,17 +248,18 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
             active = sorted(kept)  # the order depends on the set and rng only
             shrink_hi = pg_hi if pg_hi > 0.0 else np.inf
             shrink_lo = pg_lo if pg_lo < 0.0 else -np.inf
-    return best_v, tuple(history), converged, gap
+    return best_v, tuple(history), gap
 
 
 def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
                  weight_pos: float = 1.0, weight_neg: float = 1.0,
                  seed=0, class_pair: tuple[str, str] = ("+1", "-1"),
-                 max_epochs: int = SOLVER_MAX_EPOCHS) -> BinarySvm:
+                 ) -> BinarySvm:
     """Train one weighted hinge-loss machine on +/-1 labels.
 
     Deterministic for fixed inputs and seed; converged is False when
-    max_epochs ran out before the relative duality gap met SOLVER_GAP.
+    SOLVER_MAX_EPOCHS ran out before the relative duality gap met SOLVER_GAP.
+    A non-finite feature, whose NaN gap would read as converged, is a ValueError.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -262,13 +267,14 @@ def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
     y = np.asarray(y, dtype=np.float64)
     if not ((y > 0).any() and (y < 0).any()):
         raise SingleClassDataError("both classes must be present")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite numbers")
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
     box = cost * np.where(y > 0, weight_pos, weight_neg)
-    v, history, converged, gap = _solve_dual(Xa, y, box, _as_rng(seed),
-                                             max_epochs)
+    v, history, gap = _solve_dual(Xa, y, box, _as_rng(seed))
     return BinarySvm(class_pos=class_pair[0], class_neg=class_pair[1],
                      weights=v[:-1], bias=float(v[-1]), cost=cost,
-                     objective_history=history, converged=converged, gap=gap)
+                     objective_history=history, gap=gap)
 
 
 @dataclass(frozen=True)

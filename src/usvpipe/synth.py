@@ -21,6 +21,7 @@ from .exceptions import SpecOutOfRangeError
 from .seeding import rng_for
 
 NOISE_SMOOTHING_S = 0.050  # single-pole low-pass time constant for the jitter
+DURATION_RANGE_S = (0.5, 1.0)  # synth_corpus draws clip lengths uniformly from it
 
 # 11 well-separated classes: means 500 Hz apart, modest jitter, no trend.
 SEPARABLE_CLASS_SPECS = {
@@ -80,9 +81,7 @@ def synth_utterance(spec: SynthSpec, sample_rate: int) -> AudioClip:
 
 def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
                  class_specs: dict[str, dict] | None = None, seed: int = 0,
-                 sample_rate: int = 50_000,
-                 duration_range: tuple[float, float] = (0.5, 1.0),
-                 ) -> tuple[Path, Path]:
+                 sample_rate: int = 50_000) -> tuple[Path, Path]:
     """Write a synthetic corpus: WAVs, an annotation table, and its schema.
 
     Utterances rotate round-robin over the synthetic emitters.  Returns
@@ -104,7 +103,7 @@ def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
         for _ in range(per_class_count):
             uid = f"u{counter:06d}"
             emitter = emitters[counter % n_emitters]
-            duration = float(rng.uniform(*duration_range))
+            duration = float(rng.uniform(*DURATION_RANGE_S))
             amplitude = float(rng.uniform(0.3, 0.9))
             clip_seed = int(rng.integers(2 ** 62))
             spec = SynthSpec(context=label, f0_mean=params["f0_mean"],

@@ -434,6 +434,36 @@ def test_repeated_feature_row_exits_2_naming_it(small_corpus, tmp_path, caplog, 
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+# case: (column index, text written there in the first data row)
+BAD_FEATURE_FIELDS = {
+    "nan_feature": (4, "nan"),
+    "infinite_duration": (3, "inf"),
+    "negative_duration": (3, "-0.5"),
+    "non_numeric_feature": (13, "high"),
+    "unknown_context": (2, "chirping"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FEATURE_FIELDS))
+@pytest.mark.parametrize("stage", ["partition", "train-eval", "table1"])
+def test_bad_feature_field_exits_2_naming_it(small_corpus, tmp_path, caplog, stage,
+                                             case):
+    root, _config = small_corpus
+    for table in ("features.csv", "folds.csv"):
+        (tmp_path / table).write_bytes((root / "results" / table).read_bytes())
+    lines = (tmp_path / "features.csv").read_text().splitlines(keepends=True)
+    column, text = BAD_FEATURE_FIELDS[case]
+    fields = lines[2].rstrip("\n").split(",")
+    fields[column] = text
+    (tmp_path / "features.csv").write_text(
+        "".join(lines[:2] + [",".join(fields) + "\n"] + lines[3:]))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([stage, "--out", str(tmp_path)]) == 2
+    name = lines[1].rstrip("\n").split(",")[column]
+    assert f"features.csv: utterance {fields[0]}: {name} '{text}' " in caplog.text
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 SETTING_FLAGS = {  # RunConfig field: (flag arguments, value from the flag)
     "annotation_file": (["--annotations", "f/a.csv"], Path("f/a.csv")),
     "schema_file": (["--schema", "f/s.json"], Path("f/s.json")),

@@ -59,15 +59,13 @@ class TestLoadAnnotations:
     def test_malformed_row_reports_line_number(self, tmp_path, schema):
         path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4",
                                             "a2,b-18,3,y.wav,not-a-number"])
-        with pytest.raises(AnnotationParseError) as err:
-            load_annotations(path, schema)
-        assert err.value.row_number == 3  # header is line 1
+        with pytest.raises(AnnotationParseError, match=r"annotations\.csv:3: "):
+            load_annotations(path, schema)  # the header is line 1
 
     def test_wrong_field_count_reports_line_number(self, tmp_path, schema):
         path = write_annotations(tmp_path, ["a1,b-17,7,x.wav"])
-        with pytest.raises(AnnotationParseError) as err:
+        with pytest.raises(AnnotationParseError, match=r"annotations\.csv:2: "):
             load_annotations(path, schema)
-        assert err.value.row_number == 2
 
     def test_nonpositive_duration_rejected(self, tmp_path, schema):
         path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,-0.5"])
@@ -86,9 +84,8 @@ class TestLoadAnnotations:
         schema_path = tmp_path / "s.json"
         schema_path.write_text(json.dumps(raw))
         path = write_annotations(tmp_path, [row], header="uid,bat,ctx,dur,t0,t1")
-        with pytest.raises(AnnotationParseError, match="annotations.csv:2: ") as err:
+        with pytest.raises(AnnotationParseError, match=r"annotations\.csv:2: "):
             load_annotations(path, SchemaConfig.from_json(schema_path))
-        assert err.value.row_number == 2
 
     def test_start_end_duration(self, tmp_path):
         raw = {

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -95,18 +97,14 @@ class TestConfusion:
         matrix, _ = confusion(FOUR_POINT)
         np.testing.assert_allclose(matrix, [[0.5, 0.5], [0.0, 1.0]])
 
-    def test_absent_class_row_is_zero(self):
-        ps = preds_from(["A", "B"], ["A", "B"])
-        matrix, labels = confusion(ps, labels=("A", "B", "C"))
-        assert labels == ("A", "B", "C")
-        np.testing.assert_array_equal(matrix[2], 0.0)
-
     def test_rows_sum_to_one_or_zero(self):
         rng = np.random.default_rng(1)
         labels = list("ABCDE")
         truth = [labels[i] for i in rng.integers(0, 4, 200)]  # E never true
         pred = [labels[i] for i in rng.integers(0, 5, 200)]
-        matrix, order = confusion(preds_from(truth, pred), labels=labels)
+        matrix, order = confusion(preds_from(truth, pred))
+        assert order == tuple(labels)
+        np.testing.assert_array_equal(matrix[4], 0.0)
         sums = matrix.sum(axis=1)
         for lab, s in zip(order, sums):
             assert s == pytest.approx(1.0, abs=1e-9) or s == 0.0
@@ -130,6 +128,17 @@ class TestReportAndCsv:
         assert report.per_class_recall == {"A": 0.5, "B": 1.0}
         text = report_to_json(report, provenance={"seed": 1})
         assert '"uar": 0.75' in text
+
+    @pytest.mark.parametrize("where", ["report", "provenance"])
+    def test_report_json_refuses_nan(self, where):
+        report = build_report(FOUR_POINT, replicates=20, seed=1)
+        provenance = {"max_relative_gap": {"0": 1e-5}}
+        if where == "report":
+            report = replace(report, ci_high=float("nan"))
+        else:
+            provenance["max_relative_gap"]["1"] = float("nan")
+        with pytest.raises(ValueError):
+            report_to_json(report, provenance=provenance)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):

@@ -9,52 +9,56 @@ from hypothesis import strategies as st
 from usvpipe.audio_io import AudioClip, pad_to_duration
 from usvpipe.exceptions import ClipTooShortError
 from usvpipe.spectral import (_STFT_BLOCK_BYTES, export_spectrogram, read_tensor,
-                              stft, stft_samples, write_tensor)
+                              stft_samples, write_tensor)
 
 from conftest import brute_force_dft_magnitudes, sine_clip
 
 
 def test_frame_and_bin_counts_at_corpus_rate():
-    # 1 s at 250 kHz, 100 ms window, 16 ms hop -> 57 frames x 12501 bins,
-    # 10 Hz bins, per-frame argmax at bin 1100 for an 11 kHz tone
+    # 1 s at 250 kHz, 100 ms window (10 Hz bins), 16 ms hop -> 57 frames x
+    # 12501 bins, per-frame argmax at bin 1100 for an 11 kHz tone
     clip = sine_clip(11_000, duration_s=1.0, sample_rate=250_000)
-    spec = stft(clip, 0.100, 0.016)
-    assert spec.magnitudes.shape == (57, 12_501)
-    assert spec.bin_hz == 10.0
-    assert np.all(np.argmax(spec.magnitudes, axis=1) == 1100)
+    frames, blocks = _kernel_blocks(clip, 25_000, 4000)
+    mags = _stacked(blocks)
+    assert frames == 57
+    assert mags.shape == (57, 12_501)
+    assert np.all(np.argmax(mags, axis=1) == 1100)
 
 
 def test_sub_sample_window_rejected():
     clip = sine_clip(1000, duration_s=0.1, sample_rate=8000)
     with pytest.raises(ValueError):
-        stft(clip, 0.00001, 0.016)
+        _kernel_blocks(clip, 0, 128)  # 10 us rounds to 0 samples at 8 kHz
 
 
 def test_sine_argmax_matches_brute_force_dft():
     clip = sine_clip(11_000, duration_s=0.6, sample_rate=50_000)
-    spec = stft(clip, 0.100, 0.016)
-    assert np.all(np.argmax(spec.magnitudes, axis=1) == 1100)
+    frames, blocks = _kernel_blocks(clip, 5000, 800)
+    mags = _stacked(blocks)
+    assert np.all(np.argmax(mags, axis=1) == 1100)
 
     # independent check: naive DFT of the same windowed frames
     win = int(0.100 * 50_000)
     hann = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win) / win)
-    for t in (0, 7, spec.frame_count - 1):
+    for t in (0, 7, frames - 1):
         frame = clip.samples[t * 800:t * 800 + win] * hann
         oracle = brute_force_dft_magnitudes(frame)
         assert int(np.argmax(oracle)) == 1100
-        np.testing.assert_allclose(oracle, spec.magnitudes[t], rtol=1e-8, atol=1e-9)
+        np.testing.assert_allclose(oracle, mags[t], rtol=1e-8, atol=1e-9)
 
 
 def test_all_zero_clip_gives_zero_magnitudes():
     clip = AudioClip(samples=np.zeros(50_000), sample_rate=50_000)
-    spec = stft(clip, 0.100, 0.016)
-    assert np.all(spec.magnitudes == 0.0)
+    frames, blocks = _kernel_blocks(clip, 5000, 800)
+    mags = _stacked(blocks)
+    assert len(mags) == frames
+    assert np.all(mags == 0.0)
 
 
 def test_clip_shorter_than_window_rejected():
     clip = AudioClip(samples=np.zeros(2500), sample_rate=50_000)  # 50 ms
     with pytest.raises(ClipTooShortError):
-        stft(clip, 0.100, 0.016)
+        _kernel_blocks(clip, 5000, 800)
 
 
 def _one_shot(samples, window, hop):
@@ -72,6 +76,11 @@ def _kernel_blocks(clip, window, hop, span=None):
     return frames, blocks
 
 
+def _stacked(blocks):
+    """The blocks of _kernel_blocks as one frames x bins matrix."""
+    return np.concatenate([mags for _, mags in blocks])
+
+
 @settings(max_examples=60, deadline=None)
 @given(length=st.integers(8, 4000), window=st.integers(2, 500),
        hop=st.integers(1, 600))
@@ -82,7 +91,7 @@ def test_frame_count_formula(length, window, hop):
     frames, blocks = _kernel_blocks(clip, window, hop)
     assert frames == (length - window) // hop + 1
     assert sum(len(mags) for _, mags in blocks) == frames
-    assert stft(clip, window / 8000, hop / 8000).frame_count == frames
+    assert len(_one_shot(clip.samples, window, hop)) == frames
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,27 +124,26 @@ def test_block_wise_stft_equals_one_shot_rfft(window, offset):
     rng = np.random.default_rng(frames)
     clip = AudioClip(samples=rng.uniform(-1, 1, window + (frames - 1) * hop + 7),
                      sample_rate=50_000)
-    spec = stft(clip, window / 50_000, hop / 50_000)
-    assert np.array_equal(spec.magnitudes, _one_shot(clip.samples, window, hop))
-    assert spec.frame_count == frames
-    _frames, blocks = _kernel_blocks(clip, window, hop)
+    kernel_frames, blocks = _kernel_blocks(clip, window, hop)
+    assert np.array_equal(_stacked(blocks), _one_shot(clip.samples, window, hop))
+    assert kernel_frames == frames
     assert [len(mags) for _, mags in blocks] == (
         [block] * (frames // block) + [frames % block] * (frames % block > 0))
 
 
 def test_magnitudes_scale_linearly_with_amplitude():
     base = sine_clip(9000, duration_s=0.3, sample_rate=50_000, amplitude=0.25)
-    spec1 = stft(base, 0.1, 0.016)
-    spec2 = stft(AudioClip(samples=4.0 * base.samples, sample_rate=50_000), 0.1, 0.016)
-    np.testing.assert_allclose(spec2.magnitudes, 4.0 * spec1.magnitudes,
-                               rtol=1e-12, atol=1e-12)
+    mags1 = _stacked(_kernel_blocks(base, 5000, 800)[1])
+    louder = AudioClip(samples=4.0 * base.samples, sample_rate=50_000)
+    mags2 = _stacked(_kernel_blocks(louder, 5000, 800)[1])
+    np.testing.assert_allclose(mags2, 4.0 * mags1, rtol=1e-12, atol=1e-12)
 
 
 def test_bin_centre_sine_argmax_in_every_frame():
     for k in (700, 1234, 1700):
         clip = sine_clip(k * 10.0, duration_s=0.5, sample_rate=50_000)
-        spec = stft(clip, 0.1, 0.016)
-        assert np.all(np.argmax(spec.magnitudes, axis=1) == k)
+        mags = _stacked(_kernel_blocks(clip, 5000, 800)[1])
+        assert np.all(np.argmax(mags, axis=1) == k)
 
 
 class TestExportSpectrogram:
@@ -143,6 +151,9 @@ class TestExportSpectrogram:
         clip = sine_clip(11_000, duration_s=1.0, sample_rate=250_000)
         spec = export_spectrogram(clip)
         assert spec.magnitudes.shape == (299, 2049)
+        assert spec.magnitudes.dtype == np.dtype("<f4")
+        assert (spec.frame_hop_s, spec.window_s, spec.bin_hz, spec.sample_rate) == (
+            2500 / 250_000, 4096 / 250_000, 250_000 / 4096, 250_000)
 
     def test_silence_gives_zero_tensor(self):
         clip = AudioClip(samples=np.zeros(100_000), sample_rate=250_000)
@@ -212,7 +223,7 @@ class TestTensorFormat:
 
     def test_roundtrip_bit_exact(self, tmp_path):
         clip = sine_clip(8000, duration_s=0.4, sample_rate=50_000)
-        spec = stft(clip, 0.1, 0.016)
+        spec = export_spectrogram(clip)
         path = tmp_path / "t.usvt"
         write_tensor(spec, path)
         back = read_tensor(path)
@@ -228,13 +239,13 @@ class TestTensorFormat:
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         clip = sine_clip(8000, duration_s=0.4, sample_rate=50_000)
-        spec = stft(clip, 0.1, 0.016)
+        spec = export_spectrogram(clip)
         with pytest.raises(OSError):
             write_tensor(spec, tmp_path / "missing_dir" / "t.usvt")
 
     def test_header_fields(self, tmp_path):
         clip = sine_clip(8000, duration_s=0.4, sample_rate=50_000)
-        spec = stft(clip, 0.1, 0.016)
+        spec = export_spectrogram(clip)
         path = tmp_path / "t.usvt"
         write_tensor(spec, path)
         header = path.read_bytes()[:24]

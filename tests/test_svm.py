@@ -103,17 +103,24 @@ class TestSolver:
             assert np.abs(mw.weights - md.weights).max() < 1e-3
             assert abs(mw.bias - md.bias) < 1e-3
 
-    def test_capped_solve_reports_not_converged(self):
+    def test_capped_solve_reports_not_converged(self, monkeypatch):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(40, 3))
         y = np.where(X[:, 0] + rng.normal(size=40) > 0, 1.0, -1.0)
-        m = train_binary(X, y, cost=1.0, seed=0, max_epochs=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(svm, "SOLVER_MAX_EPOCHS", 1)
+            m = train_binary(X, y, cost=1.0, seed=0)
         assert len(m.objective_history) == 2
         assert m.converged is False
         assert m.gap > SOLVER_GAP
         done = train_binary(X, y, cost=1.0, seed=0)
         assert done.converged is True
         assert 0.0 <= done.gap <= SOLVER_GAP
+
+    def test_non_finite_features_rejected(self):
+        X = np.array([[0.0], [1.0], [np.nan]])
+        with pytest.raises(ValueError, match="finite"):
+            train_binary(X, np.array([-1.0, 1.0, 1.0]), cost=1.0)
 
     def test_separable_pair_with_few_support_vectors_meets_the_gap_early(self):
         """Plain coordinate steps crawl along the few coupled margin rows of
@@ -369,6 +376,8 @@ def test_model_roundtrip(tmp_path):
                                   model.machines[0].weights)
     probe = rng.normal(size=(10, 10))
     assert predict(back, probe) == predict(model, probe)
+    # model files keep no gap, and a machine read back counts as converged
+    assert all(m.converged is True and np.isnan(m.gap) for m in back.machines)
 
 
 @pytest.fixture
