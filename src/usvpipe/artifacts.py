@@ -37,8 +37,25 @@ def write_table(path: str | Path, header: Sequence, rows: Iterable[Sequence],
         buf.write(f"# {comment}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    # csv quotes a field holding "\n" here but not one holding a lone "\r",
+    # which would read back as a line break
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if any(isinstance(v, str) and "\r" in v for v in row)
+         else writer).writerow(row)
     write_atomic(path, buf.getvalue().encode("utf-8"))
+
+
+def reader_after_comments(fh, delimiter: str = ","):
+    """(reader, skipped): a csv.reader over the text file fh after its first
+    `skipped` lines, those before the first line not starting with "#"
+    (only lines before the header are comments).  A row ends on file line
+    skipped + reader.line_num."""
+    lines = fh.readlines()
+    skipped = 0
+    while skipped < len(lines) and lines[skipped].startswith("#"):
+        skipped += 1
+    return csv.reader(lines[skipped:], delimiter=delimiter), skipped
 
 
 def read_table(path: str | Path, header: Sequence[str] | None = None,
@@ -51,11 +68,7 @@ def read_table(path: str | Path, header: Sequence[str] | None = None,
     comments is data, of any width.  "\\r\\n" rows read as "\\n" ones.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    skipped = 0
-    while skipped < len(lines) and lines[skipped].startswith("#"):
-        skipped += 1
-    reader = csv.reader(lines[skipped:])
+        reader, skipped = reader_after_comments(fh)
     rows, keys = [], set()
     try:
         if header is not None and next(reader, None) != list(header):

@@ -1,4 +1,4 @@
-"""Mono WAV reading/writing and fixed-duration zero padding.
+"""Mono WAV reading and writing, and the length of a clip padded to a duration.
 
 The target corpora are mono recordings at 250 kHz.  Other rates are
 accepted with a warning (synthetic fixtures deliberately use lower rates);
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .exceptions import ClipTooLongError, MalformedWavError, UnsupportedFormatError
 
 log = logging.getLogger(__name__)
@@ -167,28 +168,15 @@ def wav_duration(path: str | Path) -> float:
     return (size // ((bits + 7) // 8)) / rate
 
 
-def write_wav(path: str | Path, clip: AudioClip, encoding: str = "int16") -> None:
-    """Write a mono WAV file, either 16-bit PCM or 32-bit IEEE float."""
-    path = Path(path)
-    if encoding == "int16":
-        tag, bits = _WAVE_FORMAT_PCM, 16
-        scaled = np.clip(np.round(clip.samples * 32767.0), -32768, 32767)
-        payload = scaled.astype("<i2").tobytes()
-    elif encoding == "float32":
-        tag, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
-        payload = clip.samples.astype("<f4").tobytes()
-    else:
-        raise ValueError(f"unknown encoding: {encoding}")
-
-    block_align = bits // 8
-    fmt = struct.pack("<HHIIHH", tag, 1, clip.sample_rate,
-                      clip.sample_rate * block_align, block_align, bits)
-    chunks = [b"fmt " + struct.pack("<I", len(fmt)) + fmt]
-    if tag == _WAVE_FORMAT_IEEE_FLOAT:
-        chunks.append(b"fact" + struct.pack("<II", 4, clip.samples.size))
-    chunks.append(b"data" + struct.pack("<I", len(payload)) + payload)
-    body = b"".join(chunks)
-    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+def write_wav(path: str | Path, clip: AudioClip) -> None:
+    """Write a mono 16-bit PCM WAV file: samples times 32767, rounded and
+    clipped to the int16 range.  The file is replaced atomically."""
+    payload = np.clip(np.round(clip.samples * 32767.0), -32768, 32767).astype("<i2")
+    fmt = b"fmt " + struct.pack("<IHHIIHH", 16, _WAVE_FORMAT_PCM, 1, clip.sample_rate,
+                                clip.sample_rate * 2, 2, 16)
+    data = b"data" + struct.pack("<I", payload.nbytes)
+    riff = b"RIFF" + struct.pack("<I", 4 + len(fmt) + len(data) + payload.nbytes)
+    write_atomic(path, riff + b"WAVE", fmt, data, memoryview(payload).cast("B"))
 
 
 def padded_length(clip: AudioClip, duration_s: float) -> int:
@@ -203,19 +191,3 @@ def padded_length(clip: AudioClip, duration_s: float) -> int:
             f"{clip.source_id or 'clip'}: {clip.samples.size} samples exceed the "
             f"{duration_s} s target of {target}")
     return target
-
-
-def pad_to_duration(clip: AudioClip, duration_s: float) -> AudioClip:
-    """Zero-pad a clip at the tail to exactly padded_length(clip, duration_s)
-    samples.
-
-    Raises ClipTooLongError if the clip is already longer than the target.
-    """
-    target = padded_length(clip, duration_s)
-    n = clip.samples.size
-    if n == target:
-        return clip
-    padded = np.zeros(target, dtype=np.float64)
-    padded[:n] = clip.samples
-    return AudioClip(samples=padded, sample_rate=clip.sample_rate,
-                     source_id=clip.source_id)

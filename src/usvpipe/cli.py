@@ -322,7 +322,7 @@ def cmd_export_spectrograms(args: argparse.Namespace) -> int:
     def export(utt: Utterance) -> tuple[int, int]:
         spec = export_spectrogram(load_wav(utt.audio_path))
         write_tensor(spec, tensor_dir / f"{utt.id}.usvt")
-        return spec.frame_count, spec.bin_count
+        return spec.magnitudes.shape
 
     done, status = _per_utterance(cfg, "export-spectrograms", export,
                                   "export_skip_report.csv")
@@ -368,7 +368,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "seed": args.seed if args.seed is not None else 0,
     }
     config_path = out_dir / "config.json"
-    config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    write_atomic(config_path,
+                 (json.dumps(config, indent=2, sort_keys=True) + "\n").encode())
     print(f"synth: corpus under {out_dir}, run config at {config_path}")
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .artifacts import write_table
+from .artifacts import reader_after_comments, write_table
 from .audio_io import wav_duration
 from .exceptions import AnnotationParseError, PipelineError, SchemaMismatchError
 
@@ -27,7 +27,7 @@ LABEL_UNKNOWN = "unknown"
 LABEL_LANDING = "landing"
 INGEST_ONLY_LABELS = (LABEL_UNKNOWN, LABEL_LANDING)
 
-MAX_UTTERANCE_S = 3.0
+MAX_UTTERANCE_S = 3.0  # the filter's length limit, and the length export pads to
 
 
 @dataclass(frozen=True)
@@ -110,41 +110,40 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[RawRecord]:
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        numbered = [(i + 1, line) for i, line in enumerate(fh)
-                    if not line.startswith("#")]
-    if not numbered:
-        raise SchemaMismatchError(f"{path}: empty annotation file")
-
-    header = next(csv.reader([numbered[0][1]], delimiter=schema.delimiter))
-    index = {name: i for i, name in enumerate(header)}
-    required = [schema.id_column, schema.emitter_column, schema.context_column]
-    for optional in (schema.file_column, schema.duration_column,
-                     schema.start_column, schema.end_column):
-        if optional is not None:
-            required.append(optional)
-    for col in required:
-        if col not in index:
-            raise SchemaMismatchError(f"{path}: required column '{col}' not found")
-
+        reader, comments = reader_after_comments(fh, schema.delimiter)
     records = []
-    for line_no, line in numbered[1:]:
-        row = next(csv.reader([line], delimiter=schema.delimiter))
-        if len(row) != len(header):
-            raise AnnotationParseError(
-                f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
-        try:
-            duration = _row_duration(row, index, schema)
-        except ValueError as exc:
-            raise AnnotationParseError(f"{path}:{line_no}: {exc}") from exc
-        code = row[index[schema.context_column]].strip()
-        records.append(RawRecord(
-            id=row[index[schema.id_column]].strip(),
-            emitter=row[index[schema.emitter_column]].strip(),
-            context=schema.context_map.get(code, LABEL_UNKNOWN),
-            file_ref=(row[index[schema.file_column]].strip()
-                      if schema.file_column else None),
-            duration_s=duration,
-        ))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaMismatchError(f"{path}: empty annotation file")
+        index = {name: i for i, name in enumerate(header)}
+        for col in (schema.id_column, schema.emitter_column, schema.context_column,
+                    schema.file_column, schema.duration_column,
+                    schema.start_column, schema.end_column):
+            if col is not None and col not in index:
+                raise SchemaMismatchError(f"{path}: required column '{col}' not found")
+
+        for row in reader:
+            if len(row) != len(header):
+                raise AnnotationParseError(
+                    f"{path}:{comments + reader.line_num}: expected "
+                    f"{len(header)} fields, got {len(row)}")
+            try:
+                duration = _row_duration(row, index, schema)
+            except ValueError as exc:
+                raise AnnotationParseError(
+                    f"{path}:{comments + reader.line_num}: {exc}") from exc
+            code = row[index[schema.context_column]].strip()
+            records.append(RawRecord(
+                id=row[index[schema.id_column]].strip(),
+                emitter=row[index[schema.emitter_column]].strip(),
+                context=schema.context_map.get(code, LABEL_UNKNOWN),
+                file_ref=(row[index[schema.file_column]].strip()
+                          if schema.file_column else None),
+                duration_s=duration,
+            ))
+    except csv.Error as exc:
+        raise AnnotationParseError(f"{path}:{comments + reader.line_num}: {exc}") from exc
     return records
 
 
@@ -181,10 +180,6 @@ class FilterReport:
     retained: int = 0
 
     RULES = ("unknown_context", "landing", "unidentified_emitter", "too_long")
-
-    @property
-    def dropped(self) -> int:
-        return sum(getattr(self, rule) for rule in self.RULES)
 
     def rows(self) -> list[tuple[str, int]]:
         return ([("total_in", self.total_in)]

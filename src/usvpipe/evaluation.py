@@ -65,13 +65,8 @@ def _recalls(y_true: np.ndarray, y_pred: np.ndarray, k: int) -> np.ndarray:
         return np.where(totals > 0, correct / totals, np.nan)
 
 
-def uar(preds: PredictionSet) -> float:
-    """Mean recall over the classes present in the true labels."""
-    return uar_from_labels(preds.true_labels, preds.predicted_labels)
-
-
 def uar_from_labels(y_true: Sequence[str], y_pred: Sequence[str]) -> float:
-    """UAR over plain label sequences (no ids); used for model selection."""
+    """Mean recall over the classes present in the true labels."""
     t, p, order = _encode(y_true, y_pred)
     return float(np.nanmean(_recalls(t, p, len(order))))
 
@@ -96,23 +91,10 @@ def bootstrap_ci(preds: PredictionSet, replicates: int = BOOTSTRAP_REPLICATES,
     return float(low), float(high)
 
 
-def confusion(preds: PredictionSet) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Row-normalised confusion matrix in a fixed alphabetical label order.
-
-    Entry (r, c) is the fraction of class r predicted as class c; rows for
-    classes with no test instances are all zero.
-    """
-    y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels)
-    k = len(order)
-    counts = np.bincount(y_true * k + y_pred, minlength=k * k).reshape(k, k).astype(float)
-    totals = counts.sum(axis=1, keepdims=True)
-    matrix = np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
-    return matrix, order
-
-
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Pooled-prediction summary: UAR, CI, per-class recalls, confusion."""
+    """Pooled-prediction summary: UAR, CI, per-class recalls, and confusion[r][c],
+    the fraction of class r predicted as c (a row of zeros if r is never true)."""
 
     labels: tuple[str, ...]
     uar: float
@@ -126,8 +108,11 @@ class EvaluationReport:
 def build_report(preds: PredictionSet, replicates: int = BOOTSTRAP_REPLICATES,
                  seed: int = 0) -> EvaluationReport:
     y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels)
-    recalls = _recalls(y_true, y_pred, len(order))
-    matrix, _ = confusion(preds)
+    k = len(order)
+    recalls = _recalls(y_true, y_pred, k)
+    counts = np.bincount(y_true * k + y_pred, minlength=k * k).reshape(k, k).astype(float)
+    totals = counts.sum(axis=1, keepdims=True)
+    matrix = np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
     low, high = bootstrap_ci(preds, replicates=replicates, seed=seed)
     per_class = {lab: (None if np.isnan(rec) else float(rec))
                  for lab, rec in zip(order, recalls)}

@@ -22,11 +22,11 @@ import numpy as np
 
 from .artifacts import write_atomic
 from .audio_io import AudioClip, padded_length
+from .corpus import MAX_UTTERANCE_S
 from .exceptions import ClipTooShortError
 
 EXPORT_WINDOW_SAMPLES = 4096
 EXPORT_HOP_S = 0.010
-EXPORT_PAD_S = 3.0
 
 _TENSOR_MAGIC = b"USVT"
 _TENSOR_VERSION = 1
@@ -52,14 +52,6 @@ class Spectrogram:
     def __post_init__(self):
         if self.magnitudes.ndim != 2:
             raise ValueError("magnitudes must be a frames x bins matrix")
-
-    @property
-    def frame_count(self) -> int:
-        return self.magnitudes.shape[0]
-
-    @property
-    def bin_count(self) -> int:
-        return self.magnitudes.shape[1]
 
 
 @functools.lru_cache(maxsize=8)
@@ -140,15 +132,15 @@ def _store(out: np.ndarray, first: int, mags: np.ndarray) -> None:
 
 
 def export_spectrogram(clip: AudioClip) -> Spectrogram:
-    """Spectrogram for external consumers: the clip zero-padded to 3 s,
-    4096-sample window, 10 ms hop.
+    """Spectrogram for external consumers: the clip zero-padded to the cohort
+    filter's MAX_UTTERANCE_S (3 s), 4096-sample window, 10 ms hop.
 
     At 250 kHz this yields exactly 299 frames x 2049 bins.  Magnitudes are
     linear float32; consumers apply their own compression.  No padded copy
     of the clip is made, and frames that lie wholly in the padding stay 0
     without a transform.  Raises ClipTooLongError for a clip over 3 s.
     """
-    span = padded_length(clip, EXPORT_PAD_S)
+    span = padded_length(clip, MAX_UTTERANCE_S)
     hop_samples = int(round(EXPORT_HOP_S * clip.sample_rate))
     mags = np.zeros((_frame_count(clip, EXPORT_WINDOW_SAMPLES, hop_samples, span),
                      EXPORT_WINDOW_SAMPLES // 2 + 1), dtype="<f4")

@@ -56,10 +56,6 @@ def _entropy(seed) -> tuple[int, ...]:
     return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    return rng_for(*_entropy(seed))
-
-
 @dataclass(frozen=True)
 class Standardiser:
     """Per-feature mean/std of the development set (population std).
@@ -271,7 +267,7 @@ def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
         raise ValueError("features must be finite numbers")
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
     box = cost * np.where(y > 0, weight_pos, weight_neg)
-    v, history, gap = _solve_dual(Xa, y, box, _as_rng(seed))
+    v, history, gap = _solve_dual(Xa, y, box, rng_for(*_entropy(seed)))
     return BinarySvm(class_pos=class_pair[0], class_neg=class_pair[1],
                      weights=v[:-1], bias=float(v[-1]), cost=cost,
                      objective_history=history, gap=gap)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import lfilter
 
-from .artifacts import write_table
+from .artifacts import write_atomic, write_table
 from .audio_io import AudioClip, write_wav
 from .corpus import CONTEXT_LABELS
 from .exceptions import SpecOutOfRangeError
@@ -130,5 +130,6 @@ def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
         "context_map": {label: label for label in sorted(specs)},
         "emitter_placeholders": ["unknown-emitter"],
     }
-    schema_path.write_text(json.dumps(schema, indent=2, sort_keys=True) + "\n")
+    write_atomic(schema_path,
+                 (json.dumps(schema, indent=2, sort_keys=True) + "\n").encode())
     return annotation_path, schema_path

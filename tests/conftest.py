@@ -25,6 +25,14 @@ def brute_force_dft_magnitudes(frame: np.ndarray, block: int = 256) -> np.ndarra
     return out
 
 
+def one_shot_stft(samples, window, hop):
+    """Every frame's Hann-windowed rfft magnitude in one call, independent of
+    the block-wise kernel under test."""
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+    frames = np.lib.stride_tricks.sliding_window_view(samples, window)[::hop]
+    return np.abs(np.fft.rfft(frames * hann, axis=1))
+
+
 def sine_clip(freq_hz: float, duration_s: float = 1.0, sample_rate: int = 50_000,
               amplitude: float = 0.5, phase: float = 0.0,
               source_id: str = "tone") -> AudioClip:

@@ -17,7 +17,8 @@ import pytest
 
 from usvpipe.audio_io import AudioClip
 from usvpipe.cli import main
-from usvpipe.evaluation import Prediction, PredictionSet, bootstrap_ci, uar
+from usvpipe.evaluation import (Prediction, PredictionSet, bootstrap_ci,
+                                uar_from_labels)
 from usvpipe.partition import read_fold_plan
 from usvpipe.pitch import contour_stats, extract_f0, read_feature_csv
 from usvpipe.spectral import export_spectrogram, read_tensor, write_tensor
@@ -145,20 +146,11 @@ def test_criterion_3_gate_property():
 
 
 def test_criterion_4_uar_unit_suite():
-    all_correct = PredictionSet([Prediction(f"u{i}", lab, lab, 0)
-                                 for i, lab in enumerate("ABCABCA")])
-    case1 = uar(all_correct) == 1.0
-
-    four = PredictionSet([Prediction("u1", "A", "A", 0),
-                          Prediction("u2", "A", "B", 0),
-                          Prediction("u3", "B", "B", 0),
-                          Prediction("u4", "B", "B", 0)])
-    case2 = uar(four) == 0.75
-
+    case1 = uar_from_labels(list("ABCABCA"), list("ABCABCA")) == 1.0
+    case2 = uar_from_labels(["A", "A", "B", "B"], ["A", "B", "B", "B"]) == 0.75
     labels = [f"c{i:02d}" for i in range(11)]
-    constant = PredictionSet([Prediction(f"u{i}_{j}", lab, labels[0], 0)
-                              for i, lab in enumerate(labels) for j in range(4)])
-    case3 = abs(uar(constant) - 1.0 / 11.0) < 1e-15
+    truth = [lab for lab in labels for _ in range(4)]
+    case3 = abs(uar_from_labels(truth, [labels[0]] * len(truth)) - 1.0 / 11.0) < 1e-15
 
     ok = case1 and case2 and case3
     report(4, ok, f"all-correct = 1.0: {case1}; recalls (0.5, 1.0) -> 0.75: "

@@ -15,6 +15,13 @@ def test_roundtrip_stamp_and_line_endings(tmp_path):
     assert read_table(path, HEADER) == [["u1", "too_short"], ["u2", "a,b"]]
 
 
+def test_line_breaks_in_fields_read_back(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [["u\r1", "a\nb"], ["u2", "c\r\nd"], ["u3", "plain"]]
+    write_table(path, HEADER, rows)
+    assert read_table(path, HEADER) == rows
+
+
 def test_only_lines_before_the_header_are_comments(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, HEADER, [("#u1", "too_short"), ("u2", "all_unvoiced")],

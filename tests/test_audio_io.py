@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usvpipe.audio_io import (AudioClip, load_wav, pad_to_duration, wav_duration,
+from usvpipe.audio_io import (AudioClip, load_wav, padded_length, wav_duration,
                               write_wav)
 from usvpipe.exceptions import (ClipTooLongError, MalformedWavError, PipelineError,
                                 UnsupportedFormatError)
+from usvpipe.spectral import export_spectrogram
 
-from conftest import write_raw_wav
+from conftest import one_shot_stft, write_raw_wav
 
 
 def test_int16_scaling_by_type_maximum(tmp_wav_factory):
@@ -54,14 +55,14 @@ def test_not_riff_rejected(tmp_path):
 
 def test_float32_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
-    clip = AudioClip(samples=rng.uniform(-1, 1, 500), sample_rate=250_000,
-                     source_id="f32")
+    samples = rng.uniform(-1, 1, 500)
     path = tmp_path / "f32.wav"
-    write_wav(path, clip, encoding="float32")
+    write_raw_wav(path, sample_rate=250_000, fmt_tag=3, bits=32,
+                  payload=samples.astype("<f4").tobytes())
     loaded = load_wav(path)
     assert loaded.sample_rate == 250_000
     np.testing.assert_array_equal(loaded.samples,
-                                  clip.samples.astype(np.float32).astype(np.float64))
+                                  samples.astype(np.float32).astype(np.float64))
 
 
 def test_int16_roundtrip_quantisation_bound(tmp_path):
@@ -102,32 +103,44 @@ def test_wav_duration_matches_full_load(tmp_wav_factory):
 
 
 class TestPadToDuration:
+    """Export pads a clip at the tail to padded_length(clip, 3 s) samples,
+    reading the padding as zeros instead of copying the clip."""
+
+    # one 4096-sample frame of ones under the Hann window
+    ONES = one_shot_stft(np.ones(4096), 4096, 4096)[0].astype(np.float32)
+
     def test_one_second_clip_padded_to_three(self):
         clip = AudioClip(samples=np.ones(250_000), sample_rate=250_000)
-        padded = pad_to_duration(clip, 3.0)
-        assert padded.samples.size == 750_000
-        assert np.all(padded.samples[:250_000] == 1.0)
-        assert np.all(padded.samples[250_000:] == 0.0)
+        assert padded_length(clip, 3.0) == 750_000
+        mags = export_spectrogram(clip).magnitudes
+        assert mags.shape == (299, 2049)  # 750 000 samples at a 2500-sample hop
+        assert np.all(mags[:(250_000 - 4096) // 2500 + 1] == self.ONES)  # in the clip
+        assert np.all(mags[250_000 // 2500:] == 0.0)  # starting in the padding
 
     def test_exact_length_clip_unchanged(self):
         clip = AudioClip(samples=np.ones(750_000), sample_rate=250_000)
-        padded = pad_to_duration(clip, 3.0)
-        assert padded.samples.size == 750_000
-        np.testing.assert_array_equal(padded.samples, clip.samples)
+        assert padded_length(clip, 3.0) == 750_000
+        mags = export_spectrogram(clip).magnitudes
+        assert mags.shape == (299, 2049)
+        assert np.all(mags == self.ONES)
 
     def test_over_length_clip_rejected(self):
         clip = AudioClip(samples=np.ones(800_000), sample_rate=250_000)
         with pytest.raises(ClipTooLongError):
-            pad_to_duration(clip, 3.0)
+            padded_length(clip, 3.0)
+        with pytest.raises(ClipTooLongError):
+            export_spectrogram(clip)
 
     def test_prefix_preserved_bit_exactly_after_load(self, tmp_path):
         rng = np.random.default_rng(9)
-        clip = AudioClip(samples=rng.uniform(-1, 1, 5000), sample_rate=50_000)
         path = tmp_path / "pad.wav"
-        write_wav(path, clip, encoding="float32")
+        write_raw_wav(path, fmt_tag=3, bits=32,
+                      payload=rng.uniform(-1, 1, 5000).astype("<f4").tobytes())
         loaded = load_wav(path)
-        padded = pad_to_duration(loaded, 0.5)
-        np.testing.assert_array_equal(padded.samples[:5000], loaded.samples)
+        assert padded_length(loaded, 0.5) == 25_000
+        padded = np.pad(loaded.samples, (0, 150_000 - 5000))  # 3 s at 50 kHz
+        np.testing.assert_array_equal(export_spectrogram(loaded).magnitudes,
+                                      one_shot_stft(padded, 4096, 500).astype(np.float32))
 
 
 def _riff(*chunks) -> bytes:

@@ -250,11 +250,10 @@ def test_hash_prefixed_utterance_id_is_tested_once(tmp_path):
     specs = {k: SEPARABLE_CLASS_SPECS[k] for k in ("biting", "feeding")}
     annotations, schema = synth_corpus(tmp_path, n_emitters=3, per_class_count=3,
                                        class_specs=specs, seed=4, sample_rate=50_000)
-    # id column last, so the annotation reader does not take "#u000000" for a comment
-    lines = annotations.read_text().splitlines()
-    rows = [line.split(",") for line in lines]
-    rows[1][0] = "#" + rows[1][0]
-    annotations.write_text("".join(",".join(r[1:] + r[:1]) + "\n" for r in rows))
+    # the first data line starts with "#": a row, since it follows the header
+    lines = annotations.read_text().splitlines(keepends=True)
+    lines[1] = "#" + lines[1]
+    annotations.write_text("".join(lines))
     out = tmp_path / "out"
     args = ["--annotations", str(annotations), "--schema", str(schema),
             "--audio-dir", str(tmp_path), "--out", str(out)]

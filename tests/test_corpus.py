@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from usvpipe.artifacts import write_table
 from usvpipe.corpus import (CONTEXT_LABELS, FilterReport, SchemaConfig,
                             filter_cohort, load_annotations)
 from usvpipe.exceptions import (AnnotationParseError, PipelineError,
@@ -165,6 +167,68 @@ def test_fuzzed_tables_give_valid_durations_or_pipeline_errors(tmp_path_factory,
                                           and rec.duration_s > 0), rec
 
 
+def test_quoted_line_break_stays_in_its_row(tmp_path, schema):
+    rows = ['a1,b-17,7,x.wav,0.4,"seen at 21:00,\nthen again"', "a2,b-18,3,y.wav,0.5,"]
+    header = "uid,bat,ctx,wav,dur,notes"
+    path = write_annotations(tmp_path, rows, header=header)
+    assert [r.id for r in load_annotations(path, schema)] == ["a1", "a2"]
+    # a1 spans lines 2 and 3, so the bad duration of a3 is on line 5
+    path = write_annotations(tmp_path, rows + ["a3,b-19,3,z.wav,nan,"], header=header)
+    with pytest.raises(AnnotationParseError, match=r"annotations\.csv:5: "):
+        load_annotations(path, schema)
+
+
+def test_hash_prefixed_id_after_the_header_is_a_row(tmp_path, schema):
+    path = write_annotations(tmp_path, ["#a1,b-17,7,x.wav,0.4", "a2,b-18,3,y.wav,0.5"])
+    records = load_annotations(path, schema)
+    assert [r.id for r in records] == ["#a1", "a2"]
+    _, report = filter_cohort(records, schema.emitter_placeholders)
+    assert report.total_in == report.retained == 2
+
+
+def test_csv_error_names_path_and_line(tmp_path, schema):
+    too_wide = "x" * (csv.field_size_limit() + 1)
+    path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4",
+                                        f"a2,b-18,3,{too_wide},0.5"])
+    with pytest.raises(AnnotationParseError, match=r"annotations\.csv:3: field larger"):
+        load_annotations(path, schema)
+
+
+_TRICKY = ",", '"', "\n", "\r", "\r\n", "#"
+
+
+def _tricky_text():
+    """Text that mixes plain characters with the delimiter, quotes, line
+    breaks and '#', sometimes with a leading '#'."""
+    text = st.lists(st.one_of(st.text(st.characters(codec="utf-8"), max_size=3),
+                              st.sampled_from(_TRICKY)), max_size=4).map("".join)
+    return st.one_of(text, text.map(lambda t: "#" + t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_tricky_text(), _tricky_text(),
+                               st.one_of(st.sampled_from(["7", "3", "99"]),
+                                         _tricky_text()),
+                               _tricky_text(),
+                               st.one_of(st.none(),
+                                         st.floats(min_value=1e-6, max_value=10.0)),
+                               _tricky_text()), max_size=6))
+def test_written_tables_read_back_field_for_field(tmp_path_factory, rows):
+    schema = SchemaConfig(id_column="uid", emitter_column="bat", context_column="ctx",
+                          context_map={"7": "fighting", "3": "feeding"},
+                          emitter_placeholders=frozenset(), file_column="wav",
+                          duration_column="dur")
+    path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+    write_table(path, ("uid", "bat", "ctx", "wav", "dur", "notes"),
+                [(uid, bat, ctx, wav, "" if dur is None else dur, notes)
+                 for uid, bat, ctx, wav, dur, notes in rows], comment="stamp")
+    records = load_annotations(path, schema)
+    assert [(r.id, r.emitter, r.context, r.file_ref, r.duration_s)
+            for r in records] == [
+        (uid.strip(), bat.strip(), schema.context_map.get(ctx.strip(), "unknown"),
+         wav.strip(), dur) for uid, bat, ctx, wav, dur, _notes in rows]
+
+
 class TestFilterCohort:
     def records(self, tmp_path, schema):
         rows = [
@@ -186,7 +250,8 @@ class TestFilterCohort:
         assert report.landing == 1
         assert report.unidentified_emitter == 2
         assert report.too_long == 1
-        assert report.total_in - report.dropped == report.retained == 2
+        dropped = sum(getattr(report, rule) for rule in FilterReport.RULES)
+        assert report.total_in - dropped == report.retained == 2
 
     def test_post_filter_labels_admissible(self, tmp_path, schema):
         cohort, _ = filter_cohort(self.records(tmp_path, schema),
@@ -200,7 +265,7 @@ class TestFilterCohort:
             [r for r in records if r.id in {u.id for u in cohort1}][::-1],
             schema.emitter_placeholders)
         assert {u.id for u in cohort2} == {u.id for u in cohort1}
-        assert report2.dropped == 0
+        assert sum(getattr(report2, rule) for rule in FilterReport.RULES) == 0
 
     def test_duration_from_wav_when_annotation_lacks_it(self, tmp_path):
         raw = {

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from usvpipe.evaluation import (Prediction, PredictionSet, bootstrap_ci,
-                                build_report, confusion, read_predictions_csv,
-                                report_to_json, uar, uar_from_labels,
+                                build_report, read_predictions_csv,
+                                report_to_json, uar_from_labels,
                                 write_predictions_csv)
 from usvpipe.exceptions import EmptyPredictionsError
 
@@ -20,38 +20,34 @@ FOUR_POINT = preds_from(["A", "A", "B", "B"], ["A", "B", "B", "B"])
 
 class TestUar:
     def test_all_correct_is_one(self):
-        ps = preds_from(["A", "B", "B", "C", "C", "C"],
-                        ["A", "B", "B", "C", "C", "C"])
-        assert uar(ps) == 1.0
+        truth = ["A", "B", "B", "C", "C", "C"]
+        assert uar_from_labels(truth, list(truth)) == 1.0
 
     def test_mixed_recalls(self):
-        assert uar(FOUR_POINT) == 0.75
+        assert uar_from_labels(FOUR_POINT.true_labels,
+                               FOUR_POINT.predicted_labels) == 0.75
 
     def test_constant_predictor_eleven_classes(self):
         labels = [f"c{i:02d}" for i in range(11)]
         truth = [lab for lab in labels for _ in range(3)]
-        ps = preds_from(truth, ["c00"] * len(truth))
-        assert uar(ps) == pytest.approx(1.0 / 11.0)
+        assert uar_from_labels(truth, ["c00"] * len(truth)) == pytest.approx(1.0 / 11.0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyPredictionsError):
-            uar(PredictionSet([]))
+            uar_from_labels([], [])
 
     def test_invariant_to_duplicating_one_class(self):
-        base = preds_from(["A", "A", "B", "B", "B"],
-                          ["A", "B", "B", "B", "A"])
-        dup = preds_from(["A"] * 6 + ["B"] * 3,
-                         ["A", "B"] * 3 + ["B", "B", "A"])
-        assert uar(base) == uar(dup)  # recalls 0.5 and 2/3 in both
+        base = uar_from_labels(["A", "A", "B", "B", "B"], ["A", "B", "B", "B", "A"])
+        dup = uar_from_labels(["A"] * 6 + ["B"] * 3, ["A", "B"] * 3 + ["B", "B", "A"])
+        assert base == dup  # recalls 0.5 and 2/3 in both
 
     def test_equals_accuracy_for_balanced_classes(self):
         rng = np.random.default_rng(0)
         truth = ["A"] * 40 + ["B"] * 40
         pred = [t if rng.random() < 0.7 else ("B" if t == "A" else "A")
                 for t in truth]
-        ps = preds_from(truth, pred)
         accuracy = np.mean([t == p for t, p in zip(truth, pred)])
-        assert uar(ps) == pytest.approx(accuracy)
+        assert uar_from_labels(truth, pred) == pytest.approx(accuracy)
 
     def test_uar_from_labels_matches(self):
         assert uar_from_labels(["A", "A", "B", "B"], ["A", "B", "B", "B"]) == 0.75
@@ -76,7 +72,7 @@ class TestBootstrap:
         pred = (["A"] * 16 + ["B"] * 3 + ["C"] * 1 + ["B"] * 9 + ["A"] * 3
                 + ["C"] * 5 + ["B"] * 3)
         ps = preds_from(truth, pred)
-        assert uar(ps) == 0.725  # recalls 0.8, 0.75, 0.625 by hand
+        assert uar_from_labels(truth, pred) == 0.725  # recalls 0.8, 0.75, 0.625 by hand
         lo, hi = bootstrap_ci(ps, replicates=1000, seed=2024)
         assert lo == pytest.approx(0.5599583333333333, abs=1e-15)
         assert hi == pytest.approx(0.8777916666666666, abs=1e-15)
@@ -89,24 +85,25 @@ class TestBootstrap:
 class TestConfusion:
     def test_perfect_predictions_identity(self):
         ps = preds_from(["A", "B", "C"], ["A", "B", "C"])
-        matrix, labels = confusion(ps)
-        np.testing.assert_array_equal(matrix, np.eye(3))
-        assert labels == ("A", "B", "C")
+        report = build_report(ps, replicates=10)
+        np.testing.assert_array_equal(report.confusion, np.eye(3))
+        assert report.labels == ("A", "B", "C")
 
     def test_row_normalised_counts(self):
-        matrix, _ = confusion(FOUR_POINT)
-        np.testing.assert_allclose(matrix, [[0.5, 0.5], [0.0, 1.0]])
+        report = build_report(FOUR_POINT, replicates=10)
+        np.testing.assert_allclose(report.confusion, [[0.5, 0.5], [0.0, 1.0]])
 
     def test_rows_sum_to_one_or_zero(self):
         rng = np.random.default_rng(1)
         labels = list("ABCDE")
         truth = [labels[i] for i in rng.integers(0, 4, 200)]  # E never true
         pred = [labels[i] for i in rng.integers(0, 5, 200)]
-        matrix, order = confusion(preds_from(truth, pred))
-        assert order == tuple(labels)
+        report = build_report(preds_from(truth, pred), replicates=10)
+        assert report.labels == tuple(labels)
+        matrix = np.array(report.confusion)
         np.testing.assert_array_equal(matrix[4], 0.0)
         sums = matrix.sum(axis=1)
-        for lab, s in zip(order, sums):
+        for lab, s in zip(report.labels, sums):
             assert s == pytest.approx(1.0, abs=1e-9) or s == 0.0
 
     def test_diagonal_mean_equals_uar(self):
@@ -114,9 +111,9 @@ class TestConfusion:
         labels = list("ABC")
         truth = [labels[i] for i in rng.integers(0, 3, 120)]
         pred = [labels[i] for i in rng.integers(0, 3, 120)]
-        ps = preds_from(truth, pred)
-        matrix, _ = confusion(ps)
-        assert np.diag(matrix).mean() == pytest.approx(uar(ps))
+        report = build_report(preds_from(truth, pred), replicates=10)
+        assert np.diag(report.confusion).mean() == pytest.approx(
+            uar_from_labels(truth, pred))
 
 
 class TestReportAndCsv:

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usvpipe.audio_io import AudioClip, pad_to_duration
+from usvpipe.audio_io import AudioClip
 from usvpipe.exceptions import ClipTooShortError
 from usvpipe.spectral import (_STFT_BLOCK_BYTES, export_spectrogram, read_tensor,
                               stft_samples, write_tensor)
 
-from conftest import brute_force_dft_magnitudes, sine_clip
+from conftest import brute_force_dft_magnitudes, one_shot_stft, sine_clip
 
 
 def test_frame_and_bin_counts_at_corpus_rate():
@@ -61,13 +61,6 @@ def test_clip_shorter_than_window_rejected():
         _kernel_blocks(clip, 5000, 800)
 
 
-def _one_shot(samples, window, hop):
-    """Every frame's rfft magnitude in one call, independent of the kernel."""
-    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
-    frames = np.lib.stride_tricks.sliding_window_view(samples, window)[::hop]
-    return np.abs(np.fft.rfft(frames * hann, axis=1))
-
-
 def _kernel_blocks(clip, window, hop, span=None):
     """(frame count, [(first frame, copy of block)]) from stft_samples."""
     blocks = []
@@ -91,7 +84,7 @@ def test_frame_count_formula(length, window, hop):
     frames, blocks = _kernel_blocks(clip, window, hop)
     assert frames == (length - window) // hop + 1
     assert sum(len(mags) for _, mags in blocks) == frames
-    assert len(_one_shot(clip.samples, window, hop)) == frames
+    assert len(one_shot_stft(clip.samples, window, hop)) == frames
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,8 +94,8 @@ def test_kernel_pads_with_zeros_and_skips_frames_past_the_end(length, window, ho
     span = max(length, window) + pad
     samples = np.random.default_rng(length).uniform(-1, 1, length)
     frames, blocks = _kernel_blocks(AudioClip(samples, 8000), window, hop, span)
-    reference = _one_shot(np.concatenate([samples, np.zeros(span - length)]),
-                          window, hop)
+    reference = one_shot_stft(np.concatenate([samples, np.zeros(span - length)]),
+                              window, hop)
     assert frames == len(reference)
     # blocks come in frame order and cover exactly the frames that start
     # inside the clip; every later frame is all padding, so exactly 0
@@ -125,7 +118,7 @@ def test_block_wise_stft_equals_one_shot_rfft(window, offset):
     clip = AudioClip(samples=rng.uniform(-1, 1, window + (frames - 1) * hop + 7),
                      sample_rate=50_000)
     kernel_frames, blocks = _kernel_blocks(clip, window, hop)
-    assert np.array_equal(_stacked(blocks), _one_shot(clip.samples, window, hop))
+    assert np.array_equal(_stacked(blocks), one_shot_stft(clip.samples, window, hop))
     assert kernel_frames == frames
     assert [len(mags) for _, mags in blocks] == (
         [block] * (frames // block) + [frames % block] * (frames % block > 0))
@@ -196,7 +189,8 @@ def test_export_tensor_bytes_equal_one_shot_padded_reference(tmp_path, rate, nam
     clip = _export_clip(rate, length, nan)
     path = tmp_path / "t.usvt"
     write_tensor(export_spectrogram(clip), path)
-    reference = _one_shot(pad_to_duration(clip, 3.0).samples, 4096, rate // 100)
+    reference = one_shot_stft(np.pad(clip.samples, (0, 3 * rate - length)), 4096,
+                              rate // 100)
     header = b"USVT" + struct.pack("<IIIII", 1, 1, 2, *reference.shape)
     assert path.read_bytes() == header + reference.astype("<f4").tobytes()
 

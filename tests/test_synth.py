@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from usvpipe.corpus import SchemaConfig, filter_cohort, load_annotations
+from usvpipe.corpus import FilterReport, SchemaConfig, filter_cohort, load_annotations
 from usvpipe.exceptions import SpecOutOfRangeError
 from usvpipe.pitch import contour_stats, extract_f0
 from usvpipe.synth import SEPARABLE_CLASS_SPECS, SynthSpec, synth_corpus, synth_utterance
@@ -69,7 +69,7 @@ class TestSynthCorpus:
                                        schema.emitter_placeholders,
                                        audio_root=tmp_path / "c1")
         assert len(cohort) == 4
-        assert report.dropped == 0
+        assert sum(getattr(report, rule) for rule in FilterReport.RULES) == 0
         # same seed reproduces the wav bytes
         a2, _ = synth_corpus(tmp_path / "c2", n_emitters=4, per_class_count=2,
                              class_specs={k: SEPARABLE_CLASS_SPECS[k]
