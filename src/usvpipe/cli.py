@@ -18,7 +18,6 @@ import errno
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from collections import defaultdict
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, evaluation, svm
 from .artifacts import write_atomic, write_table
 from .audio_io import load_wav
 from .corpus import (SchemaConfig, Utterance, filter_cohort, load_annotations,
@@ -41,8 +40,8 @@ from .partition import FOLD_COUNT, build_plan, read_fold_plan, write_fold_plan
 from .pitch import (FeatureRecord, contour_stats, extract_f0,
                     read_feature_csv, write_feature_csv)
 from .spectral import export_spectrogram, write_tensor
-from .svm import (COST_GRID, SOLVER_GAP, SOLVER_MAX_EPOCHS, nested_select,
-                  predict, write_model)
+from .svm import (SOLVER_GAP, SOLVER_MAX_EPOCHS, nested_select, predict,
+                  write_model)
 from .synth import synth_corpus
 
 log = logging.getLogger("usvpipe")
@@ -62,15 +61,15 @@ _SKIP_REASONS = {EmptyVoicedSetError: "all_unvoiced", ClipTooShortError: "too_sh
 
 @dataclass
 class RunConfig:
-    """Resolved paths and knobs shared by the pipeline subcommands."""
+    """Resolved paths and seed shared by the pipeline subcommands.  The cost
+    grid and the bootstrap replicate count are constants:
+    svm.COST_GRID and evaluation.BOOTSTRAP_REPLICATES."""
 
     annotation_file: Path | None = None
     schema_file: Path | None = None
     audio_dir: Path | None = None
     output_dir: Path = Path("results")
     seed: int = 0
-    cost_grid: tuple[float, ...] = COST_GRID
-    bootstrap_replicates: int = 1000
 
     def config_hash(self) -> str:
         """Hash of everything that shapes results (the output location doesn't)."""
@@ -79,8 +78,8 @@ class RunConfig:
             "schema_file": str(self.schema_file),
             "audio_dir": str(self.audio_dir),
             "seed": self.seed,
-            "cost_grid": list(self.cost_grid),
-            "bootstrap_replicates": self.bootstrap_replicates,
+            "cost_grid": list(svm.COST_GRID),
+            "bootstrap_replicates": evaluation.BOOTSTRAP_REPLICATES,
         }
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -90,55 +89,43 @@ class RunConfig:
         return f"usvpipe {__version__} seed={self.seed} config={self.config_hash()}"
 
 
-def _cost_grid(value) -> tuple[float, ...]:
-    """A comma-separated string (flag) or a list (config file) of costs."""
-    grid = tuple(float(v) for v in (value.split(",") if isinstance(value, str)
-                                    else value))
-    if not grid or not all(math.isfinite(c) and c > 0 for c in grid):
-        raise ValueError(f"{value!r}: need one or more finite positive costs")
-    return grid
+def _seed(value) -> int:
+    """An integer from the flag's text or the config file's JSON number."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"{value!r}: need an integer")
+    return int(value)
 
 
-def _replicate_count(value) -> int:
-    count = int(value)
-    if count < 1:
-        raise ValueError(f"{value!r}: need at least 1")
-    return count
-
-
-# RunConfig field, the flag's argparse dest, and the parser of both the flag
-# and the config-file value
+# RunConfig field, its flag, the parser of both the flag and the config-file
+# value, and the flag's help
 _SETTINGS = (
-    ("annotation_file", "annotations", Path),
-    ("schema_file", "schema", Path),
-    ("audio_dir", "audio_dir", Path),
-    ("output_dir", "out", Path),
-    ("seed", "seed", int),
-    ("cost_grid", "grid", _cost_grid),
-    ("bootstrap_replicates", "replicates", _replicate_count),
+    ("annotation_file", "--annotations", Path, "annotation table path"),
+    ("schema_file", "--schema", Path, "schema config path"),
+    ("audio_dir", "--audio-dir", Path, "base directory for audio references"),
+    ("output_dir", "--out", Path, "output directory (stages share it)"),
+    ("seed", "--seed", _seed, "seed recorded in every artifact"),
 )
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Each setting from its flag, else the config file, else the default."""
-    config = getattr(args, "config", None)
-    raw = json.loads(Path(config).read_text()) if config else {}
+    raw = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(raw, dict):
-        raise ValueError(f"{config}: a config file must hold a JSON object")
-    unknown = sorted(set(raw) - {field for field, _, _ in _SETTINGS})
+        raise ValueError(f"{args.config}: a config file must hold a JSON object")
+    unknown = sorted(set(raw) - {field for field, *_ in _SETTINGS})
     if unknown:
-        raise ValueError(f"{config}: unknown settings {unknown}")
+        raise ValueError(f"{args.config}: unknown settings {unknown}")
     cfg = RunConfig()
-    for field, dest, parse in _SETTINGS:
-        value = getattr(args, dest, None)
+    for field, flag, parse, _help in _SETTINGS:
+        value = getattr(args, field)
         if value is None:
             value = raw.get(field)
         if value is not None:
             try:
                 setattr(cfg, field, parse(value))
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"invalid {field} (--{dest.replace('_', '-')}): "
-                                 f"{exc}") from None
+                raise ValueError(f"invalid {field} ({flag}): {exc}") from None
     if cfg.audio_dir is None and cfg.annotation_file is not None:
         cfg.audio_dir = cfg.annotation_file.parent
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -272,7 +259,7 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
         train_idx = np.arange(len(train_ids))
         val_idx = np.arange(len(train_ids), len(dev_ids))
         model, diag = nested_select(X_dev, y_dev, train_idx, val_idx,
-                                    grid=cfg.cost_grid, seed=(cfg.seed, fold))
+                                    seed=(cfg.seed, fold))
         write_model(cfg.output_dir / f"model_fold{fold}.csv", model,
                     comment=cfg.provenance())
         chosen_costs[str(fold)] = diag["chosen_cost"]
@@ -294,7 +281,7 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
                  fold, diag["chosen_cost"], len(test_ids))
 
     preds = PredictionSet(predictions)
-    report = build_report(preds, replicates=cfg.bootstrap_replicates, seed=cfg.seed)
+    report = build_report(preds, seed=cfg.seed)
     write_predictions_csv(cfg.output_dir / "predictions.csv", preds,
                           comment=cfg.provenance())
     provenance = {"tool": f"usvpipe {__version__}", "seed": cfg.seed,
@@ -358,14 +345,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     annotation_path, schema_path = synth_corpus(
         out_dir, n_emitters=args.emitters, per_class_count=args.per_class,
-        seed=args.seed if args.seed is not None else 0,
-        sample_rate=args.sample_rate)
+        seed=args.seed, sample_rate=args.sample_rate)
     config = {
         "annotation_file": str(annotation_path),
         "schema_file": str(schema_path),
         "audio_dir": str(out_dir),
         "output_dir": str(out_dir / "results"),
-        "seed": args.seed if args.seed is not None else 0,
+        "seed": args.seed,
     }
     config_path = out_dir / "config.json"
     write_atomic(config_path,
@@ -381,13 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--seed", type=int, help="seed recorded in every artifact")
-    common.add_argument("--out", help="output directory (stages share it)")
-    common.add_argument("--grid", help="comma-separated cost grid override")
-    common.add_argument("--replicates", type=int, help="bootstrap replicate count")
-    common.add_argument("--annotations", help="annotation table path")
-    common.add_argument("--schema", help="schema config path")
-    common.add_argument("--audio-dir", help="base directory for audio references")
+    for field, flag, _parse, help_text in _SETTINGS:
+        common.add_argument(flag, dest=field, help=help_text)
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("extract", parents=[common],

@@ -37,9 +37,9 @@ class SchemaConfig:
     id_column: str
     emitter_column: str
     context_column: str
+    file_column: str
     context_map: dict[str, str]
     emitter_placeholders: frozenset[str]
-    file_column: str | None = None
     duration_column: str | None = None
     start_column: str | None = None
     end_column: str | None = None
@@ -49,7 +49,7 @@ class SchemaConfig:
     def from_json(cls, path: str | Path) -> "SchemaConfig":
         raw = json.loads(Path(path).read_text())
         columns = raw.get("columns", {})
-        for key in ("id", "emitter", "context"):
+        for key in ("id", "emitter", "context", "file"):
             if key not in columns:
                 raise ValueError(f"{path}: schema lacks a '{key}' column mapping")
         context_map = {str(k): str(v) for k, v in raw.get("context_map", {}).items()}
@@ -61,7 +61,7 @@ class SchemaConfig:
             id_column=columns["id"],
             emitter_column=columns["emitter"],
             context_column=columns["context"],
-            file_column=columns.get("file"),
+            file_column=columns["file"],
             duration_column=columns.get("duration"),
             start_column=columns.get("start"),
             end_column=columns.get("end"),
@@ -79,7 +79,7 @@ class RawRecord:
     id: str
     emitter: str
     context: str
-    file_ref: str | None
+    file_ref: str
     duration_s: float | None
 
 
@@ -138,8 +138,7 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[RawRecord]:
                 id=row[index[schema.id_column]].strip(),
                 emitter=row[index[schema.emitter_column]].strip(),
                 context=schema.context_map.get(code, LABEL_UNKNOWN),
-                file_ref=(row[index[schema.file_column]].strip()
-                          if schema.file_column else None),
+                file_ref=row[index[schema.file_column]].strip(),
                 duration_s=duration,
             ))
     except csv.Error as exc:
@@ -214,14 +213,9 @@ def filter_cohort(records: list[RawRecord],
         if rec.emitter == "" or rec.emitter in placeholders:
             report.unidentified_emitter += 1
             continue
-        path = None
-        if rec.file_ref is not None:
-            path = root / rec.file_ref if root is not None else Path(rec.file_ref)
+        path = root / rec.file_ref if root is not None else Path(rec.file_ref)
         duration = rec.duration_s
         if duration is None:
-            if path is None:
-                raise AnnotationParseError(
-                    f"record {rec.id}: no duration and no file reference")
             try:
                 duration = wav_duration(path)
             except (PipelineError, OSError):

@@ -71,9 +71,9 @@ def uar_from_labels(y_true: Sequence[str], y_pred: Sequence[str]) -> float:
     return float(np.nanmean(_recalls(t, p, len(order))))
 
 
-def bootstrap_ci(preds: PredictionSet, replicates: int = BOOTSTRAP_REPLICATES,
-                 seed: int = 0) -> tuple[float, float]:
-    """Percentile bootstrap 95% CI of the UAR.
+def bootstrap_ci(preds: PredictionSet, seed: int = 0) -> tuple[float, float]:
+    """Percentile bootstrap 95% CI of the UAR over BOOTSTRAP_REPLICATES
+    replicates.
 
     Each replicate resamples len(preds) predictions with replacement and
     averages recall over the classes present in that replicate; the CI is
@@ -83,8 +83,8 @@ def bootstrap_ci(preds: PredictionSet, replicates: int = BOOTSTRAP_REPLICATES,
     """
     y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels)
     n, k = len(y_true), len(order)
-    stats = np.empty(replicates)
-    for r in range(replicates):
+    stats = np.empty(BOOTSTRAP_REPLICATES)
+    for r in range(BOOTSTRAP_REPLICATES):
         idx = rng_for(seed, r).integers(0, n, size=n)
         stats[r] = np.nanmean(_recalls(y_true[idx], y_pred[idx], k))
     low, high = np.percentile(stats, CI_PERCENTILES)
@@ -105,15 +105,14 @@ class EvaluationReport:
     n: int
 
 
-def build_report(preds: PredictionSet, replicates: int = BOOTSTRAP_REPLICATES,
-                 seed: int = 0) -> EvaluationReport:
+def build_report(preds: PredictionSet, seed: int = 0) -> EvaluationReport:
     y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels)
     k = len(order)
     recalls = _recalls(y_true, y_pred, k)
     counts = np.bincount(y_true * k + y_pred, minlength=k * k).reshape(k, k).astype(float)
     totals = counts.sum(axis=1, keepdims=True)
     matrix = np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
-    low, high = bootstrap_ci(preds, replicates=replicates, seed=seed)
+    low, high = bootstrap_ci(preds, seed=seed)
     per_class = {lab: (None if np.isnan(rec) else float(rec))
                  for lab, rec in zip(order, recalls)}
     return EvaluationReport(

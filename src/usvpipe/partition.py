@@ -130,13 +130,28 @@ def split_dev(test_fold: dict[str, int], fold: int, cohort: list[Utterance],
     return roles
 
 
+def _every_fold_tested(plan: FoldPlan, source: str) -> FoldPlan:
+    """The plan, unless some fold tests no utterance: then a ValueError
+    naming source and the empty test folds."""
+    tested = {roles.index(ROLE_TEST) for roles in plan.roles.values()}
+    empty = [str(fold) for fold in range(FOLD_COUNT) if fold not in tested]
+    if empty:
+        raise ValueError(f"{source}: no utterance is tested in fold "
+                         f"{', '.join(empty)}; each of the {FOLD_COUNT} folds must "
+                         "test one or more")
+    return plan
+
+
 def build_plan(cohort: list[Utterance], seed: int) -> FoldPlan:
-    """make_folds plus the inner split of every fold's development set."""
+    """make_folds plus the inner split of every fold's development set.
+    Raises ValueError when the emitters leave a test fold empty."""
     test_fold = make_folds(cohort, seed)
     dev_roles = [split_dev(test_fold, fold, cohort, seed) for fold in range(FOLD_COUNT)]
-    return FoldPlan({uid: tuple(ROLE_TEST if fold == tested else dev_roles[fold][uid]
+    plan = FoldPlan({uid: tuple(ROLE_TEST if fold == tested else dev_roles[fold][uid]
                                 for fold in range(FOLD_COUNT))
                      for uid, tested in test_fold.items()})
+    emitters = len({utt.emitter_id for utt in cohort})
+    return _every_fold_tested(plan, f"the fold plan over {emitters} emitters")
 
 
 def write_fold_plan(path: str | Path, plan: FoldPlan,
@@ -152,7 +167,8 @@ def read_fold_plan(path: str | Path) -> FoldPlan:
 
     Raises ValueError naming the file and the utterance unless every
     utterance has one known role in each of the FOLD_COUNT folds and exactly
-    one test fold.
+    one test fold, and naming the file and the fold unless every fold tests
+    one or more utterances.
     """
     cells: dict[str, list[tuple[str, str]]] = defaultdict(list)
     for uid, fold, role in read_table(path, FOLD_CSV_HEADER):
@@ -170,4 +186,4 @@ def read_fold_plan(path: str | Path) -> FoldPlan:
                 f"role of {ROLE_TEST}/{ROLE_TRAIN}/{ROLE_VAL} in each of folds "
                 f"{', '.join(folds)} and exactly one {ROLE_TEST} role")
         roles[uid] = uid_roles
-    return FoldPlan(roles)
+    return _every_fold_tested(FoldPlan(roles), str(path))

@@ -334,10 +334,10 @@ def predict(model: OvoModel, X_raw: np.ndarray) -> list[str]:
 
 
 def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
-                  train_idx: np.ndarray, val_idx: np.ndarray,
-                  grid: Sequence[float] = COST_GRID, seed=0,
+                  train_idx: np.ndarray, val_idx: np.ndarray, seed=0,
                   ) -> tuple[OvoModel, dict]:
-    """Pick the cost by validation UAR, then retrain on the full dev set.
+    """Pick the cost from COST_GRID by validation UAR, then retrain on the
+    full dev set.
 
     The standardiser and the class weights come from the full development
     set and are reused in both stages.  Ties in validation UAR resolve to
@@ -357,7 +357,7 @@ def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
     best_cost, best_uar = None, -1.0
     validation_uar: dict[float, float] = {}
     trained: list[BinarySvm] = []
-    for grid_index, cost in enumerate(sorted(grid)):
+    for grid_index, cost in enumerate(sorted(COST_GRID)):
         machines = fit_ovo(X_std[train_idx], list(y_dev[train_idx]), cost,
                            weights, seed=base + (1, grid_index))
         trained += machines

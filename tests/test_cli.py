@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from usvpipe import audio_io, cli
+from usvpipe import audio_io, cli, evaluation, svm
 from usvpipe.audio_io import AudioClip, write_wav
 from usvpipe.cli import main
 from usvpipe.spectral import read_tensor
@@ -36,8 +36,10 @@ def small_corpus(tmp_path_factory):
     config_path.write_text(json.dumps(config))
     for cmd in ("extract", "partition"):
         assert main([cmd, "--config", str(config_path)]) == 0
-    assert main(["train-eval", "--config", str(config_path),
-                 "--grid", "0.1,1", "--replicates", "100"]) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svm, "COST_GRID", (0.1, 1.0))
+        mp.setattr(evaluation, "BOOTSTRAP_REPLICATES", 100)
+        assert main(["train-eval", "--config", str(config_path)]) == 0
     return root, config_path
 
 
@@ -212,14 +214,15 @@ def test_many_corrupt_wavs_exit_nonzero(tmp_path):
     assert code == 1
 
 
-def test_artifacts_byte_identical_across_reruns(tmp_path):
+def test_artifacts_byte_identical_across_reruns(tmp_path, monkeypatch):
+    monkeypatch.setattr(svm, "COST_GRID", (0.1,))
+    monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 50)
     specs = {k: SEPARABLE_CLASS_SPECS[k] for k in ("biting", "feeding", "grooming")}
     synth_corpus(tmp_path / "c", n_emitters=3, per_class_count=6,
                  class_specs=specs, seed=9, sample_rate=50_000)
     args = ["--annotations", str(tmp_path / "c" / "annotations.csv"),
             "--schema", str(tmp_path / "c" / "schema.json"),
-            "--audio-dir", str(tmp_path / "c"), "--seed", "9",
-            "--grid", "0.1", "--replicates", "50"]
+            "--audio-dir", str(tmp_path / "c"), "--seed", "9"]
     outputs = []
     for out in ("r1", "r2"):
         out_dir = tmp_path / out
@@ -358,7 +361,9 @@ def test_full_disk_stops_export_at_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("payload,message", [
     ([1, 2], "a config file must hold a JSON object"),
-    ({"seed": 3, "cost_gird": [0.1]}, "unknown settings ['cost_gird']")])
+    ({"seed": 3, "cost_gird": [0.1]}, "unknown settings ['cost_gird']"),
+    ({"cost_grid": [0.1, 1]}, "unknown settings ['cost_grid']"),
+    ({"bootstrap_replicates": 10}, "unknown settings ['bootstrap_replicates']")])
 def test_config_file_must_be_an_object_of_known_settings(tmp_path, caplog,
                                                          payload, message):
     config = tmp_path / "config.json"
@@ -368,18 +373,30 @@ def test_config_file_must_be_an_object_of_known_settings(tmp_path, caplog,
     assert f"{config}: {message}" in caplog.text
 
 
-@pytest.mark.parametrize("flag,setting", [
-    ("--grid=-1", "cost_grid"), ("--grid=0", "cost_grid"),
-    ("--replicates=0", "bootstrap_replicates"),
-    ("--replicates=-1", "bootstrap_replicates")])
-def test_invalid_setting_exits_2_naming_it(small_corpus, tmp_path, caplog, flag,
-                                          setting):
+@pytest.mark.parametrize("flag_or_file", [
+    ["--seed", "1.5"], {"seed": 1.5}, {"seed": True}])
+def test_invalid_setting_exits_2_naming_it(small_corpus, tmp_path, caplog,
+                                          flag_or_file):
     root, _config = small_corpus
     for name in ("features.csv", "folds.csv"):  # train-eval's inputs
         (tmp_path / name).write_bytes((root / "results" / name).read_bytes())
-    assert main(["train-eval", "--out", str(tmp_path), flag]) == 2
-    assert f"invalid {setting}" in caplog.text
+    argv = ["train-eval", "--out", str(tmp_path)]
+    if isinstance(flag_or_file, dict):
+        (tmp_path / "config.json").write_text(json.dumps(flag_or_file))
+        argv += ["--config", str(tmp_path / "config.json")]
+    else:
+        argv += flag_or_file
+    assert main(argv) == 2
+    assert "invalid seed (--seed)" in caplog.text
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--replicates"])
+def test_removed_grid_and_replicate_flags_exit_2(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["train-eval", "--out", str(tmp_path), flag, "10"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
 
 
 def _set_role(row: str, role: str) -> str:
@@ -417,6 +434,44 @@ def test_train_eval_refuses_features_and_folds_that_disagree(small_corpus, tmp_p
     assert f"utterance {stale_id} " in caplog.text
     assert "folds.csv" in caplog.text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+
+
+def test_partition_refuses_a_plan_with_an_empty_test_fold(tmp_path, caplog):
+    corpus = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus), "--emitters", "12",
+                 "--per-class", "3", "--seed", "7"]) == 0
+    config = ["--config", str(corpus / "config.json")]
+    assert main(["extract"] + config) == 0
+    assert main(["partition"] + config) == 2
+    assert ("the fold plan over 12 emitters: no utterance is tested in fold 0, 1;"
+            in caplog.text)
+    assert not (corpus / "results" / "folds.csv").exists()
+
+
+def test_train_eval_refuses_folds_with_an_empty_test_fold(small_corpus, tmp_path,
+                                                           caplog):
+    root, _config = small_corpus
+    for table in ("features.csv", "folds.csv"):
+        (tmp_path / table).write_bytes((root / "results" / table).read_bytes())
+    stamp, header, *rows = (tmp_path / "folds.csv").read_text().splitlines(keepends=True)
+    for i in range(0, len(rows), 3):  # each utterance's fold 0, 1 and 2 rows
+        if rows[i].endswith(",test\n"):  # test it in fold 1 instead
+            rows[i] = _set_role(rows[i], "train")
+            rows[i + 1] = _set_role(rows[i + 1], "test")
+    (tmp_path / "folds.csv").write_text("".join([stamp, header] + rows))
+    assert main(["train-eval", "--out", str(tmp_path)]) == 2
+    assert f"{tmp_path / 'folds.csv'}: no utterance is tested in fold 0;" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+
+
+def test_schema_without_a_file_column_exits_2_naming_it(tmp_path, caplog):
+    args = _three_class_corpus(tmp_path / "c")
+    schema = tmp_path / "c" / "schema.json"
+    raw = json.loads(schema.read_text())
+    del raw["columns"]["file"]
+    schema.write_text(json.dumps(raw))
+    assert main(["extract"] + args + ["--out", str(tmp_path / "out")]) == 2
+    assert f"{schema}: schema lacks a 'file' column mapping" in caplog.text
 
 
 @pytest.mark.parametrize("stage", ["partition", "train-eval", "table1"])
@@ -469,12 +524,9 @@ SETTING_FLAGS = {  # RunConfig field: (flag arguments, value from the flag)
     "audio_dir": (["--audio-dir", "f/audio"], Path("f/audio")),
     "output_dir": (["--out", "f/out"], Path("f/out")),
     "seed": (["--seed", "9"], 9),
-    "cost_grid": (["--grid", "0.1,1"], (0.1, 1.0)),
-    "bootstrap_replicates": (["--replicates", "30"], 30),
 }
 SETTING_FILE = {"annotation_file": "c/a.csv", "schema_file": "c/s.json",
-                "audio_dir": "c/audio", "output_dir": "c/out", "seed": 5,
-                "cost_grid": [0.5, 2], "bootstrap_replicates": 20}
+                "audio_dir": "c/audio", "output_dir": "c/out", "seed": 5}
 
 
 def _resolved(argv):
@@ -489,8 +541,7 @@ def test_setting_takes_flag_then_config_file_then_default(tmp_path, monkeypatch,
     config.write_text(json.dumps(SETTING_FILE))
     from_file = cli.RunConfig(
         annotation_file=Path("c/a.csv"), schema_file=Path("c/s.json"),
-        audio_dir=Path("c/audio"), output_dir=Path("c/out"), seed=5,
-        cost_grid=(0.5, 2.0), bootstrap_replicates=20)
+        audio_dir=Path("c/audio"), output_dir=Path("c/out"), seed=5)
     flag_args, flag_value = SETTING_FLAGS[field]
     assert _resolved(["--config", str(config)]) == from_file
     assert _resolved(["--config", str(config)] + flag_args) == replace(

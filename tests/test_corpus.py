@@ -80,26 +80,28 @@ class TestLoadAnnotations:
     def test_nonfinite_duration_rejected(self, tmp_path, row):
         raw = {
             "columns": {"id": "uid", "emitter": "bat", "context": "ctx",
-                        "duration": "dur", "start": "t0", "end": "t1"},
+                        "file": "wav", "duration": "dur", "start": "t0",
+                        "end": "t1"},
             "context_map": {"7": "fighting"},
         }
         schema_path = tmp_path / "s.json"
         schema_path.write_text(json.dumps(raw))
-        path = write_annotations(tmp_path, [row], header="uid,bat,ctx,dur,t0,t1")
+        path = write_annotations(tmp_path, [row + ",x.wav"],
+                                 header="uid,bat,ctx,dur,t0,t1,wav")
         with pytest.raises(AnnotationParseError, match=r"annotations\.csv:2: "):
             load_annotations(path, SchemaConfig.from_json(schema_path))
 
     def test_start_end_duration(self, tmp_path):
         raw = {
             "columns": {"id": "uid", "emitter": "bat", "context": "ctx",
-                        "start": "t0", "end": "t1"},
+                        "file": "wav", "start": "t0", "end": "t1"},
             "context_map": {"7": "fighting"},
         }
         schema_path = tmp_path / "s.json"
         schema_path.write_text(json.dumps(raw))
         schema = SchemaConfig.from_json(schema_path)
-        path = write_annotations(tmp_path, ["a1,b-17,7,10.5,11.25"],
-                                 header="uid,bat,ctx,t0,t1")
+        path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,10.5,11.25"],
+                                 header="uid,bat,ctx,wav,t0,t1")
         assert load_annotations(path, schema)[0].duration_s == 0.75
 
     def test_comment_lines_skipped(self, tmp_path, schema):
@@ -111,14 +113,14 @@ class TestLoadAnnotations:
         raw = {
             "delimiter": "\t",
             "columns": {"id": "uid", "emitter": "bat", "context": "ctx",
-                        "duration": "dur"},
+                        "file": "wav", "duration": "dur"},
             "context_map": {"7": "fighting"},
         }
         schema_path = tmp_path / "s.json"
         schema_path.write_text(json.dumps(raw))
         schema = SchemaConfig.from_json(schema_path)
         path = tmp_path / "annotations.tsv"
-        path.write_text("uid\tbat\tctx\tdur\na1\tb-17\t7\t0.4\n")
+        path.write_text("uid\tbat\tctx\twav\tdur\na1\tb-17\t7\tx.wav\t0.4\n")
         records = load_annotations(path, schema)
         assert records[0].context == "fighting"
         assert records[0].duration_s == 0.4
@@ -138,10 +140,11 @@ def _fuzzed_table(delimiter):
     field = st.one_of(plain, plain, junk)
     time = st.one_of(st.floats().map(repr), st.floats().map(repr), st.just(""),
                      field)
-    row = st.tuples(field, field, st.one_of(st.just("7"), field), time, time, time)
+    row = st.tuples(field, field, st.one_of(st.just("7"), field), field, time, time,
+                    time)
     line = st.one_of(row.map(delimiter.join), row.map(delimiter.join),
                      field.map(lambda text: "#" + text))
-    header = delimiter.join(["uid", "bat", "ctx", "dur", "t0", "t1"])
+    header = delimiter.join(["uid", "bat", "ctx", "wav", "dur", "t0", "t1"])
     return st.lists(line, max_size=8).map(
         lambda lines: "\n".join([header] + lines) + "\n")
 
@@ -153,9 +156,9 @@ def test_fuzzed_tables_give_valid_durations_or_pipeline_errors(tmp_path_factory,
     delimiter = data.draw(st.sampled_from([",", "\t", ";"]))
     schema = SchemaConfig(
         id_column="uid", emitter_column="bat", context_column="ctx",
-        context_map={"7": "fighting"}, emitter_placeholders=frozenset(),
-        duration_column="dur", start_column="t0", end_column="t1",
-        delimiter=delimiter)
+        file_column="wav", context_map={"7": "fighting"},
+        emitter_placeholders=frozenset(), duration_column="dur",
+        start_column="t0", end_column="t1", delimiter=delimiter)
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_text(data.draw(_fuzzed_table(delimiter)), encoding="utf-8")
     try:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from usvpipe import evaluation
 from usvpipe.evaluation import (Prediction, PredictionSet, bootstrap_ci,
                                 build_report, read_predictions_csv,
                                 report_to_json, uar_from_labels,
@@ -73,7 +74,7 @@ class TestBootstrap:
                 + ["C"] * 5 + ["B"] * 3)
         ps = preds_from(truth, pred)
         assert uar_from_labels(truth, pred) == 0.725  # recalls 0.8, 0.75, 0.625 by hand
-        lo, hi = bootstrap_ci(ps, replicates=1000, seed=2024)
+        lo, hi = bootstrap_ci(ps, seed=2024)
         assert lo == pytest.approx(0.5599583333333333, abs=1e-15)
         assert hi == pytest.approx(0.8777916666666666, abs=1e-15)
 
@@ -83,22 +84,25 @@ class TestBootstrap:
 
 
 class TestConfusion:
-    def test_perfect_predictions_identity(self):
+    def test_perfect_predictions_identity(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 10)
         ps = preds_from(["A", "B", "C"], ["A", "B", "C"])
-        report = build_report(ps, replicates=10)
+        report = build_report(ps)
         np.testing.assert_array_equal(report.confusion, np.eye(3))
         assert report.labels == ("A", "B", "C")
 
-    def test_row_normalised_counts(self):
-        report = build_report(FOUR_POINT, replicates=10)
+    def test_row_normalised_counts(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 10)
+        report = build_report(FOUR_POINT)
         np.testing.assert_allclose(report.confusion, [[0.5, 0.5], [0.0, 1.0]])
 
-    def test_rows_sum_to_one_or_zero(self):
+    def test_rows_sum_to_one_or_zero(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 10)
         rng = np.random.default_rng(1)
         labels = list("ABCDE")
         truth = [labels[i] for i in rng.integers(0, 4, 200)]  # E never true
         pred = [labels[i] for i in rng.integers(0, 5, 200)]
-        report = build_report(preds_from(truth, pred), replicates=10)
+        report = build_report(preds_from(truth, pred))
         assert report.labels == tuple(labels)
         matrix = np.array(report.confusion)
         np.testing.assert_array_equal(matrix[4], 0.0)
@@ -106,19 +110,21 @@ class TestConfusion:
         for lab, s in zip(report.labels, sums):
             assert s == pytest.approx(1.0, abs=1e-9) or s == 0.0
 
-    def test_diagonal_mean_equals_uar(self):
+    def test_diagonal_mean_equals_uar(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 10)
         rng = np.random.default_rng(2)
         labels = list("ABC")
         truth = [labels[i] for i in rng.integers(0, 3, 120)]
         pred = [labels[i] for i in rng.integers(0, 3, 120)]
-        report = build_report(preds_from(truth, pred), replicates=10)
+        report = build_report(preds_from(truth, pred))
         assert np.diag(report.confusion).mean() == pytest.approx(
             uar_from_labels(truth, pred))
 
 
 class TestReportAndCsv:
-    def test_report_fields_consistent(self):
-        report = build_report(FOUR_POINT, replicates=200, seed=1)
+    def test_report_fields_consistent(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 200)
+        report = build_report(FOUR_POINT, seed=1)
         assert report.n == 4
         assert report.uar == 0.75
         assert report.ci_low <= report.ci_high
@@ -127,8 +133,9 @@ class TestReportAndCsv:
         assert '"uar": 0.75' in text
 
     @pytest.mark.parametrize("where", ["report", "provenance"])
-    def test_report_json_refuses_nan(self, where):
-        report = build_report(FOUR_POINT, replicates=20, seed=1)
+    def test_report_json_refuses_nan(self, where, monkeypatch):
+        monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 20)
+        report = build_report(FOUR_POINT, seed=1)
         provenance = {"max_relative_gap": {"0": 1e-5}}
         if where == "report":
             report = replace(report, ci_high=float("nan"))

@@ -13,6 +13,7 @@ import sys
 import threading
 
 import usvpipe
+from usvpipe import evaluation, svm
 from usvpipe.cli import main
 
 STAGES = ("extract", "partition", "train-eval", "table1", "export-spectrograms")
@@ -55,9 +56,8 @@ def _run_pipeline(root):
     corpus = root / "corpus"
     assert main(["synth", "--out", str(corpus), "--emitters", "3",
                  "--per-class", "3"]) == 0
-    small = ["--grid", "0.1,1", "--replicates", "10"]
     for stage in STAGES:
-        assert main([stage, "--config", str(corpus / "config.json")] + small) == 0
+        assert main([stage, "--config", str(corpus / "config.json")]) == 0
     annotations = corpus / "annotations.csv"
     header, *rows = annotations.read_text().splitlines()
     assert header.endswith(",duration_s")
@@ -65,10 +65,12 @@ def _run_pipeline(root):
                            + "\n")
     for stage in STAGES:
         assert main([stage, "--config", str(corpus / "config.json"),
-                     "--out", str(root / "blank")] + small) == 0
+                     "--out", str(root / "blank")]) == 0
 
 
-def test_every_public_member_is_reached_by_a_stage(tmp_path):
+def test_every_public_member_is_reached_by_a_stage(tmp_path, monkeypatch):
+    monkeypatch.setattr(svm, "COST_GRID", (0.1, 1.0))
+    monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 10)
     called = set()
 
     def profile(frame, event, _arg):

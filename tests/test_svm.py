@@ -311,24 +311,25 @@ class TestOvoAndSelection:
         assert predict(model, np.array([[-2.0, 0.0]])) == ["a"]
         assert predict(model, np.array([[0.0, 2.5]])) == ["c"]
 
-    def test_single_cost_grid_degenerates_to_plain_training(self):
+    def test_single_cost_grid_degenerates_to_plain_training(self, monkeypatch):
+        monkeypatch.setattr(svm, "COST_GRID", (0.1,))
         rng = np.random.default_rng(13)
         X, y = self.make_blobs(rng)
         idx = rng.permutation(len(y))
         train, val = idx[:60], idx[60:]
-        model, diag = nested_select(X, y, train, val, grid=[0.1], seed=0)
+        model, diag = nested_select(X, y, train, val, seed=0)
         assert model.cost == 0.1
         assert list(diag["validation_uar"]) == [0.1]
         assert diag["capped_machines"] == 0
         assert 0.0 <= diag["max_relative_gap"] <= SOLVER_GAP
         assert diag["solver_epochs"] >= 6  # 3 pairs, validation and refit
 
-    def test_tie_resolves_to_smaller_cost(self):
+    def test_tie_resolves_to_smaller_cost(self, monkeypatch):
+        monkeypatch.setattr(svm, "COST_GRID", (0.5, 0.1, 1.0))
         rng = np.random.default_rng(14)
         X, y = self.make_blobs(rng, spread=0.05)  # every cost gets UAR 1.0
         idx = rng.permutation(len(y))
-        model, diag = nested_select(X, y, idx[:60], idx[60:],
-                                    grid=[0.5, 0.1, 1.0], seed=0)
+        model, diag = nested_select(X, y, idx[:60], idx[60:], seed=0)
         scores = diag["validation_uar"]
         assert scores[0.1] == scores[0.5] == scores[1.0] == 1.0
         assert model.cost == 0.1
@@ -337,23 +338,22 @@ class TestOvoAndSelection:
         rng = np.random.default_rng(15)
         X, y = self.make_blobs(rng, spread=1.4)  # noisy, selection non-trivial
         idx = rng.permutation(len(y))
-        model, diag = nested_select(X, y, idx[:60], idx[60:],
-                                    grid=COST_GRID, seed=0)
+        model, diag = nested_select(X, y, idx[:60], idx[60:], seed=0)
         scores = diag["validation_uar"]
         best = max(scores.values())
         assert scores[model.cost] == best
         assert model.cost == min(c for c, s in scores.items() if s == best)
 
-    def test_scale_equivariance_via_standardisation(self):
+    def test_scale_equivariance_via_standardisation(self, monkeypatch):
+        monkeypatch.setattr(svm, "COST_GRID", (1.0,))
         rng = np.random.default_rng(16)
         X, y = self.make_blobs(rng)
         idx = rng.permutation(len(y))
         train, val = idx[:60], idx[60:]
-        model1, _ = nested_select(X, y, train, val, grid=[1.0], seed=3)
+        model1, _ = nested_select(X, y, train, val, seed=3)
         scale = np.array([3.0, 0.2])
         shift = np.array([7.0, -4.0])
-        model2, _ = nested_select(X * scale + shift, y, train, val,
-                                  grid=[1.0], seed=3)
+        model2, _ = nested_select(X * scale + shift, y, train, val, seed=3)
         probe = rng.normal(0, 2, size=(25, 2))
         assert predict(model1, probe) == predict(model2, probe * scale + shift)
 
