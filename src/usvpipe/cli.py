@@ -137,9 +137,8 @@ def _load_cohort(cfg: RunConfig) -> list[Utterance]:
         raise PipelineError("annotation and schema files are required "
                             "(--annotations/--schema or a config file)")
     schema = SchemaConfig.from_json(cfg.schema_file)
-    records = load_annotations(cfg.annotation_file, schema)
-    cohort, report = filter_cohort(records, schema.emitter_placeholders,
-                                   audio_root=cfg.audio_dir)
+    cohort, report = filter_cohort(load_annotations(cfg.annotation_file, schema),
+                                   schema.emitter_placeholders, cfg.audio_dir)
     write_filter_report(cfg.output_dir / "filter_report.csv", report,
                         comment=cfg.provenance())
     log.info("cohort: %d retained of %d records", report.retained, report.total_in)
@@ -176,17 +175,17 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
     EXTRACT_FAILURE_TOLERANCE allows.  An exception in _SKIP_REASONS, or a
     file error, costs one row in skip_report; any other, and a full disk,
     is raised again and the files not yet started are dropped."""
-    cohort = sorted(_load_cohort(cfg), key=lambda u: u.id)
+    cohort = sorted(_load_cohort(cfg), key=lambda u: u.utterance_id)
     done, skips, failures = [], [], 0
     for utt, result in zip(cohort, _map_ordered(fn, cohort)):
         if not isinstance(result, Exception):
             done.append((utt, result))
         elif type(result) in _SKIP_REASONS:
-            skips.append((utt.id, _SKIP_REASONS[type(result)]))
+            skips.append((utt.utterance_id, _SKIP_REASONS[type(result)]))
         elif (isinstance(result, _FILE_ERRORS)
               and getattr(result, "errno", None) not in _DISK_FULL):
-            skips.append((utt.id, f"error:{type(result).__name__}"))
-            log.error("%s: %s", utt.id, result)
+            skips.append((utt.utterance_id, f"error:{type(result).__name__}"))
+            log.error("%s: %s", utt.utterance_id, result)
             failures += 1
         else:
             raise result
@@ -208,26 +207,19 @@ def cmd_extract(args: argparse.Namespace) -> int:
         cfg, "extract", lambda utt: contour_stats(extract_f0(load_wav(utt.audio_path))),
         "skip_report.csv")
     write_feature_csv(cfg.output_dir / "features.csv",
-                      [FeatureRecord(utterance_id=utt.id, emitter_id=utt.emitter_id,
-                                     context=utt.context, duration_s=utt.duration_s,
-                                     features=features) for utt, features in done],
+                      [FeatureRecord(utt.utterance_id, utt.emitter_id, utt.context,
+                                     utt.duration_s, features) for utt, features in done],
                       comment=cfg.provenance())
     return status
-
-
-def _cohort_from_features(path: Path) -> list[Utterance]:
-    return [Utterance(id=r.utterance_id, audio_path=None, emitter_id=r.emitter_id,
-                      context=r.context, duration_s=r.duration_s)
-            for r in read_feature_csv(path)]
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
     """Build the subject-independent 3-fold plan from the feature table."""
     cfg = _resolve_config(args)
-    cohort = _cohort_from_features(cfg.output_dir / "features.csv")
-    plan = build_plan(cohort, cfg.seed)
+    records = read_feature_csv(cfg.output_dir / "features.csv")
+    plan = build_plan(records, cfg.seed)
     write_fold_plan(cfg.output_dir / "folds.csv", plan, comment=cfg.provenance())
-    print(f"partition: {len(cohort)} utterances over {FOLD_COUNT} folds")
+    print(f"partition: {len(records)} utterances over {FOLD_COUNT} folds")
     return 0
 
 
@@ -308,14 +300,14 @@ def cmd_export_spectrograms(args: argparse.Namespace) -> int:
 
     def export(utt: Utterance) -> tuple[int, int]:
         spec = export_spectrogram(load_wav(utt.audio_path))
-        write_tensor(spec, tensor_dir / f"{utt.id}.usvt")
+        write_tensor(spec, tensor_dir / f"{utt.utterance_id}.usvt")
         return spec.magnitudes.shape
 
     done, status = _per_utterance(cfg, "export-spectrograms", export,
                                   "export_skip_report.csv")
     write_table(cfg.output_dir / "spectrogram_manifest.csv",
                 ("utterance_id", "file", "frames", "bins"),
-                [(utt.id, f"spectrograms/{utt.id}.usvt", *shape)
+                [(utt.utterance_id, f"spectrograms/{utt.utterance_id}.usvt", *shape)
                  for utt, shape in done], cfg.provenance())
     return status
 

@@ -2,7 +2,9 @@
 
 Column names, context-code mappings, and emitter placeholder codes live in
 a user-editable schema file: annotation releases differ in vocabulary, and
-guessing it in code would be unauditable.  Filtering applies four rules in
+guessing it in code would be unauditable.  Each annotation row becomes one
+Utterance, keyed by an id that is non-blank, unique and a plain file name,
+since it names the utterance's artifacts.  Filtering applies four rules in
 a fixed order (unknown context, landing, unidentified emitter, over-length)
 and reports a count per rule.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -48,11 +50,22 @@ class SchemaConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "SchemaConfig":
         raw = json.loads(Path(path).read_text())
-        columns = raw.get("columns", {})
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a schema must hold a JSON object")
+
+        def value(key: str, default, kind: type, what: str, ok=lambda v: True):
+            found = raw.get(key, default)
+            if not (isinstance(found, kind) and ok(found)):
+                raise ValueError(f"{path}: schema key '{key}' must be {what}")
+            return found
+
+        columns = value("columns", {}, dict, "an object of strings",
+                        lambda v: all(isinstance(name, str) for name in v.values()))
         for key in ("id", "emitter", "context", "file"):
             if key not in columns:
                 raise ValueError(f"{path}: schema lacks a '{key}' column mapping")
-        context_map = {str(k): str(v) for k, v in raw.get("context_map", {}).items()}
+        context_map = {str(k): str(v) for k, v in
+                       value("context_map", {}, dict, "an object").items()}
         admissible = set(CONTEXT_LABELS) | set(INGEST_ONLY_LABELS)
         bad = set(context_map.values()) - admissible
         if bad:
@@ -67,51 +80,40 @@ class SchemaConfig:
             end_column=columns.get("end"),
             context_map=context_map,
             emitter_placeholders=frozenset(
-                str(v) for v in raw.get("emitter_placeholders", [])),
-            delimiter=raw.get("delimiter", ","),
+                str(v) for v in value("emitter_placeholders", [], list, "a list")),
+            delimiter=value("delimiter", ",", str, "a single character",
+                            lambda v: len(v) == 1),
         )
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    """One annotation row after column mapping, before any filtering."""
-
-    id: str
-    emitter: str
-    context: str
-    file_ref: str
-    duration_s: float | None
-
-
-@dataclass(frozen=True)
 class Utterance:
-    """A cohort member: one annotated vocalisation admitted to the analysis.
-    duration_s is None when neither the annotation nor the WAV header gives
-    one; such a file fails to load in the per-file stages."""
+    """One annotation row, under the feature table's names.  filter_cohort
+    resolves audio_path against the audio root.  duration_s is None when
+    neither the annotation nor the WAV header gives one; such a file fails
+    to load in the per-file stages."""
 
-    id: str
-    audio_path: Path | None
+    utterance_id: str
     emitter_id: str
     context: str
+    audio_path: Path
     duration_s: float | None
 
-    def __post_init__(self):
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ValueError(f"utterance {self.id}: non-positive duration")
 
-
-def load_annotations(path: str | Path, schema: SchemaConfig) -> list[RawRecord]:
-    """Parse the delimited annotation table into raw records.
+def load_annotations(path: str | Path, schema: SchemaConfig) -> list[Utterance]:
+    """Parse the delimited annotation table into one Utterance per row.
 
     Context codes missing from the schema map become 'unknown', and a leading
     UTF-8 byte-order mark (spreadsheet "CSV UTF-8" exports) is dropped.  Raises
     SchemaMismatchError when a required column is absent and
-    AnnotationParseError (with the file line number) for malformed rows.
+    AnnotationParseError (with the file line number) for malformed rows: a
+    bad duration, or an id that is blank, names a path or repeats one.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader, comments = reader_after_comments(fh, schema.delimiter)
     records = []
+    first_line: dict[str, int] = {}
     try:
         header = next(reader, None)
         if header is None:
@@ -124,38 +126,45 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[RawRecord]:
                 raise SchemaMismatchError(f"{path}: required column '{col}' not found")
 
         for row in reader:
+            line = comments + reader.line_num
             if len(row) != len(header):
                 raise AnnotationParseError(
-                    f"{path}:{comments + reader.line_num}: expected "
-                    f"{len(header)} fields, got {len(row)}")
+                    f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+            cell = {name: row[i].strip() for name, i in index.items()}
+            uid = cell[schema.id_column]
             try:
-                duration = _row_duration(row, index, schema)
+                _check_id(uid, first_line)
+                duration = _row_duration(cell, schema)
             except ValueError as exc:
-                raise AnnotationParseError(
-                    f"{path}:{comments + reader.line_num}: {exc}") from exc
-            code = row[index[schema.context_column]].strip()
-            records.append(RawRecord(
-                id=row[index[schema.id_column]].strip(),
-                emitter=row[index[schema.emitter_column]].strip(),
+                raise AnnotationParseError(f"{path}:{line}: {exc}") from exc
+            first_line[uid] = line
+            code = cell[schema.context_column]
+            records.append(Utterance(
+                utterance_id=uid, emitter_id=cell[schema.emitter_column],
                 context=schema.context_map.get(code, LABEL_UNKNOWN),
-                file_ref=row[index[schema.file_column]].strip(),
-                duration_s=duration,
-            ))
+                audio_path=Path(cell[schema.file_column]), duration_s=duration))
     except csv.Error as exc:
         raise AnnotationParseError(f"{path}:{comments + reader.line_num}: {exc}") from exc
     return records
 
 
-def _row_duration(row, index, schema: SchemaConfig) -> float | None:
-    if schema.duration_column is not None:
-        text = row[index[schema.duration_column]].strip()
-        if text:
-            return _checked_duration(float(text), "duration")
-    if schema.start_column is not None and schema.end_column is not None:
-        start = row[index[schema.start_column]].strip()
-        end = row[index[schema.end_column]].strip()
-        if start and end:
-            return _checked_duration(float(end) - float(start), "start/end duration")
+def _check_id(uid: str, first_line: dict[str, int]) -> None:
+    """A ValueError unless uid can name its artifact files and is new."""
+    if not uid:
+        raise ValueError("blank utterance id")
+    if uid in (".", "..") or any(c in uid for c in "/\\\0"):
+        raise ValueError(f"utterance id {uid!r} is not a plain file name")
+    if uid in first_line:
+        raise ValueError(f"utterance id {uid!r} is already used on line "
+                         f"{first_line[uid]}")
+
+
+def _row_duration(cell: dict[str, str], schema: SchemaConfig) -> float | None:
+    if cell.get(schema.duration_column):
+        return _checked_duration(float(cell[schema.duration_column]), "duration")
+    start, end = cell.get(schema.start_column), cell.get(schema.end_column)
+    if start and end:
+        return _checked_duration(float(end) - float(start), "start/end duration")
     return None
 
 
@@ -186,21 +195,20 @@ class FilterReport:
                 + [("retained", self.retained)])
 
 
-def filter_cohort(records: list[RawRecord],
-                  emitter_placeholders: Iterable[str] = (),
-                  audio_root: str | Path | None = None,
-                  ) -> tuple[list[Utterance], FilterReport]:
+def filter_cohort(records: list[Utterance], emitter_placeholders: Iterable[str],
+                  audio_root: str | Path) -> tuple[list[Utterance], FilterReport]:
     """Apply the exclusion rules and build the analysis cohort.
 
     Rules, in order (a dropped record is counted under the first that fires):
     unknown context, landing, unidentified emitter (empty or one of the
-    schema's placeholder codes), duration strictly over 3 s.  Records
-    without an annotated duration fall back to the WAV header; a header
-    that cannot be read keeps the record with no duration, so the stage
-    that loads the file reports it as one file error.
+    schema's placeholder codes), duration strictly over 3 s.  Each kept
+    record's audio_path is resolved against audio_root.  Records without an
+    annotated duration take it from the WAV header; a header that cannot be
+    read keeps the record with no duration, so the stage that loads the
+    file reports it as one file error.
     """
     placeholders = frozenset(emitter_placeholders)
-    root = Path(audio_root) if audio_root is not None else None
+    root = Path(audio_root)
     cohort: list[Utterance] = []
     report = FilterReport(total_in=len(records))
     for rec in records:
@@ -210,21 +218,19 @@ def filter_cohort(records: list[RawRecord],
         if rec.context == LABEL_LANDING:
             report.landing += 1
             continue
-        if rec.emitter == "" or rec.emitter in placeholders:
+        if rec.emitter_id == "" or rec.emitter_id in placeholders:
             report.unidentified_emitter += 1
             continue
-        path = root / rec.file_ref if root is not None else Path(rec.file_ref)
-        duration = rec.duration_s
-        if duration is None:
+        utt = replace(rec, audio_path=root / rec.audio_path)
+        if utt.duration_s is None:
             try:
-                duration = wav_duration(path)
+                utt = replace(utt, duration_s=wav_duration(utt.audio_path))
             except (PipelineError, OSError):
                 pass
-        if duration is not None and duration > MAX_UTTERANCE_S:
+        if utt.duration_s is not None and utt.duration_s > MAX_UTTERANCE_S:
             report.too_long += 1
             continue
-        cohort.append(Utterance(id=rec.id, audio_path=path, emitter_id=rec.emitter,
-                                context=rec.context, duration_s=duration))
+        cohort.append(utt)
     report.retained = len(cohort)
     return cohort, report
 

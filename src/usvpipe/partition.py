@@ -1,12 +1,13 @@
 """Subject-independent 3-fold plans with stratified inner train/validation splits.
 
-Emitters (not utterances) are assigned to three groups so that no
-individual appears in both the development and test side of any fold.
-Exact joint balancing of labels and sizes is NP-hard, so the assignment is
-a greedy heuristic: emitters in descending utterance count, each placed in
-the group minimising L1 label divergence from the global distribution plus
-a group-size penalty.  Everything is deterministic given the seed, which is
-consumed only to break exact ties.
+The plan reads the utterance id, emitter and context of the feature table's
+records (pitch.FeatureRecord).  Emitters (not utterances) are assigned to
+three groups so that no individual appears in both the development and test
+side of any fold.  Exact joint balancing of labels and sizes is NP-hard, so
+the assignment is a greedy heuristic: emitters in descending utterance
+count, each placed in the group minimising L1 label divergence from the
+global distribution plus a group-size penalty.  Everything is deterministic
+given the seed, which is consumed only to break exact ties.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .artifacts import read_table, write_table
-from .corpus import Utterance
 from .exceptions import TooFewEmittersError
+from .pitch import FeatureRecord
 from .seeding import rng_for
 
 FOLD_COUNT = 3
@@ -42,7 +43,7 @@ class FoldPlan:
         return members[ROLE_TRAIN], members[ROLE_VAL], members[ROLE_TEST]
 
 
-def make_folds(cohort: list[Utterance], seed: int) -> dict[str, int]:
+def make_folds(cohort: list[FeatureRecord], seed: int) -> dict[str, int]:
     """Each utterance's test fold: greedy emitter-to-group assignment, and
     fold f tests on group f.
 
@@ -57,7 +58,7 @@ def make_folds(cohort: list[Utterance], seed: int) -> dict[str, int]:
     histograms.  Ties (exact float equality) are broken by the seeded
     generator.
     """
-    by_emitter: dict[str, list[Utterance]] = defaultdict(list)
+    by_emitter: dict[str, list[FeatureRecord]] = defaultdict(list)
     for utt in cohort:
         by_emitter[utt.emitter_id].append(utt)
     if len(by_emitter) < FOLD_COUNT:
@@ -99,10 +100,10 @@ def make_folds(cohort: list[Utterance], seed: int) -> dict[str, int]:
         group_counts[choice].update(emitter_counts)
         group_sizes[choice] += n_emitter
 
-    return {utt.id: emitter_groups[utt.emitter_id] for utt in cohort}
+    return {utt.utterance_id: emitter_groups[utt.emitter_id] for utt in cohort}
 
 
-def split_dev(test_fold: dict[str, int], fold: int, cohort: list[Utterance],
+def split_dev(test_fold: dict[str, int], fold: int, cohort: list[FeatureRecord],
               seed: int) -> dict[str, str]:
     """Stratified 70/30 train/validation split of one fold's development set.
 
@@ -114,8 +115,8 @@ def split_dev(test_fold: dict[str, int], fold: int, cohort: list[Utterance],
         raise ValueError(f"fold index {fold} out of range")
     by_label: dict[str, list[str]] = defaultdict(list)
     for utt in cohort:
-        if test_fold[utt.id] != fold:
-            by_label[utt.context].append(utt.id)
+        if test_fold[utt.utterance_id] != fold:
+            by_label[utt.context].append(utt.utterance_id)
 
     rng = rng_for(seed, fold)
     roles: dict[str, str] = {}
@@ -142,7 +143,7 @@ def _every_fold_tested(plan: FoldPlan, source: str) -> FoldPlan:
     return plan
 
 
-def build_plan(cohort: list[Utterance], seed: int) -> FoldPlan:
+def build_plan(cohort: list[FeatureRecord], seed: int) -> FoldPlan:
     """make_folds plus the inner split of every fold's development set.
     Raises ValueError when the emitters leave a test fold empty."""
     test_fold = make_folds(cohort, seed)

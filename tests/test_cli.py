@@ -474,6 +474,54 @@ def test_schema_without_a_file_column_exits_2_naming_it(tmp_path, caplog):
     assert f"{schema}: schema lacks a 'file' column mapping" in caplog.text
 
 
+@pytest.mark.parametrize("key, value, complaint", [
+    (None, ["x"], "a schema must hold a JSON object"),
+    ("delimiter", ";;", "schema key 'delimiter' must be a single character"),
+    ("emitter_placeholders", "unknown",
+     "schema key 'emitter_placeholders' must be a list"),
+])
+def test_schema_value_of_the_wrong_type_exits_2_naming_it(tmp_path, caplog, key, value,
+                                                         complaint):
+    args = _three_class_corpus(tmp_path / "c")
+    schema = tmp_path / "c" / "schema.json"
+    raw = value if key is None else {**json.loads(schema.read_text()), key: value}
+    schema.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["extract"] + args + ["--out", str(out)]) == 2
+    assert f"{schema}: {complaint}" in caplog.text
+    assert not any(path.is_file() for path in out.rglob("*"))
+
+
+@pytest.mark.parametrize("stage", ["extract", "export-spectrograms"])
+@pytest.mark.parametrize("second_id, complaint", [
+    ("u000000", "utterance id 'u000000' is already used on line 2"),
+    ("../../escaped", "utterance id '../../escaped' is not a plain file name"),
+])
+def test_id_that_cannot_key_an_artifact_exits_2_writing_nothing(tmp_path, caplog, stage,
+                                                               second_id, complaint):
+    args = _three_class_corpus(tmp_path / "c")
+    annotations = tmp_path / "c" / "annotations.csv"
+    lines = annotations.read_text().splitlines(keepends=True)
+    lines[2] = second_id + lines[2][lines[2].index(","):]  # a different WAV
+    annotations.write_text("".join(lines))
+    assert main([stage] + args + ["--out", str(tmp_path / "out")]) == 2
+    assert f"{annotations}:3: {complaint}" in caplog.text
+    written = [path for path in tmp_path.rglob("*")
+               if path.is_file() and tmp_path / "c" not in path.parents]
+    assert written == []
+
+
+def test_partition_needs_only_the_feature_table(small_corpus, tmp_path):
+    root, _config = small_corpus
+    fixture = root / "results"
+    (tmp_path / "features.csv").write_bytes((fixture / "features.csv").read_bytes())
+    assert main(["partition", "--out", str(tmp_path), "--seed", "21"]) == 0
+    stamp, *plan = (tmp_path / "folds.csv").read_text().splitlines()
+    fixture_stamp, *fixture_plan = (fixture / "folds.csv").read_text().splitlines()
+    assert stamp.startswith("# ") and fixture_stamp.startswith("# ")
+    assert plan == fixture_plan
+
+
 @pytest.mark.parametrize("stage", ["partition", "train-eval", "table1"])
 def test_repeated_feature_row_exits_2_naming_it(small_corpus, tmp_path, caplog, stage):
     root, _config = small_corpus

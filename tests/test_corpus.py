@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,13 +42,13 @@ class TestLoadAnnotations:
         records = load_annotations(path, schema)
         assert len(records) == 1
         rec = records[0]
-        assert (rec.id, rec.emitter, rec.context, rec.duration_s) == \
-            ("a1", "b-17", "fighting", 0.4)
+        assert (rec.utterance_id, rec.emitter_id, rec.context, rec.audio_path,
+                rec.duration_s) == ("a1", "b-17", "fighting", Path("x.wav"), 0.4)
 
     def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path, schema):
         path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4"])
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # "CSV UTF-8" export
-        assert load_annotations(path, schema)[0].id == "a1"
+        assert load_annotations(path, schema)[0].utterance_id == "a1"
 
     def test_unmapped_code_becomes_unknown(self, tmp_path, schema):
         path = write_annotations(tmp_path, ["a1,b-17,99,x.wav,0.4"])
@@ -126,11 +128,69 @@ class TestLoadAnnotations:
         assert records[0].duration_s == 0.4
 
 
+# complaint: a regular expression.  Python 3.10's csv module refuses a NUL
+# itself, so the NUL case names that instead.
+@pytest.mark.parametrize("uid, complaint", [
+    ("", "blank utterance id"), ("  ", "blank utterance id"),
+    ("../../escaped", r"utterance id '\.\./\.\./escaped' is not a plain file name"),
+    ("a/b", "utterance id 'a/b' is not a plain file name"),
+    ("a\\b", r"utterance id 'a\\\\b' is not a plain file name"),
+    ("a\0b", r"(utterance id 'a\\x00b' is not a plain file name|line contains NUL)"),
+    (".", r"utterance id '\.' is not a plain file name"),
+    ("..", r"utterance id '\.\.' is not a plain file name")])
+def test_id_that_cannot_name_a_file_rejected(tmp_path, schema, uid, complaint):
+    path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4",
+                                        f"{uid},b-18,3,y.wav,0.5"])
+    with pytest.raises(AnnotationParseError, match=r"annotations\.csv:3: " + complaint):
+        load_annotations(path, schema)
+
+
+def test_repeated_id_names_both_lines(tmp_path, schema):
+    path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4", "a2,b-18,3,y.wav,0.5",
+                                        " a1 ,b-19,3,z.wav,0.5"])
+    with pytest.raises(AnnotationParseError, match=re.escape(
+            "annotations.csv:4: utterance id 'a1' is already used on line 2")):
+        load_annotations(path, schema)
+
+
+_SCHEMA = {"columns": {"id": "uid", "emitter": "bat", "context": "ctx", "file": "wav"},
+           "context_map": {"7": "fighting"}, "emitter_placeholders": ["0"],
+           "delimiter": ","}
+
+
+def test_schema_must_hold_an_object(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text('["x"]')
+    with pytest.raises(ValueError, match=re.escape(f"{path}: a schema must hold a "
+                                                   "JSON object")):
+        SchemaConfig.from_json(path)
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("columns", ["uid"], "an object of strings"),
+    ("columns", {**_SCHEMA["columns"], "id": 3}, "an object of strings"),
+    ("context_map", [["7", "fighting"]], "an object"),
+    ("emitter_placeholders", "unknown", "a list"),
+    ("delimiter", ";;", "a single character"),
+    ("delimiter", "", "a single character"),
+    ("delimiter", 9, "a single character"),
+])
+def test_schema_value_of_the_wrong_type_names_the_key(tmp_path, key, value, what):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_SCHEMA))
+    SchemaConfig.from_json(path)
+    path.write_text(json.dumps({**_SCHEMA, key: value}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: schema key '{key}' "
+                                                   f"must be {what}")):
+        SchemaConfig.from_json(path)
+
+
 def _fuzzed_table(delimiter):
     """An annotation table whose fields are plain text or junk that mixes
     random text, the delimiter, quotes and '#', with '#' lines between rows.
     Durations, and the start and end times used when the duration is
-    blank, are floats written with repr, blanks or fields."""
+    blank, are floats written with repr, blanks or fields.  Each line ends
+    in its own plain id, so a row is refused for its other fields only."""
     plain = st.text(st.characters(codec="utf-8",
                                   exclude_characters=delimiter + '"#\r\n'),
                     max_size=4)
@@ -144,9 +204,9 @@ def _fuzzed_table(delimiter):
                     time)
     line = st.one_of(row.map(delimiter.join), row.map(delimiter.join),
                      field.map(lambda text: "#" + text))
-    header = delimiter.join(["uid", "bat", "ctx", "wav", "dur", "t0", "t1"])
-    return st.lists(line, max_size=8).map(
-        lambda lines: "\n".join([header] + lines) + "\n")
+    header = delimiter.join(["tag", "bat", "ctx", "wav", "dur", "t0", "t1", "uid"])
+    return st.lists(line, max_size=8).map(lambda lines: "\n".join(
+        [header] + [f"{text}{delimiter}u{i}" for i, text in enumerate(lines)]) + "\n")
 
 
 @settings(max_examples=1000, deadline=None)
@@ -174,7 +234,7 @@ def test_quoted_line_break_stays_in_its_row(tmp_path, schema):
     rows = ['a1,b-17,7,x.wav,0.4,"seen at 21:00,\nthen again"', "a2,b-18,3,y.wav,0.5,"]
     header = "uid,bat,ctx,wav,dur,notes"
     path = write_annotations(tmp_path, rows, header=header)
-    assert [r.id for r in load_annotations(path, schema)] == ["a1", "a2"]
+    assert [r.utterance_id for r in load_annotations(path, schema)] == ["a1", "a2"]
     # a1 spans lines 2 and 3, so the bad duration of a3 is on line 5
     path = write_annotations(tmp_path, rows + ["a3,b-19,3,z.wav,nan,"], header=header)
     with pytest.raises(AnnotationParseError, match=r"annotations\.csv:5: "):
@@ -184,8 +244,8 @@ def test_quoted_line_break_stays_in_its_row(tmp_path, schema):
 def test_hash_prefixed_id_after_the_header_is_a_row(tmp_path, schema):
     path = write_annotations(tmp_path, ["#a1,b-17,7,x.wav,0.4", "a2,b-18,3,y.wav,0.5"])
     records = load_annotations(path, schema)
-    assert [r.id for r in records] == ["#a1", "a2"]
-    _, report = filter_cohort(records, schema.emitter_placeholders)
+    assert [r.utterance_id for r in records] == ["#a1", "a2"]
+    _, report = filter_cohort(records, schema.emitter_placeholders, tmp_path)
     assert report.total_in == report.retained == 2
 
 
@@ -217,6 +277,10 @@ def _tricky_text():
                                          st.floats(min_value=1e-6, max_value=10.0)),
                                _tricky_text()), max_size=6))
 def test_written_tables_read_back_field_for_field(tmp_path_factory, rows):
+    # an id must be a non-blank, unique plain file name: no path characters,
+    # and the row index appended
+    rows = [(uid.translate({ord(c): None for c in "/\\\0"}) + f"|{i}", *rest)
+            for i, (uid, *rest) in enumerate(rows)]
     schema = SchemaConfig(id_column="uid", emitter_column="bat", context_column="ctx",
                           context_map={"7": "fighting", "3": "feeding"},
                           emitter_placeholders=frozenset(), file_column="wav",
@@ -226,10 +290,10 @@ def test_written_tables_read_back_field_for_field(tmp_path_factory, rows):
                 [(uid, bat, ctx, wav, "" if dur is None else dur, notes)
                  for uid, bat, ctx, wav, dur, notes in rows], comment="stamp")
     records = load_annotations(path, schema)
-    assert [(r.id, r.emitter, r.context, r.file_ref, r.duration_s)
+    assert [(r.utterance_id, r.emitter_id, r.context, r.audio_path, r.duration_s)
             for r in records] == [
         (uid.strip(), bat.strip(), schema.context_map.get(ctx.strip(), "unknown"),
-         wav.strip(), dur) for uid, bat, ctx, wav, dur, _notes in rows]
+         Path(wav.strip()), dur) for uid, bat, ctx, wav, dur, _notes in rows]
 
 
 class TestFilterCohort:
@@ -247,8 +311,10 @@ class TestFilterCohort:
 
     def test_rules_and_counts(self, tmp_path, schema):
         records = self.records(tmp_path, schema)
-        cohort, report = filter_cohort(records, schema.emitter_placeholders)
-        assert sorted(u.id for u in cohort) == ["keep1", "keep2"]
+        cohort, report = filter_cohort(records, schema.emitter_placeholders, tmp_path)
+        assert sorted(u.utterance_id for u in cohort) == ["keep1", "keep2"]
+        assert sorted(u.audio_path for u in cohort) == [tmp_path / "x.wav",
+                                                        tmp_path / "y.wav"]
         assert report.unknown_context == 1
         assert report.landing == 1
         assert report.unidentified_emitter == 2
@@ -258,16 +324,17 @@ class TestFilterCohort:
 
     def test_post_filter_labels_admissible(self, tmp_path, schema):
         cohort, _ = filter_cohort(self.records(tmp_path, schema),
-                                  schema.emitter_placeholders)
+                                  schema.emitter_placeholders, tmp_path)
         assert {u.context for u in cohort} <= set(CONTEXT_LABELS)
 
     def test_idempotent_and_order_independent(self, tmp_path, schema):
         records = self.records(tmp_path, schema)
-        cohort1, _ = filter_cohort(records, schema.emitter_placeholders)
+        cohort1, _ = filter_cohort(records, schema.emitter_placeholders, tmp_path)
+        kept = {u.utterance_id for u in cohort1}
         cohort2, report2 = filter_cohort(
-            [r for r in records if r.id in {u.id for u in cohort1}][::-1],
-            schema.emitter_placeholders)
-        assert {u.id for u in cohort2} == {u.id for u in cohort1}
+            [r for r in records if r.utterance_id in kept][::-1],
+            schema.emitter_placeholders, tmp_path)
+        assert {u.utterance_id for u in cohort2} == kept
         assert sum(getattr(report2, rule) for rule in FilterReport.RULES) == 0
 
     def test_duration_from_wav_when_annotation_lacks_it(self, tmp_path):
@@ -286,7 +353,7 @@ class TestFilterCohort:
         path = write_annotations(tmp_path, ["a1,b-17,7,x.wav"],
                                  header="uid,bat,ctx,wav")
         cohort, _ = filter_cohort(load_annotations(path, schema),
-                                  audio_root=tmp_path)
+                                  schema.emitter_placeholders, tmp_path)
         assert cohort[0].duration_s == 0.5
 
 

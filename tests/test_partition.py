@@ -3,10 +3,17 @@ from collections import Counter
 
 import pytest
 
-from usvpipe.corpus import CONTEXT_LABELS, Utterance
+from usvpipe.corpus import CONTEXT_LABELS
 from usvpipe.exceptions import TooFewEmittersError
 from usvpipe.partition import (build_plan, make_folds, read_fold_plan,
                                split_dev, write_fold_plan)
+from usvpipe.pitch import FeatureRecord, FeatureVector
+
+
+def record(uid, emitter, context):
+    """A feature-table record; the plan never reads the features."""
+    return FeatureRecord(utterance_id=uid, emitter_id=emitter, context=context,
+                         duration_s=0.5, features=FeatureVector(*[0.0] * 10))
 
 
 def make_cohort(n_emitters, per_class, labels=CONTEXT_LABELS):
@@ -15,10 +22,8 @@ def make_cohort(n_emitters, per_class, labels=CONTEXT_LABELS):
     counter = 0
     for label in sorted(labels):
         for _ in range(per_class):
-            cohort.append(Utterance(
-                id=f"u{counter:05d}", audio_path=None,
-                emitter_id=f"bat{counter % n_emitters:02d}",
-                context=label, duration_s=0.7))
+            cohort.append(record(f"u{counter:05d}",
+                                 f"bat{counter % n_emitters:02d}", label))
             counter += 1
     return cohort
 
@@ -29,15 +34,13 @@ class TestMakeFolds:
         for i, emitter in enumerate(("ba", "bb", "bc")):
             for j, label in enumerate(("feeding", "fighting")):
                 for k in range(4):
-                    cohort.append(Utterance(id=f"u{i}{j}{k}", audio_path=None,
-                                            emitter_id=emitter, context=label,
-                                            duration_s=0.5))
+                    cohort.append(record(f"u{i}{j}{k}", emitter, label))
         test_fold = make_folds(cohort, seed=1)
-        groups = {u.emitter_id: test_fold[u.id] for u in cohort}
+        groups = {u.emitter_id: test_fold[u.utterance_id] for u in cohort}
         assert sorted(groups.values()) == [0, 1, 2]
         # each fold's test distribution equals the global one exactly
         for fold in range(3):
-            test = [u for u in cohort if test_fold[u.id] == fold]
+            test = [u for u in cohort if test_fold[u.utterance_id] == fold]
             counts = Counter(u.context for u in test)
             assert counts["feeding"] == counts["fighting"] == 4
 
@@ -49,13 +52,13 @@ class TestMakeFolds:
     def test_every_utterance_tested_exactly_once(self):
         cohort = make_cohort(12, 20)
         test_fold = make_folds(cohort, seed=3)
-        assert set(test_fold) == {u.id for u in cohort}
+        assert set(test_fold) == {u.utterance_id for u in cohort}
         assert set(test_fold.values()) <= {0, 1, 2}
 
     def test_emitter_disjointness(self):
         cohort = make_cohort(9, 15)
         test_fold = make_folds(cohort, seed=5)
-        emitter = {u.id: u.emitter_id for u in cohort}
+        emitter = {u.utterance_id: u.emitter_id for u in cohort}
         for fold in range(3):
             test_emitters = {emitter[uid] for uid, f in test_fold.items() if f == fold}
             dev_emitters = {emitter[uid] for uid, f in test_fold.items() if f != fold}
@@ -67,7 +70,7 @@ class TestMakeFolds:
         total = len(cohort)
         global_counts = Counter(u.context for u in cohort)
         for fold in range(3):
-            test = [u for u in cohort if test_fold[u.id] == fold]
+            test = [u for u in cohort if test_fold[u.utterance_id] == fold]
             counts = Counter(u.context for u in test)
             l1 = sum(abs(counts[lab] / len(test) - global_counts[lab] / total)
                      for lab in global_counts)
@@ -82,10 +85,8 @@ class TestMakeFolds:
                                         ("isolation",), ("isolation", "feeding"),
                                         ("fighting", "isolation")]):
             for i in range(10):
-                cohort.append(Utterance(id=f"u{uid:04d}", audio_path=None,
-                                        emitter_id=f"e{e}",
-                                        context=label_pool[i % len(label_pool)],
-                                        duration_s=0.5))
+                cohort.append(record(f"u{uid:04d}", f"e{e}",
+                                     label_pool[i % len(label_pool)]))
                 uid += 1
         sizes = Counter(make_folds(cohort, seed=2).values())
         assert all(sizes[g] > 0 for g in range(3))
@@ -107,11 +108,11 @@ class TestSplitDev:
             roles = split_dev(test_fold, fold, cohort, seed=0)
             label_dev = Counter()
             for u in cohort:
-                if test_fold[u.id] != fold:
+                if test_fold[u.utterance_id] != fold:
                     label_dev[u.context] += 1
             for u in cohort:
-                if test_fold[u.id] != fold and label_dev[u.context] == 1:
-                    assert roles[u.id] == "train"
+                if test_fold[u.utterance_id] != fold and label_dev[u.context] == 1:
+                    assert roles[u.utterance_id] == "train"
 
     def test_same_seed_reproduces_assignment(self):
         cohort = make_cohort(6, 12)
@@ -125,7 +126,7 @@ class TestSplitDev:
         plan = build_plan(cohort, seed=6)
         by_label_fold = {}
         for u in cohort:
-            for fold, role in enumerate(plan.roles[u.id]):
+            for fold, role in enumerate(plan.roles[u.utterance_id]):
                 if role == "test":
                     continue
                 key = (fold, u.context)

@@ -86,7 +86,7 @@ class TestSynthCorpus:
                             seed=0)
         schema = SchemaConfig.from_json(s)
         records = load_annotations(a, schema)
-        assert [r.emitter for r in records] == ["bat00", "bat01", "bat02"]
+        assert [r.emitter_id for r in records] == ["bat00", "bat01", "bat02"]
 
     def test_too_few_emitters_rejected(self, tmp_path):
         with pytest.raises(ValueError):
