@@ -15,8 +15,11 @@ def write_atomic(path: str | Path, *chunks) -> None:
     """Replace path with the bytes-like chunks, written in order, in one
     rename (no fsync: safe against a killed process, not against power loss).
     The chunks are written as they are, never joined into one copy.  The
-    file mode is 0o666 less the umask, as with a plain open(path, "w")."""
+    file mode is 0o666 less the umask, as with a plain open(path, "w").
+    Missing parent directories are made first, so a directory appears with
+    its first file."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import __version__, evaluation, svm
 from .artifacts import write_atomic, write_table
-from .audio_io import load_wav
-from .corpus import (SchemaConfig, Utterance, filter_cohort, load_annotations,
-                     write_filter_report)
+from .audio_io import load_wav, padded_length
+from .corpus import (MAX_UTTERANCE_S, SchemaConfig, Utterance, filter_cohort,
+                     load_annotations, write_filter_report)
 from .evaluation import (Prediction, PredictionSet, build_report,
                          report_to_json, write_confusion_csv,
                          write_predictions_csv)
@@ -50,8 +50,6 @@ EXTRACT_FAILURE_TOLERANCE = 0.01  # corrupt-file fraction tolerated per run
 # Per-file errors that cost one skip-report row; anything else is a bug and
 # stops the stage.
 _FILE_ERRORS = (PipelineError, OSError, ValueError)
-# nested_select diagnostics that report.json's provenance lists per fold
-_SOLVER_DIAGNOSTICS = ("capped_machines", "max_relative_gap", "solver_epochs")
 # OSError numbers of a full output device: every later file would fail alike,
 # so they stop the stage.
 _DISK_FULL = (errno.ENOSPC, errno.EDQUOT)
@@ -128,7 +126,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"invalid {field} ({flag}): {exc}") from None
     if cfg.audio_dir is None and cfg.annotation_file is not None:
         cfg.audio_dir = cfg.annotation_file.parent
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     return cfg
 
 
@@ -201,11 +198,16 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    """Pitch features for every cohort utterance with at least one voiced frame."""
+    """Pitch features for every cohort utterance with at least one voiced
+    frame.  A clip over the 3 s limit costs a skip row, as in export."""
     cfg = _resolve_config(args)
-    done, status = _per_utterance(
-        cfg, "extract", lambda utt: contour_stats(extract_f0(load_wav(utt.audio_path))),
-        "skip_report.csv")
+
+    def extract(utt: Utterance):
+        clip = load_wav(utt.audio_path)
+        padded_length(clip, MAX_UTTERANCE_S)
+        return contour_stats(extract_f0(clip))
+
+    done, status = _per_utterance(cfg, "extract", extract, "skip_report.csv")
     write_feature_csv(cfg.output_dir / "features.csv",
                       [FeatureRecord(utt.utterance_id, utt.emitter_id, utt.context,
                                      utt.duration_s, features) for utt, features in done],
@@ -239,12 +241,17 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"{features_path} and {folds_path} must list the same "
                          f"utterances once each: utterance {uid} {reason}")
 
+    memberships = [plan.fold_membership(fold) for fold in range(FOLD_COUNT)]
+    for fold, (train_ids, val_ids, _test_ids) in enumerate(memberships):
+        contexts = sorted({by_id[uid].context for uid in train_ids + val_ids})
+        if len(contexts) < 2:
+            raise ValueError(f"{folds_path}: the development set of fold {fold} "
+                             f"holds only context {', '.join(contexts)}; training "
+                             "needs two or more")
+
     predictions: list[Prediction] = []
-    chosen_costs: dict[str, float] = {}
-    validation_uar: dict[str, dict] = {}
-    solver: dict[str, dict] = {key: {} for key in _SOLVER_DIAGNOSTICS}
-    for fold in range(FOLD_COUNT):
-        train_ids, val_ids, test_ids = plan.fold_membership(fold)
+    diagnostics: dict[str, dict] = defaultdict(dict)  # report.json key -> fold -> value
+    for fold, (train_ids, val_ids, test_ids) in enumerate(memberships):
         dev_ids = train_ids + val_ids
         X_dev = np.array([by_id[uid].features.as_row() for uid in dev_ids])
         y_dev = [by_id[uid].context for uid in dev_ids]
@@ -254,11 +261,8 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
                                     seed=(cfg.seed, fold))
         write_model(cfg.output_dir / f"model_fold{fold}.csv", model,
                     comment=cfg.provenance())
-        chosen_costs[str(fold)] = diag["chosen_cost"]
-        validation_uar[str(fold)] = {format(c, "g"): u
-                                     for c, u in diag["validation_uar"].items()}
-        for key in _SOLVER_DIAGNOSTICS:
-            solver[key][str(fold)] = diag[key]
+        for key, value in diag.items():
+            diagnostics[key][str(fold)] = value
         if diag["capped_machines"]:
             log.warning("fold %d: %d machines stopped at the %d-epoch cap "
                         "without meeting the duality gap %g", fold,
@@ -270,15 +274,14 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
                                           true_label=by_id[uid].context,
                                           predicted_label=predicted, fold=fold))
         log.info("fold %d: cost %g, %d test predictions",
-                 fold, diag["chosen_cost"], len(test_ids))
+                 fold, diag["chosen_costs"], len(test_ids))
 
     preds = PredictionSet(predictions)
     report = build_report(preds, seed=cfg.seed)
     write_predictions_csv(cfg.output_dir / "predictions.csv", preds,
                           comment=cfg.provenance())
     provenance = {"tool": f"usvpipe {__version__}", "seed": cfg.seed,
-                  "config": cfg.config_hash(), "chosen_costs": chosen_costs,
-                  "validation_uar": validation_uar, **solver}
+                  "config": cfg.config_hash(), **diagnostics}
     write_atomic(cfg.output_dir / "report.json",
                  report_to_json(report, provenance=provenance).encode("utf-8"))
     write_confusion_csv(cfg.output_dir / "confusion.csv", report,
@@ -296,7 +299,6 @@ def cmd_export_spectrograms(args: argparse.Namespace) -> int:
     """
     cfg = _resolve_config(args)
     tensor_dir = cfg.output_dir / "spectrograms"
-    tensor_dir.mkdir(parents=True, exist_ok=True)
 
     def export(utt: Utterance) -> tuple[int, int]:
         spec = export_spectrogram(load_wav(utt.audio_path))
@@ -318,10 +320,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     records = read_feature_csv(cfg.output_dir / "features.csv")
     by_context: dict[str, list] = defaultdict(list)
     for r in records:
-        f = r.features
-        by_context[r.context].append((f.f0_mean_voiced, f.f0_std_voiced,
-                                      f.f0_max_voiced, f.f0_min_voiced,
-                                      f.f0_slope_voiced))
+        by_context[r.context].append(r.features.as_row()[5:])  # the voiced five
     out_path = cfg.output_dir / "context_f0_stats.csv"
     write_table(out_path, ("context", "n", "mean_hz", "std_hz", "max_hz", "min_hz",
                            "slope_hz_per_s"),
@@ -363,21 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
         common.add_argument(flag, dest=field, help=help_text)
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("extract", parents=[common],
-                   help="pitch features for the filtered cohort").set_defaults(
-        func=cmd_extract)
-    sub.add_parser("partition", parents=[common],
-                   help="subject-independent 3-fold plan").set_defaults(
-        func=cmd_partition)
-    sub.add_parser("train-eval", parents=[common],
-                   help="nested SVM selection and pooled evaluation").set_defaults(
-        func=cmd_train_eval)
-    sub.add_parser("export-spectrograms", parents=[common],
-                   help="fixed-shape spectrogram tensors").set_defaults(
-        func=cmd_export_spectrograms)
-    sub.add_parser("table1", parents=[common],
-                   help="per-context F0 statistics table").set_defaults(
-        func=cmd_table1)
+    # Built per call, not at module level, so each stage binds the module's
+    # current cmd_* function (a tracer may have rebound it).
+    for name, func, help_text in (
+            ("extract", cmd_extract, "pitch features for the filtered cohort"),
+            ("partition", cmd_partition, "subject-independent 3-fold plan"),
+            ("train-eval", cmd_train_eval,
+             "nested SVM selection and pooled evaluation"),
+            ("export-spectrograms", cmd_export_spectrograms,
+             "fixed-shape spectrogram tensors"),
+            ("table1", cmd_table1, "per-context F0 statistics table")):
+        sub.add_parser(name, parents=[common], help=help_text).set_defaults(func=func)
 
     synth = sub.add_parser("synth", help="generate a synthetic test corpus")
     synth.add_argument("--out", required=True)

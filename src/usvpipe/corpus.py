@@ -32,19 +32,19 @@ INGEST_ONLY_LABELS = (LABEL_UNKNOWN, LABEL_LANDING)
 MAX_UTTERANCE_S = 3.0  # the filter's length limit, and the length export pads to
 
 
+# Annotation column roles; the schema's "columns" maps each to a header name,
+# and the first four are required
+COLUMN_ROLES = ("id", "emitter", "context", "file", "duration", "start", "end")
+
+
 @dataclass(frozen=True)
 class SchemaConfig:
-    """Maps the annotation file's vocabulary onto the pipeline's fields."""
+    """Maps the annotation file's vocabulary onto the pipeline's fields:
+    columns maps each column role it names to its header name."""
 
-    id_column: str
-    emitter_column: str
-    context_column: str
-    file_column: str
+    columns: dict[str, str]
     context_map: dict[str, str]
     emitter_placeholders: frozenset[str]
-    duration_column: str | None = None
-    start_column: str | None = None
-    end_column: str | None = None
     delimiter: str = ","
 
     @classmethod
@@ -61,9 +61,9 @@ class SchemaConfig:
 
         columns = value("columns", {}, dict, "an object of strings",
                         lambda v: all(isinstance(name, str) for name in v.values()))
-        for key in ("id", "emitter", "context", "file"):
-            if key not in columns:
-                raise ValueError(f"{path}: schema lacks a '{key}' column mapping")
+        for role in COLUMN_ROLES[:4]:
+            if role not in columns:
+                raise ValueError(f"{path}: schema lacks a '{role}' column mapping")
         context_map = {str(k): str(v) for k, v in
                        value("context_map", {}, dict, "an object").items()}
         admissible = set(CONTEXT_LABELS) | set(INGEST_ONLY_LABELS)
@@ -71,13 +71,7 @@ class SchemaConfig:
         if bad:
             raise ValueError(f"{path}: context_map targets unknown labels: {sorted(bad)}")
         return cls(
-            id_column=columns["id"],
-            emitter_column=columns["emitter"],
-            context_column=columns["context"],
-            file_column=columns["file"],
-            duration_column=columns.get("duration"),
-            start_column=columns.get("start"),
-            end_column=columns.get("end"),
+            columns={role: columns[role] for role in COLUMN_ROLES if role in columns},
             context_map=context_map,
             emitter_placeholders=frozenset(
                 str(v) for v in value("emitter_placeholders", [], list, "a list")),
@@ -119,30 +113,28 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[Utterance]:
         if header is None:
             raise SchemaMismatchError(f"{path}: empty annotation file")
         index = {name: i for i, name in enumerate(header)}
-        for col in (schema.id_column, schema.emitter_column, schema.context_column,
-                    schema.file_column, schema.duration_column,
-                    schema.start_column, schema.end_column):
-            if col is not None and col not in index:
-                raise SchemaMismatchError(f"{path}: required column '{col}' not found")
+        for name in schema.columns.values():
+            if name not in index:
+                raise SchemaMismatchError(f"{path}: required column '{name}' not found")
 
         for row in reader:
             line = comments + reader.line_num
             if len(row) != len(header):
                 raise AnnotationParseError(
                     f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
-            cell = {name: row[i].strip() for name, i in index.items()}
-            uid = cell[schema.id_column]
+            cell = {role: row[index[name]].strip()
+                    for role, name in schema.columns.items()}
+            uid = cell["id"]
             try:
                 _check_id(uid, first_line)
-                duration = _row_duration(cell, schema)
+                duration = _row_duration(cell)
             except ValueError as exc:
                 raise AnnotationParseError(f"{path}:{line}: {exc}") from exc
             first_line[uid] = line
-            code = cell[schema.context_column]
             records.append(Utterance(
-                utterance_id=uid, emitter_id=cell[schema.emitter_column],
-                context=schema.context_map.get(code, LABEL_UNKNOWN),
-                audio_path=Path(cell[schema.file_column]), duration_s=duration))
+                utterance_id=uid, emitter_id=cell["emitter"],
+                context=schema.context_map.get(cell["context"], LABEL_UNKNOWN),
+                audio_path=Path(cell["file"]), duration_s=duration))
     except csv.Error as exc:
         raise AnnotationParseError(f"{path}:{comments + reader.line_num}: {exc}") from exc
     return records
@@ -159,10 +151,11 @@ def _check_id(uid: str, first_line: dict[str, int]) -> None:
                          f"{first_line[uid]}")
 
 
-def _row_duration(cell: dict[str, str], schema: SchemaConfig) -> float | None:
-    if cell.get(schema.duration_column):
-        return _checked_duration(float(cell[schema.duration_column]), "duration")
-    start, end = cell.get(schema.start_column), cell.get(schema.end_column)
+def _row_duration(cell: dict[str, str]) -> float | None:
+    """The duration cell, else end - start, else None."""
+    if cell.get("duration"):
+        return _checked_duration(float(cell["duration"]), "duration")
+    start, end = cell.get("start"), cell.get("end")
     if start and end:
         return _checked_duration(float(end) - float(start), "start/end duration")
     return None

@@ -111,8 +111,6 @@ def split_dev(test_fold: dict[str, int], fold: int, cohort: list[FeatureRecord],
     at random under the seed; a label with a single development utterance
     stays in train.  Identity is deliberately ignored here.
     """
-    if not 0 <= fold < FOLD_COUNT:
-        raise ValueError(f"fold index {fold} out of range")
     by_label: dict[str, list[str]] = defaultdict(list)
     for utt in cohort:
         if test_fold[utt.utterance_id] != fold:

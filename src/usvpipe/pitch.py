@@ -5,12 +5,14 @@ noise gate, and a per-frame spectral argmax.  The gate reference is the
 frequency bin with the maximum time-averaged energy, so the whole contour
 is invariant to any positive rescaling of the input.  extract_f0 reduces
 the STFT block by block as spectral.stft_samples hands it over, keeping
-per-frame peaks and a per-bin power sum, never the magnitude matrix.
+per-frame peaks and a per-bin power sum, never the magnitude matrix.  A
+contour is its F0 track and hop alone: voicing (f0 > 0) and frame times
+(multiples of the hop) follow from them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,31 +27,13 @@ PITCH_WINDOW_S = 0.100
 PITCH_HOP_S = 0.016
 GATE_DB = 20.0
 
-FEATURE_NAMES = (
-    "f0_mean_all", "f0_std_all", "f0_max_all", "f0_min_all", "f0_slope_all",
-    "f0_mean_voiced", "f0_std_voiced", "f0_max_voiced", "f0_min_voiced",
-    "f0_slope_voiced",
-)
-
-FEATURE_CSV_HEADER = (
-    "utterance_id", "emitter_id", "context", "duration_s") + FEATURE_NAMES
-
-
 @dataclass(frozen=True)
 class PitchContour:
-    """Per-frame F0 estimates; unvoiced frames carry f0 = 0."""
+    """An F0 track: one estimate per frame, frame t at t * hop_s seconds.
+    A frame is voiced exactly when its f0 is above 0; unvoiced frames carry 0."""
 
     f0_hz: np.ndarray
-    voiced: np.ndarray
-    frame_times_s: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.f0_hz) == len(self.voiced) == len(self.frame_times_s)):
-            raise ValueError("contour arrays must have equal length")
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.f0_hz)
+    hop_s: float
 
 
 @dataclass(frozen=True)
@@ -71,6 +55,11 @@ class FeatureVector:
 
     def as_row(self) -> list[float]:
         return [getattr(self, name) for name in FEATURE_NAMES]
+
+
+FEATURE_NAMES = tuple(field.name for field in fields(FeatureVector))
+FEATURE_CSV_HEADER = (
+    "utterance_id", "emitter_id", "context", "duration_s") + FEATURE_NAMES
 
 
 def extract_f0(clip: AudioClip) -> PitchContour:
@@ -110,8 +99,7 @@ def extract_f0(clip: AudioClip) -> PitchContour:
     threshold = reference * 10.0 ** (-GATE_DB / 10.0)
     voiced = (peak_mag * peak_mag >= threshold) & (peak_mag > 0.0) & (peak_bin > 0)
     f0 = np.where(voiced, peak_bin * (clip.sample_rate / window_samples), 0.0)
-    return PitchContour(f0_hz=f0, voiced=voiced,
-                        frame_times_s=np.arange(frames) * (hop_samples / clip.sample_rate))
+    return PitchContour(f0_hz=f0, hop_s=hop_samples / clip.sample_rate)
 
 
 def _slope(times: np.ndarray, values: np.ndarray) -> float:
@@ -126,17 +114,14 @@ def _slope(times: np.ndarray, values: np.ndarray) -> float:
 def contour_stats(contour: PitchContour) -> FeatureVector:
     """The ten contour statistics (population std, slopes against real time).
 
-    Raises EmptyVoicedSetError when no frame is voiced; such utterances are
-    flagged and excluded downstream.
+    Raises EmptyVoicedSetError when no frame is voiced (an empty track
+    included); such utterances are flagged and excluded downstream.
     """
-    if contour.frame_count == 0:
-        raise ValueError("contour must have at least one frame")
-    mask = np.asarray(contour.voiced, dtype=bool)
+    f0 = contour.f0_hz
+    mask = f0 > 0.0
     if not mask.any():
         raise EmptyVoicedSetError("contour has no voiced frames")
-
-    f0 = contour.f0_hz
-    t = contour.frame_times_s
+    t = np.arange(len(f0)) * contour.hop_s
     fv, tv = f0[mask], t[mask]
     return FeatureVector(
         f0_mean_all=float(f0.mean()),

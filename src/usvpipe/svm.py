@@ -258,8 +258,6 @@ def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
     A non-finite feature, whose NaN gap would read as converged, is a ValueError.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     y = np.asarray(y, dtype=np.float64)
     if not ((y > 0).any() and (y < 0).any()):
         raise SingleClassDataError("both classes must be present")
@@ -341,9 +339,11 @@ def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
 
     The standardiser and the class weights come from the full development
     set and are reused in both stages.  Ties in validation UAR resolve to
-    the smaller cost.  Over the machines of both stages, the diagnostics
-    count those that stopped at the epoch cap without meeting the duality
-    gap, give the largest final relative duality gap and sum the epochs.
+    the smaller cost.  The diagnostics carry report.json's provenance keys
+    and JSON-ready values: chosen_costs, validation_uar keyed by
+    format(cost, "g"), and over the machines of both stages capped_machines
+    (stopped at the epoch cap short of the duality gap), max_relative_gap
+    and solver_epochs (the epoch sum).
     """
     X_dev = np.asarray(X_dev, dtype=np.float64)
     y_dev = np.asarray(y_dev, dtype=object)
@@ -355,7 +355,7 @@ def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
 
     y_val = list(y_dev[val_idx])
     best_cost, best_uar = None, -1.0
-    validation_uar: dict[float, float] = {}
+    validation_uar: dict[str, float] = {}
     trained: list[BinarySvm] = []
     for grid_index, cost in enumerate(sorted(COST_GRID)):
         machines = fit_ovo(X_std[train_idx], list(y_dev[train_idx]), cost,
@@ -363,14 +363,14 @@ def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
         trained += machines
         score = uar_from_labels(
             y_val, _predict_standardised(machines, labels, X_std[val_idx]))
-        validation_uar[cost] = score
+        validation_uar[format(cost, "g")] = score
         if score > best_uar:
             best_uar, best_cost = score, cost
     final = fit_ovo(X_std, list(y_dev), best_cost, weights, seed=base + (2,))
     trained += final
     model = OvoModel(labels=labels, standardiser=standardiser,
                      cost=best_cost, machines=final)
-    return model, {"chosen_cost": best_cost, "validation_uar": validation_uar,
+    return model, {"chosen_costs": best_cost, "validation_uar": validation_uar,
                    "capped_machines": sum(not m.converged for m in trained),
                    "max_relative_gap": max(m.gap for m in trained),
                    "solver_epochs": sum(len(m.objective_history) - 1

@@ -92,7 +92,6 @@ def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
     specs = class_specs if class_specs is not None else SEPARABLE_CLASS_SPECS
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wavs"
-    wav_dir.mkdir(parents=True, exist_ok=True)
     emitters = [f"bat{replicate:02d}" for replicate in range(n_emitters)]
 
     rng = rng_for(seed)

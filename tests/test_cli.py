@@ -13,7 +13,7 @@ from usvpipe.cli import main
 from usvpipe.spectral import read_tensor
 from usvpipe.synth import SEPARABLE_CLASS_SPECS, synth_corpus
 
-from conftest import write_raw_wav
+from conftest import sine_clip, write_raw_wav
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +340,25 @@ def test_export_skips_an_over_long_clip(tmp_path):
         assert read_tensor(out / rel).shape == (int(frames), int(bins))
 
 
+def test_extract_and_export_skip_the_same_over_long_clip(tmp_path):
+    args = _three_class_corpus(tmp_path / "c")
+    # a voiced 3.5 s tone, annotated as under a second, so the cohort filter
+    # keeps it
+    victim = sorted((tmp_path / "c" / "wavs").iterdir())[4]
+    write_wav(victim, sine_clip(9000, duration_s=3.5, sample_rate=50_000))
+    out = tmp_path / "out"
+    for stage, skip_report in (("extract", "skip_report.csv"),
+                               ("export-spectrograms", "export_skip_report.csv")):
+        assert main([stage] + args + ["--out", str(out)]) == 1  # 1/12 > 1 %
+        skips = (out / skip_report).read_text().splitlines()[1:]
+        assert skips == ["utterance_id,reason", f"{victim.stem},error:ClipTooLongError"]
+    featured = [l.split(",")[0] for l in
+                (out / "features.csv").read_text().splitlines()[2:]]
+    exported = [l.split(",")[0] for l in
+                (out / "spectrogram_manifest.csv").read_text().splitlines()[2:]]
+    assert len(featured) == 11 and featured == exported
+
+
 def test_full_disk_stops_export_at_once(tmp_path, monkeypatch):
     args = _three_class_corpus(tmp_path / "c")
     _use_workers(monkeypatch, 2)
@@ -464,6 +483,26 @@ def test_train_eval_refuses_folds_with_an_empty_test_fold(small_corpus, tmp_path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
 
 
+def test_train_eval_refuses_a_development_set_of_one_context(tmp_path, caplog):
+    from usvpipe.partition import FoldPlan, write_fold_plan
+    from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
+    # bat0 and bat1 only bite and bat2 only feeds; each emitter is tested in
+    # its own fold, so the development set of fold 2 holds biting alone
+    records, roles = [], {}
+    for i in range(18):
+        bat, context = i % 3, ("biting", "biting", "feeding")[i % 3]
+        fv = FeatureVector(*(9000.0 + 3000.0 * (bat == 2) + 10.0 * i + np.arange(10)))
+        records.append(FeatureRecord(f"u{i:02d}", f"bat{bat}", context, 0.5, fv))
+        roles[f"u{i:02d}"] = tuple("test" if fold == bat else ("val" if i % 2 else "train")
+                                   for fold in range(3))
+    write_feature_csv(tmp_path / "features.csv", records, comment="stamp")
+    write_fold_plan(tmp_path / "folds.csv", FoldPlan(roles), comment="stamp")
+    assert main(["train-eval", "--out", str(tmp_path)]) == 2
+    assert (f"{tmp_path / 'folds.csv'}: the development set of fold 2 holds only "
+            "context biting;" in caplog.text)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+
+
 def test_schema_without_a_file_column_exits_2_naming_it(tmp_path, caplog):
     args = _three_class_corpus(tmp_path / "c")
     schema = tmp_path / "c" / "schema.json"
@@ -489,7 +528,7 @@ def test_schema_value_of_the_wrong_type_exits_2_naming_it(tmp_path, caplog, key,
     out = tmp_path / "out"
     assert main(["extract"] + args + ["--out", str(out)]) == 2
     assert f"{schema}: {complaint}" in caplog.text
-    assert not any(path.is_file() for path in out.rglob("*"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["extract", "export-spectrograms"])
@@ -506,9 +545,7 @@ def test_id_that_cannot_key_an_artifact_exits_2_writing_nothing(tmp_path, caplog
     annotations.write_text("".join(lines))
     assert main([stage] + args + ["--out", str(tmp_path / "out")]) == 2
     assert f"{annotations}:3: {complaint}" in caplog.text
-    written = [path for path in tmp_path.rglob("*")
-               if path.is_file() and tmp_path / "c" not in path.parents]
-    assert written == []
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "c"]  # not even a directory
 
 
 def test_partition_needs_only_the_feature_table(small_corpus, tmp_path):

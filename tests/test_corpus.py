@@ -166,6 +166,18 @@ def test_schema_must_hold_an_object(tmp_path):
         SchemaConfig.from_json(path)
 
 
+def test_schema_keeps_only_column_roles(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**_SCHEMA, "columns": {
+        **_SCHEMA["columns"], "end": "t1", "notes": "remarks"}}))
+    schema = SchemaConfig.from_json(path)
+    assert schema.columns == {**_SCHEMA["columns"], "end": "t1"}
+    # a role the schema names must be in the header; an unknown key need not
+    annotations = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4"],
+                                    header="uid,bat,ctx,wav,t1")
+    assert load_annotations(annotations, schema)[0].duration_s is None
+
+
 @pytest.mark.parametrize("key, value, what", [
     ("columns", ["uid"], "an object of strings"),
     ("columns", {**_SCHEMA["columns"], "id": 3}, "an object of strings"),
@@ -215,10 +227,10 @@ def test_fuzzed_tables_give_valid_durations_or_pipeline_errors(tmp_path_factory,
                                                               data):
     delimiter = data.draw(st.sampled_from([",", "\t", ";"]))
     schema = SchemaConfig(
-        id_column="uid", emitter_column="bat", context_column="ctx",
-        file_column="wav", context_map={"7": "fighting"},
-        emitter_placeholders=frozenset(), duration_column="dur",
-        start_column="t0", end_column="t1", delimiter=delimiter)
+        columns={"id": "uid", "emitter": "bat", "context": "ctx", "file": "wav",
+                 "duration": "dur", "start": "t0", "end": "t1"},
+        context_map={"7": "fighting"}, emitter_placeholders=frozenset(),
+        delimiter=delimiter)
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_text(data.draw(_fuzzed_table(delimiter)), encoding="utf-8")
     try:
@@ -281,10 +293,10 @@ def test_written_tables_read_back_field_for_field(tmp_path_factory, rows):
     # and the row index appended
     rows = [(uid.translate({ord(c): None for c in "/\\\0"}) + f"|{i}", *rest)
             for i, (uid, *rest) in enumerate(rows)]
-    schema = SchemaConfig(id_column="uid", emitter_column="bat", context_column="ctx",
+    schema = SchemaConfig(columns={"id": "uid", "emitter": "bat", "context": "ctx",
+                                   "file": "wav", "duration": "dur"},
                           context_map={"7": "fighting", "3": "feeding"},
-                          emitter_placeholders=frozenset(), file_column="wav",
-                          duration_column="dur")
+                          emitter_placeholders=frozenset())
     path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
     write_table(path, ("uid", "bat", "ctx", "wav", "dur", "notes"),
                 [(uid, bat, ctx, wav, "" if dur is None else dur, notes)

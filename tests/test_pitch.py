@@ -18,8 +18,8 @@ class TestExtractF0:
     def test_pure_tone_every_frame_voiced_at_tone_bin(self):
         clip = sine_clip(11_000, duration_s=1.0, sample_rate=50_000)
         contour = extract_f0(clip)
-        assert contour.frame_count == 57
-        assert contour.voiced.all()
+        assert len(contour.f0_hz) == 57
+        assert (contour.f0_hz > 0).all()
         np.testing.assert_array_equal(contour.f0_hz, 11_000.0)
 
     def test_minus_30db_interferer_never_selected(self):
@@ -27,12 +27,11 @@ class TestExtractF0:
         main = 0.5 * np.sin(2 * np.pi * 11_000 * t)
         weak = 0.5 * 10 ** (-30 / 20) * np.sin(2 * np.pi * 5000 * t)
         contour = extract_f0(AudioClip(samples=main + weak, sample_rate=50_000))
-        assert contour.voiced.all()
+        assert (contour.f0_hz > 0).all()
         assert np.all(np.abs(contour.f0_hz - 11_000.0) <= 5.0)
 
     def test_all_zero_clip_every_frame_unvoiced(self):
         contour = extract_f0(AudioClip(samples=np.zeros(50_000), sample_rate=50_000))
-        assert not contour.voiced.any()
         assert np.all(contour.f0_hz == 0.0)
 
     def test_too_short_clip_propagates(self):
@@ -45,18 +44,20 @@ class TestExtractF0:
         for scale in (0.1, 10.0):
             scaled = extract_f0(AudioClip(samples=scale * clip.samples,
                                           sample_rate=50_000))
-            np.testing.assert_array_equal(scaled.voiced, base.voiced)
+            np.testing.assert_array_equal(scaled.f0_hz > 0, base.f0_hz > 0)
             np.testing.assert_array_equal(scaled.f0_hz, base.f0_hz)
 
     def test_unvoiced_iff_zero_f0(self):
-        # quiet tail: tone then near-silence; gated tail frames must be unvoiced
+        # quiet tail: tone then near-silence; gated tail frames must be
+        # unvoiced, which a contour records as f0 = 0 exactly (never negative)
         t = np.arange(25_000) / 50_000
         loud = 0.8 * np.sin(2 * np.pi * 8000 * t)
         quiet = 1e-4 * np.sin(2 * np.pi * 8000 * t)
         contour = extract_f0(AudioClip(samples=np.concatenate([loud, quiet]),
                                        sample_rate=50_000))
-        assert contour.voiced.any() and not contour.voiced.all()
-        np.testing.assert_array_equal(contour.voiced, contour.f0_hz > 0)
+        voiced = contour.f0_hz > 0
+        assert voiced.any() and not voiced.all()
+        np.testing.assert_array_equal(contour.f0_hz[~voiced], 0.0)
 
 
 def gated_argmax_oracle(mags: np.ndarray, bin_hz: float):
@@ -140,16 +141,16 @@ def test_extract_f0_matches_gated_argmax_oracle(name):
     mags, bin_hz, hop_s = one_shot_pitch_stft(clip)
     f0, voiced = gated_argmax_oracle(mags, bin_hz)
     assert np.array_equal(contour.f0_hz, f0)
-    assert np.array_equal(contour.voiced, voiced)
-    assert np.array_equal(contour.frame_times_s, np.arange(len(mags)) * hop_s)
+    assert np.array_equal(contour.f0_hz > 0, voiced)
+    assert contour.hop_s == hop_s
     if name == "fading_below_gate":
         assert voiced[0] and not voiced[-1]
     if name == "one_frame":
-        assert contour.frame_count == 1
+        assert len(contour.f0_hz) == 1
     if name.endswith("_frames"):
         blocks = {"block-1": _PITCH_BLOCK - 1, "block": _PITCH_BLOCK,
                   "block+1": _PITCH_BLOCK + 1, "2block+1": 2 * _PITCH_BLOCK + 1}
-        assert contour.frame_count == blocks[name[:-len("_frames")]]
+        assert len(contour.f0_hz) == blocks[name[:-len("_frames")]]
         assert voiced.any() and not voiced.all()
 
 
@@ -172,7 +173,7 @@ def test_extract_f0_matches_oracle_on_exact_argmax_ties(monkeypatch):
     contour = extract_f0(AudioClip(np.zeros(11), 80))
     f0, voiced = gated_argmax_oracle(mags, 10.0)
     assert np.array_equal(contour.f0_hz, f0)
-    assert np.array_equal(contour.voiced, voiced)
+    assert np.array_equal(contour.f0_hz > 0, voiced)
     assert contour.f0_hz.tolist() == [10.0, 0.0, 0.0, 0.0]
 
 
@@ -190,29 +191,22 @@ def test_extract_f0_never_holds_the_whole_spectrogram():
 
 class TestContourStats:
     def test_constant_contour(self):
-        n = 57
-        contour = PitchContour(f0_hz=np.full(n, 11_000.0),
-                               voiced=np.ones(n, dtype=bool),
-                               frame_times_s=np.arange(n) * 0.016)
+        contour = PitchContour(f0_hz=np.full(57, 11_000.0), hop_s=0.016)
         fv = contour_stats(contour)
         assert fv.f0_mean_all == fv.f0_mean_voiced == 11_000.0
         assert fv.f0_std_all == fv.f0_std_voiced == 0.0
         assert fv.f0_slope_all == fv.f0_slope_voiced == 0.0
 
     def test_linear_chirp_slope_recovered(self):
-        times = np.arange(0.0, 1.0, 0.016)
+        times = np.arange(63) * 0.016
         f0 = 8000.0 + 4000.0 * times
-        contour = PitchContour(f0_hz=f0, voiced=np.ones(len(f0), dtype=bool),
-                               frame_times_s=times)
-        fv = contour_stats(contour)
+        fv = contour_stats(PitchContour(f0_hz=f0, hop_s=0.016))
         assert abs(fv.f0_slope_voiced - 4000.0) <= 40.0  # within 1 %
         assert abs(fv.f0_mean_voiced - f0.mean()) < 1e-9
 
     def test_half_voiced_arithmetic(self):
         f0 = np.array([10_000.0] * 5 + [0.0] * 5)
-        contour = PitchContour(f0_hz=f0, voiced=f0 > 0,
-                               frame_times_s=np.arange(10) * 0.016)
-        fv = contour_stats(contour)
+        fv = contour_stats(PitchContour(f0_hz=f0, hop_s=0.016))
         assert fv.f0_mean_all == 5000.0
         assert fv.f0_mean_voiced == 10_000.0
         assert fv.f0_max_all == fv.f0_max_voiced == 10_000.0
@@ -220,43 +214,42 @@ class TestContourStats:
         assert fv.f0_min_voiced == 10_000.0
 
     def test_no_voiced_frames_is_an_error(self):
-        contour = PitchContour(f0_hz=np.zeros(5), voiced=np.zeros(5, dtype=bool),
-                               frame_times_s=np.arange(5) * 0.016)
-        with pytest.raises(EmptyVoicedSetError):
-            contour_stats(contour)
+        for frames in (5, 0):  # an empty track has no voiced frame either
+            with pytest.raises(EmptyVoicedSetError):
+                contour_stats(PitchContour(f0_hz=np.zeros(frames), hop_s=0.016))
 
     def test_single_voiced_frame_flags_degenerate_slope(self):
         f0 = np.array([0.0, 9000.0, 0.0])
-        contour = PitchContour(f0_hz=f0, voiced=f0 > 0,
-                               frame_times_s=np.arange(3) * 0.016)
-        fv = contour_stats(contour)
+        fv = contour_stats(PitchContour(f0_hz=f0, hop_s=0.016))
         assert fv.f0_slope_voiced == 0.0
 
     def test_slope_sign_flips_under_time_reversal(self):
-        times = np.arange(20) * 0.016
         f0 = 9000.0 + 150.0 * np.arange(20)
-        fwd = contour_stats(PitchContour(f0_hz=f0, voiced=np.ones(20, bool),
-                                         frame_times_s=times))
-        rev = contour_stats(PitchContour(f0_hz=f0[::-1].copy(),
-                                         voiced=np.ones(20, bool),
-                                         frame_times_s=times))
+        fwd = contour_stats(PitchContour(f0_hz=f0, hop_s=0.016))
+        rev = contour_stats(PitchContour(f0_hz=f0[::-1].copy(), hop_s=0.016))
         assert fwd.f0_slope_all == pytest.approx(-rev.f0_slope_all)
 
     def test_voiced_stats_invariant_to_inserting_unvoiced_frames(self):
-        times = np.arange(10) * 0.016
         f0 = np.linspace(8000, 9000, 10)
-        base = contour_stats(PitchContour(f0_hz=f0, voiced=np.ones(10, bool),
-                                          frame_times_s=times))
-        # splice three unvoiced frames into the middle, keeping voiced timing
-        f0_aug = np.concatenate([f0[:5], np.zeros(3), f0[5:]])
-        voiced_aug = f0_aug > 0
-        times_aug = np.concatenate([times[:5], times[4] + np.array([1, 2, 3]) * 1e-3,
-                                    times[5:]])
-        aug = contour_stats(PitchContour(f0_hz=f0_aug, voiced=voiced_aug,
-                                         frame_times_s=times_aug))
+        base = contour_stats(PitchContour(f0_hz=f0, hop_s=0.016))
+        # unvoiced frames around the voiced run shift its times by whole hops
+        f0_aug = np.concatenate([np.zeros(3), f0, np.zeros(2)])
+        aug = contour_stats(PitchContour(f0_hz=f0_aug, hop_s=0.016))
         for name in ("f0_mean_voiced", "f0_std_voiced", "f0_max_voiced",
                      "f0_min_voiced", "f0_slope_voiced"):
             assert getattr(aug, name) == pytest.approx(getattr(base, name))
+
+    def test_voiced_slope_uses_the_times_of_the_voiced_frames(self):
+        # frames 5-7 unvoiced: the voiced slope is the least-squares slope
+        # over the voiced frames at their own times t * hop_s
+        f0 = np.linspace(8000, 9000, 13)
+        f0[5:8] = 0.0
+        fv = contour_stats(PitchContour(f0_hz=f0, hop_s=0.016))
+        times = np.arange(13) * 0.016
+        voiced = f0 > 0
+        slope = np.polyfit(times[voiced], f0[voiced], 1)[0]
+        assert fv.f0_slope_voiced == pytest.approx(slope)
+        assert fv.f0_slope_voiced == pytest.approx(1000 / (12 * 0.016))
 
 
 class TestEndToEndPitch:

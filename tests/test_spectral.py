@@ -234,8 +234,9 @@ class TestTensorFormat:
     def test_unwritable_path_raises_oserror(self, tmp_path):
         clip = sine_clip(8000, duration_s=0.4, sample_rate=50_000)
         spec = export_spectrogram(clip)
+        (tmp_path / "a_file").write_bytes(b"")
         with pytest.raises(OSError):
-            write_tensor(spec, tmp_path / "missing_dir" / "t.usvt")
+            write_tensor(spec, tmp_path / "a_file" / "t.usvt")
 
     def test_header_fields(self, tmp_path):
         clip = sine_clip(8000, duration_s=0.4, sample_rate=50_000)

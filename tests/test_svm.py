@@ -319,7 +319,8 @@ class TestOvoAndSelection:
         train, val = idx[:60], idx[60:]
         model, diag = nested_select(X, y, train, val, seed=0)
         assert model.cost == 0.1
-        assert list(diag["validation_uar"]) == [0.1]
+        assert diag["chosen_costs"] == 0.1
+        assert list(diag["validation_uar"]) == ["0.1"]
         assert diag["capped_machines"] == 0
         assert 0.0 <= diag["max_relative_gap"] <= SOLVER_GAP
         assert diag["solver_epochs"] >= 6  # 3 pairs, validation and refit
@@ -331,7 +332,7 @@ class TestOvoAndSelection:
         idx = rng.permutation(len(y))
         model, diag = nested_select(X, y, idx[:60], idx[60:], seed=0)
         scores = diag["validation_uar"]
-        assert scores[0.1] == scores[0.5] == scores[1.0] == 1.0
+        assert scores["0.1"] == scores["0.5"] == scores["1"] == 1.0
         assert model.cost == 0.1
 
     def test_selection_is_argmax_of_measured_validation_uar(self):
@@ -341,8 +342,8 @@ class TestOvoAndSelection:
         model, diag = nested_select(X, y, idx[:60], idx[60:], seed=0)
         scores = diag["validation_uar"]
         best = max(scores.values())
-        assert scores[model.cost] == best
-        assert model.cost == min(c for c, s in scores.items() if s == best)
+        assert scores[format(model.cost, "g")] == best
+        assert model.cost == min(float(c) for c, s in scores.items() if s == best)
 
     def test_scale_equivariance_via_standardisation(self, monkeypatch):
         monkeypatch.setattr(svm, "COST_GRID", (1.0,))
