@@ -1,10 +1,11 @@
 """The one on-disk layer for artifacts: provenance-stamped CSV tables with
-"\\n" line endings, and atomic replacement, so a killed run leaves the old
-file or the finished one, never a partial one."""
+"\\n" line endings, strict JSON objects, and atomic replacement, so a killed
+run leaves the old file or the finished one, never a partial one."""
 from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import secrets
 from pathlib import Path
@@ -49,12 +50,19 @@ def write_table(path: str | Path, header: Sequence, rows: Iterable[Sequence],
     write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
-def reader_after_comments(fh, delimiter: str = ","):
-    """(reader, skipped): a csv.reader over the text file fh after its first
+def reader_after_comments(path: str | Path, delimiter: str = ",",
+                          encoding: str = "utf-8", error: type = ValueError):
+    """(reader, skipped): a csv.reader over the text of path after its first
     `skipped` lines, those before the first line not starting with "#"
     (only lines before the header are comments).  A row ends on file line
-    skipped + reader.line_num."""
-    lines = fh.readlines()
+    skipped + reader.line_num.  Bytes that are not text in encoding raise
+    error naming path:line."""
+    try:
+        text = Path(path).read_bytes().decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise error(f"{path}:{line}: not UTF-8 text: {exc}") from None
+    lines = io.StringIO(text, newline="").readlines()
     skipped = 0
     while skipped < len(lines) and lines[skipped].startswith("#"):
         skipped += 1
@@ -65,13 +73,13 @@ def read_table(path: str | Path, header: Sequence[str] | None = None,
                unique: bool = False) -> list[list[str]]:
     """Data rows of a table.  Only lines before the header are comments.
 
-    With a header, the file's header and the field count of every row must
-    match it, and with unique as well no two rows may share a first field,
-    else ValueError names path:line.  Without a header, every row after the
-    comments is data, of any width.  "\\r\\n" rows read as "\\n" ones.
+    The file must be UTF-8 text.  With a header, the file's header and the
+    field count of every row must match it, and with unique as well no two
+    rows may share a first field, else ValueError names path:line.  Without
+    a header, every row after the comments is data, of any width.  "\\r\\n"
+    rows read as "\\n" ones.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader, skipped = reader_after_comments(fh)
+    reader, skipped = reader_after_comments(path)
     rows, keys = [], set()
     try:
         if header is not None and next(reader, None) != list(header):
@@ -89,3 +97,24 @@ def read_table(path: str | Path, header: Sequence[str] | None = None,
     except csv.Error as exc:
         raise ValueError(f"{path}:{skipped + reader.line_num}: {exc}") from exc
     return rows
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write obj as strict JSON, indented and with sorted keys, and a final
+    "\\n".  A NaN or infinity anywhere in obj is a ValueError, and path is
+    then untouched."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    write_atomic(path, text.encode("utf-8"))
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object path holds.  A ValueError names path when the file is
+    not UTF-8 JSON or holds another JSON value ("a <what> must hold a JSON
+    object")."""
+    try:
+        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not UTF-8 JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: a {what} must hold a JSON object")
+    return obj

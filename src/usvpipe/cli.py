@@ -28,13 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation, svm
-from .artifacts import write_atomic, write_table
+from .artifacts import read_json, write_json, write_table
 from .audio_io import load_wav, padded_length
 from .corpus import (MAX_UTTERANCE_S, SchemaConfig, Utterance, filter_cohort,
                      load_annotations, write_filter_report)
 from .evaluation import (Prediction, PredictionSet, build_report,
-                         report_to_json, write_confusion_csv,
-                         write_predictions_csv)
+                         write_confusion_csv, write_predictions_csv)
 from .exceptions import ClipTooShortError, EmptyVoicedSetError, PipelineError
 from .partition import FOLD_COUNT, build_plan, read_fold_plan, write_fold_plan
 from .pitch import (FeatureRecord, contour_stats, extract_f0,
@@ -108,9 +107,7 @@ _SETTINGS = (
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Each setting from its flag, else the config file, else the default."""
-    raw = json.loads(Path(args.config).read_text()) if args.config else {}
-    if not isinstance(raw, dict):
-        raise ValueError(f"{args.config}: a config file must hold a JSON object")
+    raw = read_json(args.config, "config file") if args.config else {}
     unknown = sorted(set(raw) - {field for field, *_ in _SETTINGS})
     if unknown:
         raise ValueError(f"{args.config}: unknown settings {unknown}")
@@ -248,6 +245,10 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
             raise ValueError(f"{folds_path}: the development set of fold {fold} "
                              f"holds only context {', '.join(contexts)}; training "
                              "needs two or more")
+        if not val_ids:
+            raise ValueError(f"{folds_path}: the development set of fold {fold} "
+                             "holds no val utterance; cost selection needs one "
+                             "or more")
 
     predictions: list[Prediction] = []
     diagnostics: dict[str, dict] = defaultdict(dict)  # report.json key -> fold -> value
@@ -282,12 +283,12 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
                           comment=cfg.provenance())
     provenance = {"tool": f"usvpipe {__version__}", "seed": cfg.seed,
                   "config": cfg.config_hash(), **diagnostics}
-    write_atomic(cfg.output_dir / "report.json",
-                 report_to_json(report, provenance=provenance).encode("utf-8"))
+    write_json(cfg.output_dir / "report.json", {**report, "provenance": provenance})
     write_confusion_csv(cfg.output_dir / "confusion.csv", report,
                         comment=cfg.provenance())
-    print(f"train-eval: UAR {report.uar:.4f} "
-          f"[{report.ci_low:.4f} - {report.ci_high:.4f}] over {report.n} predictions")
+    low, high = report["ci_95"]
+    print(f"train-eval: UAR {report['uar']:.4f} [{low:.4f} - {high:.4f}] "
+          f"over {report['n']} predictions")
     return 0
 
 
@@ -337,16 +338,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     annotation_path, schema_path = synth_corpus(
         out_dir, n_emitters=args.emitters, per_class_count=args.per_class,
         seed=args.seed, sample_rate=args.sample_rate)
-    config = {
+    config_path = out_dir / "config.json"
+    write_json(config_path, {
         "annotation_file": str(annotation_path),
         "schema_file": str(schema_path),
         "audio_dir": str(out_dir),
         "output_dir": str(out_dir / "results"),
         "seed": args.seed,
-    }
-    config_path = out_dir / "config.json"
-    write_atomic(config_path,
-                 (json.dumps(config, indent=2, sort_keys=True) + "\n").encode())
+    })
     print(f"synth: corpus under {out_dir}, run config at {config_path}")
     return 0
 

@@ -11,13 +11,12 @@ and reports a count per rule.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
-from .artifacts import reader_after_comments, write_table
+from .artifacts import read_json, reader_after_comments, write_table
 from .audio_io import wav_duration
 from .exceptions import AnnotationParseError, PipelineError, SchemaMismatchError
 
@@ -49,9 +48,7 @@ class SchemaConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SchemaConfig":
-        raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: a schema must hold a JSON object")
+        raw = read_json(path, "schema")
 
         def value(key: str, default, kind: type, what: str, ok=lambda v: True):
             found = raw.get(key, default)
@@ -100,12 +97,12 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[Utterance]:
     Context codes missing from the schema map become 'unknown', and a leading
     UTF-8 byte-order mark (spreadsheet "CSV UTF-8" exports) is dropped.  Raises
     SchemaMismatchError when a required column is absent and
-    AnnotationParseError (with the file line number) for malformed rows: a
-    bad duration, or an id that is blank, names a path or repeats one.
+    AnnotationParseError (with the file line number) for bytes that are not
+    UTF-8 and for malformed rows: a bad duration, or an id that is blank,
+    names a path or repeats one.
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader, comments = reader_after_comments(fh, schema.delimiter)
+    reader, comments = reader_after_comments(path, schema.delimiter, "utf-8-sig",
+                                             AnnotationParseError)
     records = []
     first_line: dict[str, int] = {}
     try:

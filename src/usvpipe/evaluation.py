@@ -4,10 +4,12 @@ UAR (unweighted average recall, a.k.a. balanced accuracy) is the mean of
 per-class recalls over the classes actually present.  Confidence intervals
 come from the percentile bootstrap: full-size resamples with replacement,
 each replicate's UAR averaged over the classes present in that replicate.
+build_report returns report.json's record as the plain dict the file holds
+beside its provenance, so the record re-derives from predictions.csv and the
+run's seed by one call.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -91,61 +93,35 @@ def bootstrap_ci(preds: PredictionSet, seed: int = 0) -> tuple[float, float]:
     return float(low), float(high)
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Pooled-prediction summary: UAR, CI, per-class recalls, and confusion[r][c],
-    the fraction of class r predicted as c (a row of zeros if r is never true)."""
-
-    labels: tuple[str, ...]
-    uar: float
-    ci_low: float
-    ci_high: float
-    per_class_recall: dict[str, float | None]
-    confusion: list[list[float]]
-    n: int
-
-
-def build_report(preds: PredictionSet, seed: int = 0) -> EvaluationReport:
+def build_report(preds: PredictionSet, seed: int = 0) -> dict:
+    """report.json's record of the pooled predictions, under its keys: n,
+    uar, ci_95 (bootstrap_ci under seed), labels, per_class_recall (None for
+    a label never true) and confusion_row_normalised, whose row r, column c
+    is the fraction of label r predicted as c (zeros if r is never true)."""
     y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels)
     k = len(order)
     recalls = _recalls(y_true, y_pred, k)
     counts = np.bincount(y_true * k + y_pred, minlength=k * k).reshape(k, k).astype(float)
     totals = counts.sum(axis=1, keepdims=True)
     matrix = np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
-    low, high = bootstrap_ci(preds, seed=seed)
-    per_class = {lab: (None if np.isnan(rec) else float(rec))
-                 for lab, rec in zip(order, recalls)}
-    return EvaluationReport(
-        labels=order,
-        uar=float(np.nanmean(recalls)),
-        ci_low=low,
-        ci_high=high,
-        per_class_recall=per_class,
-        confusion=[[float(v) for v in row] for row in matrix],
-        n=len(preds),
-    )
-
-
-def report_to_json(report: EvaluationReport, provenance: dict | None = None) -> str:
-    """Strict JSON: a NaN or infinity in the report or provenance is a ValueError."""
-    payload = {
-        "n": report.n,
-        "uar": report.uar,
-        "ci_95": [report.ci_low, report.ci_high],
-        "labels": list(report.labels),
-        "per_class_recall": report.per_class_recall,
-        "confusion_row_normalised": report.confusion,
+    return {
+        "n": len(preds),
+        "uar": float(np.nanmean(recalls)),
+        "ci_95": list(bootstrap_ci(preds, seed=seed)),
+        "labels": list(order),
+        "per_class_recall": {lab: (None if np.isnan(rec) else float(rec))
+                             for lab, rec in zip(order, recalls)},
+        "confusion_row_normalised": matrix.tolist(),
     }
-    if provenance:
-        payload["provenance"] = provenance
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_confusion_csv(path: str | Path, report: EvaluationReport,
+def write_confusion_csv(path: str | Path, report: dict,
                         comment: str | None = None) -> None:
-    write_table(path, ("true\\pred",) + report.labels,
-                ((lab,) + tuple(format(v, ".6g") for v in row)
-                 for lab, row in zip(report.labels, report.confusion)), comment)
+    labels = report["labels"]
+    write_table(path, ("true\\pred", *labels),
+                ((lab, *(format(v, ".6g") for v in row))
+                 for lab, row in zip(labels, report["confusion_row_normalised"])),
+                comment)
 
 
 def write_predictions_csv(path: str | Path, preds: PredictionSet,

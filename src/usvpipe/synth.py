@@ -7,14 +7,13 @@ keep runtime small; every downstream parameter derives from the actual rate.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .artifacts import write_atomic, write_table
+from .artifacts import write_json, write_table
 from .audio_io import AudioClip, write_wav
 from .corpus import CONTEXT_LABELS
 from .exceptions import SpecOutOfRangeError
@@ -121,14 +120,12 @@ def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
                                   "file", "duration_s"), rows)
 
     schema_path = out_dir / "schema.json"
-    schema = {
+    write_json(schema_path, {
         "delimiter": ",",
         "columns": {"id": "utterance_id", "emitter": "emitter_id",
                     "context": "context_code", "file": "file",
                     "duration": "duration_s"},
         "context_map": {label: label for label in sorted(specs)},
         "emitter_placeholders": ["unknown-emitter"],
-    }
-    write_atomic(schema_path,
-                 (json.dumps(schema, indent=2, sort_keys=True) + "\n").encode())
+    })
     return annotation_path, schema_path

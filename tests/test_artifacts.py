@@ -1,9 +1,10 @@
 import os
+import re
 import stat
 
 import pytest
 
-from usvpipe.artifacts import read_table, write_table
+from usvpipe.artifacts import read_json, read_table, write_json, write_table
 
 HEADER = ("utterance_id", "reason")
 
@@ -49,6 +50,13 @@ def test_short_row_names_path_and_line(tmp_path):
         read_table(path, HEADER)
 
 
+def test_byte_that_is_not_utf8_names_path_and_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"# stamp\nutterance_id,reason\nu1,caf\xe9\n")
+    with pytest.raises(ValueError, match=r"t\.csv:3: not UTF-8 text: .* byte 0xe9"):
+        read_table(path, HEADER)
+
+
 def test_without_header_rows_may_vary_in_width(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("# stamp\ncost,0.5\nmachine,a,b,1,2,3\n")
@@ -80,3 +88,22 @@ def test_new_file_mode_follows_the_umask_like_open(tmp_path):
         os.umask(old)
     mode = stat.S_IMODE(os.stat(tmp_path / "t.csv").st_mode)
     assert mode == stat.S_IMODE(os.stat(tmp_path / "plain.csv").st_mode) == 0o664
+
+
+def test_json_is_sorted_indented_and_ends_in_a_newline(tmp_path):
+    path = tmp_path / "r.json"
+    write_json(path, {"b": 1, "a": [0.5, None]})
+    assert path.read_bytes() == b'{\n  "a": [\n    0.5,\n    null\n  ],\n  "b": 1\n}\n'
+    assert read_json(path, "report") == {"a": [0.5, None], "b": 1}
+
+
+@pytest.mark.parametrize("content, complaint", [
+    (b'{"a": 1,\n', "not UTF-8 JSON: Expecting property name"),
+    (b'{"a": "caf\xe9"}', "not UTF-8 JSON: 'utf-8' codec can't decode byte 0xe9"),
+    (b'[{"a": 1}]', "a report must hold a JSON object"),
+], ids=["truncated", "latin1", "list"])
+def test_json_that_is_no_object_names_the_path(tmp_path, content, complaint):
+    path = tmp_path / "r.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {complaint}")):
+        read_json(path, "report")

@@ -73,6 +73,16 @@ def test_train_eval_report(small_corpus):
                for epochs in provenance["solver_epochs"].values())
 
 
+def test_report_re_derives_from_the_predictions(small_corpus, monkeypatch):
+    root, _config = small_corpus
+    monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 100)  # as the fixture ran
+    results = root / "results"
+    report = json.loads((results / "report.json").read_text())
+    del report["provenance"]
+    preds = evaluation.read_predictions_csv(results / "predictions.csv")
+    assert evaluation.build_report(preds, seed=21) == report
+
+
 def test_table1_per_context_stats(small_corpus):
     root, config = small_corpus
     assert main(["table1", "--config", str(config)]) == 0
@@ -382,14 +392,20 @@ def test_full_disk_stops_export_at_once(tmp_path, monkeypatch):
     ([1, 2], "a config file must hold a JSON object"),
     ({"seed": 3, "cost_gird": [0.1]}, "unknown settings ['cost_gird']"),
     ({"cost_grid": [0.1, 1]}, "unknown settings ['cost_grid']"),
-    ({"bootstrap_replicates": 10}, "unknown settings ['bootstrap_replicates']")])
+    ({"bootstrap_replicates": 10}, "unknown settings ['bootstrap_replicates']"),
+    pytest.param(b'{"seed": 3,\n', "not UTF-8 JSON: Expecting property name",
+                 id="truncated"),
+    pytest.param(b'{"audio_dir": "caf\xe9"}',
+                 "not UTF-8 JSON: 'utf-8' codec can't decode", id="latin1")])
 def test_config_file_must_be_an_object_of_known_settings(tmp_path, caplog,
                                                          payload, message):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(payload))
+    config.write_bytes(payload if isinstance(payload, bytes)
+                       else json.dumps(payload).encode())
     assert main(["train-eval", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 2
     assert f"{config}: {message}" in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag_or_file", [
@@ -503,6 +519,26 @@ def test_train_eval_refuses_a_development_set_of_one_context(tmp_path, caplog):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
 
 
+def test_train_eval_refuses_a_fold_without_val_utterances(tmp_path, caplog):
+    from usvpipe.partition import FoldPlan, write_fold_plan
+    from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
+    # one utterance per emitter and context, each tested in its own fold and
+    # train in the other two, so no fold has a val utterance
+    contexts = ("biting", "feeding", "general")
+    write_feature_csv(tmp_path / "features.csv",
+                      [FeatureRecord(f"u{i}", f"bat{i}", context, 0.5,
+                                     FeatureVector(*(9000.0 + 1000.0 * i + np.arange(10))))
+                       for i, context in enumerate(contexts)], comment="stamp")
+    write_fold_plan(tmp_path / "folds.csv",
+                    FoldPlan({f"u{i}": tuple("test" if fold == i else "train"
+                                             for fold in range(3)) for i in range(3)}),
+                    comment="stamp")
+    assert main(["train-eval", "--out", str(tmp_path)]) == 2
+    assert (f"{tmp_path / 'folds.csv'}: the development set of fold 0 holds no val "
+            "utterance;" in caplog.text)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+
+
 def test_schema_without_a_file_column_exits_2_naming_it(tmp_path, caplog):
     args = _three_class_corpus(tmp_path / "c")
     schema = tmp_path / "c" / "schema.json"
@@ -515,6 +551,8 @@ def test_schema_without_a_file_column_exits_2_naming_it(tmp_path, caplog):
 
 @pytest.mark.parametrize("key, value, complaint", [
     (None, ["x"], "a schema must hold a JSON object"),
+    pytest.param(None, b'{"delimiter": ",",\n', "not UTF-8 JSON: Expecting property name",
+                 id="truncated"),
     ("delimiter", ";;", "schema key 'delimiter' must be a single character"),
     ("emitter_placeholders", "unknown",
      "schema key 'emitter_placeholders' must be a list"),
@@ -524,7 +562,7 @@ def test_schema_value_of_the_wrong_type_exits_2_naming_it(tmp_path, caplog, key,
     args = _three_class_corpus(tmp_path / "c")
     schema = tmp_path / "c" / "schema.json"
     raw = value if key is None else {**json.loads(schema.read_text()), key: value}
-    schema.write_text(json.dumps(raw))
+    schema.write_bytes(raw if isinstance(raw, bytes) else json.dumps(raw).encode())
     out = tmp_path / "out"
     assert main(["extract"] + args + ["--out", str(out)]) == 2
     assert f"{schema}: {complaint}" in caplog.text

@@ -50,6 +50,14 @@ class TestLoadAnnotations:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())  # "CSV UTF-8" export
         assert load_annotations(path, schema)[0].utterance_id == "a1"
 
+    def test_byte_that_is_not_utf8_names_path_and_line(self, tmp_path, schema):
+        path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4", "a2,b-18,3,y.wav,0.5"])
+        latin1 = path.read_bytes().replace(b"y.wav", b"caf\xe9.wav")
+        path.write_bytes(b"\xef\xbb\xbf" + latin1)
+        with pytest.raises(AnnotationParseError,
+                           match=r"annotations\.csv:3: not UTF-8 text: .* byte 0xe9"):
+            load_annotations(path, schema)
+
     def test_unmapped_code_becomes_unknown(self, tmp_path, schema):
         path = write_annotations(tmp_path, ["a1,b-17,99,x.wav,0.4"])
         assert load_annotations(path, schema)[0].context == "unknown"
