@@ -127,6 +127,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_cohort(cfg: RunConfig) -> list[Utterance]:
+    """The filtered cohort, after writing filter_report.csv.  An empty cohort
+    is a PipelineError naming the rule that dropped the most records."""
     if cfg.annotation_file is None or cfg.schema_file is None:
         raise PipelineError("annotation and schema files are required "
                             "(--annotations/--schema or a config file)")
@@ -136,6 +138,13 @@ def _load_cohort(cfg: RunConfig) -> list[Utterance]:
     write_filter_report(cfg.output_dir / "filter_report.csv", report,
                         comment=cfg.provenance())
     log.info("cohort: %d retained of %d records", report.retained, report.total_in)
+    if not cohort:
+        if not report.total_in:
+            raise PipelineError(f"{cfg.annotation_file}: the table has no data rows")
+        rule = max(report.RULES, key=lambda name: getattr(report, name))
+        raise PipelineError(f"{cfg.annotation_file}: no utterance is left after "
+                            f"filtering; rule {rule} dropped {getattr(report, rule)} "
+                            f"of {report.total_in} records")
     return cohort
 
 
@@ -187,7 +196,7 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
                 cfg.provenance())
     print(f"{stage}: {len(done)} of {len(cohort)} utterances done, "
           f"{len(skips)} skipped ({failures} file errors)")
-    if cohort and failures / len(cohort) > EXTRACT_FAILURE_TOLERANCE:
+    if failures / len(cohort) > EXTRACT_FAILURE_TOLERANCE:
         log.error("%s: %d of %d files failed, above the %.0f%% tolerance",
                   stage, failures, len(cohort), 100 * EXTRACT_FAILURE_TOLERANCE)
         return done, 1
@@ -196,18 +205,21 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
 
 def cmd_extract(args: argparse.Namespace) -> int:
     """Pitch features for every cohort utterance with at least one voiced
-    frame.  A clip over the 3 s limit costs a skip row, as in export."""
+    frame; the loaded clip gives its duration.  A clip over the 3 s limit
+    (its file grew after the filter read the header) costs a skip row, as
+    in export."""
     cfg = _resolve_config(args)
 
     def extract(utt: Utterance):
         clip = load_wav(utt.audio_path)
         padded_length(clip, MAX_UTTERANCE_S)
-        return contour_stats(extract_f0(clip))
+        return clip.duration_s, contour_stats(extract_f0(clip))
 
     done, status = _per_utterance(cfg, "extract", extract, "skip_report.csv")
     write_feature_csv(cfg.output_dir / "features.csv",
                       [FeatureRecord(utt.utterance_id, utt.emitter_id, utt.context,
-                                     utt.duration_s, features) for utt, features in done],
+                                     duration, features)
+                       for utt, (duration, features) in done],
                       comment=cfg.provenance())
     return status
 

@@ -6,12 +6,13 @@ guessing it in code would be unauditable.  Each annotation row becomes one
 Utterance, keyed by an id that is non-blank, unique and a plain file name,
 since it names the utterance's artifacts.  Filtering applies four rules in
 a fixed order (unknown context, landing, unidentified emitter, over-length)
-and reports a count per rule.
+and reports a count per rule.  An utterance's length is its WAV header's,
+never an annotation cell's: one file holds one utterance, and segments cut
+from a longer file by start/end times are not supported.
 """
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -31,15 +32,15 @@ INGEST_ONLY_LABELS = (LABEL_UNKNOWN, LABEL_LANDING)
 MAX_UTTERANCE_S = 3.0  # the filter's length limit, and the length export pads to
 
 
-# Annotation column roles; the schema's "columns" maps each to a header name,
-# and the first four are required
-COLUMN_ROLES = ("id", "emitter", "context", "file", "duration", "start", "end")
+# Annotation column roles, all required; the schema's "columns" maps each to a
+# header name
+COLUMN_ROLES = ("id", "emitter", "context", "file")
 
 
 @dataclass(frozen=True)
 class SchemaConfig:
     """Maps the annotation file's vocabulary onto the pipeline's fields:
-    columns maps each column role it names to its header name."""
+    columns maps each column role to its header name."""
 
     columns: dict[str, str]
     context_map: dict[str, str]
@@ -58,7 +59,7 @@ class SchemaConfig:
 
         columns = value("columns", {}, dict, "an object of strings",
                         lambda v: all(isinstance(name, str) for name in v.values()))
-        for role in COLUMN_ROLES[:4]:
+        for role in COLUMN_ROLES:
             if role not in columns:
                 raise ValueError(f"{path}: schema lacks a '{role}' column mapping")
         context_map = {str(k): str(v) for k, v in
@@ -68,7 +69,7 @@ class SchemaConfig:
         if bad:
             raise ValueError(f"{path}: context_map targets unknown labels: {sorted(bad)}")
         return cls(
-            columns={role: columns[role] for role in COLUMN_ROLES if role in columns},
+            columns={role: columns[role] for role in COLUMN_ROLES},
             context_map=context_map,
             emitter_placeholders=frozenset(
                 str(v) for v in value("emitter_placeholders", [], list, "a list")),
@@ -80,26 +81,25 @@ class SchemaConfig:
 @dataclass(frozen=True)
 class Utterance:
     """One annotation row, under the feature table's names.  filter_cohort
-    resolves audio_path against the audio root.  duration_s is None when
-    neither the annotation nor the WAV header gives one; such a file fails
-    to load in the per-file stages."""
+    resolves audio_path against the audio root; the file's WAV header gives
+    the duration."""
 
     utterance_id: str
     emitter_id: str
     context: str
     audio_path: Path
-    duration_s: float | None
 
 
 def load_annotations(path: str | Path, schema: SchemaConfig) -> list[Utterance]:
     """Parse the delimited annotation table into one Utterance per row.
 
     Context codes missing from the schema map become 'unknown', and a leading
-    UTF-8 byte-order mark (spreadsheet "CSV UTF-8" exports) is dropped.  Raises
-    SchemaMismatchError when a required column is absent and
-    AnnotationParseError (with the file line number) for bytes that are not
-    UTF-8 and for malformed rows: a bad duration, or an id that is blank,
-    names a path or repeats one.
+    UTF-8 byte-order mark (spreadsheet "CSV UTF-8" exports) is dropped.
+    Columns the schema does not map, durations and start/end times among
+    them, are not read.  Raises SchemaMismatchError when a mapped column is
+    absent and AnnotationParseError (with the file line number) for bytes
+    that are not UTF-8 and for malformed rows: a wrong field count, or an id
+    that is blank, names a path or repeats one.
     """
     reader, comments = reader_after_comments(path, schema.delimiter, "utf-8-sig",
                                              AnnotationParseError)
@@ -124,14 +124,13 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[Utterance]:
             uid = cell["id"]
             try:
                 _check_id(uid, first_line)
-                duration = _row_duration(cell)
             except ValueError as exc:
                 raise AnnotationParseError(f"{path}:{line}: {exc}") from exc
             first_line[uid] = line
             records.append(Utterance(
                 utterance_id=uid, emitter_id=cell["emitter"],
                 context=schema.context_map.get(cell["context"], LABEL_UNKNOWN),
-                audio_path=Path(cell["file"]), duration_s=duration))
+                audio_path=Path(cell["file"])))
     except csv.Error as exc:
         raise AnnotationParseError(f"{path}:{comments + reader.line_num}: {exc}") from exc
     return records
@@ -146,24 +145,6 @@ def _check_id(uid: str, first_line: dict[str, int]) -> None:
     if uid in first_line:
         raise ValueError(f"utterance id {uid!r} is already used on line "
                          f"{first_line[uid]}")
-
-
-def _row_duration(cell: dict[str, str]) -> float | None:
-    """The duration cell, else end - start, else None."""
-    if cell.get("duration"):
-        return _checked_duration(float(cell["duration"]), "duration")
-    start, end = cell.get("start"), cell.get("end")
-    if start and end:
-        return _checked_duration(float(end) - float(start), "start/end duration")
-    return None
-
-
-def _checked_duration(duration: float, what: str) -> float:
-    if not math.isfinite(duration):
-        raise ValueError(f"non-finite {what} {duration}")
-    if duration <= 0:
-        raise ValueError(f"non-positive {what} {duration}")
-    return duration
 
 
 @dataclass
@@ -191,11 +172,10 @@ def filter_cohort(records: list[Utterance], emitter_placeholders: Iterable[str],
 
     Rules, in order (a dropped record is counted under the first that fires):
     unknown context, landing, unidentified emitter (empty or one of the
-    schema's placeholder codes), duration strictly over 3 s.  Each kept
-    record's audio_path is resolved against audio_root.  Records without an
-    annotated duration take it from the WAV header; a header that cannot be
-    read keeps the record with no duration, so the stage that loads the
-    file reports it as one file error.
+    schema's placeholder codes), WAV header duration strictly over 3 s.
+    Each kept record's audio_path is resolved against audio_root.  A header
+    that cannot be read keeps the record, so the stage that loads the file
+    reports it as one file error.
     """
     placeholders = frozenset(emitter_placeholders)
     root = Path(audio_root)
@@ -212,14 +192,12 @@ def filter_cohort(records: list[Utterance], emitter_placeholders: Iterable[str],
             report.unidentified_emitter += 1
             continue
         utt = replace(rec, audio_path=root / rec.audio_path)
-        if utt.duration_s is None:
-            try:
-                utt = replace(utt, duration_s=wav_duration(utt.audio_path))
-            except (PipelineError, OSError):
-                pass
-        if utt.duration_s is not None and utt.duration_s > MAX_UTTERANCE_S:
-            report.too_long += 1
-            continue
+        try:
+            if wav_duration(utt.audio_path) > MAX_UTTERANCE_S:
+                report.too_long += 1
+                continue
+        except (PipelineError, OSError):
+            pass
         cohort.append(utt)
     report.retained = len(cohort)
     return cohort, report

@@ -111,20 +111,18 @@ def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
                              emitter_id=emitter, seed=clip_seed)
             clip = synth_utterance(spec, sample_rate)
             write_wav(wav_dir / f"{uid}.wav", clip)
-            rows.append((uid, emitter, label, f"wavs/{uid}.wav",
-                         format(clip.duration_s, ".6f")))
+            rows.append((uid, emitter, label, f"wavs/{uid}.wav"))
             counter += 1
 
     annotation_path = out_dir / "annotations.csv"
     write_table(annotation_path, ("utterance_id", "emitter_id", "context_code",
-                                  "file", "duration_s"), rows)
+                                  "file"), rows)
 
     schema_path = out_dir / "schema.json"
     write_json(schema_path, {
         "delimiter": ",",
         "columns": {"id": "utterance_id", "emitter": "emitter_id",
-                    "context": "context_code", "file": "file",
-                    "duration": "duration_s"},
+                    "context": "context_code", "file": "file"},
         "context_map": {label: label for label in sorted(specs)},
         "emitter_placeholders": ["unknown-emitter"],
     })

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from usvpipe import audio_io, cli, evaluation, svm
-from usvpipe.audio_io import AudioClip, write_wav
+from usvpipe import audio_io, cli, corpus, evaluation, svm
+from usvpipe.audio_io import AudioClip, load_wav, write_wav
 from usvpipe.cli import main
 from usvpipe.spectral import read_tensor
 from usvpipe.synth import SEPARABLE_CLASS_SPECS, synth_corpus
@@ -149,16 +149,20 @@ def test_missing_annotation_file_exits_nonzero(tmp_path):
     assert main(["extract", "--config", str(config)]) != 0
 
 
-def test_corrupt_wav_below_tolerance_still_succeeds(tmp_path):
+def _two_class_corpus(root, per_class):
     specs = {k: SEPARABLE_CLASS_SPECS[k] for k in ("biting", "feeding")}
-    synth_corpus(tmp_path, n_emitters=3, per_class_count=60, class_specs=specs,
-                 seed=5, sample_rate=50_000)
+    annotations, schema = synth_corpus(root, n_emitters=3, per_class_count=per_class,
+                                       class_specs=specs, seed=5, sample_rate=50_000)
+    return ["--annotations", str(annotations), "--schema", str(schema),
+            "--audio-dir", str(root)]
+
+
+def test_corrupt_wav_below_tolerance_still_succeeds(tmp_path):
+    args = _two_class_corpus(tmp_path, per_class=60)
     # corrupt exactly one file out of 120 (< 1 %)
     victim = sorted((tmp_path / "wavs").iterdir())[7]
     victim.write_bytes(b"RIFFgarbage")
-    code = main(["extract", "--annotations", str(tmp_path / "annotations.csv"),
-                 "--schema", str(tmp_path / "schema.json"),
-                 "--audio-dir", str(tmp_path), "--out", str(tmp_path / "out")])
+    code = main(["extract"] + args + ["--out", str(tmp_path / "out")])
     assert code == 0
     lines = [l for l in (tmp_path / "out" / "features.csv").read_text().splitlines()
              if l and not l.startswith("#")]
@@ -167,23 +171,10 @@ def test_corrupt_wav_below_tolerance_still_succeeds(tmp_path):
     assert "error:MalformedWavError" in skip
 
 
-def _blank_duration_corpus(root, per_class):
-    """Two classes, 3 emitters, with the duration column blanked, so the
-    cohort filter reads every duration from the WAV header."""
-    specs = {k: SEPARABLE_CLASS_SPECS[k] for k in ("biting", "feeding")}
-    annotations, schema = synth_corpus(root, n_emitters=3, per_class_count=per_class,
-                                       class_specs=specs, seed=5, sample_rate=50_000)
-    rows = annotations.read_text().splitlines()
-    annotations.write_text("\n".join([rows[0]] + [r.rsplit(",", 1)[0] + ","
-                                                   for r in rows[1:]]) + "\n")
-    return ["--annotations", str(annotations), "--schema", str(schema),
-            "--audio-dir", str(root)]
-
-
 def test_bad_frame_size_without_annotated_duration_costs_one_row(tmp_path):
     # the cohort filter reads durations from the WAV headers, so a header
     # it rejects must cost one row, not end the run
-    args = _blank_duration_corpus(tmp_path, per_class=60)
+    args = _two_class_corpus(tmp_path, per_class=60)
     victim = sorted((tmp_path / "wavs").iterdir())[7]
     write_raw_wav(victim, bits=16, block_align=1, payload=b"\x00" * 2000)
     code = main(["extract"] + args + ["--out", str(tmp_path / "out")])
@@ -194,7 +185,7 @@ def test_bad_frame_size_without_annotated_duration_costs_one_row(tmp_path):
 
 
 def test_unreadable_headers_without_durations_cost_one_row_per_stage(tmp_path):
-    args = _blank_duration_corpus(tmp_path, per_class=100)
+    args = _two_class_corpus(tmp_path, per_class=100)
     garbage, stereo = sorted((tmp_path / "wavs").iterdir())[3:5]
     garbage.write_bytes(b"RIFFgarbage")
     write_raw_wav(stereo, channels=2)
@@ -332,11 +323,37 @@ def test_rate_warning_logged_once_with_two_workers(tmp_path, monkeypatch, caplog
     assert len(warnings) == 1
 
 
-def test_export_skips_an_over_long_clip(tmp_path):
+def _under_report_durations(monkeypatch):
+    """The cohort filter reads every clip as one second long, as when a file
+    grows after the filter read its header, so the stages' guards see it."""
+    monkeypatch.setattr(corpus, "wav_duration", lambda path: 1.0)
+
+
+def test_over_long_clip_is_dropped_by_the_filter(tmp_path):
     args = _three_class_corpus(tmp_path / "c")
-    # annotated as under a second, so the cohort filter keeps it
+    victim = sorted((tmp_path / "c" / "wavs").iterdir())[4]
+    write_wav(victim, sine_clip(9000, duration_s=3.5, sample_rate=50_000))
+    out = tmp_path / "out"
+    for stage, skip_report in (("extract", "skip_report.csv"),
+                               ("export-spectrograms", "export_skip_report.csv")):
+        assert main([stage] + args + ["--out", str(out)]) == 0
+        report = (out / "filter_report.csv").read_text().splitlines()[1:]
+        assert "too_long,1" in report and "retained,11" in report
+        assert (out / skip_report).read_text().splitlines()[1:] == [
+            "utterance_id,reason"]
+    featured = [l.split(",")[0] for l in
+                (out / "features.csv").read_text().splitlines()[2:]]
+    exported = [l.split(",")[0] for l in
+                (out / "spectrogram_manifest.csv").read_text().splitlines()[2:]]
+    assert len(featured) == 11 and featured == exported
+    assert victim.stem not in featured
+
+
+def test_export_skips_an_over_long_clip(tmp_path, monkeypatch):
+    args = _three_class_corpus(tmp_path / "c")
     victim = sorted((tmp_path / "c" / "wavs").iterdir())[4]
     write_wav(victim, AudioClip(samples=np.zeros(175_000), sample_rate=50_000))
+    _under_report_durations(monkeypatch)
     out = tmp_path / "out"
     assert main(["export-spectrograms"] + args + ["--out", str(out)]) == 1  # 1/12 > 1 %
     skips = [l for l in (out / "export_skip_report.csv").read_text().splitlines()
@@ -350,12 +367,12 @@ def test_export_skips_an_over_long_clip(tmp_path):
         assert read_tensor(out / rel).shape == (int(frames), int(bins))
 
 
-def test_extract_and_export_skip_the_same_over_long_clip(tmp_path):
+def test_extract_and_export_skip_the_same_over_long_clip(tmp_path, monkeypatch):
     args = _three_class_corpus(tmp_path / "c")
-    # a voiced 3.5 s tone, annotated as under a second, so the cohort filter
-    # keeps it
+    # a voiced 3.5 s tone
     victim = sorted((tmp_path / "c" / "wavs").iterdir())[4]
     write_wav(victim, sine_clip(9000, duration_s=3.5, sample_rate=50_000))
+    _under_report_durations(monkeypatch)
     out = tmp_path / "out"
     for stage, skip_report in (("extract", "skip_report.csv"),
                                ("export-spectrograms", "export_skip_report.csv")):
@@ -367,6 +384,57 @@ def test_extract_and_export_skip_the_same_over_long_clip(tmp_path):
     exported = [l.split(",")[0] for l in
                 (out / "spectrogram_manifest.csv").read_text().splitlines()[2:]]
     assert len(featured) == 11 and featured == exported
+
+
+@pytest.mark.parametrize("stage", ["extract", "export-spectrograms"])
+@pytest.mark.parametrize("table, complaint, counts", [
+    pytest.param("unmapped", "no utterance is left after filtering; rule "
+                 "unknown_context dropped 12 of 12 records",
+                 ["total_in,12", "unknown_context,12", "retained,0"], id="unmapped"),
+    pytest.param("header_only", "the table has no data rows",
+                 ["total_in,0", "retained,0"], id="header_only")])
+def test_empty_cohort_exits_2_after_the_filter_report(tmp_path, caplog, stage, table,
+                                                      complaint, counts):
+    args = _three_class_corpus(tmp_path / "c")
+    annotations, schema = tmp_path / "c" / "annotations.csv", tmp_path / "c" / "schema.json"
+    if table == "unmapped":
+        schema.write_text(json.dumps({**json.loads(schema.read_text()),
+                                      "context_map": {}}))
+    else:
+        annotations.write_text(annotations.read_text().splitlines()[0] + "\n")
+    out = tmp_path / "out"
+    assert main([stage] + args + ["--out", str(out)]) == 2
+    assert f"{annotations}: {complaint}" in caplog.text
+    report = (out / "filter_report.csv").read_text().splitlines()
+    assert set(counts) <= set(report)
+    # no feature table, skip report, manifest or tensor
+    assert [p.name for p in out.iterdir()] == ["filter_report.csv"]
+
+
+def test_start_end_in_samples_keep_the_whole_corpus(tmp_path):
+    corpus_dir = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus_dir), "--emitters", "12",
+                 "--per-class", "3", "--seed", "7"]) == 0
+    config = ["--config", str(corpus_dir / "config.json")]
+    assert main(["extract"] + config) == 0
+    # the same table with start/end columns giving each call's bounds in
+    # samples, as in a release cut from longer recordings
+    annotations, schema = corpus_dir / "annotations.csv", corpus_dir / "schema.json"
+    rows = [line.split(",")[:4] for line in annotations.read_text().splitlines()]
+    table = [",".join(rows[0] + ["start", "end"])]
+    for i, row in enumerate(rows[1:]):
+        start = 1_000_000 * i
+        end = start + load_wav(corpus_dir / row[3]).samples.size
+        table.append(",".join(row + [str(start), str(end)]))
+    annotations.write_text("\n".join(table) + "\n")
+    schema.write_text(json.dumps({**json.loads(schema.read_text()), "columns": {
+        "id": "utterance_id", "emitter": "emitter_id", "context": "context_code",
+        "file": "file", "start": "start", "end": "end"}}))
+    out = tmp_path / "samples"
+    assert main(["extract"] + config + ["--out", str(out)]) == 0
+    assert "retained,33" in (out / "filter_report.csv").read_text().splitlines()
+    assert ((out / "features.csv").read_bytes()
+            == (corpus_dir / "results" / "features.csv").read_bytes())
 
 
 def test_full_disk_stops_export_at_once(tmp_path, monkeypatch):

@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 import re
 from pathlib import Path
 
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usvpipe.artifacts import write_table
+from usvpipe.audio_io import AudioClip, write_wav
 from usvpipe.corpus import (CONTEXT_LABELS, FilterReport, SchemaConfig,
                             filter_cohort, load_annotations)
 from usvpipe.exceptions import (AnnotationParseError, PipelineError,
@@ -20,7 +20,7 @@ def schema(tmp_path):
     payload = {
         "delimiter": ",",
         "columns": {"id": "uid", "emitter": "bat", "context": "ctx",
-                    "file": "wav", "duration": "dur"},
+                    "file": "wav"},
         "context_map": {"7": "fighting", "3": "feeding", "11": "landing",
                         "lone": "isolation"},
         "emitter_placeholders": ["0", "-1"],
@@ -36,14 +36,19 @@ def write_annotations(tmp_path, rows, header="uid,bat,ctx,wav,dur"):
     return path
 
 
+def write_silence(path, duration_s, sample_rate=1_000):
+    write_wav(path, AudioClip(samples=[0.0] * round(duration_s * sample_rate),
+                              sample_rate=sample_rate))
+
+
 class TestLoadAnnotations:
     def test_mapped_row(self, tmp_path, schema):
         path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4"])
         records = load_annotations(path, schema)
         assert len(records) == 1
         rec = records[0]
-        assert (rec.utterance_id, rec.emitter_id, rec.context, rec.audio_path,
-                rec.duration_s) == ("a1", "b-17", "fighting", Path("x.wav"), 0.4)
+        assert (rec.utterance_id, rec.emitter_id, rec.context,
+                rec.audio_path) == ("a1", "b-17", "fighting", Path("x.wav"))
 
     def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path, schema):
         path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4"])
@@ -70,7 +75,7 @@ class TestLoadAnnotations:
 
     def test_malformed_row_reports_line_number(self, tmp_path, schema):
         path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4",
-                                            "a2,b-18,3,y.wav,not-a-number"])
+                                            ",b-18,3,y.wav,0.5"])
         with pytest.raises(AnnotationParseError, match=r"annotations\.csv:3: "):
             load_annotations(path, schema)  # the header is line 1
 
@@ -79,29 +84,9 @@ class TestLoadAnnotations:
         with pytest.raises(AnnotationParseError, match=r"annotations\.csv:2: "):
             load_annotations(path, schema)
 
-    def test_nonpositive_duration_rejected(self, tmp_path, schema):
-        path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,-0.5"])
-        with pytest.raises(AnnotationParseError):
-            load_annotations(path, schema)
-
-    @pytest.mark.parametrize("row", [
-        "a1,b-17,7,nan,,", "a1,b-17,7,-nan,,", "a1,b-17,7,inf,,",
-        "a1,b-17,7,1e400,,", "a1,b-17,7,,nan,1.0"])
-    def test_nonfinite_duration_rejected(self, tmp_path, row):
-        raw = {
-            "columns": {"id": "uid", "emitter": "bat", "context": "ctx",
-                        "file": "wav", "duration": "dur", "start": "t0",
-                        "end": "t1"},
-            "context_map": {"7": "fighting"},
-        }
-        schema_path = tmp_path / "s.json"
-        schema_path.write_text(json.dumps(raw))
-        path = write_annotations(tmp_path, [row + ",x.wav"],
-                                 header="uid,bat,ctx,dur,t0,t1,wav")
-        with pytest.raises(AnnotationParseError, match=r"annotations\.csv:2: "):
-            load_annotations(path, SchemaConfig.from_json(schema_path))
-
     def test_start_end_duration(self, tmp_path):
+        # start/end cells say nothing about a length: the WAV header decides,
+        # whatever unit the cells are in
         raw = {
             "columns": {"id": "uid", "emitter": "bat", "context": "ctx",
                         "file": "wav", "start": "t0", "end": "t1"},
@@ -110,9 +95,15 @@ class TestLoadAnnotations:
         schema_path = tmp_path / "s.json"
         schema_path.write_text(json.dumps(raw))
         schema = SchemaConfig.from_json(schema_path)
-        path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,10.5,11.25"],
+        write_silence(tmp_path / "short.wav", 0.5)
+        write_silence(tmp_path / "long.wav", 3.5)
+        path = write_annotations(tmp_path, ["a1,b-17,7,short.wav,10000,60000",
+                                            "a2,b-17,7,long.wav,10.5,11.25"],
                                  header="uid,bat,ctx,wav,t0,t1")
-        assert load_annotations(path, schema)[0].duration_s == 0.75
+        cohort, report = filter_cohort(load_annotations(path, schema),
+                                       schema.emitter_placeholders, tmp_path)
+        assert [u.utterance_id for u in cohort] == ["a1"]
+        assert report.too_long == 1
 
     def test_comment_lines_skipped(self, tmp_path, schema):
         path = tmp_path / "annotations.csv"
@@ -133,7 +124,7 @@ class TestLoadAnnotations:
         path.write_text("uid\tbat\tctx\twav\tdur\na1\tb-17\t7\tx.wav\t0.4\n")
         records = load_annotations(path, schema)
         assert records[0].context == "fighting"
-        assert records[0].duration_s == 0.4
+        assert records[0].audio_path == Path("x.wav")
 
 
 # complaint: a regular expression.  Python 3.10's csv module refuses a NUL
@@ -177,13 +168,14 @@ def test_schema_must_hold_an_object(tmp_path):
 def test_schema_keeps_only_column_roles(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({**_SCHEMA, "columns": {
-        **_SCHEMA["columns"], "end": "t1", "notes": "remarks"}}))
+        **_SCHEMA["columns"], "duration": "dur", "start": "t0", "end": "t1",
+        "notes": "remarks"}}))
     schema = SchemaConfig.from_json(path)
-    assert schema.columns == {**_SCHEMA["columns"], "end": "t1"}
-    # a role the schema names must be in the header; an unknown key need not
-    annotations = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4"],
-                                    header="uid,bat,ctx,wav,t1")
-    assert load_annotations(annotations, schema)[0].duration_s is None
+    assert schema.columns == _SCHEMA["columns"]
+    # a role the schema names must be in the header; an ignored key need not
+    annotations = write_annotations(tmp_path, ["a1,b-17,7,x.wav"],
+                                    header="uid,bat,ctx,wav")
+    assert load_annotations(annotations, schema)[0].utterance_id == "a1"
 
 
 @pytest.mark.parametrize("key, value, what", [
@@ -208,9 +200,9 @@ def test_schema_value_of_the_wrong_type_names_the_key(tmp_path, key, value, what
 def _fuzzed_table(delimiter):
     """An annotation table whose fields are plain text or junk that mixes
     random text, the delimiter, quotes and '#', with '#' lines between rows.
-    Durations, and the start and end times used when the duration is
-    blank, are floats written with repr, blanks or fields.  Each line ends
-    in its own plain id, so a row is refused for its other fields only."""
+    The unmapped duration and start and end columns hold floats written
+    with repr, blanks or fields.  Each line ends in its own plain id, so a
+    row is refused for its other fields only."""
     plain = st.text(st.characters(codec="utf-8",
                                   exclude_characters=delimiter + '"#\r\n'),
                     max_size=4)
@@ -231,23 +223,18 @@ def _fuzzed_table(delimiter):
 
 @settings(max_examples=1000, deadline=None)
 @given(data=st.data())
-def test_fuzzed_tables_give_valid_durations_or_pipeline_errors(tmp_path_factory,
-                                                              data):
+def test_fuzzed_tables_load_or_raise_pipeline_errors(tmp_path_factory, data):
     delimiter = data.draw(st.sampled_from([",", "\t", ";"]))
     schema = SchemaConfig(
-        columns={"id": "uid", "emitter": "bat", "context": "ctx", "file": "wav",
-                 "duration": "dur", "start": "t0", "end": "t1"},
+        columns={"id": "uid", "emitter": "bat", "context": "ctx", "file": "wav"},
         context_map={"7": "fighting"}, emitter_placeholders=frozenset(),
         delimiter=delimiter)
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_text(data.draw(_fuzzed_table(delimiter)), encoding="utf-8")
     try:
-        records = load_annotations(path, schema)
+        load_annotations(path, schema)
     except PipelineError:
-        return
-    for rec in records:
-        assert rec.duration_s is None or (math.isfinite(rec.duration_s)
-                                          and rec.duration_s > 0), rec
+        pass
 
 
 def test_quoted_line_break_stays_in_its_row(tmp_path, schema):
@@ -255,8 +242,8 @@ def test_quoted_line_break_stays_in_its_row(tmp_path, schema):
     header = "uid,bat,ctx,wav,dur,notes"
     path = write_annotations(tmp_path, rows, header=header)
     assert [r.utterance_id for r in load_annotations(path, schema)] == ["a1", "a2"]
-    # a1 spans lines 2 and 3, so the bad duration of a3 is on line 5
-    path = write_annotations(tmp_path, rows + ["a3,b-19,3,z.wav,nan,"], header=header)
+    # a1 spans lines 2 and 3, so the bad id of a/3 is on line 5
+    path = write_annotations(tmp_path, rows + ["a/3,b-19,3,z.wav,0.5,"], header=header)
     with pytest.raises(AnnotationParseError, match=r"annotations\.csv:5: "):
         load_annotations(path, schema)
 
@@ -292,40 +279,38 @@ def _tricky_text():
 @given(rows=st.lists(st.tuples(_tricky_text(), _tricky_text(),
                                st.one_of(st.sampled_from(["7", "3", "99"]),
                                          _tricky_text()),
-                               _tricky_text(),
-                               st.one_of(st.none(),
-                                         st.floats(min_value=1e-6, max_value=10.0)),
-                               _tricky_text()), max_size=6))
+                               _tricky_text(), _tricky_text()), max_size=6))
 def test_written_tables_read_back_field_for_field(tmp_path_factory, rows):
     # an id must be a non-blank, unique plain file name: no path characters,
     # and the row index appended
     rows = [(uid.translate({ord(c): None for c in "/\\\0"}) + f"|{i}", *rest)
             for i, (uid, *rest) in enumerate(rows)]
     schema = SchemaConfig(columns={"id": "uid", "emitter": "bat", "context": "ctx",
-                                   "file": "wav", "duration": "dur"},
+                                   "file": "wav"},
                           context_map={"7": "fighting", "3": "feeding"},
                           emitter_placeholders=frozenset())
     path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
-    write_table(path, ("uid", "bat", "ctx", "wav", "dur", "notes"),
-                [(uid, bat, ctx, wav, "" if dur is None else dur, notes)
-                 for uid, bat, ctx, wav, dur, notes in rows], comment="stamp")
+    write_table(path, ("uid", "bat", "ctx", "wav", "notes"), rows, comment="stamp")
     records = load_annotations(path, schema)
-    assert [(r.utterance_id, r.emitter_id, r.context, r.audio_path, r.duration_s)
+    assert [(r.utterance_id, r.emitter_id, r.context, r.audio_path)
             for r in records] == [
         (uid.strip(), bat.strip(), schema.context_map.get(ctx.strip(), "unknown"),
-         Path(wav.strip()), dur) for uid, bat, ctx, wav, dur, _notes in rows]
+         Path(wav.strip())) for uid, bat, ctx, wav, _notes in rows]
 
 
 class TestFilterCohort:
     def records(self, tmp_path, schema):
+        # the duration cells are not read: the WAV headers decide
+        for name, duration in (("x", 0.4), ("y", 3.0), ("z", 3.5)):
+            write_silence(tmp_path / f"{name}.wav", duration)
         rows = [
             "keep1,b-17,7,x.wav,0.4",      # retained
-            "keep2,b-18,3,y.wav,3.0",      # exactly 3 s: retained
+            "keep2,b-18,3,y.wav,9.9",      # exactly 3 s: retained
             "drop_unknown,b-17,99,z.wav,0.4",
             "drop_landing,b-17,11,z.wav,0.4",
             "drop_placeholder,0,7,z.wav,0.4",
             "drop_empty,,7,z.wav,0.4",
-            "drop_long,b-17,7,z.wav,3.5",
+            "drop_long,b-17,7,z.wav,0.4",
         ]
         return load_annotations(write_annotations(tmp_path, rows), schema)
 
@@ -357,24 +342,24 @@ class TestFilterCohort:
         assert {u.utterance_id for u in cohort2} == kept
         assert sum(getattr(report2, rule) for rule in FilterReport.RULES) == 0
 
-    def test_duration_from_wav_when_annotation_lacks_it(self, tmp_path):
-        raw = {
-            "columns": {"id": "uid", "emitter": "bat", "context": "ctx",
-                        "file": "wav"},
-            "context_map": {"7": "fighting"},
-        }
-        schema_path = tmp_path / "s.json"
-        schema_path.write_text(json.dumps(raw))
-        schema = SchemaConfig.from_json(schema_path)
-        from conftest import write_raw_wav
-        import struct
-        write_raw_wav(tmp_path / "x.wav", sample_rate=10_000,
-                      payload=struct.pack("<5000h", *([0] * 5000)))
-        path = write_annotations(tmp_path, ["a1,b-17,7,x.wav"],
+    def test_duration_from_wav_when_annotation_lacks_it(self, tmp_path, schema):
+        write_silence(tmp_path / "x.wav", 3.0 + 1e-3)  # one sample over 3 s
+        write_silence(tmp_path / "y.wav", 3.0)
+        path = write_annotations(tmp_path, ["a1,b-17,7,x.wav", "a2,b-17,7,y.wav"],
                                  header="uid,bat,ctx,wav")
-        cohort, _ = filter_cohort(load_annotations(path, schema),
-                                  schema.emitter_placeholders, tmp_path)
-        assert cohort[0].duration_s == 0.5
+        cohort, report = filter_cohort(load_annotations(path, schema),
+                                       schema.emitter_placeholders, tmp_path)
+        assert [u.utterance_id for u in cohort] == ["a2"]
+        assert report.too_long == 1
+
+    def test_unreadable_header_keeps_the_record(self, tmp_path, schema):
+        (tmp_path / "bad.wav").write_bytes(b"RIFFgarbage")
+        path = write_annotations(tmp_path, ["a1,b-17,7,bad.wav", "a2,b-17,7,absent.wav"],
+                                 header="uid,bat,ctx,wav")
+        cohort, report = filter_cohort(load_annotations(path, schema),
+                                       schema.emitter_placeholders, tmp_path)
+        assert [u.utterance_id for u in cohort] == ["a1", "a2"]
+        assert report.retained == 2
 
 
 def test_filter_report_rows_roundtrip(tmp_path):

@@ -1,10 +1,8 @@
 """Every public function, method and property of usvpipe is reached by a stage.
 
-The test runs `synth` and the five stages on a tiny corpus, then the stages
-again with the duration column blanked so the cohort filter reads WAV
-headers, all under a profiler that records each Python function called,
-in worker threads too.  A public member no stage calls is code only tests
-reach, and the test names it.
+The test runs `synth` and the five stages on a tiny corpus under a profiler
+that records each Python function called, in worker threads too.  A public
+member no stage calls is code only tests reach, and the test names it.
 """
 import importlib
 import inspect
@@ -58,14 +56,6 @@ def _run_pipeline(root):
                  "--per-class", "3"]) == 0
     for stage in STAGES:
         assert main([stage, "--config", str(corpus / "config.json")]) == 0
-    annotations = corpus / "annotations.csv"
-    header, *rows = annotations.read_text().splitlines()
-    assert header.endswith(",duration_s")
-    annotations.write_text("\n".join([header] + [r.rsplit(",", 1)[0] + "," for r in rows])
-                           + "\n")
-    for stage in STAGES:
-        assert main([stage, "--config", str(corpus / "config.json"),
-                     "--out", str(root / "blank")]) == 0
 
 
 def test_every_public_member_is_reached_by_a_stage(tmp_path, monkeypatch):
