@@ -29,6 +29,14 @@ section 2), is at most SOLVER_GAP.  By weak duality the gap bounds the
 incumbent's relative suboptimality over every row, shrunk or not (the gap
 as a stopping certificate: Shalev-Shwartz & Zhang, JMLR 2013).  A machine
 is converged exactly when its final gap met SOLVER_GAP within SOLVER_MAX_EPOCHS.
+
+A solve may start from any feasible dual vector instead of alpha = 0.
+nested_select trains each class pair's costs in rising order, each one
+started from the previous cost's final alpha: the box only grows along the
+path, so that alpha stays feasible (warm starts along the regularisation
+path: Chu et al., KDD 2015).  The refit at the chosen cost starts from that
+cost's alpha on the train rows and 0 on the val rows.  The caller's map
+decides whether the pairs run in this process or in workers.
 """
 from __future__ import annotations
 
@@ -95,8 +103,9 @@ class BinarySvm:
 
     d > 0 votes class_pos, d < 0 votes class_neg, d = 0 votes class_pos
     (the alphabetically lower class of the pair).  gap is the last relative
-    duality gap the solver measured.  Model files do not record it, so a
-    machine read back from one has gap NaN.
+    duality gap the solver measured, and dual the solver's final alpha, a
+    feasible start for a solve whose box is at least as large.  Model files
+    record neither, so a machine read back from one has gap NaN and dual None.
     """
 
     class_pos: str
@@ -106,6 +115,7 @@ class BinarySvm:
     cost: float
     objective_history: tuple = field(default=(), repr=False, compare=False)
     gap: float = field(default=float("nan"), repr=False, compare=False)
+    dual: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -153,9 +163,10 @@ def _face_step(Xy: np.ndarray, box: np.ndarray, v: np.ndarray,
 
 
 def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
-                rng: np.random.Generator,
-                ) -> tuple[np.ndarray, tuple[float, ...], float]:
-    """Dual coordinate ascent with shrinking and a Newton step on the free face.
+                rng: np.random.Generator, start: np.ndarray,
+                ) -> tuple[np.ndarray, tuple[float, ...], float, np.ndarray]:
+    """Dual coordinate ascent with shrinking and a Newton step on the free face,
+    from the feasible dual vector start.
 
     An epoch is one coordinate sweep over the active rows; after a sweep of
     the shrunk set (not a full pass) that left between 1 and Xa.shape[1]
@@ -163,9 +174,10 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
     The dual rises under both moves, so the incumbent, the gap stop and
     the epoch cap need no change for the face step.
 
-    Returns the best-primal iterate, its history (one entry per epoch), and
-    the last relative duality gap measured: at most SOLVER_GAP unless
-    SOLVER_MAX_EPOCHS ran out first.
+    Returns the best-primal iterate, its history (the start, then one entry
+    per epoch), the last relative duality gap measured (at most SOLVER_GAP
+    unless SOLVER_MAX_EPOCHS ran out first) and the final alpha.  The first
+    epoch is a full pass whatever the start's gap.
     """
     n, dim = Xa.shape
     Xy = Xa * y[:, None]
@@ -174,13 +186,13 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
     rows = list(Xy)
     qdiag = np.einsum("ij,ij->i", Xy, Xy).tolist()  # >= 1: the bias feature
     upper = box.tolist()
-    v = np.zeros(dim)
-    alpha = [0.0] * n
-    alpha_sum = 0.0
-    best_obj, _ = _primal_objective(v, Xy, box)
+    v = Xy.T.dot(start)
+    alpha = start.tolist()
+    alpha_sum = float(start.sum())
+    best_obj, vv = _primal_objective(v, Xy, box)
     best_v = v.copy()
     history = [best_obj]
-    gap = 1.0  # the dual is 0 at alpha = 0
+    gap = (best_obj - (alpha_sum - 0.5 * vv)) / best_obj
     everyone = list(range(n))
     active = everyone
     full_pass = True
@@ -244,18 +256,22 @@ def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
             active = sorted(kept)  # the order depends on the set and rng only
             shrink_hi = pg_hi if pg_hi > 0.0 else np.inf
             shrink_lo = pg_lo if pg_lo < 0.0 else -np.inf
-    return best_v, tuple(history), gap
+    return best_v, tuple(history), gap, np.array(alpha)
 
 
 def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
                  weight_pos: float = 1.0, weight_neg: float = 1.0,
                  seed=0, class_pair: tuple[str, str] = ("+1", "-1"),
-                 ) -> BinarySvm:
+                 start: np.ndarray | None = None) -> BinarySvm:
     """Train one weighted hinge-loss machine on +/-1 labels.
 
-    Deterministic for fixed inputs and seed; converged is False when
-    SOLVER_MAX_EPOCHS ran out before the relative duality gap met SOLVER_GAP.
-    A non-finite feature, whose NaN gap would read as converged, is a ValueError.
+    The solver starts from the dual vector start, one entry per row inside
+    the row's box [0, cost * class weight], or from alpha = 0 when start is
+    None.  Deterministic for fixed inputs, start and seed; converged is False
+    when SOLVER_MAX_EPOCHS ran out before the relative duality gap met
+    SOLVER_GAP.  A non-finite feature, whose NaN gap would read as
+    converged, and a start of the wrong length or outside the box are a
+    ValueError.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -265,10 +281,20 @@ def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
         raise ValueError("features must be finite numbers")
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
     box = cost * np.where(y > 0, weight_pos, weight_neg)
-    v, history, gap = _solve_dual(Xa, y, box, rng_for(*_entropy(seed)))
+    if start is None:
+        start = np.zeros(len(y))
+    else:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != y.shape:
+            raise ValueError(f"the dual start has shape {start.shape}, "
+                             f"the labels {y.shape}")
+        if not ((start >= 0.0) & (start <= box)).all():
+            raise ValueError("the dual start leaves the box [0, cost * weight]")
+    v, history, gap, alpha = _solve_dual(Xa, y, box, rng_for(*_entropy(seed)),
+                                         start)
     return BinarySvm(class_pos=class_pair[0], class_neg=class_pair[1],
                      weights=v[:-1], bias=float(v[-1]), cost=cost,
-                     objective_history=history, gap=gap)
+                     objective_history=history, gap=gap, dual=alpha)
 
 
 @dataclass(frozen=True)
@@ -281,21 +307,19 @@ class OvoModel:
     machines: tuple[BinarySvm, ...]
 
 
-def fit_ovo(X_std: np.ndarray, y: Sequence[str], cost: float,
-            class_weights: dict[str, float], seed=0) -> tuple[BinarySvm, ...]:
-    """One machine per unordered label pair, trained on standardised features."""
-    y = np.asarray(y, dtype=object)
-    labels = sorted(set(y))
+def _cost_path(task: tuple) -> list[BinarySvm]:
+    """Train one class pair at each of the task's costs, in order, each solve
+    started from the previous one's final alpha (the first from the task's
+    start).  The costs must not fall, so that every start stays inside its
+    box.  Module-level, so a process pool can send it by name."""
+    X, y, costs, weight_pos, weight_neg, seeds, pair, start = task
     machines = []
-    for pair_index, (lab_i, lab_j) in enumerate(combinations(labels, 2)):
-        mask = (y == lab_i) | (y == lab_j)
-        ysub = np.where(y[mask] == lab_i, 1.0, -1.0)
-        child_seed = _entropy(seed) + (pair_index,)
-        machines.append(train_binary(
-            X_std[mask], ysub, cost,
-            weight_pos=class_weights[lab_i], weight_neg=class_weights[lab_j],
-            seed=child_seed, class_pair=(lab_i, lab_j)))
-    return tuple(machines)
+    for cost, seed in zip(costs, seeds):
+        machine = train_binary(X, y, cost, weight_pos, weight_neg, seed, pair,
+                               start)
+        machines.append(machine)
+        start = machine.dual
+    return machines
 
 
 def _predict_standardised(machines: Sequence[BinarySvm], labels: Sequence[str],
@@ -333,17 +357,21 @@ def predict(model: OvoModel, X_raw: np.ndarray) -> list[str]:
 
 def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
                   train_idx: np.ndarray, val_idx: np.ndarray, seed=0,
-                  ) -> tuple[OvoModel, dict]:
+                  map_paths=map) -> tuple[OvoModel, dict]:
     """Pick the cost from COST_GRID by validation UAR, then retrain on the
     full dev set.
 
-    The standardiser and the class weights come from the full development
-    set and are reused in both stages.  Ties in validation UAR resolve to
-    the smaller cost.  The diagnostics carry report.json's provenance keys
-    and JSON-ready values: chosen_costs, validation_uar keyed by
-    format(cost, "g"), and over the machines of both stages capped_machines
-    (stopped at the epoch cap short of the duality gap), max_relative_gap
-    and solver_epochs (the epoch sum).
+    Each class pair's machines on the train rows form one warm-started path
+    over sorted(COST_GRID); the refit at the chosen cost starts from that
+    cost's alpha on the train rows and 0 on the val rows.  map_paths maps
+    _cost_path over the pairs' tasks and must return the results in order:
+    the built-in map, or a process pool's.  The standardiser and the class
+    weights come from the full development set and are reused in both
+    stages.  Ties in validation UAR resolve to the smaller cost.  The
+    diagnostics carry report.json's provenance keys and JSON-ready values:
+    chosen_costs, validation_uar keyed by format(cost, "g"), and over the
+    machines of both stages capped_machines (stopped at the epoch cap short
+    of the duality gap), max_relative_gap and solver_epochs (the epoch sum).
     """
     X_dev = np.asarray(X_dev, dtype=np.float64)
     y_dev = np.asarray(y_dev, dtype=object)
@@ -351,22 +379,48 @@ def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
     X_std = standardiser.transform(X_dev)
     weights = inverse_frequency_weights(list(y_dev))
     labels = tuple(sorted(set(y_dev)))
+    pairs = list(combinations(labels, 2))
     base = _entropy(seed)
+    costs = sorted(COST_GRID)
+
+    def pair_rows(y, pair):
+        mask = (y == pair[0]) | (y == pair[1])
+        return mask, np.where(y[mask] == pair[0], 1.0, -1.0)
+
+    X_train, y_train = X_std[train_idx], y_dev[train_idx]
+    train_masks, tasks = [], []
+    for pair_index, pair in enumerate(pairs):
+        mask, ysub = pair_rows(y_train, pair)
+        train_masks.append(mask)
+        tasks.append((X_train[mask], ysub, costs, weights[pair[0]],
+                      weights[pair[1]],
+                      [base + (1, grid_index, pair_index)
+                       for grid_index in range(len(costs))], pair, None))
+    paths = list(map_paths(_cost_path, tasks))
+    trained = [m for path in paths for m in path]
 
     y_val = list(y_dev[val_idx])
-    best_cost, best_uar = None, -1.0
+    best_index, best_uar = None, -1.0
     validation_uar: dict[str, float] = {}
-    trained: list[BinarySvm] = []
-    for grid_index, cost in enumerate(sorted(COST_GRID)):
-        machines = fit_ovo(X_std[train_idx], list(y_dev[train_idx]), cost,
-                           weights, seed=base + (1, grid_index))
-        trained += machines
+    for grid_index, cost in enumerate(costs):
+        machines = [path[grid_index] for path in paths]
         score = uar_from_labels(
             y_val, _predict_standardised(machines, labels, X_std[val_idx]))
         validation_uar[format(cost, "g")] = score
         if score > best_uar:
-            best_uar, best_cost = score, cost
-    final = fit_ovo(X_std, list(y_dev), best_cost, weights, seed=base + (2,))
+            best_uar, best_index = score, grid_index
+    best_cost = costs[best_index]
+
+    refits = []
+    for pair_index, (pair, path, train_mask) in enumerate(
+            zip(pairs, paths, train_masks)):
+        alpha = np.zeros(len(y_dev))
+        alpha[train_idx[train_mask]] = path[best_index].dual
+        mask, ysub = pair_rows(y_dev, pair)
+        refits.append((X_std[mask], ysub, [best_cost], weights[pair[0]],
+                       weights[pair[1]], [base + (2, pair_index)], pair,
+                       alpha[mask]))
+    final = tuple(m for path in map_paths(_cost_path, refits) for m in path)
     trained += final
     model = OvoModel(labels=labels, standardiser=standardiser,
                      cost=best_cost, machines=final)

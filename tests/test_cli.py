@@ -300,17 +300,36 @@ def test_ordered_map_keeps_order_and_returns_errors(monkeypatch):
 
 
 def test_artifacts_identical_for_one_and_two_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 50)
     args = _three_class_corpus(tmp_path / "c")
     outputs = []
     for workers in (1, 2):
         _use_workers(monkeypatch, workers)
         out = tmp_path / f"w{workers}"
-        for cmd in ("extract", "export-spectrograms"):
+        for cmd in ("extract", "export-spectrograms", "partition", "train-eval",
+                    "table1"):
             assert main([cmd] + args + ["--out", str(out)]) == 0
         outputs.append({p.relative_to(out): p.read_bytes()
                         for p in sorted(out.rglob("*")) if p.is_file()})
-    assert len(outputs[0]) == 5 + 12  # five tables plus one tensor per utterance
+    # 13 tables, report.json and three models, plus one tensor per utterance
+    assert len(outputs[0]) == 13 + 12
     assert outputs[0] == outputs[1]
+
+
+def test_worker_error_stops_train_eval_before_the_report(tmp_path, monkeypatch,
+                                                         caplog):
+    args = _three_class_corpus(tmp_path / "c") + ["--out", str(tmp_path / "out")]
+    for cmd in ("extract", "partition"):
+        assert main([cmd] + args) == 0
+
+    def boom(*_args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(svm, "_solve_dual", boom)
+    _use_workers(monkeypatch, 2)
+    assert main(["train-eval"] + args) == 2
+    assert "boom" in caplog.text
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_rate_warning_logged_once_with_two_workers(tmp_path, monkeypatch, caplog):

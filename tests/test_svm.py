@@ -1,4 +1,5 @@
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from usvpipe import svm
 from usvpipe.exceptions import SingleClassDataError
 from usvpipe.seeding import rng_for
 from usvpipe.svm import (BinarySvm, COST_GRID, OvoModel, SOLVER_GAP,
-                         SOLVER_MAX_EPOCHS, fit_ovo, fit_standardiser,
+                         SOLVER_MAX_EPOCHS, fit_standardiser,
                          inverse_frequency_weights, nested_select, predict,
                          read_model, train_binary, write_model,
                          _predict_standardised)
@@ -32,6 +33,18 @@ def separable_level_pair(seed: int, n: int = 46):
             level + 0.01 * rng.standard_normal(n),
             level + 0.01 * rng.standard_normal(n), rng.standard_normal(n)]
     return np.column_stack(cols + cols), y
+
+
+def pair_machines(X, y, cost, seed=0):
+    """One machine per label pair, unit class weights, each pair on its own
+    rows and seed."""
+    y = np.asarray(y, dtype=object)
+    machines = []
+    for index, pair in enumerate(combinations(sorted(set(y)), 2)):
+        mask = np.isin(y, pair)
+        machines.append(train_binary(X[mask], np.where(y[mask] == pair[0], 1.0, -1.0),
+                                     cost, seed=(seed, index), class_pair=pair))
+    return tuple(machines)
 
 
 class TestSolver:
@@ -204,6 +217,43 @@ class TestSolver:
             assert primal <= dual * (1 + 1e-3), (trial, primal, dual)
             assert primal >= dual - 1e-9 * abs(dual), (trial, primal, dual)
 
+    def test_warm_start_from_a_lower_cost_meets_the_same_certificate(self):
+        """A solve started from a lower cost's alpha and a cold solve at the
+        same cost both meet the gap, so their primal objectives agree within
+        the two certificates."""
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            n = int(rng.integers(20, 121))
+            X = rng.normal(size=(n, int(rng.integers(2, 11))))
+            y = np.where(X[:, 0] + rng.normal(0, 1.0, n) > 0, 1.0, -1.0)
+            y[:2] = (1.0, -1.0)
+            low, high = sorted(rng.choice(COST_GRID, 2, replace=False))
+            wp, wn = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
+            first = train_binary(X, y, low, wp, wn, seed=trial)
+            warm = train_binary(X, y, high, wp, wn, seed=trial, start=first.dual)
+            cold = train_binary(X, y, high, wp, wn, seed=trial)
+            assert warm.gap <= SOLVER_GAP and cold.gap <= SOLVER_GAP, trial
+            box = high * np.where(y > 0, wp, wn)
+            warm_obj = weighted_primal(warm.weights, warm.bias, X, y, box)
+            cold_obj = weighted_primal(cold.weights, cold.bias, X, y, box)
+            assert abs(warm_obj - cold_obj) <= 2 * SOLVER_GAP * cold_obj, trial
+            assert np.all((warm.dual >= 0.0) & (warm.dual <= box))
+
+    def test_zero_start_is_the_cold_solve(self):
+        X, y = separable_level_pair(3)
+        cold = train_binary(X, y, 0.5, seed=4)
+        zero = train_binary(X, y, 0.5, seed=4, start=np.zeros(len(y)))
+        np.testing.assert_array_equal(cold.weights, zero.weights)
+        assert cold.objective_history == zero.objective_history
+
+    @pytest.mark.parametrize("start", [np.zeros(5), np.full(6, -1e-12),
+                                       np.full(6, 0.5 + 1e-12)])
+    def test_start_of_the_wrong_length_or_outside_the_box_rejected(self, start):
+        X = np.arange(6.0)[:, None]
+        y = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="dual start"):
+            train_binary(X, y, 0.5, start=start)
+
 
 class TestStandardiser:
     def test_mean_one_std_one(self):
@@ -274,7 +324,7 @@ class TestVoting:
         labels = sorted(f"c{i:02d}" for i in range(11))
         y = np.repeat(labels, 12)
         X = rng.normal(size=(len(y), 4)) + np.repeat(np.arange(11), 12)[:, None]
-        machines = fit_ovo(X, y, 1.0, {lab: 1.0 for lab in labels}, seed=0)
+        machines = pair_machines(X, y, 1.0)
         assert len(machines) == 55  # K(K-1)/2 for K = 11
         # winner's vote count is at least the ceiling of the average (55/11)
         index = {lab: i for i, lab in enumerate(labels)}
@@ -304,8 +354,7 @@ class TestOvoAndSelection:
         rng = np.random.default_rng(12)
         X, y = self.make_blobs(rng)
         std = fit_standardiser(X)
-        machines = fit_ovo(std.transform(X), y, 5.0,
-                           {"a": 1.0, "b": 1.0, "c": 1.0}, seed=0)
+        machines = pair_machines(std.transform(X), y, 5.0)
         model = OvoModel(labels=("a", "b", "c"), standardiser=std, cost=5.0,
                          machines=machines)
         assert predict(model, np.array([[-2.0, 0.0]])) == ["a"]
@@ -345,6 +394,35 @@ class TestOvoAndSelection:
         assert scores[format(model.cost, "g")] == best
         assert model.cost == min(float(c) for c, s in scores.items() if s == best)
 
+    def test_each_cost_starts_from_the_previous_alpha_and_the_refit_from_the_chosen(
+            self, monkeypatch):
+        calls = []
+        train = svm.train_binary
+
+        def spy(X, y, cost, weight_pos, weight_neg, seed, pair, start):
+            machine = train(X, y, cost, weight_pos, weight_neg, seed, pair, start)
+            calls.append((pair, cost, start, machine.dual))
+            return machine
+
+        monkeypatch.setattr(svm, "train_binary", spy)
+        rng = np.random.default_rng(17)
+        X, y = self.make_blobs(rng, spread=1.0)
+        idx = rng.permutation(len(y))
+        train_rows = idx[:60]
+        model, _ = nested_select(X, y, train_rows, idx[60:], seed=0)
+        costs = sorted(COST_GRID)
+        for pair in combinations(("a", "b", "c"), 2):
+            path = [call for call in calls if call[0] == pair]
+            assert [cost for _pair, cost, _start, _dual in path] == costs + [model.cost]
+            assert path[0][2] is None
+            for (*_, previous_dual), (_pair, _cost, start, _dual) in zip(path, path[1:-1]):
+                np.testing.assert_array_equal(start, previous_dual)
+            chosen = path[costs.index(model.cost)][3]
+            pair_train = [r for r in train_rows if y[r] in pair]
+            expected = [chosen[pair_train.index(r)] if r in pair_train else 0.0
+                        for r in range(len(y)) if y[r] in pair]
+            np.testing.assert_array_equal(path[-1][2], expected)
+
     def test_scale_equivariance_via_standardisation(self, monkeypatch):
         monkeypatch.setattr(svm, "COST_GRID", (1.0,))
         rng = np.random.default_rng(16)
@@ -363,10 +441,8 @@ def test_model_roundtrip(tmp_path):
     rng = np.random.default_rng(20)
     X = np.vstack([rng.normal(-1, 0.3, (20, 10)), rng.normal(1, 0.3, (20, 10))])
     y = np.array(["neg"] * 20 + ["pos"] * 20, dtype=object)
-    std = fit_standardiser(X)
-    machines = fit_ovo(std.transform(X), y, 0.5, {"neg": 1.0, "pos": 1.0}, seed=1)
-    model = OvoModel(labels=("neg", "pos"), standardiser=std, cost=0.5,
-                     machines=machines)
+    model, _ = nested_select(X, y, np.arange(0, 40, 2), np.arange(1, 40, 2), seed=1)
+    std = model.standardiser
     path = tmp_path / "model.csv"
     write_model(path, model, comment="test model")
     back = read_model(path)
@@ -388,11 +464,9 @@ def model_lines(tmp_path):
     labels = ("a", "b", "c")
     X = np.vstack([rng.normal(3 * i, 0.5, (10, 4)) for i in range(3)])
     y = np.repeat(labels, 10).astype(object)
-    std = fit_standardiser(X)
-    machines = fit_ovo(std.transform(X), y, 0.5, dict.fromkeys(labels, 1.0))
+    model, _ = nested_select(X, y, np.arange(0, 30, 2), np.arange(1, 30, 2))
     path = tmp_path / "model.csv"
-    write_model(path, OvoModel(labels=labels, standardiser=std, cost=0.5,
-                               machines=machines), comment="test model")
+    write_model(path, model, comment="test model")
     return path.read_text().splitlines(keepends=True), path
 
 
