@@ -8,12 +8,10 @@ identical inputs and seed are byte-identical.
 
 The per-utterance stages (extract, export-spectrograms) run their files on
 a thread per CPU the process may use: numpy's FFT and array loops release
-the GIL.  train-eval runs each fold's class-pair cost paths, then its
-refits, on a process per CPU: the solver is Python code that holds the GIL.
-The workers are forked, since a fresh interpreter per worker costs more
-start-up than a small corpus's whole selection, and so they also see the
-parent's module state.  Results are taken back in cohort or pair order, so
-every artifact is the same for any thread or process count.
+the GIL.  Results are taken back in cohort order, so every artifact is the
+same for any thread count.  train-eval runs in one process: the solver
+takes each fold's class pairs together, one batch per cost and one for
+the refit, in a few numpy calls per iteration.
 """
 from __future__ import annotations
 
@@ -22,12 +20,10 @@ import errno
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import sys
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,9 +41,7 @@ from .partition import FOLD_COUNT, build_plan, read_fold_plan, write_fold_plan
 from .pitch import (FeatureRecord, contour_stats, extract_f0,
                     read_feature_csv, write_feature_csv)
 from .spectral import export_spectrogram, write_tensor
-from .svm import (SOLVER_GAP, SOLVER_MAX_EPOCHS, nested_select, predict,
-                  write_model)
-from .synth import synth_corpus
+from .svm import nested_select, predict, write_model
 
 log = logging.getLogger("usvpipe")
 
@@ -178,20 +172,6 @@ def _map_ordered(fn, items: list):
         yield from pool.map(call, items)
 
 
-@contextmanager
-def _process_map(items: int):
-    """A map in order over _worker_count(items) forked processes, or the
-    built-in map in this process when that is one.  An exception raised in a
-    worker is raised again where its result is taken."""
-    workers = _worker_count(items)
-    if workers == 1:
-        yield map
-        return
-    with ProcessPoolExecutor(workers,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        yield pool.map
-
-
 def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
     """Map fn over the sorted cohort.  Returns (utterance, result) for each
     file fn succeeded on, and the exit status: 1 when more files failed than
@@ -284,32 +264,29 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
 
     predictions: list[Prediction] = []
     diagnostics: dict[str, dict] = defaultdict(dict)  # report.json key -> fold -> value
-    contexts = len({r.context for r in records})
-    with _process_map(contexts * (contexts - 1) // 2) as map_paths:
-        for fold, (train_ids, val_ids, test_ids) in enumerate(memberships):
-            dev_ids = train_ids + val_ids
-            X_dev = np.array([by_id[uid].features.as_row() for uid in dev_ids])
-            y_dev = [by_id[uid].context for uid in dev_ids]
-            train_idx = np.arange(len(train_ids))
-            val_idx = np.arange(len(train_ids), len(dev_ids))
-            model, diag = nested_select(X_dev, y_dev, train_idx, val_idx,
-                                        seed=(cfg.seed, fold), map_paths=map_paths)
-            write_model(cfg.output_dir / f"model_fold{fold}.csv", model,
-                        comment=cfg.provenance())
-            for key, value in diag.items():
-                diagnostics[key][str(fold)] = value
-            if diag["capped_machines"]:
-                log.warning("fold %d: %d machines stopped at the %d-epoch cap "
-                            "without meeting the duality gap %g", fold,
-                            diag["capped_machines"], SOLVER_MAX_EPOCHS, SOLVER_GAP)
+    for fold, (train_ids, val_ids, test_ids) in enumerate(memberships):
+        dev_ids = train_ids + val_ids
+        X_dev = np.array([by_id[uid].features.as_row() for uid in dev_ids])
+        y_dev = [by_id[uid].context for uid in dev_ids]
+        model, diag = nested_select(X_dev, y_dev, np.arange(len(train_ids)),
+                                    np.arange(len(train_ids), len(dev_ids)))
+        write_model(cfg.output_dir / f"model_fold{fold}.csv", model,
+                    comment=cfg.provenance())
+        for key, value in diag.items():
+            diagnostics[key][str(fold)] = value
+        if diag["capped_machines"]:
+            log.warning("fold %d: %d machines stopped at the %d-iteration cap "
+                        "without meeting the duality gap %g", fold,
+                        diag["capped_machines"], svm.SOLVER_MAX_EPOCHS,
+                        svm.SOLVER_GAP)
 
-            X_test = np.array([by_id[uid].features.as_row() for uid in test_ids])
-            for uid, predicted in zip(test_ids, predict(model, X_test)):
-                predictions.append(Prediction(utterance_id=uid,
-                                              true_label=by_id[uid].context,
-                                              predicted_label=predicted, fold=fold))
-            log.info("fold %d: cost %g, %d test predictions",
-                     fold, diag["chosen_costs"], len(test_ids))
+        X_test = np.array([by_id[uid].features.as_row() for uid in test_ids])
+        for uid, predicted in zip(test_ids, predict(model, X_test)):
+            predictions.append(Prediction(utterance_id=uid,
+                                          true_label=by_id[uid].context,
+                                          predicted_label=predicted, fold=fold))
+        log.info("fold %d: cost %g, %d test predictions",
+                 fold, diag["chosen_costs"], len(test_ids))
 
     preds = PredictionSet(predictions)
     report = build_report(preds, seed=cfg.seed)
@@ -368,6 +345,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     """Generate a synthetic corpus plus a ready-to-use run config."""
+    # Imported here: synth needs scipy.signal, which no pipeline stage loads.
+    from .synth import synth_corpus
+
     out_dir = Path(args.out)
     annotation_path, schema_path = synth_corpus(
         out_dir, n_emitters=args.emitters, per_class_count=args.per_class,

@@ -1,42 +1,37 @@
-"""Class-weighted one-vs-one linear SVM with an in-repo solver.
+"""Class-weighted one-vs-one linear SVM with an in-repo batched solver.
 
 The binary machines minimise 0.5*||v||^2 + sum_i U_i * max(0, 1 - y_i v.x_i)
 where x carries an appended constant-1 feature, so the bias lives inside v
 (and inside the regulariser).  U_i is the cost parameter scaled by the
-inverse class frequency of sample i.  The solver is coordinate ascent on
-the dual with a per-sample box [0, U_i] and shrinking (Hsieh et al., ICML
-2008, "A Dual Coordinate Descent Method for Large-scale Linear SVM",
-section 3.2).  An epoch is one pass over the active rows in a seeded
-shuffle.  A row at alpha = 0 whose gradient is above the previous epoch's
-largest projected gradient, or at alpha = U_i with a gradient below the
-most negative one, leaves the active set.  A full pass over every row
-comes first and comes again when the active rows' largest |projected
-gradient| falls below a tenth of the one measured on the last full pass,
-which brings back rows that were shrunk too early.  After each epoch on
-the shrunk active set, when the free rows F (0 < alpha_i < U_i) number at
-least one and at most the feature count plus the bias column, a Newton
-step on their face solves (X_F X_F^T) delta = -g_F by least squares and
-moves alpha_F as far along delta as the box allows, up to the full step.
-Single-coordinate steps crawl where a few free rows are strongly coupled,
-as on separable pairs with a handful of support vectors; the face step
-reaches the face's optimum in one move unless a row meets its bound first,
-and it never lowers the dual.  After every epoch the best-primal iterate so
-far (the incumbent) becomes the solution estimate, so the exposed objective
-history is non-increasing.  The solver stops once the relative duality gap
-(incumbent primal - dual) / incumbent primal, with the dual
-sum(alpha) - 0.5*||v||^2 of the current iterate (Hsieh et al.,
-section 2), is at most SOLVER_GAP.  By weak duality the gap bounds the
-incumbent's relative suboptimality over every row, shrunk or not (the gap
-as a stopping certificate: Shalev-Shwartz & Zhang, JMLR 2013).  A machine
-is converged exactly when its final gap met SOLVER_GAP within SOLVER_MAX_EPOCHS.
+inverse class frequency of sample i.  With the rows z_i = y_i x_i stacked
+in Z, the dual is max sum(alpha) - 0.5*||Z^T alpha||^2 over the box
+0 <= alpha_i <= U_i, and v = Z^T alpha.
 
-A solve may start from any feasible dual vector instead of alpha = 0.
-nested_select trains each class pair's costs in rising order, each one
-started from the previous cost's final alpha: the box only grows along the
-path, so that alpha stays feasible (warm starts along the regularisation
-path: Chu et al., KDD 2015).  The refit at the chosen cost starts from that
-cost's alpha on the train rows and 0 on the val rows.  The caller's map
-decides whether the pairs run in this process or in workers.
+The solver is a primal-dual interior-point method on that dual with
+Mehrotra's predictor-corrector steps (Mehrotra, SIAM J. Optim. 2:575,
+1992), in the form Ferris and Munson give for linear SVMs ("Interior-point
+methods for massive support vector machines", SIAM J. Optim. 13:783,
+2002).  Its variables are alpha, the upper slack s = U - alpha, and the
+multipliers lambda of alpha >= 0 and mu of s >= 0, all strictly positive.
+s is a variable of its own: recomputed as U - alpha it rounds to 0 at
+small costs and the Newton system turns singular.  Each Newton step
+solves (Z Z^T + D) d = r with the diagonal D = lambda/alpha + mu/s, which
+Sherman-Morrison-Woodbury turns into one solve with the symmetric positive
+definite (d+1) x (d+1) matrix I + Z^T D^-1 Z.  So all class pairs of one
+fold and cost are solved together: their Z^T are stacked in a zero-padded
+(pairs, d+1, rows) array, each iteration is a few numpy calls over the
+whole batch, and padded rows are masked out of the sums and step lengths.
+
+After every iteration the best primal objective so far at v = Z^T alpha
+(the incumbent) becomes the solution estimate, so the objective history
+is non-increasing.  A pair leaves the batch at the first iteration where
+the relative duality gap (incumbent primal - dual) / incumbent primal is
+at most SOLVER_GAP.  By weak duality the gap bounds the incumbent's
+relative suboptimality (the gap as a stopping certificate: Shalev-Shwartz
+& Zhang, JMLR 2013), and iterating past it only drives alpha and the
+multipliers towards 0 and the system towards singular.  A machine is
+converged exactly when its final gap met SOLVER_GAP within
+SOLVER_MAX_EPOCHS iterations.
 """
 from __future__ import annotations
 
@@ -47,21 +42,26 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot
 
 from .artifacts import read_table, write_table
 from .evaluation import uar_from_labels
 from .exceptions import SingleClassDataError
-from .seeding import rng_for
 
 COST_GRID = (0.0001, 0.001, 0.005, 0.05, 0.1, 0.5, 1.0)
 SOLVER_GAP = 1e-4  # relative duality gap that certifies a machine
-SOLVER_MAX_EPOCHS = 2000
-
-
-def _entropy(seed) -> tuple[int, ...]:
-    """Normalise int-or-tuple seeds so child streams can be derived."""
-    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+# Interior-point iterations per machine.  The machines of the acceptance
+# corpus take 3-17 and those of the x36 overlap-train corpus (34 455
+# utterances) 3-28; the cap is over three times that, so it stops only a
+# solve that has stalled.
+SOLVER_MAX_EPOCHS = 100
+# Bytes of the stacked rows one batch holds.  Above it the pairs are solved
+# in chunks, so the solver's working arrays, a few times this size, stay
+# the same for any corpus size and close to the CPU caches: on the x36
+# corpus (2-CPU host) train-eval took 15-16 s with 512 KiB and 36 s with
+# 16 MiB.  The acceptance corpus's 55 refits (about 340 KB) are one batch.
+_BATCH_BYTES = 1 << 19
+# Each step goes this fraction of the way to the nearest bound.
+_TO_BOUNDARY = 0.99
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,8 @@ class BinarySvm:
 
     d > 0 votes class_pos, d < 0 votes class_neg, d = 0 votes class_pos
     (the alphabetically lower class of the pair).  gap is the last relative
-    duality gap the solver measured, and dual the solver's final alpha, a
-    feasible start for a solve whose box is at least as large.  Model files
-    record neither, so a machine read back from one has gap NaN and dual None.
+    duality gap the solver measured.  Model files do not record it, so a
+    machine read back from one has gap NaN.
     """
 
     class_pos: str
@@ -115,7 +114,6 @@ class BinarySvm:
     cost: float
     objective_history: tuple = field(default=(), repr=False, compare=False)
     gap: float = field(default=float("nan"), repr=False, compare=False)
-    dual: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -124,177 +122,165 @@ class BinarySvm:
         return not self.gap > SOLVER_GAP
 
 
-def _primal_objective(v: np.ndarray, Xy: np.ndarray, box: np.ndarray,
-                      ) -> tuple[float, float]:
-    """The primal objective at v, and ||v||^2 for the dual."""
-    vv = float(v.dot(v))
-    slack = 1.0 - Xy.dot(v)
-    return 0.5 * vv + float(box.dot(np.maximum(slack, 0.0, out=slack))), vv
-
-
-def _face_step(Xy: np.ndarray, box: np.ndarray, v: np.ndarray,
-               alpha: list, free: list) -> float:
-    """Newton step on the free rows F, truncated to their box.
-
-    Solves (X_F X_F^T) delta = -g_F by least squares, so duplicated or
-    collinear free rows are safe, and moves alpha_F by t * delta with the
-    largest t <= 1 that stays in the box.  With Q = X_F X_F^T the dual rises
-    by (t - t^2/2) * g_F^T Q^+ g_F >= 0 along this direction.  Updates v
-    and alpha in place and returns the change of sum(alpha).
-    """
-    XF = Xy[free]
-    a = np.array([alpha[i] for i in free])
-    upper = box[free]
-    delta = np.linalg.lstsq(XF @ XF.T, 1.0 - XF.dot(v), rcond=None)[0]
-    # |delta| over the room towards the bound it heads for; free rows lie
-    # strictly inside their box, so every room is positive.
-    reach = np.abs(delta) / np.where(delta < 0.0, a, upper - a)
-    block = int(reach.argmax())
-    if reach[block] <= 1.0:
-        new = np.clip(a + delta, 0.0, upper)
-    else:  # t = 1 / reach[block] < 1: the blocking row lands on its bound
-        new = np.clip(a + delta / reach[block], 0.0, upper)
-        new[block] = 0.0 if delta[block] < 0.0 else upper[block]
-    step = new - a
-    v += XF.T.dot(step)
-    for i, value in zip(free, new.tolist()):
-        alpha[i] = value
-    return float(step.sum())
-
-
-def _solve_dual(Xa: np.ndarray, y: np.ndarray, box: np.ndarray,
-                rng: np.random.Generator, start: np.ndarray,
-                ) -> tuple[np.ndarray, tuple[float, ...], float, np.ndarray]:
-    """Dual coordinate ascent with shrinking and a Newton step on the free face,
-    from the feasible dual vector start.
-
-    An epoch is one coordinate sweep over the active rows; after a sweep of
-    the shrunk set (not a full pass) that left between 1 and Xa.shape[1]
-    rows strictly inside their box, _face_step moves those rows together.
-    The dual rises under both moves, so the incumbent, the gap stop and
-    the epoch cap need no change for the face step.
-
-    Returns the best-primal iterate, its history (the start, then one entry
-    per epoch), the last relative duality gap measured (at most SOLVER_GAP
-    unless SOLVER_MAX_EPOCHS ran out first) and the final alpha.  The first
-    epoch is a full pass whatever the start's gap.
-    """
-    n, dim = Xa.shape
-    Xy = Xa * y[:, None]
-    # Row views bound once for BLAS ddot/daxpy, whose call cost on rows
-    # this short is about a third of ndarray.dot's and v += c * row's.
-    rows = list(Xy)
-    qdiag = np.einsum("ij,ij->i", Xy, Xy).tolist()  # >= 1: the bias feature
-    upper = box.tolist()
-    v = Xy.T.dot(start)
-    alpha = start.tolist()
-    alpha_sum = float(start.sum())
-    best_obj, vv = _primal_objective(v, Xy, box)
-    best_v = v.copy()
-    history = [best_obj]
-    gap = (best_obj - (alpha_sum - 0.5 * vv)) / best_obj
-    everyone = list(range(n))
-    active = everyone
-    full_pass = True
-    full_violation = shrink_hi = np.inf
-    shrink_lo = -np.inf
-    for _ in range(SOLVER_MAX_EPOCHS):
-        pg_hi = pg_lo = 0.0  # largest and most negative projected gradient
-        kept, free = [], []
-        order = list(active)
-        rng.shuffle(order)  # the same draws and order as rng.permutation
-        for i in order:
-            g = ddot(rows[i], v) - 1.0
-            a = alpha[i]
-            # Where the projected gradient is 0 the row is idle at a bound;
-            # it stays active unless its gradient is past the threshold.
-            if a <= 0.0:
-                if g >= 0.0:
-                    if g <= shrink_hi:
-                        kept.append(i)
-                    continue
-            elif a >= upper[i]:
-                if g <= 0.0:
-                    if g >= shrink_lo:
-                        kept.append(i)
-                    continue
-            kept.append(i)
-            if g > pg_hi:
-                pg_hi = g
-            elif g < pg_lo:
-                pg_lo = g
-            new_a = a - g / qdiag[i]
-            if new_a < 0.0:
-                new_a = 0.0
-            elif new_a > upper[i]:
-                new_a = upper[i]
-            elif 0.0 < new_a < upper[i]:
-                free.append(i)  # a row is visited once, so it ends free
-            if new_a != a:
-                v = daxpy(rows[i], v, a=new_a - a)  # in place
-                alpha[i] = new_a
-                alpha_sum += new_a - a
-        if not full_pass and 0 < len(free) <= dim:
-            alpha_sum += _face_step(Xy, box, v, alpha, free)
-        obj, vv = _primal_objective(v, Xy, box)
-        if obj < best_obj:
-            best_obj = obj
-            best_v = v.copy()
-        history.append(best_obj)
-        gap = (best_obj - (alpha_sum - 0.5 * vv)) / best_obj
-        if gap <= SOLVER_GAP:
-            break
-        violation = max(pg_hi, -pg_lo)
-        if full_pass:
-            full_violation = violation
-            full_pass = False
-        elif violation < 0.1 * full_violation:
-            full_pass = True
-        if full_pass:
-            active, shrink_hi, shrink_lo = everyone, np.inf, -np.inf
-        else:
-            active = sorted(kept)  # the order depends on the set and rng only
-            shrink_hi = pg_hi if pg_hi > 0.0 else np.inf
-            shrink_lo = pg_lo if pg_lo < 0.0 else -np.inf
-    return best_v, tuple(history), gap, np.array(alpha)
-
-
-def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
-                 weight_pos: float = 1.0, weight_neg: float = 1.0,
-                 seed=0, class_pair: tuple[str, str] = ("+1", "-1"),
-                 start: np.ndarray | None = None) -> BinarySvm:
-    """Train one weighted hinge-loss machine on +/-1 labels.
-
-    The solver starts from the dual vector start, one entry per row inside
-    the row's box [0, cost * class weight], or from alpha = 0 when start is
-    None.  Deterministic for fixed inputs, start and seed; converged is False
-    when SOLVER_MAX_EPOCHS ran out before the relative duality gap met
-    SOLVER_GAP.  A non-finite feature, whose NaN gap would read as
-    converged, and a start of the wrong length or outside the box are a
-    ValueError.
-    """
+def _pair_problem(X: np.ndarray, y: np.ndarray, weight_pos: float,
+                  weight_neg: float) -> tuple[np.ndarray, np.ndarray]:
+    """Z^T, whose columns are the rows z_i = y_i [x_i, 1] of one pair, and
+    each row's class weight.  A single class and a non-finite feature,
+    whose NaN gap would read as converged, are errors."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not ((y > 0).any() and (y < 0).any()):
         raise SingleClassDataError("both classes must be present")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite numbers")
-    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    box = cost * np.where(y > 0, weight_pos, weight_neg)
-    if start is None:
-        start = np.zeros(len(y))
-    else:
-        start = np.asarray(start, dtype=np.float64)
-        if start.shape != y.shape:
-            raise ValueError(f"the dual start has shape {start.shape}, "
-                             f"the labels {y.shape}")
-        if not ((start >= 0.0) & (start <= box)).all():
-            raise ValueError("the dual start leaves the box [0, cost * weight]")
-    v, history, gap, alpha = _solve_dual(Xa, y, box, rng_for(*_entropy(seed)),
-                                         start)
-    return BinarySvm(class_pos=class_pair[0], class_neg=class_pair[1],
-                     weights=v[:-1], bias=float(v[-1]), cost=cost,
-                     objective_history=history, gap=gap, dual=alpha)
+    return (np.vstack([X.T, np.ones(len(y))]) * y,
+            np.where(y > 0, weight_pos, weight_neg))
+
+
+def _solve_batch(Zt: np.ndarray, box: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the duals of the stacked pairs Zt (pairs, d+1, rows) with boxes
+    box (pairs, rows); a pair's padded rows are 0 in both.
+
+    Returns each pair's incumbent v, its objective history as a row of a
+    (pairs, SOLVER_MAX_EPOCHS + 1) array (the start, then one entry per
+    iteration; the entries past its iteration count are unset), its
+    iteration count and its last relative duality gap.
+    """
+    pairs, dim, _rows = Zt.shape
+    diagonal = np.arange(dim)
+    real = (box > 0.0).astype(np.float64)
+    products = 2.0 * real.sum(axis=1)  # complementarity products per pair
+    # The start: alpha and s at half the box, and multipliers of 1 plus the
+    # part of the hinge that zeroes the stationarity residual
+    # Z Z^T alpha - 1 - lambda + mu.  Padded rows sit at 1, and their
+    # directions are 0, so they never move.
+    alpha = np.where(box > 0.0, 0.5 * box, 1.0)
+    slack = alpha.copy()
+    v = (Zt @ alpha[..., None])[..., 0]  # the padded columns of Zt are 0
+    hinge = real * (1.0 - (v[:, None, :] @ Zt)[:, 0])
+    lam = np.maximum(-hinge, 0.0) + 1.0
+    mu = np.maximum(hinge, 0.0) + 1.0
+    solution = np.empty((pairs, dim))
+    history = np.empty((pairs, SOLVER_MAX_EPOCHS + 1))
+    iterations = np.empty(pairs, dtype=np.int64)
+    gaps = np.empty(pairs)
+    live = np.arange(pairs)
+    best, best_v = np.full(pairs, np.inf), np.empty((pairs, dim))
+    for iteration in range(SOLVER_MAX_EPOCHS + 1):
+        v = (Zt @ alpha[..., None])[..., 0]
+        loss = 1.0 - (v[:, None, :] @ Zt)[:, 0]  # 1 - Z v
+        vv = np.einsum("pm,pm->p", v, v)
+        primal = 0.5 * vv + np.einsum("pn,pn->p", box, np.maximum(loss, 0.0))
+        better = primal < best
+        best = np.where(better, primal, best)
+        best_v = np.where(better[:, None], v, best_v)
+        history[live, iteration] = best
+        gap = (best - np.einsum("pn,pn->p", real, alpha) + 0.5 * vv) / best
+        done = (gap <= SOLVER_GAP) | (iteration == SOLVER_MAX_EPOCHS)
+        if done.any():
+            solution[live[done]] = best_v[done]
+            iterations[live[done]] = iteration
+            gaps[live[done]] = gap[done]
+            if done.all():
+                break
+            keep = ~done
+            live = live[keep]
+            (Zt, box, real, products, alpha, slack, lam, mu, loss, best,
+             best_v) = (a[keep] for a in (Zt, box, real, products, alpha,
+                                          slack, lam, mu, loss, best, best_v))
+
+        # Newton steps on the KKT system: the stationarity residual above is
+        # 0, alpha * lambda = s * mu = a target, and alpha + s = U, which
+        # holds because s moves by -d_alpha.  Eliminating the multipliers
+        # leaves (Z Z^T + D) d_alpha = D (D^-1 (1 - Z v) + terms of the
+        # targets), solved through I + Z^T D^-1 Z.
+        inv_alpha, inv_slack = 1.0 / alpha, 1.0 / slack
+        lam_alpha, mu_slack = lam * inv_alpha, mu * inv_slack
+        d_inv = real / (lam_alpha + mu_slack)
+        Zt_d = Zt * d_inv[:, None, :]
+        system = Zt_d @ np.swapaxes(Zt, 1, 2)
+        system[:, diagonal, diagonal] += 1.0
+
+        def direction(rhs, target_lam=0.0, target_mu=0.0):
+            """The step towards alpha * lambda = target_lam and s * mu =
+            target_mu, and the reciprocal of the largest step length that
+            keeps alpha, s, lambda and mu positive."""
+            rhs = d_inv * rhs
+            w = np.linalg.solve(system, Zt @ rhs[..., None])
+            d_alpha = rhs - d_inv * (np.swapaxes(w, 1, 2) @ Zt)[:, 0]
+            d_lam = real * (target_lam * inv_alpha - lam_alpha * d_alpha - lam)
+            d_mu = real * (target_mu * inv_slack + mu_slack * d_alpha - mu)
+            reach = np.maximum(
+                np.maximum(-(d_alpha * inv_alpha).min(axis=1),
+                           (d_alpha * inv_slack).max(axis=1)),
+                -np.minimum((d_lam / lam).min(axis=1), (d_mu / mu).min(axis=1)))
+            return d_alpha, d_lam, d_mu, reach
+
+        # Predictor: the affine step to complementarity 0.  The mean
+        # complementarity it would reach, (1 - t) tau + t^2 d_alpha .
+        # (d_lambda - d_mu) / (2 rows), sets the centring target.
+        d_alpha, d_lam, d_mu, reach = direction(loss)
+        step = 1.0 / np.maximum(reach, 1.0)
+        tau = np.einsum("pn,pn->p", real, alpha * lam + slack * mu) / products
+        tau_affine = ((1.0 - step) * tau + step * step * np.einsum(
+            "pn,pn->p", d_alpha, d_lam - d_mu) / products)
+        centre = ((tau_affine / tau) ** 3 * tau)[:, None]
+        # Corrector: centred, less the predictor's second-order term.
+        target_lam = centre - d_alpha * d_lam
+        target_mu = centre + d_alpha * d_mu
+        d_alpha, d_lam, d_mu, reach = direction(
+            loss + target_lam * inv_alpha - target_mu * inv_slack,
+            target_lam, target_mu)
+        step = (_TO_BOUNDARY / np.maximum(reach, _TO_BOUNDARY))[:, None]
+        alpha = alpha + step * d_alpha
+        slack = slack - step * d_alpha
+        lam = lam + step * d_lam
+        mu = mu + step * d_mu
+    return solution, history, iterations, gaps
+
+
+def _train_pairs(problems: Sequence[tuple[np.ndarray, np.ndarray]],
+                 pairs: Sequence[tuple[str, str]], cost: float,
+                 ) -> list[BinarySvm]:
+    """One machine per _pair_problem at cost, in order.  The pairs are solved
+    together, largest first, in chunks of at most _BATCH_BYTES of stacked
+    rows, each padded to its own largest pair."""
+    dim = problems[0][0].shape[0]
+    order = sorted(range(len(problems)), key=lambda i: -len(problems[i][1]))
+    machines: list[BinarySvm | None] = [None] * len(problems)
+    while order:
+        rows = len(problems[order[0]][1])
+        count = max(1, _BATCH_BYTES // (rows * dim * 8))
+        part, order = order[:count], order[count:]
+        Zt = np.zeros((len(part), dim, rows))
+        box = np.zeros((len(part), rows))
+        for index, i in enumerate(part):
+            Zt_pair, weights = problems[i]
+            Zt[index, :, :len(weights)] = Zt_pair
+            box[index, :len(weights)] = cost * weights
+        for i, v, history, iterations, gap in zip(part, *_solve_batch(Zt, box)):
+            machines[i] = BinarySvm(
+                class_pos=pairs[i][0], class_neg=pairs[i][1], weights=v[:-1],
+                bias=float(v[-1]), cost=cost,
+                objective_history=tuple(history[:iterations + 1].tolist()),
+                gap=float(gap))
+    return machines
+
+
+def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
+                 weight_pos: float = 1.0, weight_neg: float = 1.0,
+                 class_pair: tuple[str, str] = ("+1", "-1")) -> BinarySvm:
+    """Train one weighted hinge-loss machine on +/-1 labels, as a batch of
+    one pair.
+
+    Deterministic for fixed inputs; converged is False when
+    SOLVER_MAX_EPOCHS ran out before the relative duality gap met
+    SOLVER_GAP.  A single class is a SingleClassDataError and a non-finite
+    feature a ValueError.
+    """
+    return _train_pairs([_pair_problem(X, y, weight_pos, weight_neg)],
+                        [class_pair], cost)[0]
 
 
 @dataclass(frozen=True)
@@ -305,21 +291,6 @@ class OvoModel:
     standardiser: Standardiser
     cost: float
     machines: tuple[BinarySvm, ...]
-
-
-def _cost_path(task: tuple) -> list[BinarySvm]:
-    """Train one class pair at each of the task's costs, in order, each solve
-    started from the previous one's final alpha (the first from the task's
-    start).  The costs must not fall, so that every start stays inside its
-    box.  Module-level, so a process pool can send it by name."""
-    X, y, costs, weight_pos, weight_neg, seeds, pair, start = task
-    machines = []
-    for cost, seed in zip(costs, seeds):
-        machine = train_binary(X, y, cost, weight_pos, weight_neg, seed, pair,
-                               start)
-        machines.append(machine)
-        start = machine.dual
-    return machines
 
 
 def _predict_standardised(machines: Sequence[BinarySvm], labels: Sequence[str],
@@ -339,14 +310,10 @@ def _predict_standardised(machines: Sequence[BinarySvm], labels: Sequence[str],
         votes[~pos, j] += 1
         strength[pos, i] += np.abs(d[pos])
         strength[~pos, j] += np.abs(d[~pos])
-    out = []
-    for r in range(n):
-        tied = np.flatnonzero(votes[r] == votes[r].max())
-        if len(tied) > 1:
-            s = strength[r, tied]
-            tied = tied[np.flatnonzero(s == s.max())]
-        out.append(labels[tied[0]])
-    return out
+    # strength over the max-vote classes only; argmax takes the first of
+    # equal maxima, which is the lower class index
+    tied = votes == votes.max(axis=1, keepdims=True)
+    return [labels[i] for i in np.where(tied, strength, -1.0).argmax(axis=1)]
 
 
 def predict(model: OvoModel, X_raw: np.ndarray) -> list[str]:
@@ -356,22 +323,20 @@ def predict(model: OvoModel, X_raw: np.ndarray) -> list[str]:
 
 
 def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
-                  train_idx: np.ndarray, val_idx: np.ndarray, seed=0,
-                  map_paths=map) -> tuple[OvoModel, dict]:
+                  train_idx: np.ndarray, val_idx: np.ndarray,
+                  ) -> tuple[OvoModel, dict]:
     """Pick the cost from COST_GRID by validation UAR, then retrain on the
     full dev set.
 
-    Each class pair's machines on the train rows form one warm-started path
-    over sorted(COST_GRID); the refit at the chosen cost starts from that
-    cost's alpha on the train rows and 0 on the val rows.  map_paths maps
-    _cost_path over the pairs' tasks and must return the results in order:
-    the built-in map, or a process pool's.  The standardiser and the class
-    weights come from the full development set and are reused in both
-    stages.  Ties in validation UAR resolve to the smaller cost.  The
-    diagnostics carry report.json's provenance keys and JSON-ready values:
-    chosen_costs, validation_uar keyed by format(cost, "g"), and over the
-    machines of both stages capped_machines (stopped at the epoch cap short
-    of the duality gap), max_relative_gap and solver_epochs (the epoch sum).
+    The class pairs' machines on the train rows are solved as one batch per
+    cost, and the refit at the chosen cost as one more.  The standardiser
+    and the class weights come from the full development set and are reused
+    in both stages.  Ties in validation UAR resolve to the smaller cost.
+    The diagnostics carry report.json's provenance keys and JSON-ready
+    values: chosen_costs, validation_uar keyed by format(cost, "g"), and
+    over the machines of both stages capped_machines (stopped at the
+    iteration cap short of the duality gap), max_relative_gap and
+    solver_epochs (the interior-point iteration sum).
     """
     X_dev = np.asarray(X_dev, dtype=np.float64)
     y_dev = np.asarray(y_dev, dtype=object)
@@ -380,50 +345,32 @@ def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
     weights = inverse_frequency_weights(list(y_dev))
     labels = tuple(sorted(set(y_dev)))
     pairs = list(combinations(labels, 2))
-    base = _entropy(seed)
-    costs = sorted(COST_GRID)
 
-    def pair_rows(y, pair):
-        mask = (y == pair[0]) | (y == pair[1])
-        return mask, np.where(y[mask] == pair[0], 1.0, -1.0)
+    def problems(rows):
+        X, y = X_std[rows], y_dev[rows]
+        masks = [(y == pos) | (y == neg) for pos, neg in pairs]
+        return [_pair_problem(X[mask], np.where(y[mask] == pos, 1.0, -1.0),
+                              weights[pos], weights[neg])
+                for (pos, neg), mask in zip(pairs, masks)]
 
-    X_train, y_train = X_std[train_idx], y_dev[train_idx]
-    train_masks, tasks = [], []
-    for pair_index, pair in enumerate(pairs):
-        mask, ysub = pair_rows(y_train, pair)
-        train_masks.append(mask)
-        tasks.append((X_train[mask], ysub, costs, weights[pair[0]],
-                      weights[pair[1]],
-                      [base + (1, grid_index, pair_index)
-                       for grid_index in range(len(costs))], pair, None))
-    paths = list(map_paths(_cost_path, tasks))
-    trained = [m for path in paths for m in path]
-
+    train = problems(train_idx)
     y_val = list(y_dev[val_idx])
-    best_index, best_uar = None, -1.0
+    trained: list[BinarySvm] = []
+    best_cost, best_uar = None, -1.0
     validation_uar: dict[str, float] = {}
-    for grid_index, cost in enumerate(costs):
-        machines = [path[grid_index] for path in paths]
+    for cost in sorted(COST_GRID):
+        machines = _train_pairs(train, pairs, cost)
+        trained += machines
         score = uar_from_labels(
             y_val, _predict_standardised(machines, labels, X_std[val_idx]))
         validation_uar[format(cost, "g")] = score
         if score > best_uar:
-            best_uar, best_index = score, grid_index
-    best_cost = costs[best_index]
+            best_uar, best_cost = score, cost
 
-    refits = []
-    for pair_index, (pair, path, train_mask) in enumerate(
-            zip(pairs, paths, train_masks)):
-        alpha = np.zeros(len(y_dev))
-        alpha[train_idx[train_mask]] = path[best_index].dual
-        mask, ysub = pair_rows(y_dev, pair)
-        refits.append((X_std[mask], ysub, [best_cost], weights[pair[0]],
-                       weights[pair[1]], [base + (2, pair_index)], pair,
-                       alpha[mask]))
-    final = tuple(m for path in map_paths(_cost_path, refits) for m in path)
+    final = _train_pairs(problems(np.arange(len(y_dev))), pairs, best_cost)
     trained += final
     model = OvoModel(labels=labels, standardiser=standardiser,
-                     cost=best_cost, machines=final)
+                     cost=best_cost, machines=tuple(final))
     return model, {"chosen_costs": best_cost, "validation_uar": validation_uar,
                    "capped_machines": sum(not m.converged for m in trained),
                    "max_relative_gap": max(m.gap for m in trained),

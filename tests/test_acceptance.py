@@ -214,7 +214,7 @@ def test_criterion_6_partition_invariants(e2e_run):
 
 def test_criterion_7_svm_solver_correctness():
     m = train_binary(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]),
-                     cost=1.0, seed=0)
+                     cost=1.0)
     two_point = abs(m.weights[0] - 1.0) < 1e-3 and abs(m.bias) < 1e-3
 
     rng = np.random.default_rng(707)
@@ -227,8 +227,7 @@ def test_criterion_7_svm_solver_correctness():
             y[0] = -y[0]
         cost = float(rng.choice([0.05, 0.1, 0.5, 1.0]))
         wp, wn = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
-        machine = train_binary(X, y, cost, weight_pos=wp, weight_neg=wn,
-                               seed=7000 + trial)
+        machine = train_binary(X, y, cost, weight_pos=wp, weight_neg=wn)
         box = cost * np.where(y > 0, wp, wn)
         mine = weighted_primal(machine.weights, machine.bias, X, y, box)
         oracle, _ = refine_grid_minimum(X, y, box)
@@ -237,9 +236,9 @@ def test_criterion_7_svm_solver_correctness():
 
     X = np.random.default_rng(708).normal(size=(6, 2))
     y = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
-    mw = train_binary(X, y, cost=0.5, weight_neg=3.0, seed=9)
+    mw = train_binary(X, y, cost=0.5, weight_neg=3.0)
     md = train_binary(np.vstack([X[:4], np.repeat(X[4:], 3, axis=0)]),
-                      np.concatenate([np.ones(4), -np.ones(6)]), cost=0.5, seed=9)
+                      np.concatenate([np.ones(4), -np.ones(6)]), cost=0.5)
     dup_ok = (np.abs(mw.weights - md.weights).max() < 1e-3
               and abs(mw.bias - md.bias) < 1e-3)
 

@@ -316,7 +316,7 @@ def test_artifacts_identical_for_one_and_two_workers(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-def test_worker_error_stops_train_eval_before_the_report(tmp_path, monkeypatch,
+def test_solver_error_stops_train_eval_before_the_report(tmp_path, monkeypatch,
                                                          caplog):
     args = _three_class_corpus(tmp_path / "c") + ["--out", str(tmp_path / "out")]
     for cmd in ("extract", "partition"):
@@ -325,11 +325,33 @@ def test_worker_error_stops_train_eval_before_the_report(tmp_path, monkeypatch,
     def boom(*_args):
         raise ValueError("boom")
 
-    monkeypatch.setattr(svm, "_solve_dual", boom)
-    _use_workers(monkeypatch, 2)
+    monkeypatch.setattr(svm, "_solve_batch", boom)
     assert main(["train-eval"] + args) == 2
     assert "boom" in caplog.text
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_capped_machines_are_counted_and_logged(tmp_path, monkeypatch, caplog):
+    """One interior-point iteration meets no machine's duality gap."""
+    args = _three_class_corpus(tmp_path / "c") + ["--out", str(tmp_path / "out")]
+    for cmd in ("extract", "partition"):
+        assert main([cmd] + args) == 0
+    monkeypatch.setattr(svm, "COST_GRID", (1.0,))
+    monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 10)
+    monkeypatch.setattr(svm, "SOLVER_MAX_EPOCHS", 1)
+    assert main(["train-eval"] + args) == 0
+    provenance = json.loads((tmp_path / "out" / "report.json").read_text())[
+        "provenance"]
+    # three pairs at the one cost, then three refits, in each fold
+    assert provenance["capped_machines"] == {"0": 6, "1": 6, "2": 6}
+    assert provenance["solver_epochs"] == {"0": 6, "1": 6, "2": 6}
+    assert all(gap > svm.SOLVER_GAP
+               for gap in provenance["max_relative_gap"].values())
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"
+                and "iteration cap" in r.getMessage()]
+    assert warnings == [f"fold {fold}: 6 machines stopped at the 1-iteration cap "
+                        f"without meeting the duality gap 0.0001"
+                        for fold in range(3)]
 
 
 def test_rate_warning_logged_once_with_two_workers(tmp_path, monkeypatch, caplog):

@@ -2,9 +2,14 @@
 
 No linter ships with the toolchain, so this parses each module with ast: an
 imported name that no expression, annotation or quoted annotation of the
-module reads is reported with its module.
+module reads is reported with its module.  Every stage process imports
+usvpipe.cli, so it must load no scipy: importing scipy.signal alone takes
+about a second.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +45,14 @@ def test_an_unused_import_is_named():
     source = ("import os\nimport numpy as np\nfrom pathlib import Path, PurePath\n"
               "def f(p: Path) -> 'np.ndarray':\n    return p\n")
     assert unused_imports(source) == ["PurePath", "os"]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(usvpipe.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, usvpipe.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert loaded.strip() == "[]"

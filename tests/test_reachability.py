@@ -3,8 +3,6 @@
 The test runs `synth` and the five stages on a tiny corpus under a profiler
 that records each Python function called, in worker threads too.  A public
 member no stage calls is code only tests reach, and the test names it.
-The stages run on one worker: the profiler cannot see into train-eval's
-worker processes, and one worker calls the same functions in this process.
 """
 import importlib
 import inspect
@@ -13,7 +11,7 @@ import sys
 import threading
 
 import usvpipe
-from usvpipe import cli, evaluation, svm
+from usvpipe import evaluation, svm
 from usvpipe.cli import main
 
 STAGES = ("extract", "partition", "train-eval", "table1", "export-spectrograms")
@@ -26,6 +24,8 @@ ALLOWED = {
     "usvpipe.evaluation.read_predictions_csv",
     # benchmarks/checks.py reads every tensor back to check its size
     "usvpipe.spectral.read_tensor",
+    # benchmarks/probes.py times one full-corpus-sized solve through it
+    "usvpipe.svm.train_binary",
 }
 
 
@@ -63,7 +63,6 @@ def _run_pipeline(root):
 def test_every_public_member_is_reached_by_a_stage(tmp_path, monkeypatch):
     monkeypatch.setattr(svm, "COST_GRID", (0.1, 1.0))
     monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 10)
-    monkeypatch.setattr(cli, "_worker_count", lambda items: 1)
     called = set()
 
     def profile(frame, event, _arg):

@@ -35,22 +35,22 @@ def separable_level_pair(seed: int, n: int = 46):
     return np.column_stack(cols + cols), y
 
 
-def pair_machines(X, y, cost, seed=0):
+def pair_machines(X, y, cost):
     """One machine per label pair, unit class weights, each pair on its own
-    rows and seed."""
+    rows."""
     y = np.asarray(y, dtype=object)
     machines = []
-    for index, pair in enumerate(combinations(sorted(set(y)), 2)):
+    for pair in combinations(sorted(set(y)), 2):
         mask = np.isin(y, pair)
         machines.append(train_binary(X[mask], np.where(y[mask] == pair[0], 1.0, -1.0),
-                                     cost, seed=(seed, index), class_pair=pair))
+                                     cost, class_pair=pair))
     return tuple(machines)
 
 
 class TestSolver:
     def test_two_symmetric_points_max_margin(self):
         m = train_binary(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]),
-                         cost=1.0, seed=0)
+                         cost=1.0)
         assert abs(m.weights[0] - 1.0) < 1e-3
         assert abs(m.bias) < 1e-3
         assert m.converged is True
@@ -59,15 +59,15 @@ class TestSolver:
         rng = np.random.default_rng(1)
         X = np.vstack([rng.normal(-2, 0.3, (40, 2)), rng.normal(2, 0.3, (40, 2))])
         y = np.concatenate([-np.ones(40), np.ones(40)])
-        m = train_binary(X, y, cost=10.0, seed=1)
+        m = train_binary(X, y, cost=10.0)
         assert np.all(np.sign(X @ m.weights + m.bias) == y)
 
-    def test_deterministic_for_same_seed(self):
+    def test_deterministic_for_same_inputs(self):
         rng = np.random.default_rng(2)
         X, y = rng.normal(size=(30, 3)), np.sign(rng.normal(size=30))
         y[y == 0] = 1.0
-        m1 = train_binary(X, y, cost=0.5, seed=17)
-        m2 = train_binary(X, y, cost=0.5, seed=17)
+        m1 = train_binary(X, y, cost=0.5)
+        m2 = train_binary(X, y, cost=0.5)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
 
@@ -83,7 +83,7 @@ class TestSolver:
             y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
             if len(set(y)) < 2:
                 continue
-            m = train_binary(X, y, cost=float(rng.choice(COST_GRID)), seed=trial)
+            m = train_binary(X, y, cost=float(rng.choice(COST_GRID)))
             h = np.array(m.objective_history)
             assert np.all(np.diff(h) <= 1e-9)
 
@@ -97,7 +97,7 @@ class TestSolver:
                 y[0] = -y[0]
             cost = float(rng.choice([0.05, 0.1, 0.5, 1.0]))
             wp, wn = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
-            m = train_binary(X, y, cost, weight_pos=wp, weight_neg=wn, seed=trial)
+            m = train_binary(X, y, cost, weight_pos=wp, weight_neg=wn)
             box = cost * np.where(y > 0, wp, wn)
             mine = weighted_primal(m.weights, m.bias, X, y, box)
             oracle, _ = refine_grid_minimum(X, y, box)
@@ -109,10 +109,10 @@ class TestSolver:
         X = rng.normal(size=(6, 2))
         y = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
         for d in (2, 3):
-            mw = train_binary(X, y, cost=0.5, weight_neg=float(d), seed=8)
+            mw = train_binary(X, y, cost=0.5, weight_neg=float(d))
             Xd = np.vstack([X[:4], np.repeat(X[4:], d, axis=0)])
             yd = np.concatenate([np.ones(4), -np.ones(2 * d)])
-            md = train_binary(Xd, yd, cost=0.5, seed=8)
+            md = train_binary(Xd, yd, cost=0.5)
             assert np.abs(mw.weights - md.weights).max() < 1e-3
             assert abs(mw.bias - md.bias) < 1e-3
 
@@ -122,11 +122,11 @@ class TestSolver:
         y = np.where(X[:, 0] + rng.normal(size=40) > 0, 1.0, -1.0)
         with monkeypatch.context() as patch:
             patch.setattr(svm, "SOLVER_MAX_EPOCHS", 1)
-            m = train_binary(X, y, cost=1.0, seed=0)
+            m = train_binary(X, y, cost=1.0)
         assert len(m.objective_history) == 2
         assert m.converged is False
         assert m.gap > SOLVER_GAP
-        done = train_binary(X, y, cost=1.0, seed=0)
+        done = train_binary(X, y, cost=1.0)
         assert done.converged is True
         assert 0.0 <= done.gap <= SOLVER_GAP
 
@@ -136,37 +136,26 @@ class TestSolver:
             train_binary(X, np.array([-1.0, 1.0, 1.0]), cost=1.0)
 
     def test_separable_pair_with_few_support_vectors_meets_the_gap_early(self):
-        """Plain coordinate steps crawl along the few coupled margin rows of
-        such a pair; the step on the free face meets the gap at once."""
-        X, y = separable_level_pair(5)
-        for seed in range(3):
-            m = train_binary(X, y, 1.0, seed=seed)
+        """Coordinate steps crawl along the few strongly coupled margin rows
+        of such a pair; the interior-point steps move all rows together."""
+        for seed in (5, 6, 7):
+            X, y = separable_level_pair(seed)
+            m = train_binary(X, y, 1.0)
             margins = y * (X @ m.weights + m.bias)
             assert np.sum(margins < 1.01) <= 6
             assert m.converged is True
             assert m.gap <= SOLVER_GAP
-            assert len(m.objective_history) - 1 < SOLVER_MAX_EPOCHS // 10
+            assert len(m.objective_history) - 1 <= 20  # iterations
 
-    def test_duplicated_free_rows_match_the_weighted_problem(self, monkeypatch):
-        """Both copies of a margin row are free at once, so the face step
-        meets a singular X_F X_F^T; its least-squares solve still moves the
-        duplicated problem to the weighted one's optimum."""
-        ranks = []
-        face_step = svm._face_step
-
-        def spy(Xy, box, v, alpha, free):
-            ranks.append((len(free), np.linalg.matrix_rank(Xy[free])))
-            return face_step(Xy, box, v, alpha, free)
-
-        monkeypatch.setattr(svm, "_face_step", spy)
+    def test_duplicated_free_rows_match_the_weighted_problem(self):
+        """Both copies of a margin row are free at the optimum, so Z Z^T is
+        singular; the Newton system I + Z^T D^-1 Z is not, and the
+        duplicated problem reaches the weighted one's optimum."""
         rng = np.random.default_rng(2)
         X = np.vstack([rng.normal(-1.5, 1, (6, 2)), rng.normal(1.5, 1, (6, 2))])
         y = np.concatenate([-np.ones(6), np.ones(6)])
-        doubled = train_binary(np.vstack([X, X]), np.concatenate([y, y]), 0.5,
-                               seed=3)
-        assert any(rank < size for size, rank in ranks)
-        weighted = train_binary(X, y, 0.5, weight_pos=2.0, weight_neg=2.0,
-                                seed=3)
+        doubled = train_binary(np.vstack([X, X]), np.concatenate([y, y]), 0.5)
+        weighted = train_binary(X, y, 0.5, weight_pos=2.0, weight_neg=2.0)
         assert doubled.converged is True
         assert np.abs(doubled.weights - weighted.weights).max() < 1e-3
         assert abs(doubled.bias - weighted.bias) < 1e-3
@@ -183,7 +172,7 @@ class TestSolver:
         assert len(m.objective_history) - 1 < SOLVER_MAX_EPOCHS
 
     def test_primal_matches_box_constrained_dual_oracle(self):
-        """Problems large enough for shrinking to act, checked against the
+        """Problems of a validation batch's size, checked against the
         dual optimum found by L-BFGS-B (an independent solver).  Weak
         duality bounds the primal below by any feasible dual value, and a
         converged machine's primal is within SOLVER_GAP of the optimum."""
@@ -195,8 +184,7 @@ class TestSolver:
                          1.0, -1.0)
             cost = float(rng.choice([0.1, 0.5, 1.0]))
             wp, wn = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
-            m = train_binary(X, y, cost, weight_pos=wp, weight_neg=wn,
-                             seed=trial)
+            m = train_binary(X, y, cost, weight_pos=wp, weight_neg=wn)
             assert m.converged
             box = cost * np.where(y > 0, wp, wn)
             Xy = np.hstack([X, np.ones((n, 1))]) * y[:, None]
@@ -217,42 +205,37 @@ class TestSolver:
             assert primal <= dual * (1 + 1e-3), (trial, primal, dual)
             assert primal >= dual - 1e-9 * abs(dual), (trial, primal, dual)
 
-    def test_warm_start_from_a_lower_cost_meets_the_same_certificate(self):
-        """A solve started from a lower cost's alpha and a cold solve at the
-        same cost both meet the gap, so their primal objectives agree within
-        the two certificates."""
-        rng = np.random.default_rng(31)
-        for trial in range(12):
-            n = int(rng.integers(20, 121))
-            X = rng.normal(size=(n, int(rng.integers(2, 11))))
-            y = np.where(X[:, 0] + rng.normal(0, 1.0, n) > 0, 1.0, -1.0)
-            y[:2] = (1.0, -1.0)
-            low, high = sorted(rng.choice(COST_GRID, 2, replace=False))
-            wp, wn = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
-            first = train_binary(X, y, low, wp, wn, seed=trial)
-            warm = train_binary(X, y, high, wp, wn, seed=trial, start=first.dual)
-            cold = train_binary(X, y, high, wp, wn, seed=trial)
-            assert warm.gap <= SOLVER_GAP and cold.gap <= SOLVER_GAP, trial
-            box = high * np.where(y > 0, wp, wn)
-            warm_obj = weighted_primal(warm.weights, warm.bias, X, y, box)
-            cold_obj = weighted_primal(cold.weights, cold.bias, X, y, box)
-            assert abs(warm_obj - cold_obj) <= 2 * SOLVER_GAP * cold_obj, trial
-            assert np.all((warm.dual >= 0.0) & (warm.dual <= box))
-
-    def test_zero_start_is_the_cold_solve(self):
-        X, y = separable_level_pair(3)
-        cold = train_binary(X, y, 0.5, seed=4)
-        zero = train_binary(X, y, 0.5, seed=4, start=np.zeros(len(y)))
-        np.testing.assert_array_equal(cold.weights, zero.weights)
-        assert cold.objective_history == zero.objective_history
-
-    @pytest.mark.parametrize("start", [np.zeros(5), np.full(6, -1e-12),
-                                       np.full(6, 0.5 + 1e-12)])
-    def test_start_of_the_wrong_length_or_outside_the_box_rejected(self, start):
-        X = np.arange(6.0)[:, None]
-        y = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="dual start"):
-            train_binary(X, y, 0.5, start=start)
+    @pytest.mark.parametrize("batch_bytes", [svm._BATCH_BYTES, 1])
+    def test_each_pair_of_a_batch_equals_its_one_pair_solve(self, monkeypatch,
+                                                            batch_bytes):
+        """55 pairs of unequal sizes, padded into one batch (or one chunk per
+        pair), against each pair solved alone."""
+        monkeypatch.setattr(svm, "_BATCH_BYTES", batch_bytes)
+        rng = np.random.default_rng(32)
+        labels = [f"c{i:02d}" for i in range(11)]
+        y = np.repeat(labels, rng.integers(8, 30, 11))
+        X = rng.normal(size=(len(y), 10)) + 0.4 * rng.normal(size=(11, 10))[
+            np.searchsorted(labels, y)]
+        weights = inverse_frequency_weights(list(y))
+        pairs = list(combinations(labels, 2))
+        problems = []
+        for pos, neg in pairs:
+            mask = (y == pos) | (y == neg)
+            problems.append((X[mask], np.where(y[mask] == pos, 1.0, -1.0),
+                             weights[pos], weights[neg]))
+        batch = svm._train_pairs([svm._pair_problem(*p) for p in problems],
+                                 pairs, 0.5)
+        assert len(batch) == 55
+        for pair, machine, problem in zip(pairs, batch, problems):
+            X_pair, y_pair, weight_pos, weight_neg = problem
+            alone = train_binary(X_pair, y_pair, 0.5, weight_pos, weight_neg, pair)
+            assert (machine.class_pos, machine.class_neg) == pair
+            v = np.append(machine.weights, machine.bias)
+            v_alone = np.append(alone.weights, alone.bias)
+            assert np.abs(v - v_alone).max() <= 1e-9 * np.abs(v_alone).max()
+            assert machine.objective_history == pytest.approx(
+                alone.objective_history, rel=1e-9)
+            assert machine.converged and alone.converged
 
 
 class TestStandardiser:
@@ -319,6 +302,37 @@ class TestVoting:
         out = _predict_standardised(machines, ("A", "B"), np.array([[3.0]]))
         assert out == ["A"]
 
+    def test_vectorised_tie_break_equals_the_per_row_rule(self):
+        """Decisions on a few integer levels force vote ties and, among the
+        tied classes, strength ties."""
+        rng = np.random.default_rng(33)
+        labels = ("a", "b", "c", "d", "e")
+        index = {lab: i for i, lab in enumerate(labels)}
+        X = np.array([[i, j] for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)])
+        rows = np.arange(len(X))
+        vote_ties = strength_ties = 0
+        for _trial in range(20):
+            machines = [toy_machine(pos, neg, rng.integers(-1, 2, 2).astype(float),
+                                    float(rng.integers(-1, 2)))
+                        for pos, neg in combinations(labels, 2)]
+            votes = np.zeros((len(X), len(labels)), dtype=int)
+            strength = np.zeros((len(X), len(labels)))
+            for m in machines:
+                d = X @ m.weights + m.bias
+                winner = np.where(d >= 0.0, index[m.class_pos], index[m.class_neg])
+                votes[rows, winner] += 1
+                strength[rows, winner] += np.abs(d)
+            expected = []
+            for row_votes, row_strength in zip(votes, strength):
+                tied = np.flatnonzero(row_votes == row_votes.max())
+                vote_ties += len(tied) > 1
+                s = row_strength[tied]
+                tied = tied[np.flatnonzero(s == s.max())]
+                strength_ties += len(tied) > 1
+                expected.append(labels[tied[0]])
+            assert _predict_standardised(machines, labels, X) == expected
+        assert vote_ties > 20 and strength_ties > 10
+
     def test_vote_count_bound(self):
         rng = np.random.default_rng(11)
         labels = sorted(f"c{i:02d}" for i in range(11))
@@ -366,7 +380,7 @@ class TestOvoAndSelection:
         X, y = self.make_blobs(rng)
         idx = rng.permutation(len(y))
         train, val = idx[:60], idx[60:]
-        model, diag = nested_select(X, y, train, val, seed=0)
+        model, diag = nested_select(X, y, train, val)
         assert model.cost == 0.1
         assert diag["chosen_costs"] == 0.1
         assert list(diag["validation_uar"]) == ["0.1"]
@@ -379,7 +393,7 @@ class TestOvoAndSelection:
         rng = np.random.default_rng(14)
         X, y = self.make_blobs(rng, spread=0.05)  # every cost gets UAR 1.0
         idx = rng.permutation(len(y))
-        model, diag = nested_select(X, y, idx[:60], idx[60:], seed=0)
+        model, diag = nested_select(X, y, idx[:60], idx[60:])
         scores = diag["validation_uar"]
         assert scores["0.1"] == scores["0.5"] == scores["1"] == 1.0
         assert model.cost == 0.1
@@ -388,40 +402,11 @@ class TestOvoAndSelection:
         rng = np.random.default_rng(15)
         X, y = self.make_blobs(rng, spread=1.4)  # noisy, selection non-trivial
         idx = rng.permutation(len(y))
-        model, diag = nested_select(X, y, idx[:60], idx[60:], seed=0)
+        model, diag = nested_select(X, y, idx[:60], idx[60:])
         scores = diag["validation_uar"]
         best = max(scores.values())
         assert scores[format(model.cost, "g")] == best
         assert model.cost == min(float(c) for c, s in scores.items() if s == best)
-
-    def test_each_cost_starts_from_the_previous_alpha_and_the_refit_from_the_chosen(
-            self, monkeypatch):
-        calls = []
-        train = svm.train_binary
-
-        def spy(X, y, cost, weight_pos, weight_neg, seed, pair, start):
-            machine = train(X, y, cost, weight_pos, weight_neg, seed, pair, start)
-            calls.append((pair, cost, start, machine.dual))
-            return machine
-
-        monkeypatch.setattr(svm, "train_binary", spy)
-        rng = np.random.default_rng(17)
-        X, y = self.make_blobs(rng, spread=1.0)
-        idx = rng.permutation(len(y))
-        train_rows = idx[:60]
-        model, _ = nested_select(X, y, train_rows, idx[60:], seed=0)
-        costs = sorted(COST_GRID)
-        for pair in combinations(("a", "b", "c"), 2):
-            path = [call for call in calls if call[0] == pair]
-            assert [cost for _pair, cost, _start, _dual in path] == costs + [model.cost]
-            assert path[0][2] is None
-            for (*_, previous_dual), (_pair, _cost, start, _dual) in zip(path, path[1:-1]):
-                np.testing.assert_array_equal(start, previous_dual)
-            chosen = path[costs.index(model.cost)][3]
-            pair_train = [r for r in train_rows if y[r] in pair]
-            expected = [chosen[pair_train.index(r)] if r in pair_train else 0.0
-                        for r in range(len(y)) if y[r] in pair]
-            np.testing.assert_array_equal(path[-1][2], expected)
 
     def test_scale_equivariance_via_standardisation(self, monkeypatch):
         monkeypatch.setattr(svm, "COST_GRID", (1.0,))
@@ -429,10 +414,10 @@ class TestOvoAndSelection:
         X, y = self.make_blobs(rng)
         idx = rng.permutation(len(y))
         train, val = idx[:60], idx[60:]
-        model1, _ = nested_select(X, y, train, val, seed=3)
+        model1, _ = nested_select(X, y, train, val)
         scale = np.array([3.0, 0.2])
         shift = np.array([7.0, -4.0])
-        model2, _ = nested_select(X * scale + shift, y, train, val, seed=3)
+        model2, _ = nested_select(X * scale + shift, y, train, val)
         probe = rng.normal(0, 2, size=(25, 2))
         assert predict(model1, probe) == predict(model2, probe * scale + shift)
 
@@ -441,7 +426,7 @@ def test_model_roundtrip(tmp_path):
     rng = np.random.default_rng(20)
     X = np.vstack([rng.normal(-1, 0.3, (20, 10)), rng.normal(1, 0.3, (20, 10))])
     y = np.array(["neg"] * 20 + ["pos"] * 20, dtype=object)
-    model, _ = nested_select(X, y, np.arange(0, 40, 2), np.arange(1, 40, 2), seed=1)
+    model, _ = nested_select(X, y, np.arange(0, 40, 2), np.arange(1, 40, 2))
     std = model.standardiser
     path = tmp_path / "model.csv"
     write_model(path, model, comment="test model")
