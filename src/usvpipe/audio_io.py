@@ -121,19 +121,27 @@ def _wav_header(fh, path: Path) -> tuple[int, int, int, int, int]:
 
 def _decode(body: bytes, tag: int, bits: int) -> np.ndarray:
     """Float samples as-is; integer PCM scaled to [-1, 1] by the type's
-    maximum magnitude."""
+    maximum magnitude.  Each path makes one float64 array and scales it in
+    place; the scale is a power of two, so every sample is exact."""
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
         return np.frombuffer(body, dtype=f"<f{bits // 8}").astype(np.float64)
     if bits == 8:
         x = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
-        return (x - 128.0) / 128.0
+        x -= 128.0
+        x /= 128.0
+        return x
     if bits == 24:
-        raw = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        x = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-        x = (x << 8) >> 8  # sign-extend from 24 bits
-        return x.astype(np.float64) / float(2 ** 23)
-    return (np.frombuffer(body, dtype=f"<i{bits // 8}").astype(np.float64)
-            / float(2 ** (bits - 1)))
+        # each sample in the top three bytes of a little-endian int32, so an
+        # arithmetic shift right by 8 sign-extends it
+        raw = np.zeros((len(body) // 3, 4), dtype=np.uint8)
+        raw[:, 1:] = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3)
+        ints = raw.view("<i4").reshape(-1)
+        ints >>= 8
+    else:
+        ints = np.frombuffer(body, dtype=f"<i{bits // 8}")
+    x = ints.astype(np.float64)
+    x /= float(2 ** (bits - 1))
+    return x
 
 
 def load_wav(path: str | Path) -> AudioClip:

@@ -21,6 +21,9 @@ from .exceptions import EmptyPredictionsError
 from .seeding import rng_for
 
 BOOTSTRAP_REPLICATES = 1000
+# Resampled indices stacked per bincount: 512 KB of int64, so a 35k-row
+# prediction set takes 500-odd stacks instead of one 280 MB array.
+_BOOTSTRAP_STACK_ITEMS = 1 << 16
 CI_PERCENTILES = (2.5, 97.5)
 PREDICTIONS_CSV_HEADER = ("utterance_id", "fold", "true", "predicted")
 
@@ -59,12 +62,18 @@ def _encode(y_true: Sequence[str], y_pred: Sequence[str],
             np.array([index[v] for v in y_pred]), order)
 
 
+def _recall(correct: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Recall from hit and instance counts, elementwise; NaN where a class
+    has no instances."""
+    totals = totals.astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(totals > 0, correct.astype(float) / totals, np.nan)
+
+
 def _recalls(y_true: np.ndarray, y_pred: np.ndarray, k: int) -> np.ndarray:
     """Per-class recall; NaN for classes with no instances."""
-    totals = np.bincount(y_true, minlength=k).astype(float)
-    correct = np.bincount(y_true[y_true == y_pred], minlength=k).astype(float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(totals > 0, correct / totals, np.nan)
+    return _recall(np.bincount(y_true[y_true == y_pred], minlength=k),
+                   np.bincount(y_true, minlength=k))
 
 
 def uar_from_labels(y_true: Sequence[str], y_pred: Sequence[str]) -> float:
@@ -85,10 +94,22 @@ def bootstrap_ci(preds: PredictionSet, seed: int = 0) -> tuple[float, float]:
     """
     y_true, y_pred, order = _encode(preds.true_labels, preds.predicted_labels)
     n, k = len(y_true), len(order)
+    # Each prediction's code is its class, plus k when it is a hit, so one
+    # bincount over a stack of replicates, each offset by 2k, gives every
+    # replicate's misses and hits per class.
+    code = y_true + k * (y_true == y_pred)
+    stack = max(1, _BOOTSTRAP_STACK_ITEMS // n)
     stats = np.empty(BOOTSTRAP_REPLICATES)
-    for r in range(BOOTSTRAP_REPLICATES):
-        idx = rng_for(seed, r).integers(0, n, size=n)
-        stats[r] = np.nanmean(_recalls(y_true[idx], y_pred[idx], k))
+    for first in range(0, BOOTSTRAP_REPLICATES, stack):
+        rows = min(stack, BOOTSTRAP_REPLICATES - first)
+        idx = np.empty((rows, n), dtype=np.int64)
+        for i in range(rows):
+            idx[i] = rng_for(seed, first + i).integers(0, n, size=n)
+        codes = code[idx]
+        codes += np.arange(0, rows * 2 * k, 2 * k)[:, None]
+        counts = np.bincount(codes.ravel(), minlength=rows * 2 * k).reshape(rows, 2, k)
+        stats[first:first + rows] = np.nanmean(
+            _recall(counts[:, 1], counts.sum(axis=1)), axis=1)
     low, high = np.percentile(stats, CI_PERCENTILES)
     return float(low), float(high)
 

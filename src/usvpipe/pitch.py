@@ -62,6 +62,16 @@ FEATURE_CSV_HEADER = (
     "utterance_id", "emitter_id", "context", "duration_s") + FEATURE_NAMES
 
 
+def _add_rows(total: np.ndarray, block: np.ndarray) -> None:
+    """total += each row of block in turn, in one reduce: row 0 takes the
+    running sum, and a reduce over axis 0 of a C-ordered block with at least
+    2 columns adds its rows in order.  (With 1 column numpy sums pairwise;
+    every pitch window has at least 2 bins, since its hop needs a sample.)
+    Overwrites block[0]."""
+    np.add(total, block[0], out=block[0])
+    np.add.reduce(block, axis=0, out=total)
+
+
 def extract_f0(clip: AudioClip) -> PitchContour:
     """Per-frame F0 via gated spectral argmax.
 
@@ -90,8 +100,7 @@ def extract_f0(clip: AudioClip) -> PitchContour:
         peak_bin = np.argmax(mags, axis=1)
         peak_bins.append(peak_bin)
         peak_mags.append(mags[np.arange(mags.shape[0]), peak_bin])
-        for power in np.square(mags, out=mags):
-            np.add(power_sum, power, out=power_sum)
+        _add_rows(power_sum, np.square(mags, out=mags))
 
     frames = stft_samples(clip, window_samples, hop_samples, reduce)
     peak_bin, peak_mag = np.concatenate(peak_bins), np.concatenate(peak_mags)
@@ -102,13 +111,19 @@ def extract_f0(clip: AudioClip) -> PitchContour:
     return PitchContour(f0_hz=f0, hop_s=hop_samples / clip.sample_rate)
 
 
-def _slope(times: np.ndarray, values: np.ndarray) -> float:
-    """Least-squares line slope in Hz/s; 0 below 2 distinct times."""
-    t = times - times.mean()
+def _stats(times: np.ndarray, values: np.ndarray) -> tuple[float, ...]:
+    """Mean, population std, max, min and least-squares slope (Hz/s; 0 below
+    2 distinct times) of values at times.  The same ufunc calls, in the same
+    order, as ndarray.mean, .std, .max and .min, each mean taken once."""
+    n = values.size
+    mean = np.add.reduce(values) / n
+    deviation = values - mean
+    std = np.sqrt(np.add.reduce(np.square(deviation)) / n)
+    t = times - np.add.reduce(times) / n
     denom = float(np.dot(t, t))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(t, values - values.mean()) / denom)
+    slope = 0.0 if denom == 0.0 else float(np.dot(t, deviation) / denom)
+    return (float(mean), float(std), float(np.maximum.reduce(values)),
+            float(np.minimum.reduce(values)), slope)
 
 
 def contour_stats(contour: PitchContour) -> FeatureVector:
@@ -122,19 +137,7 @@ def contour_stats(contour: PitchContour) -> FeatureVector:
     if not mask.any():
         raise EmptyVoicedSetError("contour has no voiced frames")
     t = np.arange(len(f0)) * contour.hop_s
-    fv, tv = f0[mask], t[mask]
-    return FeatureVector(
-        f0_mean_all=float(f0.mean()),
-        f0_std_all=float(f0.std()),
-        f0_max_all=float(f0.max()),
-        f0_min_all=float(f0.min()),
-        f0_slope_all=_slope(t, f0),
-        f0_mean_voiced=float(fv.mean()),
-        f0_std_voiced=float(fv.std()),
-        f0_max_voiced=float(fv.max()),
-        f0_min_voiced=float(fv.min()),
-        f0_slope_voiced=_slope(tv, fv),
-    )
+    return FeatureVector(*_stats(t, f0), *_stats(t[mask], f0[mask]))
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,34 @@ Two parameterisations are in play: long 100 ms windows for pitch analysis
 (see pitch.py) and short 4096-sample windows for spectrogram export.  Both
 run through one kernel, stft_samples: Hann window, FFT size equal to the
 window length, no centre padding.  It transforms about 2 MB of frames at a
-time in reused buffers and hands each magnitude block to a consumer, so no
-caller has to hold the whole spectrogram.  Pitch analysis reduces the
-blocks as they come; export stores them as float32 in its 3 s tensor, with
-the padding read as zeros rather than copied.  That tensor is the only
-magnitude matrix ever held whole; there is no float64 whole-matrix path.
+time and hands each magnitude block to a consumer, so no caller has to
+hold the whole spectrogram.  Pitch analysis reduces the blocks as they
+come; export stores them as float32 in its 3 s tensor, with the padding
+read as zeros rather than copied.  That tensor is the only magnitude matrix
+ever held whole; there is no float64 whole-matrix path.
+
+The blocks live in a workspace: a float64 buffer for the windowed frames,
+whose rows then take the magnitudes, and a complex128 buffer that rfft
+writes the spectrum into.  Each call takes a workspace from a small
+lock-guarded pool and gives it back when it returns, so the next call (in
+any thread) reuses the same pages instead of allocating, and the OS
+faulting in, two fresh 2 MB arrays per clip and per block.  A consume that
+calls stft_samples itself gets a second workspace, and concurrent calls
+get one each.  The pool keeps at most one idle workspace per CPU for the
+life of the process, about 4 MB each for the pitch and export windows;
+the block handed to consume is still reused by the next block, and after
+the call returns, by the next call.
 """
 from __future__ import annotations
 
 import functools
+import os
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,6 +51,10 @@ _TENSOR_DTYPE_F32 = 1
 # frames, so the windowed copy and its complex spectrum stay small for any
 # clip length instead of each matching the whole magnitude matrix.
 _STFT_BLOCK_BYTES = 2 << 20
+
+# Idle workspaces kept for reuse: one per CPU covers every worker thread of
+# a stage; a workspace given back beyond that is dropped.
+_IDLE_WORKSPACES = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -60,6 +79,44 @@ def _hann(n: int) -> np.ndarray:
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
     window.flags.writeable = False
     return window
+
+
+class _Workspace:
+    """The buffers one stft_samples call transforms its blocks in: float64
+    frames (then magnitudes) and the complex128 spectrum.  Each grows to the
+    largest block asked of it and is never shrunk."""
+
+    def __init__(self):
+        self._frames = np.empty(0)
+        self._spectrum = np.empty(0, dtype=np.complex128)
+
+    def buffers(self, rows: int, window_samples: int,
+                bins: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows x window_samples frames, rows x bins spectrum), C-ordered
+        views of the reused buffers."""
+        if self._frames.size < rows * window_samples:
+            self._frames = np.empty(rows * window_samples)
+        if self._spectrum.size < rows * bins:
+            self._spectrum = np.empty(rows * bins, dtype=np.complex128)
+        return (self._frames[:rows * window_samples].reshape(rows, window_samples),
+                self._spectrum[:rows * bins].reshape(rows, bins))
+
+
+_idle: list[_Workspace] = []
+_idle_lock = threading.Lock()
+
+
+@contextmanager
+def _workspace() -> Iterator[_Workspace]:
+    """A workspace no other call holds, given back to the pool on exit."""
+    with _idle_lock:
+        workspace = _idle.pop() if _idle else _Workspace()
+    try:
+        yield workspace
+    finally:
+        with _idle_lock:
+            if len(_idle) < _IDLE_WORKSPACES:
+                _idle.append(workspace)
 
 
 def _frame_count(clip: AudioClip, window_samples: int, hop_samples: int,
@@ -88,7 +145,8 @@ def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int,
     so the bin width is sample_rate / window_samples.  consume(first, mags)
     gets frames first, first + 1, ... as a frames x (window // 2 + 1)
     float64 block, blocks in frame order.  The block is a buffer the next
-    block reuses, so consume keeps what it needs and may overwrite it.
+    block reuses (and, once this call returns, the next call), so consume
+    keeps what it needs and may overwrite it.
     Every row is the one-shot rfft magnitude of its own windowed frame.
 
     A frame that runs past the clip's end reads zeros there.  A frame that
@@ -110,19 +168,22 @@ def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int,
     window = _hann(window_samples)
     bins = window_samples // 2 + 1
     block = max(1, _STFT_BLOCK_BYTES // (x.itemsize * window_samples))
-    buffer = np.empty((min(block, started), window_samples))
-    for offset, samples, count in parts:
-        if count == 0:
-            continue
-        view = np.lib.stride_tricks.sliding_window_view(samples, window_samples)
-        view = view[::hop_samples][:count]
-        for start in range(0, count, block):
-            rows = min(block, count - start)
-            windowed = np.multiply(view[start:start + rows], window, out=buffer[:rows])
-            # Once transformed, the windowed frames are spent, so their buffer
-            # takes the magnitudes; the spectrum is freed before consume runs.
-            mags = buffer.reshape(-1)[:rows * bins].reshape(rows, bins)
-            consume(offset + start, np.abs(np.fft.rfft(windowed, axis=1), out=mags))
+    with _workspace() as workspace:
+        buffer, spectrum = workspace.buffers(min(block, started), window_samples, bins)
+        for offset, samples, count in parts:
+            if count == 0:
+                continue
+            view = np.lib.stride_tricks.sliding_window_view(samples, window_samples)
+            view = view[::hop_samples][:count]
+            for start in range(0, count, block):
+                rows = min(block, count - start)
+                windowed = np.multiply(view[start:start + rows], window,
+                                       out=buffer[:rows])
+                np.fft.rfft(windowed, axis=1, out=spectrum[:rows])
+                # Once transformed, the windowed frames are spent, so their
+                # buffer takes the magnitudes.
+                mags = buffer.reshape(-1)[:rows * bins].reshape(rows, bins)
+                consume(offset + start, np.abs(spectrum[:rows], out=mags))
     return frames
 
 

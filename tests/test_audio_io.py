@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from usvpipe import audio_io
 from usvpipe.audio_io import (AudioClip, load_wav, padded_length, wav_duration,
                               write_wav)
 from usvpipe.exceptions import (ClipTooLongError, MalformedWavError, PipelineError,
@@ -85,6 +86,34 @@ def test_24bit_pcm_decodes(tmp_path):
     write_raw_wav(path, bits=24, payload=payload)
     clip = load_wav(path)
     np.testing.assert_allclose(clip.samples, [0.5, -0.5])
+
+
+def _decode_by_divide(body, bits):
+    """The integer PCM decode as a float64 copy divided into a second array."""
+    if bits == 8:
+        return (np.frombuffer(body, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+    if bits == 24:
+        raw = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+        x = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
+        return ((x << 8) >> 8).astype(np.float64) / float(2 ** 23)
+    return (np.frombuffer(body, dtype=f"<i{bits // 8}").astype(np.float64)
+            / float(2 ** (bits - 1)))
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24, 32])
+def test_pcm_decode_equals_the_divide_formula_bit_for_bit(bits):
+    # 8-bit PCM is unsigned around 128, the wider widths signed around 0
+    zero = 128 if bits == 8 else 0
+    low, high = zero - 2 ** (bits - 1), zero + 2 ** (bits - 1) - 1
+    rng = np.random.default_rng(bits)
+    codes = np.concatenate([[low, low + 1, zero - 1, zero, zero + 1, high - 1, high],
+                            rng.integers(low, high, 1000, endpoint=True)])
+    width = (bits + 7) // 8
+    body = b"".join(int(c).to_bytes(width, "little", signed=bits > 8) for c in codes)
+    decoded = audio_io._decode(body, 1, bits)
+    assert decoded.dtype == np.float64
+    assert decoded.tobytes() == _decode_by_divide(body, bits).tobytes()
+    assert decoded.min() >= -1.0 and decoded.max() < 1.0
 
 
 def test_scaling_linearity(tmp_wav_factory):

@@ -9,6 +9,7 @@ from usvpipe.evaluation import (Prediction, PredictionSet, bootstrap_ci,
                                 build_report, read_predictions_csv,
                                 uar_from_labels, write_predictions_csv)
 from usvpipe.exceptions import EmptyPredictionsError
+from usvpipe.seeding import rng_for
 
 
 def preds_from(truth, pred):
@@ -81,6 +82,28 @@ class TestBootstrap:
     def test_bounds_ordered_and_in_range(self):
         lo, hi = bootstrap_ci(FOUR_POINT, seed=7)
         assert 0.0 <= lo <= hi <= 1.0
+
+    @pytest.mark.parametrize("stack_items", [1, 50, 1 << 16])
+    def test_stacked_replicates_equal_the_per_replicate_loop(self, monkeypatch,
+                                                            stack_items):
+        # class E has one instance, so most replicates miss it (the NaN path)
+        truth = list("AAAAABBBBCCCDDE")
+        pred = list("ABAAABBCBCCADDA")
+        ps = preds_from(truth, pred)
+        y_true, y_pred, order = evaluation._encode(ps.true_labels,
+                                                   ps.predicted_labels)
+        stats = np.empty(evaluation.BOOTSTRAP_REPLICATES)
+        missed = 0
+        for r in range(evaluation.BOOTSTRAP_REPLICATES):
+            idx = rng_for(3, r).integers(0, len(y_true), size=len(y_true))
+            recalls = evaluation._recalls(y_true[idx], y_pred[idx], len(order))
+            missed += bool(np.isnan(recalls).any())
+            stats[r] = np.nanmean(recalls)
+        assert 100 < missed < evaluation.BOOTSTRAP_REPLICATES
+        # several stacks, the last one short, or every replicate in one
+        monkeypatch.setattr(evaluation, "_BOOTSTRAP_STACK_ITEMS", stack_items)
+        low, high = np.percentile(stats, evaluation.CI_PERCENTILES)
+        assert bootstrap_ci(ps, seed=3) == (float(low), float(high))
 
 
 class TestConfusion:

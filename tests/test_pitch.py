@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usvpipe import pitch
 from usvpipe.audio_io import AudioClip
@@ -187,6 +189,66 @@ def test_extract_f0_never_holds_the_whole_spectrogram():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 40), st.integers(2, 300)),
+       blocks=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_add_rows_equals_adding_row_by_row(shape, blocks, seed):
+    rng = np.random.default_rng(seed)
+    total, reference = np.zeros(shape[1]), np.zeros(shape[1])
+    for _ in range(blocks):
+        # magnitudes spread over ten decades, so the order of the adds shows
+        block = rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.integers(-5, 5, shape)
+        for row in block:
+            np.add(reference, row, out=reference)
+        pitch._add_rows(total, block)
+    assert total.tobytes() == reference.tobytes()
+
+
+def test_second_extract_f0_call_allocates_under_1mb():
+    # the first call in this thread leaves its STFT workspace in the pool;
+    # the second reuses it and allocates only its small per-clip arrays
+    clip = AudioClip(_sweep(20_000, 60_000, 3.0, 250_000), 250_000)
+    first = extract_f0(clip)
+    tracemalloc.start()
+    try:
+        second = extract_f0(clip)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(second.f0_hz, first.f0_hz)
+    assert peak - second.f0_hz.nbytes < 1 << 20
+
+
+def _reference_slope(times, values):
+    t = times - times.mean()
+    denom = float(np.dot(t, t))
+    if denom == 0.0:
+        return 0.0
+    return float(np.dot(t, values - values.mean()) / denom)
+
+
+def reference_contour_stats(f0, hop_s):
+    """The ten statistics through ndarray.mean, .std, .max and .min."""
+    mask = f0 > 0.0
+    t = np.arange(len(f0)) * hop_s
+    fv, tv = f0[mask], t[mask]
+    return [float(f0.mean()), float(f0.std()), float(f0.max()), float(f0.min()),
+            _reference_slope(t, f0), float(fv.mean()), float(fv.std()),
+            float(fv.max()), float(fv.min()), _reference_slope(tv, fv)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(f0=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 125_000.0)),
+                   min_size=1, max_size=400).filter(lambda f0: max(f0) > 0.0),
+       hop_s=st.sampled_from([0.016, 0.0123, 1e-4, 3.0]))
+def test_contour_stats_equal_the_ndarray_method_formulas(f0, hop_s):
+    f0 = np.array(f0)
+    row = contour_stats(PitchContour(f0_hz=f0, hop_s=hop_s)).as_row()
+    # compared as bits, so a -0.0 slope differs from 0.0
+    assert (np.array(row).view(np.uint64).tolist()
+            == np.array(reference_contour_stats(f0, hop_s)).view(np.uint64).tolist())
 
 
 class TestContourStats:

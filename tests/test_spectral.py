@@ -1,4 +1,6 @@
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -122,6 +124,89 @@ def test_block_wise_stft_equals_one_shot_rfft(window, offset):
     assert kernel_frames == frames
     assert [len(mags) for _, mags in blocks] == (
         [block] * (frames // block) + [frames % block] * (frames % block > 0))
+
+
+def _noise_clip(length, rate, seed):
+    return AudioClip(np.random.default_rng(seed).uniform(-1, 1, length), rate)
+
+
+# (window, hop, clip length, span): the pitch windows at 250 and 50 kHz, then
+# export's, each from a long clip to a short one, so every call reuses a
+# workspace a larger call left behind
+WORKSPACE_CALLS = [
+    (25_000, 4000, 750_000, None), (25_000, 4000, 26_000, None),
+    (5000, 800, 150_000, None), (5000, 800, 5000, None),
+    (4096, 2500, 750_000, None), (4096, 2500, 10_000, 750_000),
+    (25_000, 4000, 300_007, None), (4096, 500, 4096 + 70 * 500, None),
+]
+
+
+def test_reused_workspace_gives_the_one_shot_stft_on_every_call():
+    for i, (window, hop, length, span) in enumerate(WORKSPACE_CALLS):
+        clip = _noise_clip(length, 250_000, i)
+        frames, blocks = _kernel_blocks(clip, window, hop, span)
+        padded = np.pad(clip.samples, (0, (span or length) - length))
+        reference = one_shot_stft(padded, window, hop)
+        started = min(frames, -(-length // hop))
+        assert frames == len(reference)
+        assert np.array_equal(_stacked(blocks), reference[:started])
+
+
+def test_concurrent_calls_give_the_serial_results():
+    calls = [(_noise_clip(length, 250_000, i), window, hop, span)
+             for i, (window, hop, length, span) in enumerate(WORKSPACE_CALLS)]
+    serial = [_kernel_blocks(*call) for call in calls]
+    threads, checked, errors = 4, [], []
+    barrier = threading.Barrier(threads)
+
+    def work(k):
+        try:
+            barrier.wait(timeout=30)
+            for _ in range(2):
+                for step in range(len(calls)):
+                    j = (step + k) % len(calls)  # each thread in its own order
+                    frames, blocks = _kernel_blocks(*calls[j])
+                    checked.append((frames == serial[j][0]
+                                    and [first for first, _ in blocks]
+                                    == [first for first, _ in serial[j][1]]
+                                    and np.array_equal(_stacked(blocks),
+                                                       _stacked(serial[j][1]))))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors
+    assert not any(worker.is_alive() for worker in workers)
+    assert checked == [True] * (threads * 2 * len(calls))
+
+
+def test_consume_that_calls_the_kernel_again_gets_correct_blocks_at_both_levels():
+    outer_clip = _noise_clip(750_000, 250_000, 1)
+    inner_clip = _noise_clip(100_000, 250_000, 2)
+    outer, inner = [], []
+
+    def consume(first, mags):
+        inner.append(_kernel_blocks(inner_clip, 4096, 2500))
+        outer.append((first, mags.copy()))  # copied after the inner call ran
+
+    frames = stft_samples(outer_clip, 25_000, 4000, consume)
+    assert len(outer) > 1
+    assert np.array_equal(_stacked(outer),
+                          one_shot_stft(outer_clip.samples, 25_000, 4000))
+    assert frames == len(_stacked(outer))
+    inner_reference = one_shot_stft(inner_clip.samples, 4096, 2500)
+    for inner_frames, blocks in inner:
+        assert inner_frames == len(inner_reference)
+        assert np.array_equal(_stacked(blocks), inner_reference)
 
 
 def test_magnitudes_scale_linearly_with_amplitude():
