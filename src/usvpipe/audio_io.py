@@ -179,7 +179,10 @@ def wav_duration(path: str | Path) -> float:
 def write_wav(path: str | Path, clip: AudioClip) -> None:
     """Write a mono 16-bit PCM WAV file: samples times 32767, rounded and
     clipped to the int16 range.  The file is replaced atomically."""
-    payload = np.clip(np.round(clip.samples * 32767.0), -32768, 32767).astype("<i2")
+    scaled = clip.samples * 32767.0
+    np.rint(scaled, out=scaled)  # np.round at 0 decimals, without a new array
+    np.clip(scaled, -32768, 32767, out=scaled)
+    payload = scaled.astype("<i2")
     fmt = b"fmt " + struct.pack("<IHHIIHH", 16, _WAVE_FORMAT_PCM, 1, clip.sample_rate,
                                 clip.sample_rate * 2, 2, 16)
     data = b"data" + struct.pack("<I", payload.nbytes)

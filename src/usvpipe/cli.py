@@ -42,6 +42,7 @@ from .pitch import (FeatureRecord, contour_stats, extract_f0,
                     read_feature_csv, write_feature_csv)
 from .spectral import export_spectrogram, write_tensor
 from .svm import nested_select, predict, write_model
+from .synth import synth_corpus
 
 log = logging.getLogger("usvpipe")
 
@@ -345,9 +346,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     """Generate a synthetic corpus plus a ready-to-use run config."""
-    # Imported here: synth needs scipy.signal, which no pipeline stage loads.
-    from .synth import synth_corpus
-
     out_dir = Path(args.out)
     annotation_path, schema_path = synth_corpus(
         out_dir, n_emitters=args.emitters, per_class_count=args.per_class,

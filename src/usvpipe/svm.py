@@ -300,16 +300,19 @@ def _predict_standardised(machines: Sequence[BinarySvm], labels: Sequence[str],
     X_std = np.atleast_2d(X_std)
     n, k = X_std.shape[0], len(labels)
     index = {lab: i for i, lab in enumerate(labels)}
-    votes = np.zeros((n, k), dtype=np.int32)
-    strength = np.zeros((n, k))
-    for m in machines:
-        d = X_std @ m.weights + m.bias
-        pos = d >= 0.0
-        i, j = index[m.class_pos], index[m.class_neg]
-        votes[pos, i] += 1
-        votes[~pos, j] += 1
-        strength[pos, i] += np.abs(d[pos])
-        strength[~pos, j] += np.abs(d[~pos])
+    decision = np.empty((n, len(machines)))
+    for c, m in enumerate(machines):
+        decision[:, c] = X_std @ m.weights + m.bias
+    pos = np.array([index[m.class_pos] for m in machines], dtype=np.intp)
+    neg = np.array([index[m.class_neg] for m in machines], dtype=np.intp)
+    winner = np.where(decision >= 0.0, pos, neg)
+    # One (row, class) cell per (row, machine), row-major: bincount adds each
+    # cell's weights in input order, so a class's strength sums its machines
+    # in machine order, as += per machine would.
+    cells = (np.arange(n)[:, None] * k + winner).ravel()
+    votes = np.bincount(cells, minlength=n * k).reshape(n, k)
+    strength = np.bincount(cells, weights=np.abs(decision).ravel(),
+                           minlength=n * k).reshape(n, k)
     # strength over the max-vote classes only; argmax takes the first of
     # equal maxima, which is the lower class index
     tied = votes == votes.max(axis=1, keepdims=True)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .artifacts import write_json, write_table
 from .audio_io import AudioClip, write_wav
@@ -43,13 +42,8 @@ class SynthSpec:
     seed: int
 
 
-def synth_utterance(spec: SynthSpec, sample_rate: int) -> AudioClip:
-    """Phase-continuous FM sinusoid; bit-identical for identical spec and seed.
-
-    Instantaneous frequency: f0_mean + f0_slope*(t - T/2) + jitter, where the
-    jitter is smoothed Gaussian noise of std f0_std clipped to +-3 std so the
-    frequency never leaves (0, sample_rate/2).
-    """
+def _check_spec(spec: SynthSpec, sample_rate: int) -> None:
+    """Raise SpecOutOfRangeError unless synth_utterance can build the clip."""
     if not 0.0 < spec.amplitude <= 1.0:
         raise SpecOutOfRangeError(f"amplitude {spec.amplitude} outside (0, 1]")
     if spec.duration_s <= 0:
@@ -61,20 +55,38 @@ def synth_utterance(spec: SynthSpec, sample_rate: int) -> AudioClip:
         raise SpecOutOfRangeError(
             f"frequency range [{lo:.1f}, {hi:.1f}] Hz outside (0, {sample_rate / 2})")
 
+
+def synth_utterance(spec: SynthSpec, sample_rate: int) -> AudioClip:
+    """Phase-continuous FM sinusoid; bit-identical for identical spec and seed.
+
+    Instantaneous frequency: f0_mean + f0_slope*(t - T/2) + jitter, where the
+    jitter is smoothed Gaussian noise of std f0_std clipped to +-3 std so the
+    frequency never leaves (0, sample_rate/2).  Frequency, phase and samples
+    share one buffer; each step rounds as amplitude * sin(2*pi *
+    cumsum(f0_mean + f0_slope*(t - T/2) + jitter) / rate) does.
+    """
+    _check_spec(spec, sample_rate)
     n = int(round(spec.duration_s * sample_rate))
-    t = np.arange(n) / sample_rate
-    freq = spec.f0_mean + spec.f0_slope * (t - spec.duration_s / 2.0)
+    out = np.arange(n, dtype=np.float64)
+    out /= sample_rate
+    out -= spec.duration_s / 2.0
+    out *= spec.f0_slope
+    out += spec.f0_mean
     if spec.f0_std > 0.0:
+        from scipy.signal import lfilter
+
         rng = rng_for(spec.seed)
         a = np.exp(-1.0 / (NOISE_SMOOTHING_S * sample_rate))
         smoothed = lfilter([1.0 - a], [1.0, -a], rng.standard_normal(n))
         stationary_std = np.sqrt((1.0 - a) / (1.0 + a))
-        jitter = np.clip(smoothed * (spec.f0_std / stationary_std),
-                         -3.0 * spec.f0_std, 3.0 * spec.f0_std)
-        freq = freq + jitter
-    phase = 2.0 * np.pi * np.cumsum(freq) / sample_rate
-    samples = spec.amplitude * np.sin(phase)
-    return AudioClip(samples=samples, sample_rate=sample_rate,
+        out += np.clip(smoothed * (spec.f0_std / stationary_std),
+                       -3.0 * spec.f0_std, 3.0 * spec.f0_std)
+    np.cumsum(out, out=out)
+    out *= 2.0 * np.pi
+    out /= sample_rate
+    np.sin(out, out=out)
+    out *= spec.amplitude
+    return AudioClip(samples=out, sample_rate=sample_rate,
                      source_id=f"synth-{spec.context}-{spec.seed}")
 
 
@@ -84,23 +96,25 @@ def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
     """Write a synthetic corpus: WAVs, an annotation table, and its schema.
 
     Utterances rotate round-robin over the synthetic emitters.  Returns
-    (annotation_path, schema_path); audio lands under out_dir/wavs/.
+    (annotation_path, schema_path); audio lands under out_dir/wavs/.  Every
+    clip's spec is drawn and checked before the first file is written, so a
+    refused corpus (ValueError, SpecOutOfRangeError) leaves nothing behind.
     """
     if n_emitters < 3:
         raise ValueError("need at least 3 emitters for downstream fold building")
+    if per_class_count < 1:
+        raise ValueError(f"per-class count must be at least 1, got {per_class_count}")
     specs = class_specs if class_specs is not None else SEPARABLE_CLASS_SPECS
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wavs"
     emitters = [f"bat{replicate:02d}" for replicate in range(n_emitters)]
 
     rng = rng_for(seed)
-    rows = []
-    counter = 0
+    drawn = []
     for label in sorted(specs):
         params = specs[label]
         for _ in range(per_class_count):
-            uid = f"u{counter:06d}"
-            emitter = emitters[counter % n_emitters]
+            emitter = emitters[len(drawn) % n_emitters]
             duration = float(rng.uniform(*DURATION_RANGE_S))
             amplitude = float(rng.uniform(0.3, 0.9))
             clip_seed = int(rng.integers(2 ** 62))
@@ -109,10 +123,14 @@ def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
                              f0_slope=params.get("f0_slope", 0.0),
                              duration_s=duration, amplitude=amplitude,
                              emitter_id=emitter, seed=clip_seed)
-            clip = synth_utterance(spec, sample_rate)
-            write_wav(wav_dir / f"{uid}.wav", clip)
-            rows.append((uid, emitter, label, f"wavs/{uid}.wav"))
-            counter += 1
+            _check_spec(spec, sample_rate)
+            drawn.append(spec)
+
+    rows = []
+    for counter, spec in enumerate(drawn):
+        uid = f"u{counter:06d}"
+        write_wav(wav_dir / f"{uid}.wav", synth_utterance(spec, sample_rate))
+        rows.append((uid, spec.emitter_id, spec.context, f"wavs/{uid}.wav"))
 
     annotation_path = out_dir / "annotations.csv"
     write_table(annotation_path, ("utterance_id", "emitter_id", "context_code",

@@ -76,6 +76,21 @@ def test_int16_roundtrip_quantisation_bound(tmp_path):
     assert np.abs(loaded.samples - clip.samples).max() < 1.5 / 32768
 
 
+def test_int16_payload_is_the_rounded_clipped_product(tmp_path):
+    rng = np.random.default_rng(8)
+    k = rng.integers(-32768, 32767, 400).astype(np.float64)
+    halves = (k + 0.5) / 32767.0
+    halves = halves[halves * 32767.0 == k + 0.5]  # exact half-LSB ties only
+    assert halves.size > 100
+    samples = np.concatenate([rng.uniform(-1.0, 1.0, 500), [1.0, -1.0],
+                              rng.uniform(1.0, 3.0, 50) * rng.choice([-1.0, 1.0], 50),
+                              halves])
+    path = tmp_path / "q.wav"
+    write_wav(path, AudioClip(samples=samples, sample_rate=50_000))
+    expected = np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2")
+    assert path.read_bytes()[44:] == expected.tobytes()
+
+
 def test_24bit_pcm_decodes(tmp_path):
     # two known samples: +2^22 -> 0.5, -2^22 -> -0.5
     def pack24(v):

@@ -126,6 +126,19 @@ def test_synth_subcommand_generates_runnable_corpus(tmp_path):
     assert main(["extract", "--config", str(out / "config.json")]) == 0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--per-class", "1", "--sample-rate", "20000"],  # 10 kHz Nyquist: class 5 falls outside
+    ["--per-class", "0"],
+    ["--per-class", "-2"],
+], ids=["range-outside-nyquist", "per-class-0", "per-class-negative"])
+def test_refused_synth_writes_nothing(tmp_path, flags):
+    out = tmp_path / "s1"
+    out.mkdir()
+    assert main(["synth", "--out", str(out), "--seed", "1", "--emitters", "3",
+                 *flags]) == 2
+    assert list(out.iterdir()) == []
+
+
 def test_artifacts_carry_provenance_header(small_corpus):
     root, config = small_corpus
     for name in ("features.csv", "folds.csv", "confusion.csv", "filter_report.csv"):

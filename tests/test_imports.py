@@ -3,8 +3,10 @@
 No linter ships with the toolchain, so this parses each module with ast: an
 imported name that no expression, annotation or quoted annotation of the
 module reads is reported with its module.  Every stage process imports
-usvpipe.cli, so it must load no scipy: importing scipy.signal alone takes
-about a second.
+usvpipe.cli, so it must load no scipy: importing scipy.signal takes about
+1.5 s and 76 MB.  Only usvpipe.synth uses it, to smooth the jitter of a
+clip with f0_std > 0, and loads it at the first such clip; importing synth
+or building a jitter-free clip loads no scipy module.
 """
 import ast
 import os
@@ -47,12 +49,30 @@ def test_an_unused_import_is_named():
     assert unused_imports(source) == ["PurePath", "os"]
 
 
-def test_importing_the_cli_loads_no_scipy():
+def scipy_modules_after(code: str) -> list[str]:
+    """Run code in a fresh interpreter; return the lines it prints, where
+    LOADED prints the scipy modules loaded so far."""
     src = str(Path(usvpipe.__file__).parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, usvpipe.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True).stdout
-    assert loaded.strip() == "[]"
+    prelude = ("import sys\n"
+               "def LOADED():\n"
+               "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    return subprocess.run([sys.executable, "-c", prelude + code], env=env, check=True,
+                          capture_output=True, text=True).stdout.splitlines()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert scipy_modules_after("import usvpipe.cli\nLOADED()") == ["[]"]
+
+
+def test_synth_loads_scipy_signal_only_for_a_jittered_clip():
+    code = ("from dataclasses import replace\n"
+            "from usvpipe.synth import SynthSpec, synth_utterance\n"
+            "LOADED()\n"
+            "spec = SynthSpec('feeding', 9000.0, 0.0, 500.0, 0.01, 0.5, 'bat00', 3)\n"
+            "synth_utterance(spec, 50_000)\n"
+            "LOADED()\n"
+            "synth_utterance(replace(spec, f0_std=50.0), 50_000)\n"
+            "print('scipy.signal' in sys.modules)\n")
+    assert scipy_modules_after(code) == ["[]", "[]", "True"]

@@ -333,6 +333,43 @@ class TestVoting:
             assert _predict_standardised(machines, labels, X) == expected
         assert vote_ties > 20 and strength_ties > 10
 
+    def test_stacked_vote_equals_the_per_machine_loop(self):
+        """The per-machine loop the vote used to run is the reference.  Float
+        weights make each strength a sum that rounds; zeroed rows decide by
+        the biases, +-0.5 and +-0.25, which forces vote and strength ties."""
+        def loop_vote(machines, labels, X):
+            index = {lab: i for i, lab in enumerate(labels)}
+            votes = np.zeros((len(X), len(labels)), dtype=np.int32)
+            strength = np.zeros((len(X), len(labels)))
+            for m in machines:
+                d = X @ m.weights + m.bias
+                pos = d >= 0.0
+                i, j = index[m.class_pos], index[m.class_neg]
+                votes[pos, i] += 1
+                votes[~pos, j] += 1
+                strength[pos, i] += np.abs(d[pos])
+                strength[~pos, j] += np.abs(d[~pos])
+            tied = votes == votes.max(axis=1, keepdims=True)
+            best = np.where(tied, strength, -1.0)
+            strength_tied = (best == best.max(axis=1, keepdims=True)).sum(axis=1) > 1
+            return ([labels[i] for i in best.argmax(axis=1)],
+                    int((tied.sum(axis=1) > 1).sum()), int(strength_tied.sum()))
+
+        rng = np.random.default_rng(29)
+        vote_ties = strength_ties = 0
+        for _trial in range(30):
+            labels = tuple(f"c{i}" for i in range(rng.integers(2, 8)))
+            machines = [toy_machine(pos, neg, rng.normal(size=3),
+                                    float(rng.choice([-0.5, -0.25, 0.25, 0.5])))
+                        for pos, neg in combinations(labels, 2)]
+            X = rng.normal(size=(40, 3))
+            X[rng.random(40) < 0.3] = 0.0
+            expected, votes_tied, strengths_tied = loop_vote(machines, labels, X)
+            assert _predict_standardised(machines, labels, X) == expected
+            vote_ties += votes_tied
+            strength_ties += strengths_tied
+        assert vote_ties >= 20 and strength_ties >= 10
+
     def test_vote_count_bound(self):
         rng = np.random.default_rng(11)
         labels = sorted(f"c{i:02d}" for i in range(11))

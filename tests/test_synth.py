@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from usvpipe.corpus import FilterReport, SchemaConfig, filter_cohort, load_annotations
 from usvpipe.exceptions import SpecOutOfRangeError
 from usvpipe.pitch import contour_stats, extract_f0
-from usvpipe.synth import SEPARABLE_CLASS_SPECS, SynthSpec, synth_corpus, synth_utterance
+from usvpipe.seeding import rng_for
+from usvpipe.synth import (NOISE_SMOOTHING_S, SEPARABLE_CLASS_SPECS, SynthSpec,
+                           synth_corpus, synth_utterance)
 
 
 def spec(**overrides):
@@ -14,7 +19,43 @@ def spec(**overrides):
     return SynthSpec(**base)
 
 
+def one_expression_samples(spec, sample_rate):
+    """The clip as one expression per quantity, each making a new array: the
+    reference the in-place build must match bit for bit."""
+    n = int(round(spec.duration_s * sample_rate))
+    t = np.arange(n) / sample_rate
+    freq = spec.f0_mean + spec.f0_slope * (t - spec.duration_s / 2.0)
+    if spec.f0_std > 0.0:
+        a = np.exp(-1.0 / (NOISE_SMOOTHING_S * sample_rate))
+        smoothed = lfilter([1.0 - a], [1.0, -a],
+                           rng_for(spec.seed).standard_normal(n))
+        stationary_std = np.sqrt((1.0 - a) / (1.0 + a))
+        freq = freq + np.clip(smoothed * (spec.f0_std / stationary_std),
+                              -3.0 * spec.f0_std, 3.0 * spec.f0_std)
+    phase = 2.0 * np.pi * np.cumsum(freq) / sample_rate
+    return spec.amplitude * np.sin(phase)
+
+
 class TestSynthUtterance:
+    @settings(max_examples=60, deadline=None)
+    @given(rate=st.sampled_from([50_000, 250_000]),
+           mean_fraction=st.floats(0.1, 0.35),
+           f0_std=st.one_of(st.just(0.0), st.floats(1.0, 300.0)),
+           slope=st.floats(-4000.0, 4000.0),
+           duration=st.floats(0.002, 0.08),
+           amplitude=st.floats(0.01, 1.0),
+           seed=st.integers(0, 2 ** 62))
+    @example(rate=50_000, mean_fraction=0.2, f0_std=0.0, slope=-3000.0,
+             duration=0.05, amplitude=0.7, seed=1)
+    @example(rate=250_000, mean_fraction=0.3, f0_std=120.0, slope=2500.0,
+             duration=0.05, amplitude=0.4, seed=2)
+    def test_samples_equal_the_one_expression_formula(self, rate, mean_fraction, f0_std,
+                                                      slope, duration, amplitude, seed):
+        s = spec(f0_mean=mean_fraction * rate, f0_std=f0_std, f0_slope=slope,
+                 duration_s=duration, amplitude=amplitude, seed=seed)
+        samples = synth_utterance(s, rate).samples
+        assert samples.tobytes() == one_expression_samples(s, rate).tobytes()
+
     def test_pure_tone_recovered_within_a_bin(self):
         clip = synth_utterance(spec(), 50_000)
         fv = contour_stats(extract_f0(clip))
