@@ -49,14 +49,14 @@ def make_folds(cohort: list[FeatureRecord], seed: int) -> dict[str, int]:
 
     Each group is scored by the L1 divergence of its label distribution from
     the global one (an empty group's distribution is the zero vector, giving
-    divergence 1) plus a size penalty |group size - N/3| / N; an emitter goes
-    to the group where placing it most lowers the summed score of the whole
-    plan, i.e. the group with the smallest marginal score change.  Scoring
-    the marginal rather than the resulting group alone is what keeps empty
-    groups attractive until every fold has its share; group-local scores
-    degenerate into one giant group when single emitters have lumpy label
-    histograms.  Ties (exact float equality) are broken by the seeded
-    generator.
+    divergence 1) plus a size penalty |group size - N/3| / N.  While some
+    group is empty, an emitter goes to one of the empty groups, so every fold
+    tests at least one utterance; after that it may go to any group.  Among
+    those it goes to the group where placing it most lowers the summed score
+    of the whole plan, i.e. the group with the smallest marginal score
+    change; group-local scores degenerate into one giant group when single
+    emitters have lumpy label histograms.  Ties (exact float equality) are
+    broken by the seeded generator.
     """
     by_emitter: dict[str, list[FeatureRecord]] = defaultdict(list)
     for utt in cohort:
@@ -87,13 +87,13 @@ def make_folds(cohort: list[FeatureRecord], seed: int) -> dict[str, int]:
     for emitter in order:
         emitter_counts = Counter(utt.context for utt in by_emitter[emitter])
         n_emitter = len(by_emitter[emitter])
-        objectives = []
-        for g in range(FOLD_COUNT):
-            merged = group_counts[g] + emitter_counts
-            objectives.append(group_score(merged, group_sizes[g] + n_emitter)
-                              - group_score(group_counts[g], group_sizes[g]))
-        best = min(objectives)
-        candidates = [g for g, obj in enumerate(objectives) if obj == best]
+        groups = ([g for g in range(FOLD_COUNT) if group_sizes[g] == 0]
+                  or range(FOLD_COUNT))
+        objectives = {g: group_score(group_counts[g] + emitter_counts,
+                                     group_sizes[g] + n_emitter)
+                      - group_score(group_counts[g], group_sizes[g]) for g in groups}
+        best = min(objectives.values())
+        candidates = [g for g, obj in objectives.items() if obj == best]
         choice = candidates[0] if len(candidates) == 1 else \
             candidates[int(rng.integers(len(candidates)))]
         emitter_groups[emitter] = choice
@@ -129,28 +129,13 @@ def split_dev(test_fold: dict[str, int], fold: int, cohort: list[FeatureRecord],
     return roles
 
 
-def _every_fold_tested(plan: FoldPlan, source: str) -> FoldPlan:
-    """The plan, unless some fold tests no utterance: then a ValueError
-    naming source and the empty test folds."""
-    tested = {roles.index(ROLE_TEST) for roles in plan.roles.values()}
-    empty = [str(fold) for fold in range(FOLD_COUNT) if fold not in tested]
-    if empty:
-        raise ValueError(f"{source}: no utterance is tested in fold "
-                         f"{', '.join(empty)}; each of the {FOLD_COUNT} folds must "
-                         "test one or more")
-    return plan
-
-
 def build_plan(cohort: list[FeatureRecord], seed: int) -> FoldPlan:
-    """make_folds plus the inner split of every fold's development set.
-    Raises ValueError when the emitters leave a test fold empty."""
+    """make_folds plus the inner split of every fold's development set."""
     test_fold = make_folds(cohort, seed)
     dev_roles = [split_dev(test_fold, fold, cohort, seed) for fold in range(FOLD_COUNT)]
-    plan = FoldPlan({uid: tuple(ROLE_TEST if fold == tested else dev_roles[fold][uid]
+    return FoldPlan({uid: tuple(ROLE_TEST if fold == tested else dev_roles[fold][uid]
                                 for fold in range(FOLD_COUNT))
                      for uid, tested in test_fold.items()})
-    emitters = len({utt.emitter_id for utt in cohort})
-    return _every_fold_tested(plan, f"the fold plan over {emitters} emitters")
 
 
 def write_fold_plan(path: str | Path, plan: FoldPlan,
@@ -185,4 +170,10 @@ def read_fold_plan(path: str | Path) -> FoldPlan:
                 f"role of {ROLE_TEST}/{ROLE_TRAIN}/{ROLE_VAL} in each of folds "
                 f"{', '.join(folds)} and exactly one {ROLE_TEST} role")
         roles[uid] = uid_roles
-    return _every_fold_tested(FoldPlan(roles), str(path))
+    tested = {str(uid_roles.index(ROLE_TEST)) for uid_roles in roles.values()}
+    empty = [fold for fold in folds if fold not in tested]
+    if empty:
+        raise ValueError(f"{path}: no utterance is tested in fold "
+                         f"{', '.join(empty)}; each of the {FOLD_COUNT} folds must "
+                         "test one or more")
+    return FoldPlan(roles)

@@ -62,16 +62,6 @@ FEATURE_CSV_HEADER = (
     "utterance_id", "emitter_id", "context", "duration_s") + FEATURE_NAMES
 
 
-def _add_rows(total: np.ndarray, block: np.ndarray) -> None:
-    """total += each row of block in turn, in one reduce: row 0 takes the
-    running sum, and a reduce over axis 0 of a C-ordered block with at least
-    2 columns adds its rows in order.  (With 1 column numpy sums pairwise;
-    every pitch window has at least 2 bins, since its hop needs a sample.)
-    Overwrites block[0]."""
-    np.add(total, block[0], out=block[0])
-    np.add.reduce(block, axis=0, out=total)
-
-
 def extract_f0(clip: AudioClip) -> PitchContour:
     """Per-frame F0 via gated spectral argmax.
 
@@ -86,8 +76,9 @@ def extract_f0(clip: AudioClip) -> PitchContour:
     largest cell passes the gate has the plain first argmax as its gated
     argmax, and a frame whose largest cell fails is zeroed whole.  So the
     STFT is reduced a block at a time, never held whole: each frame's first
-    argmax and its magnitude, and a per-bin power sum added frame by frame
-    in frame order, which is exactly the sum the mean over frames takes.
+    argmax and its magnitude, and a per-bin power sum that adds the frames'
+    power rows one at a time in frame order: exactly the sum the mean over
+    frames takes, whatever the block boundaries.
 
     Raises ClipTooShortError if the clip does not admit one analysis window.
     """
@@ -100,7 +91,8 @@ def extract_f0(clip: AudioClip) -> PitchContour:
         peak_bin = np.argmax(mags, axis=1)
         peak_bins.append(peak_bin)
         peak_mags.append(mags[np.arange(mags.shape[0]), peak_bin])
-        _add_rows(power_sum, np.square(mags, out=mags))
+        for power in np.square(mags, out=mags):
+            np.add(power_sum, power, out=power_sum)
 
     frames = stft_samples(clip, window_samples, hop_samples, reduce)
     peak_bin, peak_mag = np.concatenate(peak_bins), np.concatenate(peak_mags)

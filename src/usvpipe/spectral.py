@@ -10,28 +10,22 @@ come; export stores them as float32 in its 3 s tensor, with the padding
 read as zeros rather than copied.  That tensor is the only magnitude matrix
 ever held whole; there is no float64 whole-matrix path.
 
-The blocks live in a workspace: a float64 buffer for the windowed frames,
-whose rows then take the magnitudes, and a complex128 buffer that rfft
-writes the spectrum into.  Each call takes a workspace from a small
-lock-guarded pool and gives it back when it returns, so the next call (in
-any thread) reuses the same pages instead of allocating, and the OS
-faulting in, two fresh 2 MB arrays per clip and per block.  A consume that
-calls stft_samples itself gets a second workspace, and concurrent calls
-get one each.  The pool keeps at most one idle workspace per CPU for the
-life of the process, about 4 MB each for the pitch and export windows;
-the block handed to consume is still reused by the next block, and after
-the call returns, by the next call.
+The blocks live in two flat buffers: float64 for the windowed frames,
+whose rows then take the magnitudes, and complex128 for the spectrum rfft
+writes.  A call takes an idle pair from a lock-guarded list, or makes one,
+and puts it back when it returns, so the next call (in any thread) reuses
+the same pages instead of allocating, and the OS faulting in, two fresh
+2 MB arrays per clip and per block.  The list holds as many pairs as calls
+ever ran at once, about 4 MB each for the pitch and export windows.
 """
 from __future__ import annotations
 
 import functools
-import os
 import struct
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -51,10 +45,6 @@ _TENSOR_DTYPE_F32 = 1
 # frames, so the windowed copy and its complex spectrum stay small for any
 # clip length instead of each matching the whole magnitude matrix.
 _STFT_BLOCK_BYTES = 2 << 20
-
-# Idle workspaces kept for reuse: one per CPU covers every worker thread of
-# a stage; a workspace given back beyond that is dropped.
-_IDLE_WORKSPACES = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -81,42 +71,9 @@ def _hann(n: int) -> np.ndarray:
     return window
 
 
-class _Workspace:
-    """The buffers one stft_samples call transforms its blocks in: float64
-    frames (then magnitudes) and the complex128 spectrum.  Each grows to the
-    largest block asked of it and is never shrunk."""
-
-    def __init__(self):
-        self._frames = np.empty(0)
-        self._spectrum = np.empty(0, dtype=np.complex128)
-
-    def buffers(self, rows: int, window_samples: int,
-                bins: int) -> tuple[np.ndarray, np.ndarray]:
-        """(rows x window_samples frames, rows x bins spectrum), C-ordered
-        views of the reused buffers."""
-        if self._frames.size < rows * window_samples:
-            self._frames = np.empty(rows * window_samples)
-        if self._spectrum.size < rows * bins:
-            self._spectrum = np.empty(rows * bins, dtype=np.complex128)
-        return (self._frames[:rows * window_samples].reshape(rows, window_samples),
-                self._spectrum[:rows * bins].reshape(rows, bins))
-
-
-_idle: list[_Workspace] = []
+# Idle (frames, spectrum) buffer pairs, each held by no running call.
+_idle: list[tuple[np.ndarray, np.ndarray]] = []
 _idle_lock = threading.Lock()
-
-
-@contextmanager
-def _workspace() -> Iterator[_Workspace]:
-    """A workspace no other call holds, given back to the pool on exit."""
-    with _idle_lock:
-        workspace = _idle.pop() if _idle else _Workspace()
-    try:
-        yield workspace
-    finally:
-        with _idle_lock:
-            if len(_idle) < _IDLE_WORKSPACES:
-                _idle.append(workspace)
 
 
 def _frame_count(clip: AudioClip, window_samples: int, hop_samples: int,
@@ -144,9 +101,11 @@ def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int,
     floor((span - window) / hop) + 1.  FFT size equals the window length,
     so the bin width is sample_rate / window_samples.  consume(first, mags)
     gets frames first, first + 1, ... as a frames x (window // 2 + 1)
-    float64 block, blocks in frame order.  The block is a buffer the next
-    block reuses (and, once this call returns, the next call), so consume
-    keeps what it needs and may overwrite it.
+    float64 block, blocks in frame order.  The block is a view of this
+    call's buffer pair, which the next block reuses and, once this call
+    returns, the next call that takes the pair from the idle list; so
+    consume keeps what it needs and may overwrite it.  A consume that calls
+    stft_samples itself, and a concurrent call, each get a pair of their own.
     Every row is the one-shot rfft magnitude of its own windowed frame.
 
     A frame that runs past the clip's end reads zeros there.  A frame that
@@ -168,8 +127,17 @@ def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int,
     window = _hann(window_samples)
     bins = window_samples // 2 + 1
     block = max(1, _STFT_BLOCK_BYTES // (x.itemsize * window_samples))
-    with _workspace() as workspace:
-        buffer, spectrum = workspace.buffers(min(block, started), window_samples, bins)
+    with _idle_lock:
+        flat_frames, flat_spectrum = _idle.pop() if _idle else (
+            np.empty(0), np.empty(0, dtype=np.complex128))
+    block_rows = min(block, started)
+    if flat_frames.size < block_rows * window_samples:
+        flat_frames = np.empty(block_rows * window_samples)
+    if flat_spectrum.size < block_rows * bins:
+        flat_spectrum = np.empty(block_rows * bins, dtype=np.complex128)
+    buffer = flat_frames[:block_rows * window_samples].reshape(block_rows, window_samples)
+    spectrum = flat_spectrum[:block_rows * bins].reshape(block_rows, bins)
+    try:
         for offset, samples, count in parts:
             if count == 0:
                 continue
@@ -184,6 +152,9 @@ def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int,
                 # buffer takes the magnitudes.
                 mags = buffer.reshape(-1)[:rows * bins].reshape(rows, bins)
                 consume(offset + start, np.abs(spectrum[:rows], out=mags))
+    finally:
+        with _idle_lock:
+            _idle.append((flat_frames, flat_spectrum))
     return frames
 
 

@@ -66,15 +66,11 @@ _TO_BOUNDARY = 0.99
 
 @dataclass(frozen=True)
 class Standardiser:
-    """Per-feature mean/std of the development set (population std).
-
-    Features with zero variance keep divisor 1 and are flagged in
-    zero_variance so downstream reporting can surface them.
-    """
+    """Per-feature mean/std of the development set (population std); a
+    feature with zero variance keeps divisor 1."""
 
     mean: np.ndarray
     std: np.ndarray
-    zero_variance: np.ndarray
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
@@ -86,8 +82,7 @@ def fit_standardiser(X: np.ndarray) -> Standardiser:
         raise ValueError("need a non-empty feature matrix")
     mean = X.mean(axis=0)
     std = X.std(axis=0)
-    zero = std == 0.0
-    return Standardiser(mean=mean, std=np.where(zero, 1.0, std), zero_variance=zero)
+    return Standardiser(mean=mean, std=np.where(std == 0.0, 1.0, std))
 
 
 def inverse_frequency_weights(y: Sequence[str]) -> dict[str, float]:
@@ -389,7 +384,6 @@ def write_model(path: str | Path, model: OvoModel,
         ["labels"] + list(model.labels),
         ["mean"] + [repr(float(v)) for v in model.standardiser.mean],
         ["std"] + [repr(float(v)) for v in model.standardiser.std],
-        ["zero_variance"] + [str(int(v)) for v in model.standardiser.zero_variance],
     ] + [["machine", m.class_pos, m.class_neg, repr(float(m.bias))]
          + [repr(float(w)) for w in m.weights] for m in model.machines], comment)
 
@@ -409,15 +403,13 @@ def read_model(path: str | Path) -> OvoModel:
             machine_rows.append(row[1:])
         else:
             rows[row[0]] = row[1:]
-    missing = [key for key in ("cost", "labels", "mean", "std", "zero_variance")
-               if not rows.get(key)]
+    missing = [key for key in ("cost", "labels", "mean", "std") if not rows.get(key)]
     if missing:
         raise ValueError(f"{path}: incomplete model file, no {', '.join(missing)}")
     labels = tuple(rows["labels"])
     width = len(rows["mean"])
-    if len(rows["std"]) != width or len(rows["zero_variance"]) != width:
-        raise ValueError(f"{path}: the mean, std and zero_variance rows differ "
-                         "in length")
+    if len(rows["std"]) != width:
+        raise ValueError(f"{path}: the mean and std rows differ in length")
     pairs = len(labels) * (len(labels) - 1) // 2
     if len(machine_rows) != pairs:
         raise ValueError(f"{path}: {len(machine_rows)} machines for "
@@ -437,9 +429,7 @@ def read_model(path: str | Path) -> OvoModel:
             raise ValueError(f"{path}: {exc}") from exc
 
     cost = float(floats(rows["cost"])[0])
-    standardiser = Standardiser(
-        mean=floats(rows["mean"]), std=floats(rows["std"]),
-        zero_variance=np.array([v == "1" for v in rows["zero_variance"]]))
+    standardiser = Standardiser(mean=floats(rows["mean"]), std=floats(rows["std"]))
     machines = []
     for class_pos, class_neg, *numbers in machine_rows:
         values = floats(numbers)

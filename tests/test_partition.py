@@ -2,6 +2,8 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usvpipe.corpus import CONTEXT_LABELS
 from usvpipe.exceptions import TooFewEmittersError
@@ -90,6 +92,19 @@ class TestMakeFolds:
                 uid += 1
         sizes = Counter(make_folds(cohort, seed=2).values())
         assert all(sizes[g] > 0 for g in range(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(emitters=st.lists(st.lists(st.sampled_from(CONTEXT_LABELS), min_size=1,
+                                  max_size=6), min_size=3, max_size=14),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_fold_tests_an_utterance_of_any_cohort_of_3_or_more_emitters(
+        emitters, seed):
+    cohort = [record(f"u{e:02d}{i}", f"bat{e:02d}", context)
+              for e, contexts in enumerate(emitters)
+              for i, context in enumerate(contexts)]
+    plan = build_plan(cohort, seed)
+    assert all(plan.fold_membership(fold)[2] for fold in range(3))
 
 
 class TestSplitDev:

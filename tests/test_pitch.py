@@ -191,24 +191,9 @@ def test_extract_f0_never_holds_the_whole_spectrogram():
     assert peak < 8 << 20
 
 
-@settings(max_examples=200, deadline=None)
-@given(shape=st.tuples(st.integers(1, 40), st.integers(2, 300)),
-       blocks=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_add_rows_equals_adding_row_by_row(shape, blocks, seed):
-    rng = np.random.default_rng(seed)
-    total, reference = np.zeros(shape[1]), np.zeros(shape[1])
-    for _ in range(blocks):
-        # magnitudes spread over ten decades, so the order of the adds shows
-        block = rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.integers(-5, 5, shape)
-        for row in block:
-            np.add(reference, row, out=reference)
-        pitch._add_rows(total, block)
-    assert total.tobytes() == reference.tobytes()
-
-
 def test_second_extract_f0_call_allocates_under_1mb():
-    # the first call in this thread leaves its STFT workspace in the pool;
-    # the second reuses it and allocates only its small per-clip arrays
+    # the first call in this thread leaves its STFT buffer pair in the idle
+    # list; the second reuses it and allocates only its small per-clip arrays
     clip = AudioClip(_sweep(20_000, 60_000, 3.0, 250_000), 250_000)
     first = extract_f0(clip)
     tracemalloc.start()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from usvpipe import spectral
 from usvpipe.audio_io import AudioClip
 from usvpipe.exceptions import ClipTooShortError
 from usvpipe.spectral import (_STFT_BLOCK_BYTES, export_spectrogram, read_tensor,
@@ -132,7 +133,7 @@ def _noise_clip(length, rate, seed):
 
 # (window, hop, clip length, span): the pitch windows at 250 and 50 kHz, then
 # export's, each from a long clip to a short one, so every call reuses a
-# workspace a larger call left behind
+# buffer pair a larger call left behind
 WORKSPACE_CALLS = [
     (25_000, 4000, 750_000, None), (25_000, 4000, 26_000, None),
     (5000, 800, 150_000, None), (5000, 800, 5000, None),
@@ -187,6 +188,43 @@ def test_concurrent_calls_give_the_serial_results():
     assert not errors
     assert not any(worker.is_alive() for worker in workers)
     assert checked == [True] * (threads * 2 * len(calls))
+
+
+def test_each_call_gives_back_the_one_buffer_pair_it_took(monkeypatch):
+    clip = _noise_clip(20_000, 250_000, 3)  # 7 export frames, one block
+
+    def idle_after(run):
+        idle = []
+        monkeypatch.setattr(spectral, "_idle", idle)
+        run()
+        return idle
+
+    # serial calls take the pair the previous one gave back
+    assert len(idle_after(lambda: [_kernel_blocks(clip, 4096, 2500)
+                                   for _ in range(3)])) == 1
+
+    # a consume that runs the kernel again holds a second pair meanwhile
+    nested = idle_after(lambda: stft_samples(
+        clip, 4096, 2500, lambda *_: _kernel_blocks(clip, 4096, 2500)))
+    assert len(nested) == 2
+
+    # four calls all inside consume at once hold four pairs
+    threads = 4
+    barrier = threading.Barrier(threads)
+
+    def run_threads():
+        workers = [threading.Thread(target=stft_samples, args=(
+            clip, 4096, 2500, lambda *_: barrier.wait(timeout=30)))
+            for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+
+    concurrent = idle_after(run_threads)
+    assert not barrier.broken
+    assert len(concurrent) == threads
+    assert len({id(frames) for frames, _ in concurrent}) == threads
 
 
 def test_consume_that_calls_the_kernel_again_gets_correct_blocks_at_both_levels():

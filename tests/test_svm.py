@@ -244,11 +244,9 @@ class TestStandardiser:
         s = fit_standardiser(X)
         np.testing.assert_array_equal(s.mean, np.ones(10))
         np.testing.assert_array_equal(s.std, np.ones(10))
-        assert not s.zero_variance.any()
 
-    def test_single_vector_flagged_zero_variance(self):
+    def test_single_vector_keeps_divisor_one(self):
         s = fit_standardiser(np.array([[3.0, 5.0]]))
-        assert s.zero_variance.all()
         np.testing.assert_array_equal(s.std, np.ones(2))
 
     def test_self_transform_is_zero_mean_unit_std(self):
@@ -497,11 +495,28 @@ def refused(path, lines):
     return pytest.raises(ValueError, match=re.escape(str(path)))
 
 
-@pytest.mark.parametrize("row", ["mean", "std", "zero_variance"])
+@pytest.mark.parametrize("row", ["mean", "std"])
 def test_read_model_refuses_a_missing_standardiser_row(model_lines, row):
     lines, path = model_lines
     with refused(path, [l for l in lines if not l.startswith(row + ",")]):
         read_model(path)
+
+
+def test_read_model_reads_a_file_with_a_zero_variance_row_as_before(model_lines):
+    lines, path = model_lines
+    before = read_model(path)
+    std_row = next(i for i, line in enumerate(lines) if line.startswith("std,"))
+    width = lines[std_row].count(",")
+    lines.insert(std_row + 1, "zero_variance" + ",0" * width + "\n")
+    path.write_text("".join(lines))
+    after = read_model(path)
+    assert (after.labels, after.cost) == (before.labels, before.cost)
+    for field in ("mean", "std"):
+        np.testing.assert_array_equal(getattr(after.standardiser, field),
+                                      getattr(before.standardiser, field))
+    assert [(m.class_pos, m.class_neg, m.bias, m.weights.tolist())
+            for m in after.machines] == [
+        (m.class_pos, m.class_neg, m.bias, m.weights.tolist()) for m in before.machines]
 
 
 def test_read_model_refuses_a_file_cut_mid_row(model_lines):
