@@ -1,4 +1,4 @@
-"""Mono WAV reading and writing, and the length of a clip padded to a duration.
+"""Mono WAV reading and writing, padded clip lengths, and the per-file thread map.
 
 The target corpora are mono recordings at 250 kHz.  Other rates are
 accepted with a warning (synthetic fixtures deliberately use lower rates);
@@ -11,6 +11,7 @@ import logging
 import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -202,3 +203,29 @@ def padded_length(clip: AudioClip, duration_s: float) -> int:
             f"{clip.source_id or 'clip'}: {clip.samples.size} samples exceed the "
             f"{duration_s} s target of {target}")
     return target
+
+
+def _worker_count(items: int) -> int:
+    """Workers for a map over items: one per CPU in this process's affinity
+    mask, at most one per item."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, items))
+
+
+def map_ordered(fn, items):
+    """Yield fn(item) for each item, in order, from a thread per CPU (numpy
+    and file writes release the GIL).  An exception raised for an item is
+    yielded as that item's result, so the caller accounts for it in order on
+    its own thread; a caller that raises it again closes the map, which
+    cancels the items not yet started and waits for the running ones."""
+    def call(item):
+        try:
+            return fn(item)
+        except Exception as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=_worker_count(len(items))) as pool:
+        yield from pool.map(call, items)

@@ -6,9 +6,9 @@ stage by stage and audited in between.  Every text artifact starts with a
 provenance comment (tool version, seed, config hash) and reruns with
 identical inputs and seed are byte-identical.
 
-The per-utterance stages (extract, export-spectrograms) run their files on
-a thread per CPU the process may use: numpy's FFT and array loops release
-the GIL.  Results are taken back in cohort order, so every artifact is the
+The per-utterance stages (extract, export-spectrograms), like synth, run
+their files through audio_io.map_ordered, on a thread per CPU the process
+may use.  Results are taken back in cohort order, so every artifact is the
 same for any thread count.  train-eval runs in one process: the solver
 takes each fold's class pairs together, one batch per cost and one for
 the refit, in a few numpy calls per iteration.
@@ -20,10 +20,8 @@ import errno
 import hashlib
 import json
 import logging
-import os
 import sys
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +29,7 @@ import numpy as np
 
 from . import __version__, evaluation, svm
 from .artifacts import read_json, write_json, write_table
-from .audio_io import load_wav, padded_length
+from .audio_io import load_wav, map_ordered, padded_length
 from .corpus import (MAX_UTTERANCE_S, SchemaConfig, Utterance, filter_cohort,
                      load_annotations, write_filter_report)
 from .evaluation import (Prediction, PredictionSet, build_report,
@@ -149,30 +147,6 @@ def _load_cohort(cfg: RunConfig) -> list[Utterance]:
     return cohort
 
 
-def _worker_count(items: int) -> int:
-    """Workers for a map over items: one per CPU in this process's affinity
-    mask, at most one per item."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, items))
-
-
-def _map_ordered(fn, items: list):
-    """Yield fn(item) for each item, in order.  An exception raised for an
-    item is yielded as that item's result, so the caller accounts for it in
-    order on its own thread and the other items still run."""
-    def call(item):
-        try:
-            return fn(item)
-        except Exception as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(items))) as pool:
-        yield from pool.map(call, items)
-
-
 def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
     """Map fn over the sorted cohort.  Returns (utterance, result) for each
     file fn succeeded on, and the exit status: 1 when more files failed than
@@ -181,7 +155,7 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
     is raised again and the files not yet started are dropped."""
     cohort = sorted(_load_cohort(cfg), key=lambda u: u.utterance_id)
     done, skips, failures = [], [], 0
-    for utt, result in zip(cohort, _map_ordered(fn, cohort)):
+    for utt, result in zip(cohort, map_ordered(fn, cohort)):
         if not isinstance(result, Exception):
             done.append((utt, result))
         elif type(result) in _SKIP_REASONS:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_json, write_table
-from .audio_io import AudioClip, write_wav
+from .audio_io import AudioClip, map_ordered, write_wav
 from .corpus import CONTEXT_LABELS
 from .exceptions import SpecOutOfRangeError
 from .seeding import rng_for
@@ -99,6 +99,10 @@ def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
     (annotation_path, schema_path); audio lands under out_dir/wavs/.  Every
     clip's spec is drawn and checked before the first file is written, so a
     refused corpus (ValueError, SpecOutOfRangeError) leaves nothing behind.
+    Then a thread per CPU writes the clips (audio_io.map_ordered), each from
+    its own spec and seed, so the files are the same for any thread count.
+    The first failed clip raises its error again, drops the clips not yet
+    started and leaves no annotation table.
     """
     if n_emitters < 3:
         raise ValueError("need at least 3 emitters for downstream fold building")
@@ -126,15 +130,19 @@ def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
             _check_spec(spec, sample_rate)
             drawn.append(spec)
 
-    rows = []
-    for counter, spec in enumerate(drawn):
-        uid = f"u{counter:06d}"
-        write_wav(wav_dir / f"{uid}.wav", synth_utterance(spec, sample_rate))
-        rows.append((uid, spec.emitter_id, spec.context, f"wavs/{uid}.wav"))
+    def write(counter: int) -> None:
+        write_wav(wav_dir / f"u{counter:06d}.wav",
+                  synth_utterance(drawn[counter], sample_rate))
+
+    for result in map_ordered(write, range(len(drawn))):
+        if isinstance(result, Exception):
+            raise result
 
     annotation_path = out_dir / "annotations.csv"
     write_table(annotation_path, ("utterance_id", "emitter_id", "context_code",
-                                  "file"), rows)
+                                  "file"),
+                [(f"u{i:06d}", spec.emitter_id, spec.context, f"wavs/u{i:06d}.wav")
+                 for i, spec in enumerate(drawn)])
 
     schema_path = out_dir / "schema.json"
     write_json(schema_path, {

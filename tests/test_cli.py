@@ -290,12 +290,14 @@ def _three_class_corpus(root, per_class=4, seed=9):
 
 
 def _use_workers(monkeypatch, workers):
-    monkeypatch.setattr(cli, "_worker_count", lambda items: max(1, min(workers, items)))
+    monkeypatch.setattr(audio_io, "_worker_count",
+                        lambda items: max(1, min(workers, items)))
 
 
 def test_worker_count_follows_the_affinity_mask(monkeypatch):
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert [cli._worker_count(n) for n in (0, 1, 2, 3, 50)] == [1, 1, 2, 3, 3]
+    monkeypatch.setattr(audio_io.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert [audio_io._worker_count(n) for n in (0, 1, 2, 3, 50)] == [1, 1, 2, 3, 3]
 
 
 def test_ordered_map_keeps_order_and_returns_errors(monkeypatch):
@@ -307,7 +309,7 @@ def test_ordered_map_keeps_order_and_returns_errors(monkeypatch):
             raise ValueError("item 2")
         return i * 10
 
-    results = list(cli._map_ordered(slow_for_early_items, list(range(5))))
+    results = list(audio_io.map_ordered(slow_for_early_items, list(range(5))))
     assert [r for r in results if not isinstance(r, Exception)] == [0, 10, 30, 40]
     assert isinstance(results[2], ValueError) and str(results[2]) == "item 2"
 

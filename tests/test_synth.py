@@ -1,15 +1,22 @@
+import errno
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from usvpipe import audio_io, synth
+from usvpipe.artifacts import write_json, write_table
+from usvpipe.audio_io import write_wav
+from usvpipe.cli import main
 from usvpipe.corpus import FilterReport, SchemaConfig, filter_cohort, load_annotations
 from usvpipe.exceptions import SpecOutOfRangeError
 from usvpipe.pitch import contour_stats, extract_f0
 from usvpipe.seeding import rng_for
-from usvpipe.synth import (NOISE_SMOOTHING_S, SEPARABLE_CLASS_SPECS, SynthSpec,
-                           synth_corpus, synth_utterance)
+from usvpipe.synth import (DURATION_RANGE_S, NOISE_SMOOTHING_S,
+                           SEPARABLE_CLASS_SPECS, SynthSpec, synth_corpus,
+                           synth_utterance)
 
 
 def spec(**overrides):
@@ -132,3 +139,63 @@ class TestSynthCorpus:
     def test_too_few_emitters_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             synth_corpus(tmp_path / "c", n_emitters=2, per_class_count=3, seed=0)
+
+    def test_corpus_is_the_same_for_any_thread_count(self, tmp_path, monkeypatch):
+        """Jittered classes, so the worker threads run synth_utterance's
+        scipy.signal import and filter; the reference writes the documented
+        draw serially, in id order."""
+        specs = {"feeding": {"f0_mean": 9000.0, "f0_std": 300.0, "f0_slope": 0.0},
+                 "fighting": {"f0_mean": 12000.0, "f0_std": 150.0,
+                              "f0_slope": 2000.0}}
+        rng, rows = rng_for(5), []
+        reference = tmp_path / "reference"
+        for i, label in enumerate(label for label in sorted(specs)
+                                  for _ in range(4)):
+            uid, emitter = f"u{i:06d}", f"bat{i % 3:02d}"
+            clip = synth_utterance(SynthSpec(
+                label, **specs[label], duration_s=float(rng.uniform(*DURATION_RANGE_S)),
+                amplitude=float(rng.uniform(0.3, 0.9)), emitter_id=emitter,
+                seed=int(rng.integers(2 ** 62))), 40_000)
+            write_wav(reference / "wavs" / f"{uid}.wav", clip)
+            rows.append((uid, emitter, label, f"wavs/{uid}.wav"))
+        write_table(reference / "annotations.csv",
+                    ("utterance_id", "emitter_id", "context_code", "file"), rows)
+        write_json(reference / "schema.json", {
+            "delimiter": ",",
+            "columns": {"id": "utterance_id", "emitter": "emitter_id",
+                        "context": "context_code", "file": "file"},
+            "context_map": {label: label for label in sorted(specs)},
+            "emitter_placeholders": ["unknown-emitter"]})
+
+        corpora = [reference]
+        for workers in (1, 2):
+            monkeypatch.setattr(audio_io, "_worker_count",
+                                lambda items, w=workers: max(1, min(w, items)))
+            corpora.append(tmp_path / f"w{workers}")
+            synth_corpus(corpora[-1], n_emitters=3, per_class_count=4,
+                         class_specs=specs, seed=5, sample_rate=40_000)
+        files = [{p.relative_to(root): p.read_bytes()
+                  for p in sorted(root.rglob("*")) if p.is_file()}
+                 for root in corpora]
+        assert len(files[0]) == 8 + 2
+        assert files[0] == files[1] == files[2]
+
+    def test_failed_clip_write_stops_synth(self, tmp_path, monkeypatch, caplog):
+        def full_disk_at_u000002(path, clip):
+            if path.stem == "u000002":
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            write_wav(path, clip)
+
+        monkeypatch.setattr(synth, "write_wav", full_disk_at_u000002)
+        with pytest.raises(OSError) as raised:
+            synth_corpus(tmp_path / "c", n_emitters=3, per_class_count=1, seed=0)
+        assert raised.value.errno == errno.ENOSPC
+        assert raised.value.filename == str(tmp_path / "c" / "wavs" / "u000002.wav")
+        assert not (tmp_path / "c" / "annotations.csv").exists()
+
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--seed", "0", "--emitters", "3",
+                     "--per-class", "1"]) == 2
+        assert "No space left on device" in caplog.text
+        assert not (out / "annotations.csv").exists()
+        assert not (out / "config.json").exists()
