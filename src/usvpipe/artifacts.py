@@ -51,17 +51,17 @@ def write_table(path: str | Path, header: Sequence, rows: Iterable[Sequence],
 
 
 def reader_after_comments(path: str | Path, delimiter: str = ",",
-                          encoding: str = "utf-8", error: type = ValueError):
+                          encoding: str = "utf-8"):
     """(reader, skipped): a csv.reader over the text of path after its first
     `skipped` lines, those before the first line not starting with "#"
     (only lines before the header are comments).  A row ends on file line
-    skipped + reader.line_num.  Bytes that are not text in encoding raise
-    error naming path:line."""
+    skipped + reader.line_num.  Bytes that are not text in encoding are a
+    ValueError naming path:line."""
     try:
         text = Path(path).read_bytes().decode(encoding)
     except UnicodeDecodeError as exc:
         line = exc.object[:exc.start].count(b"\n") + 1
-        raise error(f"{path}:{line}: not UTF-8 text: {exc}") from None
+        raise ValueError(f"{path}:{line}: not UTF-8 text: {exc}") from None
     lines = io.StringIO(text, newline="").readlines()
     skipped = 0
     while skipped < len(lines) and lines[skipped].startswith("#"):

@@ -34,7 +34,7 @@ from .corpus import (MAX_UTTERANCE_S, SchemaConfig, Utterance, filter_cohort,
                      load_annotations, write_filter_report)
 from .evaluation import (Prediction, PredictionSet, build_report,
                          write_confusion_csv, write_predictions_csv)
-from .exceptions import ClipTooShortError, EmptyVoicedSetError, PipelineError
+from .exceptions import ClipTooShortError, EmptyVoicedSetError
 from .partition import FOLD_COUNT, build_plan, read_fold_plan, write_fold_plan
 from .pitch import (FeatureRecord, contour_stats, extract_f0,
                     read_feature_csv, write_feature_csv)
@@ -47,7 +47,7 @@ log = logging.getLogger("usvpipe")
 EXTRACT_FAILURE_TOLERANCE = 0.01  # corrupt-file fraction tolerated per run
 # Per-file errors that cost one skip-report row; anything else is a bug and
 # stops the stage.
-_FILE_ERRORS = (PipelineError, OSError, ValueError)
+_FILE_ERRORS = (OSError, ValueError)
 # OSError numbers of a full output device: every later file would fail alike,
 # so they stop the stage.
 _DISK_FULL = (errno.ENOSPC, errno.EDQUOT)
@@ -126,11 +126,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_cohort(cfg: RunConfig) -> list[Utterance]:
-    """The filtered cohort, after writing filter_report.csv.  An empty cohort
-    is a PipelineError naming the rule that dropped the most records."""
+    """The filtered cohort, after writing filter_report.csv.  Missing
+    annotation or schema paths are a ValueError, as is an empty cohort,
+    whose error names the rule that dropped the most records."""
     if cfg.annotation_file is None or cfg.schema_file is None:
-        raise PipelineError("annotation and schema files are required "
-                            "(--annotations/--schema or a config file)")
+        raise ValueError("annotation and schema files are required "
+                         "(--annotations/--schema or a config file)")
     schema = SchemaConfig.from_json(cfg.schema_file)
     cohort, report = filter_cohort(load_annotations(cfg.annotation_file, schema),
                                    schema.emitter_placeholders, cfg.audio_dir)
@@ -139,11 +140,11 @@ def _load_cohort(cfg: RunConfig) -> list[Utterance]:
     log.info("cohort: %d retained of %d records", report.retained, report.total_in)
     if not cohort:
         if not report.total_in:
-            raise PipelineError(f"{cfg.annotation_file}: the table has no data rows")
+            raise ValueError(f"{cfg.annotation_file}: the table has no data rows")
         rule = max(report.RULES, key=lambda name: getattr(report, name))
-        raise PipelineError(f"{cfg.annotation_file}: no utterance is left after "
-                            f"filtering; rule {rule} dropped {getattr(report, rule)} "
-                            f"of {report.total_in} records")
+        raise ValueError(f"{cfg.annotation_file}: no utterance is left after "
+                         f"filtering; rule {rule} dropped {getattr(report, rule)} "
+                         f"of {report.total_in} records")
     return cohort
 
 
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         log.error("%s", exc)
         return 2
 

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .artifacts import read_json, reader_after_comments, write_table
 from .audio_io import wav_duration
-from .exceptions import AnnotationParseError, PipelineError, SchemaMismatchError
+from .exceptions import MalformedWavError, UnsupportedFormatError
 
 CONTEXT_LABELS = (
     "biting", "feeding", "fighting", "general", "grooming", "isolation",
@@ -96,28 +96,27 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[Utterance]:
     Context codes missing from the schema map become 'unknown', and a leading
     UTF-8 byte-order mark (spreadsheet "CSV UTF-8" exports) is dropped.
     Columns the schema does not map, durations and start/end times among
-    them, are not read.  Raises SchemaMismatchError when a mapped column is
-    absent and AnnotationParseError (with the file line number) for bytes
-    that are not UTF-8 and for malformed rows: a wrong field count, or an id
-    that is blank, names a path or repeats one.
+    them, are not read.  Raises ValueError naming the path when a mapped
+    column is absent, and naming path:line for bytes that are not UTF-8 and
+    for malformed rows: a wrong field count, or an id that is blank, names a
+    path or repeats one.
     """
-    reader, comments = reader_after_comments(path, schema.delimiter, "utf-8-sig",
-                                             AnnotationParseError)
+    reader, comments = reader_after_comments(path, schema.delimiter, "utf-8-sig")
     records = []
     first_line: dict[str, int] = {}
     try:
         header = next(reader, None)
         if header is None:
-            raise SchemaMismatchError(f"{path}: empty annotation file")
+            raise ValueError(f"{path}: empty annotation file")
         index = {name: i for i, name in enumerate(header)}
         for name in schema.columns.values():
             if name not in index:
-                raise SchemaMismatchError(f"{path}: required column '{name}' not found")
+                raise ValueError(f"{path}: required column '{name}' not found")
 
         for row in reader:
             line = comments + reader.line_num
             if len(row) != len(header):
-                raise AnnotationParseError(
+                raise ValueError(
                     f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
             cell = {role: row[index[name]].strip()
                     for role, name in schema.columns.items()}
@@ -125,14 +124,14 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[Utterance]:
             try:
                 _check_id(uid, first_line)
             except ValueError as exc:
-                raise AnnotationParseError(f"{path}:{line}: {exc}") from exc
+                raise ValueError(f"{path}:{line}: {exc}") from exc
             first_line[uid] = line
             records.append(Utterance(
                 utterance_id=uid, emitter_id=cell["emitter"],
                 context=schema.context_map.get(cell["context"], LABEL_UNKNOWN),
                 audio_path=Path(cell["file"])))
     except csv.Error as exc:
-        raise AnnotationParseError(f"{path}:{comments + reader.line_num}: {exc}") from exc
+        raise ValueError(f"{path}:{comments + reader.line_num}: {exc}") from exc
     return records
 
 
@@ -196,7 +195,7 @@ def filter_cohort(records: list[Utterance], emitter_placeholders: Iterable[str],
             if wav_duration(utt.audio_path) > MAX_UTTERANCE_S:
                 report.too_long += 1
                 continue
-        except (PipelineError, OSError):
+        except (MalformedWavError, UnsupportedFormatError, OSError):
             pass
         cohort.append(utt)
     report.retained = len(cohort)

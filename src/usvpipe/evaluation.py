@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import read_table, write_table
-from .exceptions import EmptyPredictionsError
 from .seeding import rng_for
 
 BOOTSTRAP_REPLICATES = 1000
@@ -55,7 +54,7 @@ def _encode(y_true: Sequence[str], y_pred: Sequence[str],
             ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Class indices into the sorted observed labels."""
     if len(y_true) == 0:
-        raise EmptyPredictionsError("no predictions to score")
+        raise ValueError("no predictions to score")
     order = tuple(sorted(set(y_true) | set(y_pred)))
     index = {lab: i for i, lab in enumerate(order)}
     return (np.array([index[v] for v in y_true]),

@@ -1,49 +1,24 @@
-"""Exception types shared across the pipeline stages."""
+"""The error types whose names the pipeline uses.  Any other bad input is a
+plain ValueError.  Each type here is a ValueError too: the first two pick a
+skip reason, and the other three name a file's error:<type> row in a skip
+report."""
 
 
-class PipelineError(Exception):
-    """Base class for all pipeline-specific errors."""
-
-
-class MalformedWavError(PipelineError):
-    """WAV container unreadable, truncated, or carrying no audio."""
-
-
-class UnsupportedFormatError(PipelineError):
-    """WAV encoding outside the mono PCM / IEEE-float contract."""
-
-
-class ClipTooLongError(PipelineError):
-    """Clip exceeds the fixed padding duration."""
-
-
-class ClipTooShortError(PipelineError):
+class ClipTooShortError(ValueError):
     """Clip shorter than one analysis window."""
 
 
-class EmptyVoicedSetError(PipelineError):
+class EmptyVoicedSetError(ValueError):
     """Contour has no voiced frames, so voiced statistics are undefined."""
 
 
-class SchemaMismatchError(PipelineError):
-    """Annotation file lacks a column required by the schema."""
+class MalformedWavError(ValueError):
+    """WAV container unreadable, truncated, or carrying no audio."""
 
 
-class AnnotationParseError(PipelineError):
-    """A row of the annotation table could not be parsed."""
+class UnsupportedFormatError(ValueError):
+    """WAV encoding outside the mono PCM / IEEE-float contract."""
 
 
-class TooFewEmittersError(PipelineError):
-    """Fewer distinct emitters than folds."""
-
-
-class SingleClassDataError(PipelineError):
-    """Binary training set contains only one class."""
-
-
-class EmptyPredictionsError(PipelineError):
-    """Metric requested on an empty prediction set."""
-
-
-class SpecOutOfRangeError(PipelineError):
-    """Synthesis parameters outside the representable range."""
+class ClipTooLongError(ValueError):
+    """Clip exceeds the fixed padding duration."""

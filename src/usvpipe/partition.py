@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .artifacts import read_table, write_table
-from .exceptions import TooFewEmittersError
 from .pitch import FeatureRecord
 from .seeding import rng_for
 
@@ -62,8 +61,7 @@ def make_folds(cohort: list[FeatureRecord], seed: int) -> dict[str, int]:
     for utt in cohort:
         by_emitter[utt.emitter_id].append(utt)
     if len(by_emitter) < FOLD_COUNT:
-        raise TooFewEmittersError(
-            f"{len(by_emitter)} emitters, need at least {FOLD_COUNT}")
+        raise ValueError(f"{len(by_emitter)} emitters, need at least {FOLD_COUNT}")
 
     total = len(cohort)
     global_counts = Counter(utt.context for utt in cohort)

@@ -45,7 +45,6 @@ import numpy as np
 
 from .artifacts import read_table, write_table
 from .evaluation import uar_from_labels
-from .exceptions import SingleClassDataError
 
 COST_GRID = (0.0001, 0.001, 0.005, 0.05, 0.1, 0.5, 1.0)
 SOLVER_GAP = 1e-4  # relative duality gap that certifies a machine
@@ -125,7 +124,7 @@ def _pair_problem(X: np.ndarray, y: np.ndarray, weight_pos: float,
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not ((y > 0).any() and (y < 0).any()):
-        raise SingleClassDataError("both classes must be present")
+        raise ValueError("both classes must be present")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite numbers")
     return (np.vstack([X.T, np.ones(len(y))]) * y,
@@ -271,8 +270,7 @@ def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
 
     Deterministic for fixed inputs; converged is False when
     SOLVER_MAX_EPOCHS ran out before the relative duality gap met
-    SOLVER_GAP.  A single class is a SingleClassDataError and a non-finite
-    feature a ValueError.
+    SOLVER_GAP.  A single class or a non-finite feature is a ValueError.
     """
     return _train_pairs([_pair_problem(X, y, weight_pos, weight_neg)],
                         [class_pair], cost)[0]

@@ -15,7 +15,6 @@ import numpy as np
 from .artifacts import write_json, write_table
 from .audio_io import AudioClip, map_ordered, write_wav
 from .corpus import CONTEXT_LABELS
-from .exceptions import SpecOutOfRangeError
 from .seeding import rng_for
 
 NOISE_SMOOTHING_S = 0.050  # single-pole low-pass time constant for the jitter
@@ -43,16 +42,16 @@ class SynthSpec:
 
 
 def _check_spec(spec: SynthSpec, sample_rate: int) -> None:
-    """Raise SpecOutOfRangeError unless synth_utterance can build the clip."""
+    """Raise ValueError unless synth_utterance can build the clip."""
     if not 0.0 < spec.amplitude <= 1.0:
-        raise SpecOutOfRangeError(f"amplitude {spec.amplitude} outside (0, 1]")
+        raise ValueError(f"amplitude {spec.amplitude} outside (0, 1]")
     if spec.duration_s <= 0:
-        raise SpecOutOfRangeError("duration must be positive")
+        raise ValueError("duration must be positive")
     drift = abs(spec.f0_slope) * spec.duration_s / 2.0
     lo = spec.f0_mean - 3.0 * spec.f0_std - drift
     hi = spec.f0_mean + 3.0 * spec.f0_std + drift
     if lo <= 0.0 or hi >= sample_rate / 2.0:
-        raise SpecOutOfRangeError(
+        raise ValueError(
             f"frequency range [{lo:.1f}, {hi:.1f}] Hz outside (0, {sample_rate / 2})")
 
 
@@ -91,32 +90,31 @@ def synth_utterance(spec: SynthSpec, sample_rate: int) -> AudioClip:
 
 
 def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
-                 class_specs: dict[str, dict] | None = None, seed: int = 0,
-                 sample_rate: int = 50_000) -> tuple[Path, Path]:
+                 seed: int = 0, sample_rate: int = 50_000) -> tuple[Path, Path]:
     """Write a synthetic corpus: WAVs, an annotation table, and its schema.
 
-    Utterances rotate round-robin over the synthetic emitters.  Returns
-    (annotation_path, schema_path); audio lands under out_dir/wavs/.  Every
-    clip's spec is drawn and checked before the first file is written, so a
-    refused corpus (ValueError, SpecOutOfRangeError) leaves nothing behind.
-    Then a thread per CPU writes the clips (audio_io.map_ordered), each from
-    its own spec and seed, so the files are the same for any thread count.
-    The first failed clip raises its error again, drops the clips not yet
-    started and leaves no annotation table.
+    The classes are SEPARABLE_CLASS_SPECS, and utterances rotate round-robin
+    over the synthetic emitters.  Returns (annotation_path, schema_path);
+    audio lands under out_dir/wavs/.  Every clip's spec is drawn and checked
+    before the first file is written, so a refused corpus (a ValueError: too
+    few emitters or clips, or a frequency range outside (0, rate/2)) leaves
+    nothing behind.  Then a thread per CPU writes the clips
+    (audio_io.map_ordered), each from its own spec and seed, so the files
+    are the same for any thread count.  The first failed clip raises its
+    error again, drops the clips not yet started and leaves no annotation
+    table.
     """
     if n_emitters < 3:
         raise ValueError("need at least 3 emitters for downstream fold building")
     if per_class_count < 1:
         raise ValueError(f"per-class count must be at least 1, got {per_class_count}")
-    specs = class_specs if class_specs is not None else SEPARABLE_CLASS_SPECS
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wavs"
     emitters = [f"bat{replicate:02d}" for replicate in range(n_emitters)]
 
     rng = rng_for(seed)
     drawn = []
-    for label in sorted(specs):
-        params = specs[label]
+    for label, params in sorted(SEPARABLE_CLASS_SPECS.items()):
         for _ in range(per_class_count):
             emitter = emitters[len(drawn) % n_emitters]
             duration = float(rng.uniform(*DURATION_RANGE_S))
@@ -149,7 +147,7 @@ def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
         "delimiter": ",",
         "columns": {"id": "utterance_id", "emitter": "emitter_id",
                     "context": "context_code", "file": "file"},
-        "context_map": {label: label for label in sorted(specs)},
+        "context_map": {label: label for label in sorted(SEPARABLE_CLASS_SPECS)},
         "emitter_placeholders": ["unknown-emitter"],
     })
     return annotation_path, schema_path

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from usvpipe import audio_io, cli, corpus, evaluation, svm
+from usvpipe import audio_io, cli, corpus, evaluation, svm, synth
 from usvpipe.audio_io import AudioClip, load_wav, write_wav
 from usvpipe.cli import main
 from usvpipe.spectral import read_tensor
@@ -16,15 +16,21 @@ from usvpipe.synth import SEPARABLE_CLASS_SPECS, synth_corpus
 from conftest import sine_clip, write_raw_wav
 
 
+def _synth(root, labels, **kwargs):
+    """synth_corpus over the named classes of SEPARABLE_CLASS_SPECS alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "SEPARABLE_CLASS_SPECS",
+                   {k: SEPARABLE_CLASS_SPECS[k] for k in labels})
+        return synth_corpus(root, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     """Four well-separated classes, 4 emitters, 10 per class, pushed through
     every stage once; tests only inspect the artifacts."""
     root = tmp_path_factory.mktemp("corpus")
-    specs = {k: SEPARABLE_CLASS_SPECS[k]
-             for k in ("biting", "feeding", "isolation", "sleeping")}
-    synth_corpus(root, n_emitters=4, per_class_count=10, class_specs=specs,
-                 seed=21, sample_rate=50_000)
+    _synth(root, ("biting", "feeding", "isolation", "sleeping"), n_emitters=4,
+           per_class_count=10, seed=21, sample_rate=50_000)
     config = {
         "annotation_file": str(root / "annotations.csv"),
         "schema_file": str(root / "schema.json"),
@@ -163,9 +169,8 @@ def test_missing_annotation_file_exits_nonzero(tmp_path):
 
 
 def _two_class_corpus(root, per_class):
-    specs = {k: SEPARABLE_CLASS_SPECS[k] for k in ("biting", "feeding")}
-    annotations, schema = synth_corpus(root, n_emitters=3, per_class_count=per_class,
-                                       class_specs=specs, seed=5, sample_rate=50_000)
+    annotations, schema = _synth(root, ("biting", "feeding"), n_emitters=3,
+                                 per_class_count=per_class, seed=5, sample_rate=50_000)
     return ["--annotations", str(annotations), "--schema", str(schema),
             "--audio-dir", str(root)]
 
@@ -217,9 +222,8 @@ def test_unreadable_headers_without_durations_cost_one_row_per_stage(tmp_path):
 
 
 def test_many_corrupt_wavs_exit_nonzero(tmp_path):
-    specs = {"biting": SEPARABLE_CLASS_SPECS["biting"]}
-    synth_corpus(tmp_path, n_emitters=3, per_class_count=20, class_specs=specs,
-                 seed=6, sample_rate=50_000)
+    _synth(tmp_path, ("biting",), n_emitters=3, per_class_count=20, seed=6,
+           sample_rate=50_000)
     for victim in sorted((tmp_path / "wavs").iterdir())[:5]:
         victim.write_bytes(b"RIFFgarbage")
     code = main(["extract", "--annotations", str(tmp_path / "annotations.csv"),
@@ -228,12 +232,40 @@ def test_many_corrupt_wavs_exit_nonzero(tmp_path):
     assert code == 1
 
 
+def test_short_and_silent_clips_cost_skip_rows_not_file_errors(tmp_path, capsys,
+                                                              caplog):
+    args = _two_class_corpus(tmp_path, per_class=3)
+    short, silent = sorted((tmp_path / "wavs").iterdir())[1:3]
+    write_wav(short, sine_clip(10_000.0, duration_s=0.05))  # half a 100 ms window
+    write_wav(silent, AudioClip(samples=np.zeros(25_000), sample_rate=50_000))
+    out = tmp_path / "out"
+    # a file error would be 1 of 6 files, above the 1 % tolerance: exit 1
+    assert main(["extract"] + args + ["--out", str(out)]) == 0
+    skips = [l for l in (out / "skip_report.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    assert skips == ["utterance_id,reason", f"{short.stem},too_short",
+                     f"{silent.stem},all_unvoiced"]
+    assert "4 of 6 utterances done, 2 skipped (0 file errors)" in capsys.readouterr().out
+    assert not [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len((out / "features.csv").read_text().splitlines()) == 2 + 4
+
+
+def test_partition_of_two_emitters_exits_2(tmp_path, caplog):
+    from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
+    fv = FeatureVector(*([9000.0] * 10))
+    write_feature_csv(tmp_path / "features.csv", [
+        FeatureRecord(f"u{i}", f"bat{i % 2}", ("biting", "feeding")[i % 2], 0.5, fv)
+        for i in range(6)], comment="stamp")
+    assert main(["partition", "--out", str(tmp_path)]) == 2
+    assert "2 emitters, need at least 3" in caplog.text
+    assert not (tmp_path / "folds.csv").exists()
+
+
 def test_artifacts_byte_identical_across_reruns(tmp_path, monkeypatch):
     monkeypatch.setattr(svm, "COST_GRID", (0.1,))
     monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 50)
-    specs = {k: SEPARABLE_CLASS_SPECS[k] for k in ("biting", "feeding", "grooming")}
-    synth_corpus(tmp_path / "c", n_emitters=3, per_class_count=6,
-                 class_specs=specs, seed=9, sample_rate=50_000)
+    _synth(tmp_path / "c", ("biting", "feeding", "grooming"), n_emitters=3,
+           per_class_count=6, seed=9, sample_rate=50_000)
     args = ["--annotations", str(tmp_path / "c" / "annotations.csv"),
             "--schema", str(tmp_path / "c" / "schema.json"),
             "--audio-dir", str(tmp_path / "c"), "--seed", "9"]
@@ -264,9 +296,8 @@ def test_truncated_feature_table_exits_2_naming_the_line(tmp_path, caplog):
 
 def test_hash_prefixed_utterance_id_is_tested_once(tmp_path):
     from usvpipe.partition import read_fold_plan
-    specs = {k: SEPARABLE_CLASS_SPECS[k] for k in ("biting", "feeding")}
-    annotations, schema = synth_corpus(tmp_path, n_emitters=3, per_class_count=3,
-                                       class_specs=specs, seed=4, sample_rate=50_000)
+    annotations, schema = _synth(tmp_path, ("biting", "feeding"), n_emitters=3,
+                                 per_class_count=3, seed=4, sample_rate=50_000)
     # the first data line starts with "#": a row, since it follows the header
     lines = annotations.read_text().splitlines(keepends=True)
     lines[1] = "#" + lines[1]
@@ -281,10 +312,9 @@ def test_hash_prefixed_utterance_id_is_tested_once(tmp_path):
 
 
 def _three_class_corpus(root, per_class=4, seed=9):
-    specs = {k: SEPARABLE_CLASS_SPECS[k] for k in ("biting", "feeding", "grooming")}
-    annotations, schema = synth_corpus(root, n_emitters=3, per_class_count=per_class,
-                                       class_specs=specs, seed=seed,
-                                       sample_rate=50_000)
+    annotations, schema = _synth(root, ("biting", "feeding", "grooming"), n_emitters=3,
+                                 per_class_count=per_class, seed=seed,
+                                 sample_rate=50_000)
     return ["--annotations", str(annotations), "--schema", str(schema),
             "--audio-dir", str(root)]
 

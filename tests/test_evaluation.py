@@ -8,7 +8,6 @@ from usvpipe.artifacts import write_json
 from usvpipe.evaluation import (Prediction, PredictionSet, bootstrap_ci,
                                 build_report, read_predictions_csv,
                                 uar_from_labels, write_predictions_csv)
-from usvpipe.exceptions import EmptyPredictionsError
 from usvpipe.seeding import rng_for
 
 
@@ -35,7 +34,7 @@ class TestUar:
         assert uar_from_labels(truth, ["c00"] * len(truth)) == pytest.approx(1.0 / 11.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyPredictionsError):
+        with pytest.raises(ValueError, match="no predictions to score"):
             uar_from_labels([], [])
 
     def test_invariant_to_duplicating_one_class(self):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usvpipe.corpus import CONTEXT_LABELS
-from usvpipe.exceptions import TooFewEmittersError
 from usvpipe.partition import (build_plan, make_folds, read_fold_plan,
                                split_dev, write_fold_plan)
 from usvpipe.pitch import FeatureRecord, FeatureVector
@@ -48,7 +47,7 @@ class TestMakeFolds:
 
     def test_two_emitters_rejected(self):
         cohort = make_cohort(2, 6, labels=("feeding", "fighting"))
-        with pytest.raises(TooFewEmittersError):
+        with pytest.raises(ValueError, match="2 emitters, need at least 3"):
             make_folds(cohort, seed=0)
 
     def test_every_utterance_tested_exactly_once(self):

@@ -6,7 +6,6 @@ import pytest
 from scipy.optimize import minimize
 
 from usvpipe import svm
-from usvpipe.exceptions import SingleClassDataError
 from usvpipe.seeding import rng_for
 from usvpipe.svm import (BinarySvm, COST_GRID, OvoModel, SOLVER_GAP,
                          SOLVER_MAX_EPOCHS, fit_standardiser,
@@ -72,7 +71,7 @@ class TestSolver:
         assert m1.bias == m2.bias
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClassDataError):
+        with pytest.raises(ValueError, match="both classes must be present"):
             train_binary(np.ones((4, 2)), np.ones(4), cost=1.0)
 
     def test_objective_history_non_increasing(self):

@@ -1,4 +1,5 @@
 import errno
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from usvpipe.artifacts import write_json, write_table
 from usvpipe.audio_io import write_wav
 from usvpipe.cli import main
 from usvpipe.corpus import FilterReport, SchemaConfig, filter_cohort, load_annotations
-from usvpipe.exceptions import SpecOutOfRangeError
 from usvpipe.pitch import contour_stats, extract_f0
 from usvpipe.seeding import rng_for
 from usvpipe.synth import (DURATION_RANGE_S, NOISE_SMOOTHING_S,
@@ -75,13 +75,15 @@ class TestSynthUtterance:
         assert abs(fv.f0_slope_voiced - 4000.0) <= 200.0
 
     def test_zero_amplitude_rejected(self):
-        with pytest.raises(SpecOutOfRangeError):
+        with pytest.raises(ValueError, match=re.escape("amplitude 0.0 outside (0, 1]")):
             synth_utterance(spec(amplitude=0.0), 50_000)
 
     def test_frequency_range_validated_against_nyquist(self):
-        with pytest.raises(SpecOutOfRangeError):
+        with pytest.raises(ValueError, match=re.escape(
+                "frequency range [22500.0, 25500.0] Hz outside (0, 25000.0)")):
             synth_utterance(spec(f0_mean=24_000.0, f0_std=500.0), 50_000)
-        with pytest.raises(SpecOutOfRangeError):
+        with pytest.raises(ValueError, match=re.escape(
+                "frequency range [-500.0, 700.0] Hz outside (0, 25000.0)")):
             synth_utterance(spec(f0_mean=100.0, f0_std=200.0), 50_000)
 
     def test_deterministic_per_seed(self):
@@ -107,11 +109,10 @@ class TestSynthUtterance:
 
 
 class TestSynthCorpus:
-    def test_cohort_size_and_determinism(self, tmp_path):
-        a1, s1 = synth_corpus(tmp_path / "c1", n_emitters=4, per_class_count=2,
-                              class_specs={k: SEPARABLE_CLASS_SPECS[k]
-                                           for k in ("feeding", "fighting")},
-                              seed=3)
+    def test_cohort_size_and_determinism(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(synth, "SEPARABLE_CLASS_SPECS", {
+            k: SEPARABLE_CLASS_SPECS[k] for k in ("feeding", "fighting")})
+        a1, s1 = synth_corpus(tmp_path / "c1", n_emitters=4, per_class_count=2, seed=3)
         schema = SchemaConfig.from_json(s1)
         cohort, report = filter_cohort(load_annotations(a1, schema),
                                        schema.emitter_placeholders,
@@ -119,19 +120,16 @@ class TestSynthCorpus:
         assert len(cohort) == 4
         assert sum(getattr(report, rule) for rule in FilterReport.RULES) == 0
         # same seed reproduces the wav bytes
-        a2, _ = synth_corpus(tmp_path / "c2", n_emitters=4, per_class_count=2,
-                             class_specs={k: SEPARABLE_CLASS_SPECS[k]
-                                          for k in ("feeding", "fighting")},
-                             seed=3)
+        a2, _ = synth_corpus(tmp_path / "c2", n_emitters=4, per_class_count=2, seed=3)
         w1 = sorted((tmp_path / "c1" / "wavs").iterdir())
         w2 = sorted((tmp_path / "c2" / "wavs").iterdir())
         for p1, p2 in zip(w1, w2):
             assert p1.read_bytes() == p2.read_bytes()
 
-    def test_round_robin_emitters(self, tmp_path):
-        a, s = synth_corpus(tmp_path / "c", n_emitters=3, per_class_count=3,
-                            class_specs={"feeding": SEPARABLE_CLASS_SPECS["feeding"]},
-                            seed=0)
+    def test_round_robin_emitters(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(synth, "SEPARABLE_CLASS_SPECS",
+                            {"feeding": SEPARABLE_CLASS_SPECS["feeding"]})
+        a, s = synth_corpus(tmp_path / "c", n_emitters=3, per_class_count=3, seed=0)
         schema = SchemaConfig.from_json(s)
         records = load_annotations(a, schema)
         assert [r.emitter_id for r in records] == ["bat00", "bat01", "bat02"]
@@ -168,12 +166,13 @@ class TestSynthCorpus:
             "emitter_placeholders": ["unknown-emitter"]})
 
         corpora = [reference]
+        monkeypatch.setattr(synth, "SEPARABLE_CLASS_SPECS", specs)
         for workers in (1, 2):
             monkeypatch.setattr(audio_io, "_worker_count",
                                 lambda items, w=workers: max(1, min(w, items)))
             corpora.append(tmp_path / f"w{workers}")
-            synth_corpus(corpora[-1], n_emitters=3, per_class_count=4,
-                         class_specs=specs, seed=5, sample_rate=40_000)
+            synth_corpus(corpora[-1], n_emitters=3, per_class_count=4, seed=5,
+                         sample_rate=40_000)
         files = [{p.relative_to(root): p.read_bytes()
                   for p in sorted(root.rglob("*")) if p.is_file()}
                  for root in corpora]
