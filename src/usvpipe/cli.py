@@ -322,9 +322,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     """Generate a synthetic corpus plus a ready-to-use run config."""
     out_dir = Path(args.out)
-    annotation_path, schema_path = synth_corpus(
-        out_dir, n_emitters=args.emitters, per_class_count=args.per_class,
-        seed=args.seed, sample_rate=args.sample_rate)
+    annotation_path, schema_path = synth_corpus(out_dir, args.emitters,
+                                                args.per_class, args.seed)
     config_path = out_dir / "config.json"
     write_json(config_path, {
         "annotation_file": str(annotation_path),
@@ -365,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--emitters", type=int, default=12)
     synth.add_argument("--per-class", type=int, default=50)
-    synth.add_argument("--sample-rate", type=int, default=50_000)
     synth.set_defaults(func=cmd_synth)
     return parser
 

@@ -13,6 +13,7 @@ from a longer file by start/end times are not supported.
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -62,6 +63,10 @@ class SchemaConfig:
         for role in COLUMN_ROLES:
             if role not in columns:
                 raise ValueError(f"{path}: schema lacks a '{role}' column mapping")
+        unread = sorted(set(columns) - set(COLUMN_ROLES))
+        if unread:
+            logging.getLogger(__name__).warning(
+                "%s: schema column roles %s are never read", path, unread)
         context_map = {str(k): str(v) for k, v in
                        value("context_map", {}, dict, "an object").items()}
         admissible = set(CONTEXT_LABELS) | set(INGEST_ONLY_LABELS)
@@ -96,10 +101,10 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[Utterance]:
     Context codes missing from the schema map become 'unknown', and a leading
     UTF-8 byte-order mark (spreadsheet "CSV UTF-8" exports) is dropped.
     Columns the schema does not map, durations and start/end times among
-    them, are not read.  Raises ValueError naming the path when a mapped
-    column is absent, and naming path:line for bytes that are not UTF-8 and
-    for malformed rows: a wrong field count, or an id that is blank, names a
-    path or repeats one.
+    them, are not read and may repeat.  Raises ValueError naming the path
+    when a mapped column is absent, and naming path:line for one the header
+    names twice, bytes that are not UTF-8 and malformed rows: a wrong field
+    count, or an id that is blank, names a path or repeats one.
     """
     reader, comments = reader_after_comments(path, schema.delimiter, "utf-8-sig")
     records = []
@@ -112,6 +117,9 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[Utterance]:
         for name in schema.columns.values():
             if name not in index:
                 raise ValueError(f"{path}: required column '{name}' not found")
+            if header.count(name) > 1:
+                raise ValueError(f"{path}:{comments + reader.line_num}: the header "
+                                 f"names column '{name}' more than once")
 
         for row in reader:
             line = comments + reader.line_num

@@ -158,11 +158,6 @@ def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int,
     return frames
 
 
-def _store(out: np.ndarray, first: int, mags: np.ndarray) -> None:
-    """A consumer for stft_samples that copies each block into out."""
-    out[first:first + mags.shape[0]] = mags
-
-
 def export_spectrogram(clip: AudioClip) -> Spectrogram:
     """Spectrogram for external consumers: the clip zero-padded to the cohort
     filter's MAX_UTTERANCE_S (3 s), 4096-sample window, 10 ms hop.
@@ -176,8 +171,11 @@ def export_spectrogram(clip: AudioClip) -> Spectrogram:
     hop_samples = int(round(EXPORT_HOP_S * clip.sample_rate))
     mags = np.zeros((_frame_count(clip, EXPORT_WINDOW_SAMPLES, hop_samples, span),
                      EXPORT_WINDOW_SAMPLES // 2 + 1), dtype="<f4")
-    stft_samples(clip, EXPORT_WINDOW_SAMPLES, hop_samples,
-                 functools.partial(_store, mags), span)
+
+    def store(first: int, block: np.ndarray) -> None:
+        mags[first:first + block.shape[0]] = block
+
+    stft_samples(clip, EXPORT_WINDOW_SAMPLES, hop_samples, store, span)
     return Spectrogram(
         magnitudes=mags,
         frame_hop_s=hop_samples / clip.sample_rate,

@@ -262,18 +262,11 @@ def _train_pairs(problems: Sequence[tuple[np.ndarray, np.ndarray]],
     return machines
 
 
-def train_binary(X: np.ndarray, y: np.ndarray, cost: float,
-                 weight_pos: float = 1.0, weight_neg: float = 1.0,
-                 class_pair: tuple[str, str] = ("+1", "-1")) -> BinarySvm:
-    """Train one weighted hinge-loss machine on +/-1 labels, as a batch of
-    one pair.
-
-    Deterministic for fixed inputs; converged is False when
-    SOLVER_MAX_EPOCHS ran out before the relative duality gap met
-    SOLVER_GAP.  A single class or a non-finite feature is a ValueError.
-    """
-    return _train_pairs([_pair_problem(X, y, weight_pos, weight_neg)],
-                        [class_pair], cost)[0]
+def train_binary(X: np.ndarray, y: np.ndarray, cost: float) -> BinarySvm:
+    """One machine with unit class weights on +/-1 labels, solved as a batch
+    of one pair ("+1", "-1").  A single class or a non-finite feature is a
+    ValueError."""
+    return _train_pairs([_pair_problem(X, y, 1.0, 1.0)], [("+1", "-1")], cost)[0]
 
 
 @dataclass(frozen=True)

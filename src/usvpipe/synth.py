@@ -19,6 +19,7 @@ from .seeding import rng_for
 
 NOISE_SMOOTHING_S = 0.050  # single-pole low-pass time constant for the jitter
 DURATION_RANGE_S = (0.5, 1.0)  # synth_corpus draws clip lengths uniformly from it
+SYNTH_SAMPLE_RATE = 50_000  # Hz, the rate of every clip synth_corpus writes
 
 # 11 well-separated classes: means 500 Hz apart, modest jitter, no trend.
 SEPARABLE_CLASS_SPECS = {
@@ -90,7 +91,7 @@ def synth_utterance(spec: SynthSpec, sample_rate: int) -> AudioClip:
 
 
 def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
-                 seed: int = 0, sample_rate: int = 50_000) -> tuple[Path, Path]:
+                 seed: int = 0) -> tuple[Path, Path]:
     """Write a synthetic corpus: WAVs, an annotation table, and its schema.
 
     The classes are SEPARABLE_CLASS_SPECS, and utterances rotate round-robin
@@ -125,12 +126,12 @@ def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
                              f0_slope=params.get("f0_slope", 0.0),
                              duration_s=duration, amplitude=amplitude,
                              emitter_id=emitter, seed=clip_seed)
-            _check_spec(spec, sample_rate)
+            _check_spec(spec, SYNTH_SAMPLE_RATE)
             drawn.append(spec)
 
     def write(counter: int) -> None:
         write_wav(wav_dir / f"u{counter:06d}.wav",
-                  synth_utterance(drawn[counter], sample_rate))
+                  synth_utterance(drawn[counter], SYNTH_SAMPLE_RATE))
 
     for result in map_ordered(write, range(len(drawn))):
         if isinstance(result, Exception):

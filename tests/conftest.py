@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from usvpipe import svm
 from usvpipe.audio_io import AudioClip
 
 
@@ -46,6 +47,13 @@ def weighted_primal(w, b, X, y, box) -> float:
     """The binary SVM objective with the bias regularised (augmented feature)."""
     margins = y * (X @ w + b)
     return 0.5 * (np.dot(w, w) + b * b) + float(box @ np.clip(1 - margins, 0, None))
+
+
+def train_weighted(X, y, cost, weight_pos=1.0, weight_neg=1.0, pair=("+1", "-1")):
+    """One class-weighted machine on +/-1 labels, trained as nested_select
+    trains each class pair: its _pair_problem through _train_pairs."""
+    return svm._train_pairs([svm._pair_problem(X, y, weight_pos, weight_neg)],
+                            [pair], cost)[0]
 
 
 def refine_grid_minimum(X, y, box, half_range=4.0, points=13, rounds=9):

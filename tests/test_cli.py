@@ -30,7 +30,7 @@ def small_corpus(tmp_path_factory):
     every stage once; tests only inspect the artifacts."""
     root = tmp_path_factory.mktemp("corpus")
     _synth(root, ("biting", "feeding", "isolation", "sleeping"), n_emitters=4,
-           per_class_count=10, seed=21, sample_rate=50_000)
+           per_class_count=10, seed=21)
     config = {
         "annotation_file": str(root / "annotations.csv"),
         "schema_file": str(root / "schema.json"),
@@ -124,7 +124,7 @@ def test_table1_empty_feature_file_exits_zero(tmp_path):
 def test_synth_subcommand_generates_runnable_corpus(tmp_path):
     out = tmp_path / "gen"
     assert main(["synth", "--out", str(out), "--seed", "3", "--emitters", "3",
-                 "--per-class", "1", "--sample-rate", "50000"]) == 0
+                 "--per-class", "1"]) == 0
     config = json.loads((out / "config.json").read_text())
     assert config["seed"] == 3
     wavs = list((out / "wavs").glob("*.wav"))
@@ -132,12 +132,13 @@ def test_synth_subcommand_generates_runnable_corpus(tmp_path):
     assert main(["extract", "--config", str(out / "config.json")]) == 0
 
 
-@pytest.mark.parametrize("flags", [
-    ["--per-class", "1", "--sample-rate", "20000"],  # 10 kHz Nyquist: class 5 falls outside
-    ["--per-class", "0"],
-    ["--per-class", "-2"],
+@pytest.mark.parametrize("flags, rate", [
+    (["--per-class", "1"], 20_000),  # 10 kHz Nyquist: class 5 falls outside
+    (["--per-class", "0"], synth.SYNTH_SAMPLE_RATE),
+    (["--per-class", "-2"], synth.SYNTH_SAMPLE_RATE),
 ], ids=["range-outside-nyquist", "per-class-0", "per-class-negative"])
-def test_refused_synth_writes_nothing(tmp_path, flags):
+def test_refused_synth_writes_nothing(tmp_path, monkeypatch, flags, rate):
+    monkeypatch.setattr(synth, "SYNTH_SAMPLE_RATE", rate)
     out = tmp_path / "s1"
     out.mkdir()
     assert main(["synth", "--out", str(out), "--seed", "1", "--emitters", "3",
@@ -170,7 +171,7 @@ def test_missing_annotation_file_exits_nonzero(tmp_path):
 
 def _two_class_corpus(root, per_class):
     annotations, schema = _synth(root, ("biting", "feeding"), n_emitters=3,
-                                 per_class_count=per_class, seed=5, sample_rate=50_000)
+                                 per_class_count=per_class, seed=5)
     return ["--annotations", str(annotations), "--schema", str(schema),
             "--audio-dir", str(root)]
 
@@ -222,8 +223,7 @@ def test_unreadable_headers_without_durations_cost_one_row_per_stage(tmp_path):
 
 
 def test_many_corrupt_wavs_exit_nonzero(tmp_path):
-    _synth(tmp_path, ("biting",), n_emitters=3, per_class_count=20, seed=6,
-           sample_rate=50_000)
+    _synth(tmp_path, ("biting",), n_emitters=3, per_class_count=20, seed=6)
     for victim in sorted((tmp_path / "wavs").iterdir())[:5]:
         victim.write_bytes(b"RIFFgarbage")
     code = main(["extract", "--annotations", str(tmp_path / "annotations.csv"),
@@ -265,7 +265,7 @@ def test_artifacts_byte_identical_across_reruns(tmp_path, monkeypatch):
     monkeypatch.setattr(svm, "COST_GRID", (0.1,))
     monkeypatch.setattr(evaluation, "BOOTSTRAP_REPLICATES", 50)
     _synth(tmp_path / "c", ("biting", "feeding", "grooming"), n_emitters=3,
-           per_class_count=6, seed=9, sample_rate=50_000)
+           per_class_count=6, seed=9)
     args = ["--annotations", str(tmp_path / "c" / "annotations.csv"),
             "--schema", str(tmp_path / "c" / "schema.json"),
             "--audio-dir", str(tmp_path / "c"), "--seed", "9"]
@@ -297,7 +297,7 @@ def test_truncated_feature_table_exits_2_naming_the_line(tmp_path, caplog):
 def test_hash_prefixed_utterance_id_is_tested_once(tmp_path):
     from usvpipe.partition import read_fold_plan
     annotations, schema = _synth(tmp_path, ("biting", "feeding"), n_emitters=3,
-                                 per_class_count=3, seed=4, sample_rate=50_000)
+                                 per_class_count=3, seed=4)
     # the first data line starts with "#": a row, since it follows the header
     lines = annotations.read_text().splitlines(keepends=True)
     lines[1] = "#" + lines[1]
@@ -313,8 +313,7 @@ def test_hash_prefixed_utterance_id_is_tested_once(tmp_path):
 
 def _three_class_corpus(root, per_class=4, seed=9):
     annotations, schema = _synth(root, ("biting", "feeding", "grooming"), n_emitters=3,
-                                 per_class_count=per_class, seed=seed,
-                                 sample_rate=50_000)
+                                 per_class_count=per_class, seed=seed)
     return ["--annotations", str(annotations), "--schema", str(schema),
             "--audio-dir", str(root)]
 

@@ -72,6 +72,18 @@ class TestLoadAnnotations:
                            match=r"annotations\.csv: required column 'bat' not found"):
             load_annotations(path, schema)
 
+    def test_mapped_column_named_twice_names_path_line_and_column(self, tmp_path,
+                                                                  schema):
+        path = write_annotations(tmp_path, ["# notes", "uid,bat,ctx,wav,ctx",
+                                            "a1,b-17,3,x.wav,7"], header="# export")
+        with pytest.raises(ValueError, match=r"annotations\.csv:3: the header names "
+                                             r"column 'ctx' more than once"):
+            load_annotations(path, schema)
+        # a column the schema does not map may repeat
+        path = write_annotations(tmp_path, ["a1,b-17,3,x.wav,0.4,0.5"],
+                                 header="uid,bat,ctx,wav,dur,dur")
+        assert load_annotations(path, schema)[0].context == "feeding"
+
     def test_malformed_row_reports_line_number(self, tmp_path, schema):
         path = write_annotations(tmp_path, ["a1,b-17,7,x.wav,0.4",
                                             ",b-18,3,y.wav,0.5"])
@@ -164,13 +176,20 @@ def test_schema_must_hold_an_object(tmp_path):
         SchemaConfig.from_json(path)
 
 
-def test_schema_keeps_only_column_roles(tmp_path):
+def test_schema_keeps_only_column_roles(tmp_path, caplog):
     path = tmp_path / "s.json"
+    path.write_text(json.dumps(_SCHEMA))
+    SchemaConfig.from_json(path)
+    assert caplog.records == []
     path.write_text(json.dumps({**_SCHEMA, "columns": {
         **_SCHEMA["columns"], "duration": "dur", "start": "t0", "end": "t1",
         "notes": "remarks"}}))
     schema = SchemaConfig.from_json(path)
     assert schema.columns == _SCHEMA["columns"]
+    # one warning names the file and every role that is never read
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", f"{path}: schema column roles ['duration', 'end', 'notes', "
+                    "'start'] are never read")]
     # a role the schema names must be in the header; an ignored key need not
     annotations = write_annotations(tmp_path, ["a1,b-17,7,x.wav"],
                                     header="uid,bat,ctx,wav")

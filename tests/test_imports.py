@@ -6,7 +6,8 @@ module reads is reported with its module.  Every stage process imports
 usvpipe.cli, so it must load no scipy: importing scipy.signal takes about
 1.5 s and 76 MB.  Only usvpipe.synth uses it, to smooth the jitter of a
 clip with f0_std > 0, and loads it at the first such clip; importing synth
-or building a jitter-free clip loads no scipy module.
+or building a jitter-free clip loads no scipy module.  The five stages run
+where no scipy module can be imported at all.
 """
 import ast
 import os
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import usvpipe
+from usvpipe.synth import synth_corpus
 
 MODULES = sorted(Path(usvpipe.__file__).parent.glob("*.py"))
 
@@ -51,13 +53,18 @@ def test_an_unused_import_is_named():
 
 def scipy_modules_after(code: str) -> list[str]:
     """Run code in a fresh interpreter; return the lines it prints, where
-    LOADED prints the scipy modules loaded so far."""
+    LOADED prints the scipy modules loaded so far.  Importing NO_SCIPY
+    makes every later scipy import raise ImportError."""
     src = str(Path(usvpipe.__file__).parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     prelude = ("import sys\n"
                "def LOADED():\n"
-               "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+               "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+               "class NO_SCIPY:\n"
+               "    def find_spec(name, path=None, target=None):\n"
+               "        if name.split('.')[0] == 'scipy':\n"
+               "            raise ImportError(f'{name}: scipy is blocked')\n")
     return subprocess.run([sys.executable, "-c", prelude + code], env=env, check=True,
                           capture_output=True, text=True).stdout.splitlines()
 
@@ -76,3 +83,19 @@ def test_synth_loads_scipy_signal_only_for_a_jittered_clip():
             "synth_utterance(replace(spec, f0_std=50.0), 50_000)\n"
             "print('scipy.signal' in sys.modules)\n")
     assert scipy_modules_after(code) == ["[]", "[]", "True"]
+
+
+def test_the_stages_run_on_numpy_alone(tmp_path):
+    """A stage that imported scipy.fft, say, would cost audio-250k about
+    21 MB of peak RSS; here its import raises ImportError."""
+    annotations, schema = synth_corpus(tmp_path, n_emitters=3, per_class_count=3,
+                                       seed=1)
+    flags = ["--annotations", str(annotations), "--schema", str(schema),
+             "--out", str(tmp_path / "results")]
+    code = ("sys.meta_path.insert(0, NO_SCIPY)\n"
+            "from usvpipe.cli import main\n"
+            f"print([main([stage, *{flags!r}])\n"
+            "       for stage in ('extract', 'partition', 'train-eval', 'table1',\n"
+            "                     'export-spectrograms')])\n"
+            "LOADED()\n")
+    assert scipy_modules_after(code)[-2:] == ["[0, 0, 0, 0, 0]", "[]"]

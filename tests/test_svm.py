@@ -13,7 +13,7 @@ from usvpipe.svm import (BinarySvm, COST_GRID, OvoModel, SOLVER_GAP,
                          read_model, train_binary, write_model,
                          _predict_standardised)
 
-from conftest import refine_grid_minimum, weighted_primal
+from conftest import refine_grid_minimum, train_weighted, weighted_primal
 
 
 def separable_level_pair(seed: int, n: int = 46):
@@ -41,8 +41,8 @@ def pair_machines(X, y, cost):
     machines = []
     for pair in combinations(sorted(set(y)), 2):
         mask = np.isin(y, pair)
-        machines.append(train_binary(X[mask], np.where(y[mask] == pair[0], 1.0, -1.0),
-                                     cost, class_pair=pair))
+        machines.append(train_weighted(X[mask], np.where(y[mask] == pair[0], 1.0, -1.0),
+                                       cost, pair=pair))
     return tuple(machines)
 
 
@@ -96,7 +96,7 @@ class TestSolver:
                 y[0] = -y[0]
             cost = float(rng.choice([0.05, 0.1, 0.5, 1.0]))
             wp, wn = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
-            m = train_binary(X, y, cost, weight_pos=wp, weight_neg=wn)
+            m = train_weighted(X, y, cost, weight_pos=wp, weight_neg=wn)
             box = cost * np.where(y > 0, wp, wn)
             mine = weighted_primal(m.weights, m.bias, X, y, box)
             oracle, _ = refine_grid_minimum(X, y, box)
@@ -108,7 +108,7 @@ class TestSolver:
         X = rng.normal(size=(6, 2))
         y = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
         for d in (2, 3):
-            mw = train_binary(X, y, cost=0.5, weight_neg=float(d))
+            mw = train_weighted(X, y, cost=0.5, weight_neg=float(d))
             Xd = np.vstack([X[:4], np.repeat(X[4:], d, axis=0)])
             yd = np.concatenate([np.ones(4), -np.ones(2 * d)])
             md = train_binary(Xd, yd, cost=0.5)
@@ -154,7 +154,7 @@ class TestSolver:
         X = np.vstack([rng.normal(-1.5, 1, (6, 2)), rng.normal(1.5, 1, (6, 2))])
         y = np.concatenate([-np.ones(6), np.ones(6)])
         doubled = train_binary(np.vstack([X, X]), np.concatenate([y, y]), 0.5)
-        weighted = train_binary(X, y, 0.5, weight_pos=2.0, weight_neg=2.0)
+        weighted = train_weighted(X, y, 0.5, weight_pos=2.0, weight_neg=2.0)
         assert doubled.converged is True
         assert np.abs(doubled.weights - weighted.weights).max() < 1e-3
         assert abs(doubled.bias - weighted.bias) < 1e-3
@@ -183,7 +183,7 @@ class TestSolver:
                          1.0, -1.0)
             cost = float(rng.choice([0.1, 0.5, 1.0]))
             wp, wn = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
-            m = train_binary(X, y, cost, weight_pos=wp, weight_neg=wn)
+            m = train_weighted(X, y, cost, weight_pos=wp, weight_neg=wn)
             assert m.converged
             box = cost * np.where(y > 0, wp, wn)
             Xy = np.hstack([X, np.ones((n, 1))]) * y[:, None]
@@ -227,7 +227,7 @@ class TestSolver:
         assert len(batch) == 55
         for pair, machine, problem in zip(pairs, batch, problems):
             X_pair, y_pair, weight_pos, weight_neg = problem
-            alone = train_binary(X_pair, y_pair, 0.5, weight_pos, weight_neg, pair)
+            alone = train_weighted(X_pair, y_pair, 0.5, weight_pos, weight_neg, pair)
             assert (machine.class_pos, machine.class_neg) == pair
             v = np.append(machine.weights, machine.bias)
             v_alone = np.append(alone.weights, alone.bias)

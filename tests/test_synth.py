@@ -15,8 +15,8 @@ from usvpipe.corpus import FilterReport, SchemaConfig, filter_cohort, load_annot
 from usvpipe.pitch import contour_stats, extract_f0
 from usvpipe.seeding import rng_for
 from usvpipe.synth import (DURATION_RANGE_S, NOISE_SMOOTHING_S,
-                           SEPARABLE_CLASS_SPECS, SynthSpec, synth_corpus,
-                           synth_utterance)
+                           SEPARABLE_CLASS_SPECS, SYNTH_SAMPLE_RATE, SynthSpec,
+                           synth_corpus, synth_utterance)
 
 
 def spec(**overrides):
@@ -153,7 +153,7 @@ class TestSynthCorpus:
             clip = synth_utterance(SynthSpec(
                 label, **specs[label], duration_s=float(rng.uniform(*DURATION_RANGE_S)),
                 amplitude=float(rng.uniform(0.3, 0.9)), emitter_id=emitter,
-                seed=int(rng.integers(2 ** 62))), 40_000)
+                seed=int(rng.integers(2 ** 62))), SYNTH_SAMPLE_RATE)
             write_wav(reference / "wavs" / f"{uid}.wav", clip)
             rows.append((uid, emitter, label, f"wavs/{uid}.wav"))
         write_table(reference / "annotations.csv",
@@ -171,8 +171,7 @@ class TestSynthCorpus:
             monkeypatch.setattr(audio_io, "_worker_count",
                                 lambda items, w=workers: max(1, min(w, items)))
             corpora.append(tmp_path / f"w{workers}")
-            synth_corpus(corpora[-1], n_emitters=3, per_class_count=4, seed=5,
-                         sample_rate=40_000)
+            synth_corpus(corpora[-1], n_emitters=3, per_class_count=4, seed=5)
         files = [{p.relative_to(root): p.read_bytes()
                   for p in sorted(root.rglob("*")) if p.is_file()}
                  for root in corpora]
