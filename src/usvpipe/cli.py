@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__, evaluation, svm
 from .artifacts import read_json, write_json, write_table
 from .audio_io import load_wav, map_ordered, padded_length
-from .corpus import (MAX_UTTERANCE_S, SchemaConfig, Utterance, filter_cohort,
-                     load_annotations, write_filter_report)
+from .corpus import (FILTER_RULES, MAX_UTTERANCE_S, SchemaConfig, Utterance,
+                     filter_cohort, load_annotations)
 from .evaluation import (Prediction, PredictionSet, build_report,
                          write_confusion_csv, write_predictions_csv)
 from .exceptions import ClipTooShortError, EmptyVoicedSetError
@@ -105,56 +105,56 @@ _SETTINGS = (
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Each setting from its flag, else the config file, else the default."""
+    """Each setting from its flag, else the config file, else the default.
+    A relative path is taken from the working directory when a flag gives
+    it and from the config file's directory when the file does."""
     raw = read_json(args.config, "config file") if args.config else {}
     unknown = sorted(set(raw) - {field for field, *_ in _SETTINGS})
     if unknown:
         raise ValueError(f"{args.config}: unknown settings {unknown}")
     cfg = RunConfig()
     for field, flag, parse, _help in _SETTINGS:
-        value = getattr(args, field)
+        value, base = getattr(args, field), Path()
         if value is None:
-            value = raw.get(field)
+            value, base = raw.get(field), Path(args.config or "").parent
         if value is not None:
             try:
-                setattr(cfg, field, parse(value))
+                value = parse(value)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"invalid {field} ({flag}): {exc}") from None
+            setattr(cfg, field, base / value if isinstance(value, Path) else value)
     if cfg.audio_dir is None and cfg.annotation_file is not None:
         cfg.audio_dir = cfg.annotation_file.parent
     return cfg
 
 
-def _load_cohort(cfg: RunConfig) -> list[Utterance]:
-    """The filtered cohort, after writing filter_report.csv.  Missing
-    annotation or schema paths are a ValueError, as is an empty cohort,
-    whose error names the rule that dropped the most records."""
+def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
+    """Filter the cohort, write filter_report.csv, then map fn over the
+    cohort sorted by id.  Missing annotation or schema paths are a
+    ValueError, as is an empty cohort, whose error names the rule that
+    dropped the most records.  Returns (utterance, result) for each file fn
+    succeeded on, and the exit status: 1 when more files failed than
+    EXTRACT_FAILURE_TOLERANCE allows.  An exception in _SKIP_REASONS, or a
+    file error, costs one row in skip_report; any other, and a full disk,
+    is raised again and the files not yet started are dropped."""
     if cfg.annotation_file is None or cfg.schema_file is None:
         raise ValueError("annotation and schema files are required "
                          "(--annotations/--schema or a config file)")
     schema = SchemaConfig.from_json(cfg.schema_file)
-    cohort, report = filter_cohort(load_annotations(cfg.annotation_file, schema),
+    cohort, counts = filter_cohort(load_annotations(cfg.annotation_file, schema),
                                    schema.emitter_placeholders, cfg.audio_dir)
-    write_filter_report(cfg.output_dir / "filter_report.csv", report,
-                        comment=cfg.provenance())
-    log.info("cohort: %d retained of %d records", report.retained, report.total_in)
+    write_table(cfg.output_dir / "filter_report.csv", ("rule", "count"),
+                counts.items(), cfg.provenance())
+    log.info("cohort: %d retained of %d records", counts["retained"],
+             counts["total_in"])
     if not cohort:
-        if not report.total_in:
+        if not counts["total_in"]:
             raise ValueError(f"{cfg.annotation_file}: the table has no data rows")
-        rule = max(report.RULES, key=lambda name: getattr(report, name))
+        rule = max(FILTER_RULES, key=counts.__getitem__)
         raise ValueError(f"{cfg.annotation_file}: no utterance is left after "
-                         f"filtering; rule {rule} dropped {getattr(report, rule)} "
-                         f"of {report.total_in} records")
-    return cohort
-
-
-def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
-    """Map fn over the sorted cohort.  Returns (utterance, result) for each
-    file fn succeeded on, and the exit status: 1 when more files failed than
-    EXTRACT_FAILURE_TOLERANCE allows.  An exception in _SKIP_REASONS, or a
-    file error, costs one row in skip_report; any other, and a full disk,
-    is raised again and the files not yet started are dropped."""
-    cohort = sorted(_load_cohort(cfg), key=lambda u: u.utterance_id)
+                         f"filtering; rule {rule} dropped {counts[rule]} "
+                         f"of {counts['total_in']} records")
+    cohort.sort(key=lambda u: u.utterance_id)
     done, skips, failures = [], [], 0
     for utt, result in zip(cohort, map_ordered(fn, cohort)):
         if not isinstance(result, Exception):
@@ -237,6 +237,13 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
             raise ValueError(f"{folds_path}: the development set of fold {fold} "
                              "holds no val utterance; cost selection needs one "
                              "or more")
+        untrained = sorted({by_id[uid].context for uid in val_ids}
+                           - {by_id[uid].context for uid in train_ids})
+        if untrained:
+            raise ValueError(f"{folds_path}: the development set of fold {fold} "
+                             f"holds context {', '.join(untrained)} in val but not "
+                             "in train; cost selection needs each val context in "
+                             "train")
 
     predictions: list[Prediction] = []
     diagnostics: dict[str, dict] = defaultdict(dict)  # report.json key -> fold -> value
@@ -325,11 +332,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     annotation_path, schema_path = synth_corpus(out_dir, args.emitters,
                                                 args.per_class, args.seed)
     config_path = out_dir / "config.json"
-    write_json(config_path, {
-        "annotation_file": str(annotation_path),
-        "schema_file": str(schema_path),
-        "audio_dir": str(out_dir),
-        "output_dir": str(out_dir / "results"),
+    write_json(config_path, {  # paths relative to config.json's directory
+        "annotation_file": annotation_path.name,
+        "schema_file": schema_path.name,
+        "audio_dir": ".",
+        "output_dir": "results",
         "seed": args.seed,
     })
     print(f"synth: corpus under {out_dir}, run config at {config_path}")

@@ -5,10 +5,12 @@ a user-editable schema file: annotation releases differ in vocabulary, and
 guessing it in code would be unauditable.  Each annotation row becomes one
 Utterance, keyed by an id that is non-blank, unique and a plain file name,
 since it names the utterance's artifacts.  Filtering applies four rules in
-a fixed order (unknown context, landing, unidentified emitter, over-length)
-and reports a count per rule.  An utterance's length is its WAV header's,
-never an annotation cell's: one file holds one utterance, and segments cut
-from a longer file by start/end times are not supported.
+a fixed order (unknown context, landing, unidentified emitter, over-length,
+named in FILTER_RULES) and returns, with the cohort, the rows of
+filter_report.csv: the record count, the records each rule dropped, and
+the count retained.  An utterance's length is its WAV header's, never an
+annotation cell's: one file holds one utterance, and segments cut from a
+longer file by start/end times are not supported.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
-from .artifacts import read_json, reader_after_comments, write_table
+from .artifacts import read_json, reader_after_comments
 from .audio_io import wav_duration
 from .exceptions import MalformedWavError, UnsupportedFormatError
 
@@ -154,27 +156,13 @@ def _check_id(uid: str, first_line: dict[str, int]) -> None:
                          f"{first_line[uid]}")
 
 
-@dataclass
-class FilterReport:
-    """Drop counts per exclusion rule; counts sum to input - output."""
-
-    total_in: int = 0
-    unknown_context: int = 0
-    landing: int = 0
-    unidentified_emitter: int = 0
-    too_long: int = 0
-    retained: int = 0
-
-    RULES = ("unknown_context", "landing", "unidentified_emitter", "too_long")
-
-    def rows(self) -> list[tuple[str, int]]:
-        return ([("total_in", self.total_in)]
-                + [(rule, getattr(self, rule)) for rule in self.RULES]
-                + [("retained", self.retained)])
+# The exclusion rules in the order they are tried; filter_report.csv has a
+# row per rule between total_in and retained
+FILTER_RULES = ("unknown_context", "landing", "unidentified_emitter", "too_long")
 
 
 def filter_cohort(records: list[Utterance], emitter_placeholders: Iterable[str],
-                  audio_root: str | Path) -> tuple[list[Utterance], FilterReport]:
+                  audio_root: str | Path) -> tuple[list[Utterance], dict[str, int]]:
     """Apply the exclusion rules and build the analysis cohort.
 
     Rules, in order (a dropped record is counted under the first that fires):
@@ -182,34 +170,37 @@ def filter_cohort(records: list[Utterance], emitter_placeholders: Iterable[str],
     schema's placeholder codes), WAV header duration strictly over 3 s.
     Each kept record's audio_path is resolved against audio_root.  A header
     that cannot be read keeps the record, so the stage that loads the file
-    reports it as one file error.
+    reports it as one file error.  Returns the cohort and the counts in
+    filter_report.csv's row order: total_in, one per FILTER_RULES name (the
+    records it dropped), and retained; the rule counts sum to total_in -
+    retained.
     """
     placeholders = frozenset(emitter_placeholders)
     root = Path(audio_root)
     cohort: list[Utterance] = []
-    report = FilterReport(total_in=len(records))
+    counts = {"total_in": len(records), **dict.fromkeys(FILTER_RULES, 0)}
     for rec in records:
-        if rec.context == LABEL_UNKNOWN:
-            report.unknown_context += 1
-            continue
-        if rec.context == LABEL_LANDING:
-            report.landing += 1
-            continue
-        if rec.emitter_id == "" or rec.emitter_id in placeholders:
-            report.unidentified_emitter += 1
-            continue
         utt = replace(rec, audio_path=root / rec.audio_path)
-        try:
-            if wav_duration(utt.audio_path) > MAX_UTTERANCE_S:
-                report.too_long += 1
-                continue
-        except (MalformedWavError, UnsupportedFormatError, OSError):
-            pass
-        cohort.append(utt)
-    report.retained = len(cohort)
-    return cohort, report
+        rule = _dropped_by(utt, placeholders)
+        if rule is None:
+            cohort.append(utt)
+        else:
+            counts[rule] += 1
+    return cohort, {**counts, "retained": len(cohort)}
 
 
-def write_filter_report(path: str | Path, report: FilterReport,
-                        comment: str | None = None) -> None:
-    write_table(path, ("rule", "count"), report.rows(), comment)
+def _dropped_by(utt: Utterance, placeholders: frozenset[str]) -> str | None:
+    """The first of FILTER_RULES that drops utt, or None; a WAV header that
+    cannot be read drops nothing."""
+    if utt.context == LABEL_UNKNOWN:
+        return "unknown_context"
+    if utt.context == LABEL_LANDING:
+        return "landing"
+    if utt.emitter_id == "" or utt.emitter_id in placeholders:
+        return "unidentified_emitter"
+    try:
+        if wav_duration(utt.audio_path) > MAX_UTTERANCE_S:
+            return "too_long"
+    except (MalformedWavError, UnsupportedFormatError, OSError):
+        pass
+    return None

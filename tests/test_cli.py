@@ -471,6 +471,28 @@ def test_extract_and_export_skip_the_same_over_long_clip(tmp_path, monkeypatch):
     assert len(featured) == 11 and featured == exported
 
 
+def test_filter_report_counts_every_rule_in_order(tmp_path):
+    args = _three_class_corpus(tmp_path / "c")
+    annotations, schema = tmp_path / "c" / "annotations.csv", tmp_path / "c" / "schema.json"
+    raw = json.loads(schema.read_text())
+    schema.write_text(json.dumps({**raw, "context_map": {**raw["context_map"],
+                                                         "landing": "landing"}}))
+    write_wav(tmp_path / "c" / "long.wav", sine_clip(9000, duration_s=3.5))
+    with annotations.open("a") as fh:
+        fh.write("x1,bat00,chirping,wavs/u000000.wav\n"     # unmapped context
+                 "x2,bat00,landing,wavs/u000000.wav\n"
+                 "x3,unknown-emitter,biting,wavs/u000000.wav\n"
+                 "x4,,biting,wavs/u000000.wav\n"
+                 "x5,bat01,feeding,long.wav\n")
+    out = tmp_path / "out"
+    assert main(["extract"] + args + ["--seed", "4", "--out", str(out)]) == 0
+    stamp = cli.RunConfig(annotation_file=annotations, schema_file=schema,
+                          audio_dir=tmp_path / "c", seed=4).provenance()
+    assert (out / "filter_report.csv").read_text().splitlines() == [
+        f"# {stamp}", "rule,count", "total_in,17", "unknown_context,1", "landing,1",
+        "unidentified_emitter,2", "too_long,1", "retained,12"]
+
+
 @pytest.mark.parametrize("stage", ["extract", "export-spectrograms"])
 @pytest.mark.parametrize("table, complaint, counts", [
     pytest.param("unmapped", "no utterance is left after filtering; rule "
@@ -696,6 +718,29 @@ def test_train_eval_refuses_a_fold_without_val_utterances(tmp_path, caplog):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
 
 
+def test_train_eval_refuses_a_val_context_missing_from_train(tmp_path, caplog):
+    from usvpipe.partition import FoldPlan, write_fold_plan
+    from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
+    # each emitter bites and feeds and is tested in its own fold; every
+    # biting utterance of fold 1's development set is val
+    records, roles = [], {}
+    for i in range(18):
+        bat, context = i % 3, ("biting", "feeding")[i // 3 % 2]
+        fv = FeatureVector(*(9000.0 + 3000.0 * (context == "feeding") + 10.0 * i
+                             + np.arange(10)))
+        records.append(FeatureRecord(f"u{i:02d}", f"bat{bat}", context, 0.5, fv))
+        roles[f"u{i:02d}"] = tuple(
+            "test" if fold == bat else
+            ("val" if i % 4 == 1 or (fold, context) == (1, "biting") else "train")
+            for fold in range(3))
+    write_feature_csv(tmp_path / "features.csv", records, comment="stamp")
+    write_fold_plan(tmp_path / "folds.csv", FoldPlan(roles), comment="stamp")
+    assert main(["train-eval", "--out", str(tmp_path)]) == 2
+    assert (f"{tmp_path / 'folds.csv'}: the development set of fold 1 holds "
+            "context biting in val but not in train;" in caplog.text)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+
+
 def test_schema_without_a_file_column_exits_2_naming_it(tmp_path, caplog):
     args = _three_class_corpus(tmp_path / "c")
     schema = tmp_path / "c" / "schema.json"
@@ -819,9 +864,9 @@ def test_setting_takes_flag_then_config_file_then_default(tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SETTING_FILE))
-    from_file = cli.RunConfig(
-        annotation_file=Path("c/a.csv"), schema_file=Path("c/s.json"),
-        audio_dir=Path("c/audio"), output_dir=Path("c/out"), seed=5)
+    from_file = cli.RunConfig(  # file paths are under the config's directory
+        annotation_file=tmp_path / "c/a.csv", schema_file=tmp_path / "c/s.json",
+        audio_dir=tmp_path / "c/audio", output_dir=tmp_path / "c/out", seed=5)
     flag_args, flag_value = SETTING_FLAGS[field]
     assert _resolved(["--config", str(config)]) == from_file
     assert _resolved(["--config", str(config)] + flag_args) == replace(
@@ -830,6 +875,26 @@ def test_setting_takes_flag_then_config_file_then_default(tmp_path, monkeypatch,
     config.write_text(json.dumps({k: v for k, v in SETTING_FILE.items() if k != field}))
     default = getattr(cli.RunConfig(), field)
     if field == "audio_dir":  # defaults to the annotation file's directory
-        default = Path("c")
+        default = tmp_path / "c"
     assert getattr(_resolved(["--config", str(config)]), field) == default
     assert getattr(_resolved([]), field) == getattr(cli.RunConfig(), field)
+
+
+def test_config_file_paths_are_relative_to_its_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "c", "--seed", "3", "--emitters", "3",
+                 "--per-class", "1"]) == 0
+    assert json.loads((tmp_path / "c" / "config.json").read_text()) == {
+        "annotation_file": "annotations.csv", "schema_file": "schema.json",
+        "audio_dir": ".", "output_dir": "results", "seed": 3}
+    # run as the quick start shows, the paths resolve to the same strings
+    cfg = _resolved(["--config", "c/config.json"])
+    assert [str(cfg.annotation_file), str(cfg.audio_dir), str(cfg.output_dir)] == [
+        "c/annotations.csv", "c", "c/results"]
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    config = str(tmp_path / "c" / "config.json")
+    assert main(["extract", "--config", config]) == 0
+    assert main(["extract", "--config", config, "--out", "here"]) == 0  # a flag
+    ran_in_c = (tmp_path / "c" / "results" / "features.csv").read_text()
+    assert (tmp_path / "elsewhere" / "here" / "features.csv").read_text() == ran_in_c

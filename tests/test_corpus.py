@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from usvpipe.artifacts import write_table
 from usvpipe.audio_io import AudioClip, write_wav
-from usvpipe.corpus import (CONTEXT_LABELS, FilterReport, SchemaConfig,
+from usvpipe.corpus import (CONTEXT_LABELS, FILTER_RULES, SchemaConfig,
                             filter_cohort, load_annotations)
 
 
@@ -114,7 +114,7 @@ class TestLoadAnnotations:
         cohort, report = filter_cohort(load_annotations(path, schema),
                                        schema.emitter_placeholders, tmp_path)
         assert [u.utterance_id for u in cohort] == ["a1"]
-        assert report.too_long == 1
+        assert report["too_long"] == 1
 
     def test_comment_lines_skipped(self, tmp_path, schema):
         path = tmp_path / "annotations.csv"
@@ -271,7 +271,7 @@ def test_hash_prefixed_id_after_the_header_is_a_row(tmp_path, schema):
     records = load_annotations(path, schema)
     assert [r.utterance_id for r in records] == ["#a1", "a2"]
     _, report = filter_cohort(records, schema.emitter_placeholders, tmp_path)
-    assert report.total_in == report.retained == 2
+    assert report["total_in"] == report["retained"] == 2
 
 
 def test_csv_error_names_path_and_line(tmp_path, schema):
@@ -338,12 +338,9 @@ class TestFilterCohort:
         assert sorted(u.utterance_id for u in cohort) == ["keep1", "keep2"]
         assert sorted(u.audio_path for u in cohort) == [tmp_path / "x.wav",
                                                         tmp_path / "y.wav"]
-        assert report.unknown_context == 1
-        assert report.landing == 1
-        assert report.unidentified_emitter == 2
-        assert report.too_long == 1
-        dropped = sum(getattr(report, rule) for rule in FilterReport.RULES)
-        assert report.total_in - dropped == report.retained == 2
+        assert report == {"total_in": 7, "unknown_context": 1, "landing": 1,
+                          "unidentified_emitter": 2, "too_long": 1, "retained": 2}
+        assert list(report) == ["total_in", *FILTER_RULES, "retained"]
 
     def test_post_filter_labels_admissible(self, tmp_path, schema):
         cohort, _ = filter_cohort(self.records(tmp_path, schema),
@@ -358,7 +355,7 @@ class TestFilterCohort:
             [r for r in records if r.utterance_id in kept][::-1],
             schema.emitter_placeholders, tmp_path)
         assert {u.utterance_id for u in cohort2} == kept
-        assert sum(getattr(report2, rule) for rule in FilterReport.RULES) == 0
+        assert sum(report2[rule] for rule in FILTER_RULES) == 0
 
     def test_duration_from_wav_when_annotation_lacks_it(self, tmp_path, schema):
         write_silence(tmp_path / "x.wav", 3.0 + 1e-3)  # one sample over 3 s
@@ -368,7 +365,7 @@ class TestFilterCohort:
         cohort, report = filter_cohort(load_annotations(path, schema),
                                        schema.emitter_placeholders, tmp_path)
         assert [u.utterance_id for u in cohort] == ["a2"]
-        assert report.too_long == 1
+        assert report["too_long"] == 1
 
     def test_unreadable_header_keeps_the_record(self, tmp_path, schema):
         (tmp_path / "bad.wav").write_bytes(b"RIFFgarbage")
@@ -377,14 +374,4 @@ class TestFilterCohort:
         cohort, report = filter_cohort(load_annotations(path, schema),
                                        schema.emitter_placeholders, tmp_path)
         assert [u.utterance_id for u in cohort] == ["a1", "a2"]
-        assert report.retained == 2
-
-
-def test_filter_report_rows_roundtrip(tmp_path):
-    report = FilterReport(total_in=10, unknown_context=1, landing=2,
-                          unidentified_emitter=3, too_long=0, retained=4)
-    from usvpipe.corpus import write_filter_report
-    path = tmp_path / "report.csv"
-    write_filter_report(path, report, comment="x")
-    text = path.read_text()
-    assert "landing,2" in text and "retained,4" in text
+        assert report["retained"] == 2

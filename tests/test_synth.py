@@ -11,7 +11,7 @@ from usvpipe import audio_io, synth
 from usvpipe.artifacts import write_json, write_table
 from usvpipe.audio_io import write_wav
 from usvpipe.cli import main
-from usvpipe.corpus import FilterReport, SchemaConfig, filter_cohort, load_annotations
+from usvpipe.corpus import FILTER_RULES, SchemaConfig, filter_cohort, load_annotations
 from usvpipe.pitch import contour_stats, extract_f0
 from usvpipe.seeding import rng_for
 from usvpipe.synth import (DURATION_RANGE_S, NOISE_SMOOTHING_S,
@@ -118,7 +118,7 @@ class TestSynthCorpus:
                                        schema.emitter_placeholders,
                                        audio_root=tmp_path / "c1")
         assert len(cohort) == 4
-        assert sum(getattr(report, rule) for rule in FilterReport.RULES) == 0
+        assert sum(report[rule] for rule in FILTER_RULES) == 0
         # same seed reproduces the wav bytes
         a2, _ = synth_corpus(tmp_path / "c2", n_emitters=4, per_class_count=2, seed=3)
         w1 = sorted((tmp_path / "c1" / "wavs").iterdir())
