@@ -1,7 +1,7 @@
 """Mono WAV reading and writing, padded clip lengths, and the per-file thread map.
 
 The target corpora are mono recordings at 250 kHz.  Other rates are
-accepted with a warning (synthetic fixtures deliberately use lower rates);
+accepted with a notice logged at INFO, not a warning (synth writes 50 kHz);
 all window/hop sample counts downstream derive from the actual rate, so
 nothing else special-cases 250 kHz.
 """
@@ -30,7 +30,7 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # bits per sample that each supported encoding may carry
 _SAMPLE_BITS = {_WAVE_FORMAT_PCM: (8, 16, 24, 32), _WAVE_FORMAT_IEEE_FLOAT: (32, 64)}
 
-# one warning per unexpected rate per process, not per file, also when
+# one notice per unexpected rate per process, not per file, also when
 # several threads load files at once
 _warned_rates: set[int] = set()
 _warned_rates_lock = threading.Lock()
@@ -163,8 +163,8 @@ def load_wav(path: str | Path) -> AudioClip:
             first = rate not in _warned_rates
             _warned_rates.add(rate)
         if first:
-            log.warning("sample rate %d Hz differs from the expected corpus rate "
-                        "%d Hz", rate, CORPUS_SAMPLE_RATE_HZ)
+            log.info("sample rate %d Hz differs from the expected corpus rate "
+                     "%d Hz", rate, CORPUS_SAMPLE_RATE_HZ)
     return AudioClip(samples=samples, sample_rate=int(rate), source_id=path.stem)
 
 

@@ -4,6 +4,11 @@ Clips are frequency-modulated sinusoids: a linear trend around a target
 mean plus low-pass-filtered Gaussian jitter, so the 100 ms analysis window
 sees a locally stable pitch.  Fixtures may use rates far below 250 kHz to
 keep runtime small; every downstream parameter derives from the actual rate.
+
+The jitter's single-pole low-pass filter is _low_pass, a numpy block scan
+of the recurrence that lfilter([1 - a], [1, -a], x) runs; at any clip
+length its output stays within 1e-12 * max|y| of lfilter's (the tests
+compare the two), so synth runs on numpy alone.
 """
 from __future__ import annotations
 
@@ -20,6 +25,9 @@ from .seeding import rng_for
 NOISE_SMOOTHING_S = 0.050  # single-pole low-pass time constant for the jitter
 DURATION_RANGE_S = (0.5, 1.0)  # synth_corpus draws clip lengths uniformly from it
 SYNTH_SAMPLE_RATE = 50_000  # Hz, the rate of every clip synth_corpus writes
+# samples per block of _low_pass's scan: it bounds the a**-j it scales by,
+# below 1.6 at 50 kHz and 1.1 at 250 kHz, whatever the clip's length
+_SCAN_BLOCK = 1024
 
 # 11 well-separated classes: means 500 Hz apart, modest jitter, no trend.
 SEPARABLE_CLASS_SPECS = {
@@ -56,6 +64,38 @@ def _check_spec(spec: SynthSpec, sample_rate: int) -> None:
             f"frequency range [{lo:.1f}, {hi:.1f}] Hz outside (0, {sample_rate / 2})")
 
 
+def _low_pass(x: np.ndarray, a: float) -> np.ndarray:
+    """y[n] = a*y[n-1] + (1-a)*x[n] from y[-1] = 0, for 0 < a < 1.
+
+    x is cut into blocks of L = _SCAN_BLOCK samples, j = 0 .. L-1.  A
+    block's response from a zero state is a**j * cumsum((1-a) * a**-j * x).
+    A short loop carries the state s from each block's end to the next, and
+    a*s added to the block's first term before its cumsum adds the state's
+    response a**(j+1) * s.
+    """
+    n = x.size
+    # at rates below about 30 Hz a decays so fast that a**-(_SCAN_BLOCK - 1)
+    # would overflow; a shorter block keeps it below e**600
+    block = min(_SCAN_BLOCK, max(1, int(600.0 / -np.log(a))))
+    rows = -(-n // block)
+    y = np.zeros(rows * block)
+    y[:n] = x
+    y = y.reshape(rows, block)
+    up = a ** np.arange(block)
+    y *= (1.0 - a) / up
+    ends = y.sum(axis=1)
+    ends *= up[-1]  # each block's zero-state response at its last sample
+    starts = np.empty(rows)
+    state, decay = 0.0, a ** block
+    for row, end in enumerate(ends.tolist()):
+        starts[row] = state
+        state = end + decay * state
+    y[:, 0] += a * starts
+    np.cumsum(y, axis=1, out=y)
+    y *= up
+    return y.ravel()[:n]
+
+
 def synth_utterance(spec: SynthSpec, sample_rate: int) -> AudioClip:
     """Phase-continuous FM sinusoid; bit-identical for identical spec and seed.
 
@@ -73,11 +113,8 @@ def synth_utterance(spec: SynthSpec, sample_rate: int) -> AudioClip:
     out *= spec.f0_slope
     out += spec.f0_mean
     if spec.f0_std > 0.0:
-        from scipy.signal import lfilter
-
-        rng = rng_for(spec.seed)
         a = np.exp(-1.0 / (NOISE_SMOOTHING_S * sample_rate))
-        smoothed = lfilter([1.0 - a], [1.0, -a], rng.standard_normal(n))
+        smoothed = _low_pass(rng_for(spec.seed).standard_normal(n), a)
         stationary_std = np.sqrt((1.0 - a) / (1.0 + a))
         out += np.clip(smoothed * (spec.f0_std / stationary_std),
                        -3.0 * spec.f0_std, 3.0 * spec.f0_std)

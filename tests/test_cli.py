@@ -1,5 +1,6 @@
 import errno
 import json
+import logging
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -402,10 +403,12 @@ def test_rate_warning_logged_once_with_two_workers(tmp_path, monkeypatch, caplog
     args = _three_class_corpus(tmp_path / "c", per_class=6)
     monkeypatch.setattr(audio_io, "_warned_rates", set())
     _use_workers(monkeypatch, 2)
+    caplog.set_level(logging.INFO)
     assert main(["extract"] + args + ["--out", str(tmp_path / "out")]) == 0
-    warnings = [r for r in caplog.records
-                if "50000 Hz differs from the expected corpus rate" in r.getMessage()]
-    assert len(warnings) == 1
+    notices = [r.levelname for r in caplog.records
+               if "50000 Hz differs from the expected corpus rate" in r.getMessage()]
+    assert notices == ["INFO"]
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 def _under_report_durations(monkeypatch):

@@ -2,12 +2,11 @@
 
 No linter ships with the toolchain, so this parses each module with ast: an
 imported name that no expression, annotation or quoted annotation of the
-module reads is reported with its module.  Every stage process imports
-usvpipe.cli, so it must load no scipy: importing scipy.signal takes about
-1.5 s and 76 MB.  Only usvpipe.synth uses it, to smooth the jitter of a
-clip with f0_std > 0, and loads it at the first such clip; importing synth
-or building a jitter-free clip loads no scipy module.  The five stages run
-where no scipy module can be imported at all.
+module reads is reported with its module.  usvpipe runs on numpy alone:
+scipy is a test dependency only (importing scipy.signal after usvpipe.cli
+raises max RSS by about 70 MB).  Importing the CLI or synth, or building a
+clip with or without pitch jitter, loads no scipy module, and synth and the
+five stages run where no scipy module can be imported at all.
 """
 import ast
 import os
@@ -18,7 +17,6 @@ from pathlib import Path
 import pytest
 
 import usvpipe
-from usvpipe.synth import synth_corpus
 
 MODULES = sorted(Path(usvpipe.__file__).parent.glob("*.py"))
 
@@ -73,7 +71,7 @@ def test_importing_the_cli_loads_no_scipy():
     assert scipy_modules_after("import usvpipe.cli\nLOADED()") == ["[]"]
 
 
-def test_synth_loads_scipy_signal_only_for_a_jittered_clip():
+def test_synth_loads_no_scipy_jittered_or_not():
     code = ("from dataclasses import replace\n"
             "from usvpipe.synth import SynthSpec, synth_utterance\n"
             "LOADED()\n"
@@ -81,21 +79,24 @@ def test_synth_loads_scipy_signal_only_for_a_jittered_clip():
             "synth_utterance(spec, 50_000)\n"
             "LOADED()\n"
             "synth_utterance(replace(spec, f0_std=50.0), 50_000)\n"
-            "print('scipy.signal' in sys.modules)\n")
-    assert scipy_modules_after(code) == ["[]", "[]", "True"]
+            "LOADED()\n")
+    assert scipy_modules_after(code) == ["[]", "[]", "[]"]
 
 
 def test_the_stages_run_on_numpy_alone(tmp_path):
-    """A stage that imported scipy.fft, say, would cost audio-250k about
-    21 MB of peak RSS; here its import raises ImportError."""
-    annotations, schema = synth_corpus(tmp_path, n_emitters=3, per_class_count=3,
-                                       seed=1)
-    flags = ["--annotations", str(annotations), "--schema", str(schema),
-             "--out", str(tmp_path / "results")]
+    """synth, with its default jittered classes, then the five stages.  A
+    stage that imported scipy.fft, say, would cost audio-250k about 21 MB of
+    peak RSS; here its import raises ImportError."""
+    corpus = tmp_path / "corpus"
     code = ("sys.meta_path.insert(0, NO_SCIPY)\n"
+            "from usvpipe import synth\n"
             "from usvpipe.cli import main\n"
-            f"print([main([stage, *{flags!r}])\n"
-            "       for stage in ('extract', 'partition', 'train-eval', 'table1',\n"
-            "                     'export-spectrograms')])\n"
+            "assert all(spec['f0_std'] > 0 for spec in "
+            "synth.SEPARABLE_CLASS_SPECS.values())\n"
+            f"print([main(['synth', '--out', {str(corpus)!r}, '--seed', '1',\n"
+            "              '--emitters', '3', '--per-class', '3'])]\n"
+            f"      + [main([stage, '--config', {str(corpus / 'config.json')!r}])\n"
+            "         for stage in ('extract', 'partition', 'train-eval', 'table1',\n"
+            "                       'export-spectrograms')])\n"
             "LOADED()\n")
-    assert scipy_modules_after(code)[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
+    assert scipy_modules_after(code)[-2:] == ["[0, 0, 0, 0, 0, 0]", "[]"]

@@ -26,6 +26,10 @@ def spec(**overrides):
     return SynthSpec(**base)
 
 
+def smoothing_pole(sample_rate):
+    return np.exp(-1.0 / (NOISE_SMOOTHING_S * sample_rate))
+
+
 def one_expression_samples(spec, sample_rate):
     """The clip as one expression per quantity, each making a new array: the
     reference the in-place build must match bit for bit."""
@@ -33,14 +37,51 @@ def one_expression_samples(spec, sample_rate):
     t = np.arange(n) / sample_rate
     freq = spec.f0_mean + spec.f0_slope * (t - spec.duration_s / 2.0)
     if spec.f0_std > 0.0:
-        a = np.exp(-1.0 / (NOISE_SMOOTHING_S * sample_rate))
-        smoothed = lfilter([1.0 - a], [1.0, -a],
-                           rng_for(spec.seed).standard_normal(n))
+        a = smoothing_pole(sample_rate)
+        smoothed = synth._low_pass(rng_for(spec.seed).standard_normal(n), a)
         stationary_std = np.sqrt((1.0 - a) / (1.0 + a))
         freq = freq + np.clip(smoothed * (spec.f0_std / stationary_std),
                               -3.0 * spec.f0_std, 3.0 * spec.f0_std)
     phase = 2.0 * np.pi * np.cumsum(freq) / sample_rate
     return spec.amplitude * np.sin(phase)
+
+
+def assert_low_pass_matches_lfilter(x, a):
+    y = synth._low_pass(x, a)
+    assert y.shape == x.shape
+    assert np.all(np.isfinite(y))
+    reference = lfilter([1.0 - a], [1.0, -a], x)
+    bound = 1e-12 * max(reference.max(), -reference.min())
+    reference -= y  # in place: the two-minute clip's arrays are 48 MB each
+    assert max(reference.max(), -reference.min()) <= bound
+
+
+class TestLowPass:
+    """synth._low_pass against scipy.signal.lfilter, the filter it replaces."""
+
+    L = synth._SCAN_BLOCK
+
+    @pytest.mark.parametrize("rate", [50_000, 250_000])
+    @pytest.mark.parametrize("n", [1, L - 1, L, L + 1, 2 * L + 1])
+    def test_block_edges(self, rate, n):
+        x = rng_for(n).standard_normal(n)
+        assert_low_pass_matches_lfilter(x, smoothing_pole(rate))
+
+    def test_three_second_clip_at_250_khz(self):
+        assert_low_pass_matches_lfilter(rng_for(3).standard_normal(750_000),
+                                        smoothing_pole(250_000))
+
+    def test_two_minute_clip_stays_finite(self):
+        """At 50 kHz one scale a**-n over the whole clip would overflow
+        after about 35 s; the blocks bound it whatever the length."""
+        assert_low_pass_matches_lfilter(rng_for(120).standard_normal(120 * 50_000),
+                                        smoothing_pole(50_000))
+
+    def test_pole_that_decays_within_a_block(self):
+        """At 20 Hz, a**-(L - 1) would overflow: the block shortens."""
+        assert (self.L - 1) * -np.log(smoothing_pole(20)) > np.log(np.finfo(float).max)
+        assert_low_pass_matches_lfilter(rng_for(20).standard_normal(3 * self.L + 5),
+                                        smoothing_pole(20))
 
 
 class TestSynthUtterance:
@@ -140,8 +181,8 @@ class TestSynthCorpus:
 
     def test_corpus_is_the_same_for_any_thread_count(self, tmp_path, monkeypatch):
         """Jittered classes, so the worker threads run synth_utterance's
-        scipy.signal import and filter; the reference writes the documented
-        draw serially, in id order."""
+        low-pass scan; the reference writes the documented draw serially,
+        in id order."""
         specs = {"feeding": {"f0_mean": 9000.0, "f0_std": 300.0, "f0_slope": 0.0},
                  "fighting": {"f0_mean": 12000.0, "f0_std": 150.0,
                               "f0_slope": 2000.0}}
