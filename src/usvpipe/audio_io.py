@@ -1,9 +1,11 @@
-"""Mono WAV reading and writing, padded clip lengths, and the per-file thread map.
+"""Mono WAV reading and writing, the 3 s clip limit, and the per-file thread map.
 
 The target corpora are mono recordings at 250 kHz.  Other rates are
 accepted with a notice logged at INFO, not a warning (synth writes 50 kHz);
 all window/hop sample counts downstream derive from the actual rate, so
-nothing else special-cases 250 kHz.
+nothing else special-cases 250 kHz.  MAX_UTTERANCE_S is the one length
+limit: the cohort filter drops a longer WAV header, and padded_length
+refuses a longer clip.
 """
 from __future__ import annotations
 
@@ -18,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_atomic
-from .exceptions import ClipTooLongError, MalformedWavError, UnsupportedFormatError
 
 log = logging.getLogger(__name__)
 
 CORPUS_SAMPLE_RATE_HZ = 250_000
+MAX_UTTERANCE_S = 3.0  # the filter's length limit, and the length export pads to
 
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
@@ -34,6 +36,18 @@ _SAMPLE_BITS = {_WAVE_FORMAT_PCM: (8, 16, 24, 32), _WAVE_FORMAT_IEEE_FLOAT: (32,
 # several threads load files at once
 _warned_rates: set[int] = set()
 _warned_rates_lock = threading.Lock()
+
+
+class MalformedWavError(ValueError):
+    """WAV container unreadable, truncated, or carrying no audio."""
+
+
+class UnsupportedFormatError(ValueError):
+    """WAV encoding outside the mono PCM / IEEE-float contract."""
+
+
+class ClipTooLongError(ValueError):
+    """Clip exceeds the fixed padding duration."""
 
 
 @dataclass(frozen=True)
@@ -191,17 +205,17 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
     write_atomic(path, riff + b"WAVE", fmt, data, memoryview(payload).cast("B"))
 
 
-def padded_length(clip: AudioClip, duration_s: float) -> int:
-    """round(duration_s * rate): the length in samples of the clip zero-padded
-    at the tail to duration_s.
+def padded_length(clip: AudioClip) -> int:
+    """round(MAX_UTTERANCE_S * rate): the length in samples of the clip
+    zero-padded at the tail to MAX_UTTERANCE_S.
 
     Raises ClipTooLongError if the clip is already longer than that.
     """
-    target = int(round(duration_s * clip.sample_rate))
+    target = int(round(MAX_UTTERANCE_S * clip.sample_rate))
     if clip.samples.size > target:
         raise ClipTooLongError(
             f"{clip.source_id or 'clip'}: {clip.samples.size} samples exceed the "
-            f"{duration_s} s target of {target}")
+            f"{MAX_UTTERANCE_S} s target of {target}")
     return target
 
 

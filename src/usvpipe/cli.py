@@ -30,15 +30,14 @@ import numpy as np
 from . import __version__, evaluation, svm
 from .artifacts import read_json, write_json, write_table
 from .audio_io import load_wav, map_ordered, padded_length
-from .corpus import (FILTER_RULES, MAX_UTTERANCE_S, SchemaConfig, Utterance,
-                     filter_cohort, load_annotations)
+from .corpus import (FILTER_RULES, SchemaConfig, Utterance, filter_cohort,
+                     load_annotations)
 from .evaluation import (Prediction, PredictionSet, build_report,
                          write_confusion_csv, write_predictions_csv)
-from .exceptions import ClipTooShortError, EmptyVoicedSetError
 from .partition import FOLD_COUNT, build_plan, read_fold_plan, write_fold_plan
-from .pitch import (FeatureRecord, contour_stats, extract_f0,
+from .pitch import (EmptyVoicedSetError, FeatureRecord, contour_stats, extract_f0,
                     read_feature_csv, write_feature_csv)
-from .spectral import export_spectrogram, write_tensor
+from .spectral import ClipTooShortError, export_spectrogram, write_tensor
 from .svm import nested_select, predict, write_model
 from .synth import synth_corpus
 
@@ -188,7 +187,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     def extract(utt: Utterance):
         clip = load_wav(utt.audio_path)
-        padded_length(clip, MAX_UTTERANCE_S)
+        padded_length(clip)
         return clip.duration_s, contour_stats(extract_f0(clip))
 
     done, status = _per_utterance(cfg, "extract", extract, "skip_report.csv")

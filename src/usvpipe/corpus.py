@@ -5,12 +5,12 @@ a user-editable schema file: annotation releases differ in vocabulary, and
 guessing it in code would be unauditable.  Each annotation row becomes one
 Utterance, keyed by an id that is non-blank, unique and a plain file name,
 since it names the utterance's artifacts.  Filtering applies four rules in
-a fixed order (unknown context, landing, unidentified emitter, over-length,
-named in FILTER_RULES) and returns, with the cohort, the rows of
-filter_report.csv: the record count, the records each rule dropped, and
-the count retained.  An utterance's length is its WAV header's, never an
-annotation cell's: one file holds one utterance, and segments cut from a
-longer file by start/end times are not supported.
+a fixed order (unknown context, landing, unidentified emitter, longer than
+audio_io.MAX_UTTERANCE_S, named in FILTER_RULES) and returns, with the
+cohort, the rows of filter_report.csv: the record count, the records each
+rule dropped, and the count retained.  An utterance's length is its WAV
+header's, never an annotation cell's: one file holds one utterance, and
+segments cut from a longer file by start/end times are not supported.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .artifacts import read_json, reader_after_comments
-from .audio_io import wav_duration
-from .exceptions import MalformedWavError, UnsupportedFormatError
+from .audio_io import (MAX_UTTERANCE_S, MalformedWavError, UnsupportedFormatError,
+                       wav_duration)
 
 CONTEXT_LABELS = (
     "biting", "feeding", "fighting", "general", "grooming", "isolation",
@@ -31,8 +31,6 @@ CONTEXT_LABELS = (
 LABEL_UNKNOWN = "unknown"
 LABEL_LANDING = "landing"
 INGEST_ONLY_LABELS = (LABEL_UNKNOWN, LABEL_LANDING)
-
-MAX_UTTERANCE_S = 3.0  # the filter's length limit, and the length export pads to
 
 
 # Annotation column roles, all required; the schema's "columns" maps each to a

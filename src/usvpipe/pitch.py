@@ -20,12 +20,16 @@ import numpy as np
 from .artifacts import read_table, write_table
 from .audio_io import AudioClip
 from .corpus import CONTEXT_LABELS
-from .exceptions import EmptyVoicedSetError
 from .spectral import stft_samples
 
 PITCH_WINDOW_S = 0.100
 PITCH_HOP_S = 0.016
 GATE_DB = 20.0
+
+
+class EmptyVoicedSetError(ValueError):
+    """Contour has no voiced frames, so voiced statistics are undefined."""
+
 
 @dataclass(frozen=True)
 class PitchContour:

@@ -31,8 +31,6 @@ import numpy as np
 
 from .artifacts import write_atomic
 from .audio_io import AudioClip, padded_length
-from .corpus import MAX_UTTERANCE_S
-from .exceptions import ClipTooShortError
 
 EXPORT_WINDOW_SAMPLES = 4096
 EXPORT_HOP_S = 0.010
@@ -45,6 +43,10 @@ _TENSOR_DTYPE_F32 = 1
 # frames, so the windowed copy and its complex spectrum stay small for any
 # clip length instead of each matching the whole magnitude matrix.
 _STFT_BLOCK_BYTES = 2 << 20
+
+
+class ClipTooShortError(ValueError):
+    """Clip shorter than one analysis window."""
 
 
 @dataclass(frozen=True)
@@ -159,15 +161,15 @@ def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int,
 
 
 def export_spectrogram(clip: AudioClip) -> Spectrogram:
-    """Spectrogram for external consumers: the clip zero-padded to the cohort
-    filter's MAX_UTTERANCE_S (3 s), 4096-sample window, 10 ms hop.
+    """Spectrogram for external consumers: the clip zero-padded to
+    audio_io.MAX_UTTERANCE_S (3 s), 4096-sample window, 10 ms hop.
 
     At 250 kHz this yields exactly 299 frames x 2049 bins.  Magnitudes are
     linear float32; consumers apply their own compression.  No padded copy
     of the clip is made, and frames that lie wholly in the padding stay 0
     without a transform.  Raises ClipTooLongError for a clip over 3 s.
     """
-    span = padded_length(clip, MAX_UTTERANCE_S)
+    span = padded_length(clip)
     hop_samples = int(round(EXPORT_HOP_S * clip.sample_rate))
     mags = np.zeros((_frame_count(clip, EXPORT_WINDOW_SAMPLES, hop_samples, span),
                      EXPORT_WINDOW_SAMPLES // 2 + 1), dtype="<f4")

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usvpipe import audio_io
-from usvpipe.audio_io import (AudioClip, load_wav, padded_length, wav_duration,
-                              write_wav)
-from usvpipe.exceptions import (ClipTooLongError, MalformedWavError,
-                                UnsupportedFormatError)
+from usvpipe.audio_io import (AudioClip, ClipTooLongError, MalformedWavError,
+                              UnsupportedFormatError, load_wav, padded_length,
+                              wav_duration, write_wav)
 from usvpipe.spectral import export_spectrogram
 
 from conftest import one_shot_stft, write_raw_wav
@@ -147,7 +146,7 @@ def test_wav_duration_matches_full_load(tmp_wav_factory):
 
 
 class TestPadToDuration:
-    """Export pads a clip at the tail to padded_length(clip, 3 s) samples,
+    """Export pads a clip at the tail to padded_length(clip) samples (3 s),
     reading the padding as zeros instead of copying the clip."""
 
     # one 4096-sample frame of ones under the Hann window
@@ -155,7 +154,7 @@ class TestPadToDuration:
 
     def test_one_second_clip_padded_to_three(self):
         clip = AudioClip(samples=np.ones(250_000), sample_rate=250_000)
-        assert padded_length(clip, 3.0) == 750_000
+        assert padded_length(clip) == 750_000
         mags = export_spectrogram(clip).magnitudes
         assert mags.shape == (299, 2049)  # 750 000 samples at a 2500-sample hop
         assert np.all(mags[:(250_000 - 4096) // 2500 + 1] == self.ONES)  # in the clip
@@ -163,7 +162,7 @@ class TestPadToDuration:
 
     def test_exact_length_clip_unchanged(self):
         clip = AudioClip(samples=np.ones(750_000), sample_rate=250_000)
-        assert padded_length(clip, 3.0) == 750_000
+        assert padded_length(clip) == 750_000
         mags = export_spectrogram(clip).magnitudes
         assert mags.shape == (299, 2049)
         assert np.all(mags == self.ONES)
@@ -171,7 +170,7 @@ class TestPadToDuration:
     def test_over_length_clip_rejected(self):
         clip = AudioClip(samples=np.ones(800_000), sample_rate=250_000)
         with pytest.raises(ClipTooLongError):
-            padded_length(clip, 3.0)
+            padded_length(clip)
         with pytest.raises(ClipTooLongError):
             export_spectrogram(clip)
 
@@ -181,7 +180,7 @@ class TestPadToDuration:
         write_raw_wav(path, fmt_tag=3, bits=32,
                       payload=rng.uniform(-1, 1, 5000).astype("<f4").tobytes())
         loaded = load_wav(path)
-        assert padded_length(loaded, 0.5) == 25_000
+        assert padded_length(loaded) == 150_000
         padded = np.pad(loaded.samples, (0, 150_000 - 5000))  # 3 s at 50 kHz
         np.testing.assert_array_equal(export_spectrogram(loaded).magnitudes,
                                       one_shot_stft(padded, 4096, 500).astype(np.float32))

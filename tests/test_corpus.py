@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usvpipe.artifacts import write_table
-from usvpipe.audio_io import AudioClip, write_wav
+from usvpipe.audio_io import (AudioClip, ClipTooLongError, load_wav,
+                              padded_length, write_wav)
 from usvpipe.corpus import (CONTEXT_LABELS, FILTER_RULES, SchemaConfig,
                             filter_cohort, load_annotations)
 
@@ -357,15 +358,22 @@ class TestFilterCohort:
         assert {u.utterance_id for u in cohort2} == kept
         assert sum(report2[rule] for rule in FILTER_RULES) == 0
 
-    def test_duration_from_wav_when_annotation_lacks_it(self, tmp_path, schema):
-        write_silence(tmp_path / "x.wav", 3.0 + 1e-3)  # one sample over 3 s
-        write_silence(tmp_path / "y.wav", 3.0)
+    @pytest.mark.parametrize("rate", [1_000, 11_025, 44_100, 250_000])
+    def test_duration_from_wav_when_annotation_lacks_it(self, tmp_path, schema, rate):
+        """The filter's header rule, in seconds, and the stages' padded_length,
+        in samples, part the same two files: 3 s, and one sample over."""
+        limit = round(3 * rate)
+        for name, size in (("x.wav", limit + 1), ("y.wav", limit)):
+            write_wav(tmp_path / name, AudioClip(samples=[0.0] * size, sample_rate=rate))
         path = write_annotations(tmp_path, ["a1,b-17,7,x.wav", "a2,b-17,7,y.wav"],
                                  header="uid,bat,ctx,wav")
         cohort, report = filter_cohort(load_annotations(path, schema),
                                        schema.emitter_placeholders, tmp_path)
         assert [u.utterance_id for u in cohort] == ["a2"]
         assert report["too_long"] == 1
+        assert padded_length(load_wav(tmp_path / "y.wav")) == limit
+        with pytest.raises(ClipTooLongError):
+            padded_length(load_wav(tmp_path / "x.wav"))
 
     def test_unreadable_header_keeps_the_record(self, tmp_path, schema):
         (tmp_path / "bad.wav").write_bytes(b"RIFFgarbage")

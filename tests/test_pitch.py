@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from usvpipe import pitch
 from usvpipe.audio_io import AudioClip
-from usvpipe.exceptions import ClipTooShortError, EmptyVoicedSetError
-from usvpipe.pitch import (GATE_DB, FeatureRecord, FeatureVector, PitchContour,
-                           contour_stats, extract_f0, read_feature_csv,
-                           write_feature_csv)
-from usvpipe.spectral import _STFT_BLOCK_BYTES
+from usvpipe.pitch import (GATE_DB, EmptyVoicedSetError, FeatureRecord,
+                           FeatureVector, PitchContour, contour_stats, extract_f0,
+                           read_feature_csv, write_feature_csv)
+from usvpipe.spectral import _STFT_BLOCK_BYTES, ClipTooShortError
 
 from conftest import sine_clip
 

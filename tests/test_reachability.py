@@ -3,15 +3,15 @@
 Every public function, method and property is reached by a stage: the first
 test runs `synth` and the five stages on a tiny corpus under a profiler that
 records each Python function called, in worker threads too, and names each
-public member no stage calls.  Every parameter with a default is passed: a
-static check parses usvpipe and the benchmark scripts (test files aside)
-with ast and names each defaulted parameter of a public function or method
-that no call there passes, by keyword or by position.
+public member no stage calls.  Static checks parse usvpipe and the
+benchmark scripts (test files aside) with ast.  One names each defaulted
+parameter of a public function or method that no call there passes, by
+keyword or by position.  The other names each parameter that every call
+there passes the same literal or ALL_CAPS constant: it would be a constant.
 """
 import ast
 import importlib
 import inspect
-import math
 import pkgutil
 import sys
 import threading
@@ -96,18 +96,27 @@ def test_every_public_member_is_reached_by_a_stage(tmp_path, monkeypatch):
 # (parameter)" -> the reason.
 ALLOWED_DEFAULTS: dict[str, str] = {}
 
+# Parameters that every call in usvpipe or the benchmark scripts passes the
+# same literal or ALL_CAPS constant, each kept for a reason outside those
+# calls: "module.function(parameter)" -> the reason.
+ALLOWED_CONSTANT_ARGUMENTS: dict[str, str] = {}
+
 PACKAGE = Path(usvpipe.__file__).parent
 CALLERS = sorted(PACKAGE.glob("*.py")) + sorted(
     path for path in (Path(__file__).resolve().parents[1] / "benchmarks").glob("*.py")
     if not path.name.startswith("test_"))
 
+# What a call passes for a parameter when a *args or **kwargs may hold it
+SPLAT = object()
 
-def defaulted_parameters(source: str, module: str) -> dict:
+
+def public_parameters(source: str, module: str) -> dict:
     """"module.function(parameter)" -> (function name, parameter name, the
-    parameter's position among a call's arguments, or None if keyword-only)
-    for each defaulted parameter of a public function or method.  A method
-    called as obj.method(...) or Class.method(...) is not passed its first
-    parameter, so a method's positions count from its second."""
+    parameter's position among a call's arguments or None if keyword-only,
+    whether it has a default) for each named parameter of a public function
+    or method.  A method called as obj.method(...) or Class.method(...) is
+    not passed its first parameter, so a method's positions count from its
+    second, and that first parameter is left out."""
     tree = ast.parse(source)
     scopes = [(module, tree.body, 0)] + [
         (f"{module}.{node.name}", node.body, 1) for node in tree.body
@@ -119,51 +128,104 @@ def defaulted_parameters(source: str, module: str) -> dict:
                 continue
             static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                          for d in node.decorator_list)
+            skip = bound and not static
             positional = node.args.posonlyargs + node.args.args
             first = len(positional) - len(node.args.defaults)
-            for i, arg in enumerate(positional[first:], first):
+            for i, arg in enumerate(positional[skip:], skip):
                 found[f"{scope}.{node.name}({arg.arg})"] = (
-                    node.name, arg.arg, i - (bound and not static))
+                    node.name, arg.arg, i - skip, i >= first)
             for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
-                if default is not None:
-                    found[f"{scope}.{node.name}({arg.arg})"] = (node.name, arg.arg, None)
+                found[f"{scope}.{node.name}({arg.arg})"] = (
+                    node.name, arg.arg, None, default is not None)
     return found
 
 
-def call_sites(source: str) -> list[tuple[str, float, set]]:
-    """(callee name, positional argument count, keyword names) of each call
-    whose callee is a name or an attribute; a *args counts as any number of
-    positional arguments, and a **kwargs as the keyword None, every name."""
+def call_sites(source: str) -> list[tuple[str, list, dict]]:
+    """(callee name, positional argument expressions, keyword name ->
+    argument expression) of each call whose callee is a name or an
+    attribute; a **kwargs is the keyword None."""
     calls = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-            count = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
-                     else len(node.args))
             calls.append((getattr(node.func, "id", getattr(node.func, "attr", None)),
-                          count, {keyword.arg for keyword in node.keywords}))
+                          node.args, {keyword.arg: keyword.value
+                                      for keyword in node.keywords}))
     return calls
 
 
+def passed(call: tuple, name: str, position: int | None):
+    """The expression call passes for the parameter, SPLAT if a *args or
+    **kwargs may pass it, or None if it passes nothing."""
+    _callee, args, keywords = call
+    if name in keywords:
+        return keywords[name]
+    if position is not None:
+        for i, arg in enumerate(args):
+            if isinstance(arg, ast.Starred):
+                return SPLAT
+            if i == position:
+                return arg
+    return SPLAT if None in keywords else None
+
+
 def unpassed_defaults(parameters: dict, calls: list) -> list[str]:
-    """The keys of parameters that no call to a function of that name passes."""
-    return sorted(key for key, (function, name, position) in parameters.items()
-                  if not any(callee == function and (
-                      name in keywords or None in keywords
-                      or (position is not None and count > position))
-                      for callee, count, keywords in calls))
+    """The keys of the defaulted parameters that no call to a function of
+    that name passes."""
+    return sorted(key for key, (function, name, position, defaulted)
+                  in parameters.items() if defaulted and not any(
+                      call[0] == function and passed(call, name, position) is not None
+                      for call in calls))
+
+
+def _constant(expr) -> str | None:
+    """The ALL_CAPS name expr refers to (LIMIT, module.LIMIT), expr's dump if
+    it is a literal, or None."""
+    if isinstance(expr, (ast.Name, ast.Attribute)):
+        name = getattr(expr, "id", getattr(expr, "attr", ""))
+        return name if name.isupper() else None
+    try:
+        ast.literal_eval(expr)
+    except (ValueError, TypeError):
+        return None
+    return ast.dump(expr)
+
+
+def constant_arguments(parameters: dict, calls: list) -> list[str]:
+    """The keys of the parameters that one or more calls to a function of
+    that name pass, every one of them the same literal or ALL_CAPS constant."""
+    named = []
+    for key, (function, name, position, _defaulted) in parameters.items():
+        values = [passed(call, name, position) for call in calls if call[0] == function]
+        constants = {_constant(value) if isinstance(value, ast.expr) else None
+                     for value in values}
+        if len(constants) == 1 and None not in constants:
+            named.append(key)
+    return sorted(named)
+
+
+def _usvpipe_parameters_and_calls() -> tuple[dict, list]:
+    parameters = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        parameters.update(public_parameters(path.read_text(), f"usvpipe.{path.stem}"))
+    calls = [call for path in CALLERS for call in call_sites(path.read_text())]
+    return parameters, calls
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
-    parameters = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        parameters.update(defaulted_parameters(path.read_text(),
-                                               f"usvpipe.{path.stem}"))
-    calls = [call for path in CALLERS for call in call_sites(path.read_text())]
-    unpassed = unpassed_defaults(parameters, calls)
+    unpassed = unpassed_defaults(*_usvpipe_parameters_and_calls())
     extra = [key for key in unpassed if key not in ALLOWED_DEFAULTS]
     assert not extra, f"no call in usvpipe or benchmarks/ passes {', '.join(extra)}"
     stale = sorted(ALLOWED_DEFAULTS.keys() - set(unpassed))
     assert not stale, f"allowed defaults that are gone or now passed: {stale}"
+
+
+def test_no_parameter_is_always_passed_one_constant():
+    constant = constant_arguments(*_usvpipe_parameters_and_calls())
+    extra = [key for key in constant if key not in ALLOWED_CONSTANT_ARGUMENTS]
+    assert not extra, ("every call in usvpipe and benchmarks/ passes one constant "
+                       f"for {', '.join(extra)}")
+    stale = sorted(ALLOWED_CONSTANT_ARGUMENTS.keys() - set(constant))
+    assert not stale, f"allowed constant arguments that are gone or now vary: {stale}"
 
 
 def test_an_unpassed_default_is_named():
@@ -172,5 +234,17 @@ def test_an_unpassed_default_is_named():
               "    @staticmethod\n    def s(h=6):\n        pass\n"
               "def _private(i=7):\n    pass\n")
     callers = "f(0, 1, c=2)\nk.m(4)\nK.s(**options)\n"
-    assert unpassed_defaults(defaulted_parameters(source, "mod"),
+    assert unpassed_defaults(public_parameters(source, "mod"),
                              call_sites(callers)) == ["mod.K.m(g)", "mod.f(d)"]
+
+
+def test_a_parameter_always_passed_one_constant_is_named():
+    source = ("def f(a, b, c, *, d, e=1):\n    pass\n"
+              "class K:\n    def m(self, g, h):\n        pass\n"
+              "def s(i):\n    pass\n"
+              "def unused(j):\n    pass\n"
+              "def _private(k):\n    pass\n")
+    callers = ("f(x, 2, LIMIT, d='s', e=-1)\nf(y, 2, mod.LIMIT, d='t')\n"
+               "k.m(3, h=OTHER)\nK.m(3, h=other)\ns(*args)\n_private(4)\n")
+    assert constant_arguments(public_parameters(source, "mod"), call_sites(callers)) == [
+        "mod.K.m(g)", "mod.f(b)", "mod.f(c)"]

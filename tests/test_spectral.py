@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usvpipe import spectral
-from usvpipe.audio_io import AudioClip
-from usvpipe.exceptions import ClipTooShortError
-from usvpipe.spectral import (_STFT_BLOCK_BYTES, export_spectrogram, read_tensor,
-                              stft_samples, write_tensor)
+from usvpipe.audio_io import AudioClip, ClipTooLongError
+from usvpipe.spectral import (_STFT_BLOCK_BYTES, ClipTooShortError, export_spectrogram,
+                              read_tensor, stft_samples, write_tensor)
 
 from conftest import brute_force_dft_magnitudes, one_shot_stft, sine_clip
 
@@ -278,7 +277,6 @@ class TestExportSpectrogram:
         assert np.all(spec.magnitudes == 0.0)
 
     def test_over_length_clip_propagates(self):
-        from usvpipe.exceptions import ClipTooLongError
         clip = AudioClip(samples=np.zeros(775_000), sample_rate=250_000)  # 3.1 s
         with pytest.raises(ClipTooLongError):
             export_spectrogram(clip)
