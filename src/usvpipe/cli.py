@@ -4,7 +4,9 @@ Stages communicate exclusively through files under the output directory
 (features.csv, folds.csv, ...), so a 35k-utterance corpus can be processed
 stage by stage and audited in between.  Every text artifact starts with a
 provenance comment (tool version, seed, config hash) and reruns with
-identical inputs and seed are byte-identical.
+identical inputs and seed are byte-identical.  partition and train-eval
+check the fold plan by one function, partition.fold_sides, so partition
+writes no folds.csv that train-eval refuses.
 
 The per-utterance stages (extract, export-spectrograms), like synth, run
 their files through audio_io.map_ordered, on a thread per CPU the process
@@ -34,7 +36,7 @@ from .corpus import (FILTER_RULES, SchemaConfig, Utterance, filter_cohort,
                      load_annotations)
 from .evaluation import (Prediction, PredictionSet, build_report,
                          write_confusion_csv, write_predictions_csv)
-from .partition import FOLD_COUNT, build_plan, read_fold_plan, write_fold_plan
+from .partition import FOLD_COUNT, build_plan, fold_sides, read_fold_plan, write_fold_plan
 from .pitch import (EmptyVoicedSetError, FeatureRecord, contour_stats, extract_f0,
                     read_feature_csv, write_feature_csv)
 from .spectral import ClipTooShortError, export_spectrogram, write_tensor
@@ -200,11 +202,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    """Build the subject-independent 3-fold plan from the feature table."""
+    """Build the subject-independent 3-fold plan from the feature table, and
+    write it only if train-eval could use it (partition.fold_sides)."""
     cfg = _resolve_config(args)
-    records = read_feature_csv(cfg.output_dir / "features.csv")
+    out = cfg.output_dir
+    records = read_feature_csv(out / "features.csv")
     plan = build_plan(records, cfg.seed)
-    write_fold_plan(cfg.output_dir / "folds.csv", plan, comment=cfg.provenance())
+    fold_sides(plan, records, out / "features.csv", out / "folds.csv")
+    write_fold_plan(out / "folds.csv", plan, comment=cfg.provenance())
     print(f"partition: {len(records)} utterances over {FOLD_COUNT} folds")
     return 0
 
@@ -214,44 +219,15 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     features_path = cfg.output_dir / "features.csv"
     folds_path = cfg.output_dir / "folds.csv"
-    records = read_feature_csv(features_path)
-    plan = read_fold_plan(folds_path)
-    by_id = {r.utterance_id: r for r in records}
-    featured, planned = by_id.keys(), plan.roles.keys()
-    problems = [(uid, "has no row in folds.csv") for uid in featured - planned]
-    problems += [(uid, "has no row in features.csv") for uid in planned - featured]
-    if problems:
-        uid, reason = min(problems)
-        raise ValueError(f"{features_path} and {folds_path} must list the same "
-                         f"utterances once each: utterance {uid} {reason}")
-
-    memberships = [plan.fold_membership(fold) for fold in range(FOLD_COUNT)]
-    for fold, (train_ids, val_ids, _test_ids) in enumerate(memberships):
-        contexts = sorted({by_id[uid].context for uid in train_ids + val_ids})
-        if len(contexts) < 2:
-            raise ValueError(f"{folds_path}: the development set of fold {fold} "
-                             f"holds only context {', '.join(contexts)}; training "
-                             "needs two or more")
-        if not val_ids:
-            raise ValueError(f"{folds_path}: the development set of fold {fold} "
-                             "holds no val utterance; cost selection needs one "
-                             "or more")
-        untrained = sorted({by_id[uid].context for uid in val_ids}
-                           - {by_id[uid].context for uid in train_ids})
-        if untrained:
-            raise ValueError(f"{folds_path}: the development set of fold {fold} "
-                             f"holds context {', '.join(untrained)} in val but not "
-                             "in train; cost selection needs each val context in "
-                             "train")
-
+    sides = fold_sides(read_fold_plan(folds_path), read_feature_csv(features_path),
+                       features_path, folds_path)
     predictions: list[Prediction] = []
     diagnostics: dict[str, dict] = defaultdict(dict)  # report.json key -> fold -> value
-    for fold, (train_ids, val_ids, test_ids) in enumerate(memberships):
-        dev_ids = train_ids + val_ids
-        X_dev = np.array([by_id[uid].features.as_row() for uid in dev_ids])
-        y_dev = [by_id[uid].context for uid in dev_ids]
-        model, diag = nested_select(X_dev, y_dev, np.arange(len(train_ids)),
-                                    np.arange(len(train_ids), len(dev_ids)))
+    for fold, (train, val, test) in enumerate(sides):
+        dev = train + val
+        model, diag = nested_select(np.array([r.features.as_row() for r in dev]),
+                                    [r.context for r in dev], np.arange(len(train)),
+                                    np.arange(len(train), len(dev)))
         write_model(cfg.output_dir / f"model_fold{fold}.csv", model,
                     comment=cfg.provenance())
         for key, value in diag.items():
@@ -262,13 +238,11 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
                         diag["capped_machines"], svm.SOLVER_MAX_EPOCHS,
                         svm.SOLVER_GAP)
 
-        X_test = np.array([by_id[uid].features.as_row() for uid in test_ids])
-        for uid, predicted in zip(test_ids, predict(model, X_test)):
-            predictions.append(Prediction(utterance_id=uid,
-                                          true_label=by_id[uid].context,
-                                          predicted_label=predicted, fold=fold))
+        X_test = np.array([r.features.as_row() for r in test])
+        predictions += [Prediction(r.utterance_id, r.context, predicted, fold)
+                        for r, predicted in zip(test, predict(model, X_test))]
         log.info("fold %d: cost %g, %d test predictions",
-                 fold, diag["chosen_costs"], len(test_ids))
+                 fold, diag["chosen_costs"], len(test))
 
     preds = PredictionSet(predictions)
     report = build_report(preds, seed=cfg.seed)

@@ -1,18 +1,20 @@
-"""Subject-independent 3-fold plans with stratified inner train/validation splits.
+"""Subject-independent 3-fold plans with stratified inner train/validation
+splits, and the rules a plan must meet to be trained and tested on.
 
-The plan reads the utterance id, emitter and context of the feature table's
-records (pitch.FeatureRecord).  Emitters (not utterances) are assigned to
-three groups so that no individual appears in both the development and test
-side of any fold.  Exact joint balancing of labels and sizes is NP-hard, so
-the assignment is a greedy heuristic: emitters in descending utterance
-count, each placed in the group minimising L1 label divergence from the
-global distribution plus a group-size penalty.  Everything is deterministic
-given the seed, which is consumed only to break exact ties.
+A plan maps each utterance id of the feature table (pitch.FeatureRecord) to
+its role in folds 0, 1 and 2, as folds.csv holds.  Emitters (not utterances)
+are assigned to three groups so that no individual appears in both the
+development and test side of any fold.  Exact joint balancing of labels and
+sizes is NP-hard, so the assignment is a greedy heuristic: emitters in
+descending utterance count, each placed in the group minimising L1 label
+divergence from the global distribution plus a group-size penalty.  Everything
+is deterministic given the seed, which only breaks exact ties.  fold_sides
+checks every rule of a plan: partition runs it before it writes folds.csv,
+train-eval after it reads it.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 
 from .artifacts import read_table, write_table
@@ -25,21 +27,6 @@ ROLE_TEST = "test"
 ROLE_TRAIN = "train"
 ROLE_VAL = "val"
 FOLD_CSV_HEADER = ("utterance_id", "fold", "role")
-
-
-@dataclass(frozen=True)
-class FoldPlan:
-    """Each utterance's role in folds 0, 1 and 2: test in exactly one, train
-    or val in the others.  Row for row what folds.csv holds."""
-
-    roles: dict[str, tuple[str, ...]]
-
-    def fold_membership(self, fold: int) -> tuple[list[str], list[str], list[str]]:
-        """Sorted (train, val, test) utterance ids for one fold."""
-        members: dict[str, list[str]] = {ROLE_TRAIN: [], ROLE_VAL: [], ROLE_TEST: []}
-        for uid in sorted(self.roles):
-            members[self.roles[uid][fold]].append(uid)
-        return members[ROLE_TRAIN], members[ROLE_VAL], members[ROLE_TEST]
 
 
 def make_folds(cohort: list[FeatureRecord], seed: int) -> dict[str, int]:
@@ -127,30 +114,29 @@ def split_dev(test_fold: dict[str, int], fold: int, cohort: list[FeatureRecord],
     return roles
 
 
-def build_plan(cohort: list[FeatureRecord], seed: int) -> FoldPlan:
+def build_plan(cohort: list[FeatureRecord], seed: int) -> dict[str, tuple[str, ...]]:
     """make_folds plus the inner split of every fold's development set."""
     test_fold = make_folds(cohort, seed)
     dev_roles = [split_dev(test_fold, fold, cohort, seed) for fold in range(FOLD_COUNT)]
-    return FoldPlan({uid: tuple(ROLE_TEST if fold == tested else dev_roles[fold][uid]
-                                for fold in range(FOLD_COUNT))
-                     for uid, tested in test_fold.items()})
+    return {uid: tuple(ROLE_TEST if fold == tested else dev_roles[fold][uid]
+                       for fold in range(FOLD_COUNT))
+            for uid, tested in test_fold.items()}
 
 
-def write_fold_plan(path: str | Path, plan: FoldPlan,
+def write_fold_plan(path: str | Path, plan: dict[str, tuple[str, ...]],
                     comment: str | None = None) -> None:
     """Serialise as utterance_id,fold,role rows, sorted for byte stability."""
     write_table(path, FOLD_CSV_HEADER,
-                ((uid, fold, role) for uid in sorted(plan.roles)
-                 for fold, role in enumerate(plan.roles[uid])), comment)
+                ((uid, fold, role) for uid in sorted(plan)
+                 for fold, role in enumerate(plan[uid])), comment)
 
 
-def read_fold_plan(path: str | Path) -> FoldPlan:
+def read_fold_plan(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Read back a plan written by write_fold_plan.
 
     Raises ValueError naming the file and the utterance unless every
     utterance has one known role in each of the FOLD_COUNT folds and exactly
-    one test fold, and naming the file and the fold unless every fold tests
-    one or more utterances.
+    one test fold.  fold_sides checks the folds themselves.
     """
     cells: dict[str, list[tuple[str, str]]] = defaultdict(list)
     for uid, fold, role in read_table(path, FOLD_CSV_HEADER):
@@ -168,10 +154,53 @@ def read_fold_plan(path: str | Path) -> FoldPlan:
                 f"role of {ROLE_TEST}/{ROLE_TRAIN}/{ROLE_VAL} in each of folds "
                 f"{', '.join(folds)} and exactly one {ROLE_TEST} role")
         roles[uid] = uid_roles
-    tested = {str(uid_roles.index(ROLE_TEST)) for uid_roles in roles.values()}
-    empty = [fold for fold in folds if fold not in tested]
-    if empty:
-        raise ValueError(f"{path}: no utterance is tested in fold "
-                         f"{', '.join(empty)}; each of the {FOLD_COUNT} folds must "
-                         "test one or more")
-    return FoldPlan(roles)
+    return roles
+
+
+def fold_sides(plan: dict[str, tuple[str, ...]], records: list[FeatureRecord],
+               features_path: Path, folds_path: Path) -> list[tuple[list, ...]]:
+    """Each fold's (train, val, test) records, in utterance-id order.
+
+    Raises ValueError unless the plan and the records list the same
+    utterances, and then, fold by fold, unless the fold tests one or more
+    utterances, no tested emitter is in its development set, and that set
+    holds two or more contexts, a val utterance and each val context in train.
+    """
+    by_id = {r.utterance_id: r for r in records}
+    featured, planned = by_id.keys(), plan.keys()
+    problems = [(uid, "has no row in folds.csv") for uid in featured - planned]
+    problems += [(uid, "has no row in features.csv") for uid in planned - featured]
+    if problems:
+        uid, reason = min(problems)
+        raise ValueError(f"{features_path} and {folds_path} must list the same "
+                         f"utterances once each: utterance {uid} {reason}")
+    sides = []
+    for fold in range(FOLD_COUNT):
+        side = {ROLE_TRAIN: [], ROLE_VAL: [], ROLE_TEST: []}
+        for uid in sorted(plan):
+            side[plan[uid][fold]].append(by_id[uid])
+        train, val, test = side[ROLE_TRAIN], side[ROLE_VAL], side[ROLE_TEST]
+        if not test:
+            raise ValueError(f"{folds_path}: no utterance is tested in fold {fold}; "
+                             f"each of the {FOLD_COUNT} folds must test one or more")
+        dev = train + val
+        shared = sorted({r.emitter_id for r in test} & {r.emitter_id for r in dev})
+        if shared:
+            raise ValueError(f"{folds_path}: emitter {shared[0]} is in both the test "
+                             f"and the development set of fold {fold}; folds must be "
+                             "emitter-disjoint")
+        contexts = sorted({r.context for r in dev})
+        if len(contexts) < 2:
+            raise ValueError(f"{folds_path}: the development set of fold {fold} "
+                             f"holds only context {', '.join(contexts)}; training "
+                             "needs two or more")
+        if not val:
+            raise ValueError(f"{folds_path}: the development set of fold {fold} holds "
+                             "no val utterance; cost selection needs one or more")
+        untrained = sorted({r.context for r in val} - {r.context for r in train})
+        if untrained:
+            raise ValueError(f"{folds_path}: the development set of fold {fold} holds "
+                             f"context {', '.join(untrained)} in val but not in train; "
+                             "cost selection needs each val context in train")
+        sides.append((train, val, test))
+    return sides

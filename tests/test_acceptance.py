@@ -185,15 +185,15 @@ def test_criterion_6_partition_invariants(e2e_run):
 
     tested = Counter()
     for fold in range(3):
-        _, _, test = plan.fold_membership(fold)
-        tested.update(test)
+        tested.update(uid for uid, roles in plan.items() if roles[fold] == "test")
     coverage = len(tested) == n and set(tested.values()) == {1}
 
     disjoint = True
     l1_ok = True
     strat_ok = True
     for fold in range(3):
-        train, val, test = plan.fold_membership(fold)
+        train, val, test = ([uid for uid in sorted(plan) if plan[uid][fold] == role]
+                            for role in ("train", "val", "test"))
         dev_emitters = {records[u].emitter_id for u in train + val}
         test_emitters = {records[u].emitter_id for u in test}
         disjoint = disjoint and not (dev_emitters & test_emitters)

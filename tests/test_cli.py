@@ -309,7 +309,7 @@ def test_hash_prefixed_utterance_id_is_tested_once(tmp_path):
     assert main(["extract"] + args) == 0
     assert main(["partition"] + args) == 0
     plan = read_fold_plan(out / "folds.csv")
-    assert sorted(plan.roles) == ["#u000000"] + [f"u{i:06d}" for i in range(1, 6)]
+    assert sorted(plan) == ["#u000000"] + [f"u{i:06d}" for i in range(1, 6)]
 
 
 def _three_class_corpus(root, per_class=4, seed=9):
@@ -661,7 +661,7 @@ def test_a_few_utterances_per_emitter_run_through_table1_with_every_fold_tested(
         assert main([stage] + config) == 0, stage
     from usvpipe.partition import read_fold_plan
     plan = read_fold_plan(corpus / "results" / "folds.csv")
-    tested = [len(plan.fold_membership(fold)[2]) for fold in range(3)]
+    tested = [sum(roles[fold] == "test" for roles in plan.values()) for fold in range(3)]
     assert min(tested) >= 1 and sum(tested) == 33
 
 
@@ -682,7 +682,7 @@ def test_train_eval_refuses_folds_with_an_empty_test_fold(small_corpus, tmp_path
 
 
 def test_train_eval_refuses_a_development_set_of_one_context(tmp_path, caplog):
-    from usvpipe.partition import FoldPlan, write_fold_plan
+    from usvpipe.partition import write_fold_plan
     from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
     # bat0 and bat1 only bite and bat2 only feeds; each emitter is tested in
     # its own fold, so the development set of fold 2 holds biting alone
@@ -694,7 +694,7 @@ def test_train_eval_refuses_a_development_set_of_one_context(tmp_path, caplog):
         roles[f"u{i:02d}"] = tuple("test" if fold == bat else ("val" if i % 2 else "train")
                                    for fold in range(3))
     write_feature_csv(tmp_path / "features.csv", records, comment="stamp")
-    write_fold_plan(tmp_path / "folds.csv", FoldPlan(roles), comment="stamp")
+    write_fold_plan(tmp_path / "folds.csv", roles, comment="stamp")
     assert main(["train-eval", "--out", str(tmp_path)]) == 2
     assert (f"{tmp_path / 'folds.csv'}: the development set of fold 2 holds only "
             "context biting;" in caplog.text)
@@ -702,7 +702,7 @@ def test_train_eval_refuses_a_development_set_of_one_context(tmp_path, caplog):
 
 
 def test_train_eval_refuses_a_fold_without_val_utterances(tmp_path, caplog):
-    from usvpipe.partition import FoldPlan, write_fold_plan
+    from usvpipe.partition import write_fold_plan
     from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
     # one utterance per emitter and context, each tested in its own fold and
     # train in the other two, so no fold has a val utterance
@@ -712,8 +712,8 @@ def test_train_eval_refuses_a_fold_without_val_utterances(tmp_path, caplog):
                                      FeatureVector(*(9000.0 + 1000.0 * i + np.arange(10))))
                        for i, context in enumerate(contexts)], comment="stamp")
     write_fold_plan(tmp_path / "folds.csv",
-                    FoldPlan({f"u{i}": tuple("test" if fold == i else "train"
-                                             for fold in range(3)) for i in range(3)}),
+                    {f"u{i}": tuple("test" if fold == i else "train"
+                                    for fold in range(3)) for i in range(3)},
                     comment="stamp")
     assert main(["train-eval", "--out", str(tmp_path)]) == 2
     assert (f"{tmp_path / 'folds.csv'}: the development set of fold 0 holds no val "
@@ -722,7 +722,7 @@ def test_train_eval_refuses_a_fold_without_val_utterances(tmp_path, caplog):
 
 
 def test_train_eval_refuses_a_val_context_missing_from_train(tmp_path, caplog):
-    from usvpipe.partition import FoldPlan, write_fold_plan
+    from usvpipe.partition import write_fold_plan
     from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
     # each emitter bites and feeds and is tested in its own fold; every
     # biting utterance of fold 1's development set is val
@@ -737,11 +737,49 @@ def test_train_eval_refuses_a_val_context_missing_from_train(tmp_path, caplog):
             ("val" if i % 4 == 1 or (fold, context) == (1, "biting") else "train")
             for fold in range(3))
     write_feature_csv(tmp_path / "features.csv", records, comment="stamp")
-    write_fold_plan(tmp_path / "folds.csv", FoldPlan(roles), comment="stamp")
+    write_fold_plan(tmp_path / "folds.csv", roles, comment="stamp")
     assert main(["train-eval", "--out", str(tmp_path)]) == 2
     assert (f"{tmp_path / 'folds.csv'}: the development set of fold 1 holds "
             "context biting in val but not in train;" in caplog.text)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+
+
+def test_train_eval_refuses_an_emitter_on_both_sides_of_a_fold(tmp_path, caplog):
+    from usvpipe.partition import write_fold_plan
+    from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
+    # each emitter bites and feeds and is tested in its own fold, but u00 of
+    # bat0 is tested in fold 1, so fold 0 tests bat0 and develops on u00
+    records, roles = [], {}
+    for i in range(18):
+        bat, context = i % 3, ("biting", "feeding")[i // 3 % 2]
+        fv = FeatureVector(*(9000.0 + 3000.0 * (context == "feeding") + 10.0 * i
+                             + np.arange(10)))
+        records.append(FeatureRecord(f"u{i:02d}", f"bat{bat}", context, 0.5, fv))
+        tested = 1 if i == 0 else bat
+        roles[f"u{i:02d}"] = tuple("test" if fold == tested else
+                                   ("val" if i % 4 == 1 else "train")
+                                   for fold in range(3))
+    write_feature_csv(tmp_path / "features.csv", records, comment="stamp")
+    write_fold_plan(tmp_path / "folds.csv", roles, comment="stamp")
+    assert main(["train-eval", "--out", str(tmp_path)]) == 2
+    assert (f"{tmp_path / 'folds.csv'}: emitter bat0 is in both the test and the "
+            "development set of fold 0;" in caplog.text)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+
+
+def test_partition_refuses_a_plan_without_val_utterances(tmp_path, caplog):
+    # each context has one utterance and 30 % of one rounds to 0, so no
+    # development set holds a val utterance: train-eval would refuse the plan
+    corpus = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus), "--emitters", "3",
+                 "--per-class", "1", "--seed", "7"]) == 0
+    config = ["--config", str(corpus / "config.json")]
+    assert main(["extract"] + config) == 0
+    assert main(["partition"] + config) == 2
+    folds = corpus / "results" / "folds.csv"
+    assert (f"{folds}: the development set of fold 0 holds no val utterance;"
+            in caplog.text)
+    assert not folds.exists()
 
 
 def test_schema_without_a_file_column_exits_2_naming_it(tmp_path, caplog):
