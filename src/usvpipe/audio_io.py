@@ -1,18 +1,17 @@
 """Mono WAV reading and writing, the 3 s clip limit, and the per-file thread map.
 
 The target corpora are mono recordings at 250 kHz.  Other rates are
-accepted with a notice logged at INFO, not a warning (synth writes 50 kHz);
-all window/hop sample counts downstream derive from the actual rate, so
-nothing else special-cases 250 kHz.  MAX_UTTERANCE_S is the one length
-limit: the cohort filter drops a longer WAV header, and padded_length
-refuses a longer clip.
+accepted: load_wav keeps no state and logs nothing, and each per-file stage
+logs one INFO notice per other rate it read (synth writes 50 kHz).  All
+window/hop sample counts downstream derive from the actual rate, so nothing
+else special-cases 250 kHz.  MAX_UTTERANCE_S is the one length limit: the
+cohort filter drops a longer WAV header, and padded_length refuses a longer
+clip.
 """
 from __future__ import annotations
 
-import logging
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,8 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_atomic
-
-log = logging.getLogger(__name__)
 
 CORPUS_SAMPLE_RATE_HZ = 250_000
 MAX_UTTERANCE_S = 3.0  # the filter's length limit, and the length export pads to
@@ -31,11 +28,6 @@ _WAVE_FORMAT_IEEE_FLOAT = 0x0003
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # bits per sample that each supported encoding may carry
 _SAMPLE_BITS = {_WAVE_FORMAT_PCM: (8, 16, 24, 32), _WAVE_FORMAT_IEEE_FLOAT: (32, 64)}
-
-# one notice per unexpected rate per process, not per file, also when
-# several threads load files at once
-_warned_rates: set[int] = set()
-_warned_rates_lock = threading.Lock()
 
 
 class MalformedWavError(ValueError):
@@ -171,14 +163,6 @@ def load_wav(path: str | Path) -> AudioClip:
         tag, bits, rate, offset, size = _wav_header(fh, path)
         fh.seek(offset)
         samples = _decode(fh.read(size), tag, bits)
-
-    if rate != CORPUS_SAMPLE_RATE_HZ:
-        with _warned_rates_lock:
-            first = rate not in _warned_rates
-            _warned_rates.add(rate)
-        if first:
-            log.info("sample rate %d Hz differs from the expected corpus rate "
-                     "%d Hz", rate, CORPUS_SAMPLE_RATE_HZ)
     return AudioClip(samples=samples, sample_rate=int(rate), source_id=path.stem)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, evaluation, svm
 from .artifacts import read_json, write_json, write_table
-from .audio_io import load_wav, map_ordered, padded_length
+from .audio_io import CORPUS_SAMPLE_RATE_HZ, load_wav, map_ordered, padded_length
 from .corpus import (FILTER_RULES, SchemaConfig, Utterance, filter_cohort,
                      load_annotations)
 from .evaluation import (Prediction, PredictionSet, build_report,
@@ -130,14 +130,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
-    """Filter the cohort, write filter_report.csv, then map fn over the
-    cohort sorted by id.  Missing annotation or schema paths are a
-    ValueError, as is an empty cohort, whose error names the rule that
-    dropped the most records.  Returns (utterance, result) for each file fn
-    succeeded on, and the exit status: 1 when more files failed than
-    EXTRACT_FAILURE_TOLERANCE allows.  An exception in _SKIP_REASONS, or a
-    file error, costs one row in skip_report; any other, and a full disk,
-    is raised again and the files not yet started are dropped."""
+    """Filter the cohort, write filter_report.csv, then load each cohort
+    WAV, sorted by id, refuse it if over 3 s and call fn(utterance, clip).
+    Missing annotation or schema paths are a ValueError, as is an empty
+    cohort, whose error names the rule that dropped the most records.
+    Returns (utterance, result) for each file fn succeeded on, and the exit
+    status: 1 when more files failed than EXTRACT_FAILURE_TOLERANCE allows.
+    An exception in _SKIP_REASONS, or a file error, costs one row in
+    skip_report; any other, and a full disk, is raised again and the files
+    not yet started are dropped.  Each rate other than CORPUS_SAMPLE_RATE_HZ
+    is logged once, at INFO, after the map."""
     if cfg.annotation_file is None or cfg.schema_file is None:
         raise ValueError("annotation and schema files are required "
                          "(--annotations/--schema or a config file)")
@@ -156,8 +158,16 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
                          f"filtering; rule {rule} dropped {counts[rule]} "
                          f"of {counts['total_in']} records")
     cohort.sort(key=lambda u: u.utterance_id)
+    rates = []  # list.append is atomic, so the map's threads share it
+
+    def read(utt: Utterance):
+        clip = load_wav(utt.audio_path)
+        rates.append(clip.sample_rate)
+        padded_length(clip)
+        return fn(utt, clip)
+
     done, skips, failures = [], [], 0
-    for utt, result in zip(cohort, map_ordered(fn, cohort)):
+    for utt, result in zip(cohort, map_ordered(read, cohort)):
         if not isinstance(result, Exception):
             done.append((utt, result))
         elif type(result) in _SKIP_REASONS:
@@ -169,6 +179,9 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
             failures += 1
         else:
             raise result
+    for rate in sorted(set(rates) - {CORPUS_SAMPLE_RATE_HZ}):
+        log.info("sample rate %d Hz differs from the expected corpus rate %d Hz",
+                 rate, CORPUS_SAMPLE_RATE_HZ)
     write_table(cfg.output_dir / skip_report, ("utterance_id", "reason"), skips,
                 cfg.provenance())
     print(f"{stage}: {len(done)} of {len(cohort)} utterances done, "
@@ -182,14 +195,10 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
 
 def cmd_extract(args: argparse.Namespace) -> int:
     """Pitch features for every cohort utterance with at least one voiced
-    frame; the loaded clip gives its duration.  A clip over the 3 s limit
-    (its file grew after the filter read the header) costs a skip row, as
-    in export."""
+    frame; the loaded clip gives its duration."""
     cfg = _resolve_config(args)
 
-    def extract(utt: Utterance):
-        clip = load_wav(utt.audio_path)
-        padded_length(clip)
+    def extract(utt: Utterance, clip):
         return clip.duration_s, contour_stats(extract_f0(clip))
 
     done, status = _per_utterance(cfg, "extract", extract, "skip_report.csv")
@@ -268,8 +277,8 @@ def cmd_export_spectrograms(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     tensor_dir = cfg.output_dir / "spectrograms"
 
-    def export(utt: Utterance) -> tuple[int, int]:
-        spec = export_spectrogram(load_wav(utt.audio_path))
+    def export(utt: Utterance, clip) -> tuple[int, int]:
+        spec = export_spectrogram(clip)
         write_tensor(spec, tensor_dir / f"{utt.utterance_id}.usvt")
         return spec.magnitudes.shape
 

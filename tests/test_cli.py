@@ -400,15 +400,19 @@ def test_capped_machines_are_counted_and_logged(tmp_path, monkeypatch, caplog):
 
 
 def test_rate_warning_logged_once_with_two_workers(tmp_path, monkeypatch, caplog):
+    """Each stage logs the notice once, in the same process too: load_wav
+    keeps no record of the rates it has read."""
     args = _three_class_corpus(tmp_path / "c", per_class=6)
-    monkeypatch.setattr(audio_io, "_warned_rates", set())
     _use_workers(monkeypatch, 2)
     caplog.set_level(logging.INFO)
-    assert main(["extract"] + args + ["--out", str(tmp_path / "out")]) == 0
-    notices = [r.levelname for r in caplog.records
-               if "50000 Hz differs from the expected corpus rate" in r.getMessage()]
-    assert notices == ["INFO"]
-    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+    for stage in ("extract", "export-spectrograms", "extract"):
+        caplog.clear()
+        assert main([stage] + args + ["--out", str(tmp_path / "out")]) == 0
+        notices = [(r.levelname, r.getMessage()) for r in caplog.records
+                   if "differs from the expected corpus rate" in r.getMessage()]
+        assert notices == [("INFO", "sample rate 50000 Hz differs from the "
+                                    "expected corpus rate 250000 Hz")]
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 def _under_report_durations(monkeypatch):
