@@ -155,20 +155,25 @@ def load_wav(path: str | Path) -> AudioClip:
     """Read a mono PCM or IEEE-float WAV file.
 
     Integer samples are scaled to [-1, 1] by the type's maximum magnitude
-    (e.g. 32768 for 16-bit); float samples are taken as-is.  Rejects exactly
-    the files wav_duration rejects, with the same errors (see _wav_header).
+    (e.g. 32768 for 16-bit); float samples are taken as-is.  Rejects the
+    files wav_duration rejects, with the same errors (see _wav_header), and
+    a float file holding a NaN or infinite sample (MalformedWavError).
     """
     path = Path(path)
     with open(path, "rb") as fh:
         tag, bits, rate, offset, size = _wav_header(fh, path)
         fh.seek(offset)
         samples = _decode(fh.read(size), tag, bits)
+    # only float samples can be non-finite, so PCM pays no check
+    if tag == _WAVE_FORMAT_IEEE_FLOAT and not np.isfinite(samples).all():
+        raise MalformedWavError(f"{path}: NaN or infinite float sample")
     return AudioClip(samples=samples, sample_rate=int(rate), source_id=path.stem)
 
 
 def wav_duration(path: str | Path) -> float:
     """Duration in seconds from the WAV header, without reading the samples;
-    raises for exactly the files load_wav raises for."""
+    raises for exactly the files load_wav raises for, save a float file
+    with a NaN or infinite sample, which only load_wav reads."""
     path = Path(path)
     with open(path, "rb") as fh:
         _tag, bits, rate, _offset, size = _wav_header(fh, path)

@@ -1,10 +1,11 @@
+import csv
 import os
 import re
 import stat
 
 import pytest
 
-from usvpipe.artifacts import read_json, read_table, write_json, write_table
+from usvpipe.artifacts import read_json, read_table, write_atomic, write_json, write_table
 
 HEADER = ("utterance_id", "reason")
 
@@ -107,3 +108,20 @@ def test_json_that_is_no_object_names_the_path(tmp_path, content, complaint):
     path.write_bytes(content)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {complaint}")):
         read_json(path, "report")
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "t.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        write_atomic(path, b"new", "not bytes")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]
+    assert path.read_bytes() == b"old"
+
+
+def test_csv_error_names_path_and_line(tmp_path):
+    path = tmp_path / "t.csv"
+    too_wide = "x" * (csv.field_size_limit() + 1)
+    path.write_text(f"# stamp\nutterance_id,reason\nu1,ok\nu2,{too_wide}\n")
+    with pytest.raises(ValueError, match=r"t\.csv:4: field larger than field limit"):
+        read_table(path, HEADER)

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -63,6 +64,42 @@ def test_float32_roundtrip(tmp_path):
     assert loaded.sample_rate == 250_000
     np.testing.assert_array_equal(loaded.samples,
                                   samples.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_sample_that_is_not_finite_is_malformed(tmp_path, bits, bad):
+    samples = np.linspace(-0.5, 0.5, 400)
+    samples[123] = bad
+    path = tmp_path / "f.wav"
+    write_raw_wav(path, fmt_tag=3, bits=bits,
+                  payload=samples.astype(f"<f{bits // 8}").tobytes())
+    with pytest.raises(MalformedWavError, match=re.escape(
+            f"{path}: NaN or infinite float sample")):
+        load_wav(path)
+    assert wav_duration(path) == 400 / 50_000  # the header alone is sound
+
+
+_KSDATAFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+@pytest.mark.parametrize("fmt_tag,bits,dtype", [(1, 16, "<i2"), (3, 32, "<f4")])
+def test_extensible_fmt_reads_as_its_subformat(tmp_path, fmt_tag, bits, dtype):
+    """WAVE_FORMAT_EXTENSIBLE names the encoding in the first two bytes of
+    its SubFormat GUID; the file reads as the plain-tag file would."""
+    payload = np.arange(-200, 200, dtype=dtype).tobytes()
+    plain = tmp_path / "plain.wav"
+    write_raw_wav(plain, fmt_tag=fmt_tag, bits=bits, payload=payload)
+    # cbSize 22, valid bits, channel mask, then the SubFormat GUID
+    fmt = (struct.pack("<HHIIHHHHIH", 0xFFFE, 1, 50_000, 50_000 * bits // 8,
+                       bits // 8, bits, 22, bits, 0x4, fmt_tag)
+           + _KSDATAFORMAT_GUID_TAIL)
+    extensible = tmp_path / "extensible.wav"
+    extensible.write_bytes(_riff((b"fmt ", fmt), (b"data", payload)))
+    clip = load_wav(extensible)
+    np.testing.assert_array_equal(clip.samples, load_wav(plain).samples)
+    assert clip.sample_rate == 50_000
+    assert wav_duration(extensible) == wav_duration(plain) == 400 / 50_000
 
 
 def test_int16_roundtrip_quantisation_bound(tmp_path):
@@ -294,9 +331,28 @@ def _outcome(read, path):
     return None
 
 
+def _holds_a_float_sample_that_is_not_finite(path) -> bool:
+    """Whether path has a readable float header and a NaN or infinite sample."""
+    try:
+        with open(path, "rb") as fh:
+            tag, bits, _rate, offset, size = audio_io._wav_header(fh, path)
+            fh.seek(offset)
+            body = fh.read(size)
+    except (MalformedWavError, UnsupportedFormatError):
+        return False
+    return tag == 3 and not np.isfinite(np.frombuffer(body, f"<f{bits // 8}")).all()
+
+
 @settings(max_examples=1000, deadline=None)
 @given(data=_fuzzed_wav())
 def test_readers_agree_on_fuzzed_bytes(tmp_path_factory, data):
+    """Both readers refuse the same files, with the same error, save a float
+    file with a NaN or infinite sample: wav_duration reads no samples, so it
+    returns the header's duration where load_wav refuses the file."""
     path = tmp_path_factory.getbasetemp() / "agree.wav"
     path.write_bytes(data)
-    assert _outcome(load_wav, path) is _outcome(wav_duration, path)
+    if _holds_a_float_sample_that_is_not_finite(path):
+        assert (_outcome(load_wav, path), _outcome(wav_duration, path)) == (
+            MalformedWavError, None)
+    else:
+        assert _outcome(load_wav, path) is _outcome(wav_duration, path)

@@ -1,6 +1,7 @@
 import errno
 import json
 import logging
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -415,6 +416,25 @@ def test_rate_warning_logged_once_with_two_workers(tmp_path, monkeypatch, caplog
         assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
+def test_rate_notices_hold_with_more_workers_than_cores(tmp_path, monkeypatch, caplog):
+    """The map's threads append every rate to one list: with 8 workers and a
+    short switch interval, each of the two rates is still logged once."""
+    args = _three_class_corpus(tmp_path / "c")
+    for wav in sorted((tmp_path / "c" / "wavs").iterdir())[::3]:
+        write_wav(wav, sine_clip(9000, duration_s=0.5, sample_rate=100_000))
+    _use_workers(monkeypatch, 8)
+    caplog.set_level(logging.INFO)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert main(["extract"] + args + ["--out", str(tmp_path / "out")]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert [m for m in caplog.messages if "differs from the expected" in m] == [
+        f"sample rate {rate} Hz differs from the expected corpus rate 250000 Hz"
+        for rate in (50_000, 100_000)]
+
+
 def _under_report_durations(monkeypatch):
     """The cohort filter reads every clip as one second long, as when a file
     grows after the filter read its header, so the stages' guards see it."""
@@ -476,6 +496,51 @@ def test_extract_and_export_skip_the_same_over_long_clip(tmp_path, monkeypatch):
     exported = [l.split(",")[0] for l in
                 (out / "spectrogram_manifest.csv").read_text().splitlines()[2:]]
     assert len(featured) == 11 and featured == exported
+
+
+@pytest.mark.parametrize("given", [(), ("--annotations",), ("--schema",)])
+def test_per_file_stage_without_annotations_or_schema_exits_2(tmp_path, caplog, given):
+    args = _three_class_corpus(tmp_path / "c")
+    kept = [arg for flag, value in zip(args[::2], args[1::2])
+            if flag in given + ("--audio-dir",) for arg in (flag, value)]
+    out = tmp_path / "out"
+    for stage in ("extract", "export-spectrograms"):
+        assert main([stage, *kept, "--out", str(out)]) == 2
+        assert caplog.messages[-1] == ("annotation and schema files are required "
+                                       "(--annotations/--schema or a config file)")
+    assert not out.exists()
+
+
+def test_float_wav_with_a_sample_that_is_not_finite_is_a_file_error(tmp_path, caplog,
+                                                                      recwarn):
+    """A NaN or infinite float sample passes the header-only filter and
+    costs each stage one error:MalformedWavError row: no features, no
+    tensor, no manifest row and no numpy warning."""
+    args = _three_class_corpus(tmp_path / "c")
+    victims = sorted((tmp_path / "c" / "wavs").iterdir())[3:5]
+    for victim, bad in zip(victims, (np.nan, np.inf)):
+        samples = load_wav(victim).samples.astype("<f4")
+        samples[len(samples) // 2] = bad
+        write_raw_wav(victim, fmt_tag=3, bits=32, payload=samples.tobytes())
+    out = tmp_path / "out"
+    for stage, skip_report in (("extract", "skip_report.csv"),
+                               ("export-spectrograms", "export_skip_report.csv")):
+        assert main([stage] + args + ["--out", str(out)]) == 1  # 2/12 > 1 %
+        assert (out / skip_report).read_text().splitlines()[1:] == [
+            "utterance_id,reason"] + [f"{v.stem},error:MalformedWavError"
+                                      for v in victims]
+    for victim in victims:
+        assert f"{victim}: NaN or infinite float sample" in caplog.text
+        assert not (out / "spectrograms" / f"{victim.stem}.usvt").exists()
+    featured = [l.split(",")[0] for l in
+                (out / "features.csv").read_text().splitlines()[2:]]
+    exported = [l.split(",")[0] for l in
+                (out / "spectrogram_manifest.csv").read_text().splitlines()[2:]]
+    assert len(featured) == 10 and featured == exported
+    assert not {v.stem for v in victims} & set(exported)
+    assert len(list((out / "spectrograms").iterdir())) == 10
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+    assert not recwarn.list
 
 
 def test_filter_report_counts_every_rule_in_order(tmp_path):

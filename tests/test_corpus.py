@@ -66,6 +66,12 @@ class TestLoadAnnotations:
         path = write_annotations(tmp_path, ["a1,b-17,99,x.wav,0.4"])
         assert load_annotations(path, schema)[0].context == "unknown"
 
+    def test_empty_file(self, tmp_path, schema):
+        path = tmp_path / "annotations.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"annotations\.csv: empty annotation file"):
+            load_annotations(path, schema)
+
     def test_missing_required_column(self, tmp_path, schema):
         path = write_annotations(tmp_path, ["a1,7,x.wav,0.4"],
                                  header="uid,ctx,wav,dur")
@@ -195,6 +201,15 @@ def test_schema_keeps_only_column_roles(tmp_path, caplog):
     annotations = write_annotations(tmp_path, ["a1,b-17,7,x.wav"],
                                     header="uid,bat,ctx,wav")
     assert load_annotations(annotations, schema)[0].utterance_id == "a1"
+
+
+def test_schema_context_map_target_outside_the_labels(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**_SCHEMA, "context_map": {"7": "fighting",
+                                                           "8": "dancing"}}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: context_map targets unknown labels: ['dancing']")):
+        SchemaConfig.from_json(path)
 
 
 @pytest.mark.parametrize("key, value, what", [

@@ -99,7 +99,10 @@ ALLOWED_DEFAULTS: dict[str, str] = {}
 # Parameters that every call in usvpipe or the benchmark scripts passes the
 # same literal or ALL_CAPS constant, each kept for a reason outside those
 # calls: "module.function(parameter)" -> the reason.
-ALLOWED_CONSTANT_ARGUMENTS: dict[str, str] = {}
+ALLOWED_CONSTANT_ARGUMENTS: dict[str, str] = {
+    "usvpipe.svm.train_binary(cost)":
+        "benchmarks/probes.py times one full-corpus-sized solve at one cost",
+}
 
 PACKAGE = Path(usvpipe.__file__).parent
 CALLERS = sorted(PACKAGE.glob("*.py")) + sorted(
@@ -140,16 +143,26 @@ def public_parameters(source: str, module: str) -> dict:
     return found
 
 
+def _name(expr) -> str | None:
+    """The name a Name or Attribute expression ends in, else None."""
+    return getattr(expr, "id", getattr(expr, "attr", None))
+
+
 def call_sites(source: str) -> list[tuple[str, list, dict]]:
     """(callee name, positional argument expressions, keyword name ->
     argument expression) of each call whose callee is a name or an
-    attribute; a **kwargs is the keyword None."""
+    attribute; a **kwargs is the keyword None.  A function passed by name
+    as a call's first argument, as in _timed(train_binary, X, y, 1.0),
+    counts as called with the call's other arguments."""
     calls = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-            calls.append((getattr(node.func, "id", getattr(node.func, "attr", None)),
-                          node.args, {keyword.arg: keyword.value
-                                      for keyword in node.keywords}))
+        if not isinstance(node, ast.Call):
+            continue
+        keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+        if isinstance(node.func, (ast.Name, ast.Attribute)):
+            calls.append((_name(node.func), node.args, keywords))
+        if node.args and isinstance(node.args[0], (ast.Name, ast.Attribute)):
+            calls.append((_name(node.args[0]), node.args[1:], keywords))
     return calls
 
 
@@ -179,10 +192,11 @@ def unpassed_defaults(parameters: dict, calls: list) -> list[str]:
 
 def _constant(expr) -> str | None:
     """The ALL_CAPS name expr refers to (LIMIT, module.LIMIT), expr's dump if
-    it is a literal, or None."""
+    it is a literal, or None.  A one-letter name (X, a matrix) is no
+    constant."""
     if isinstance(expr, (ast.Name, ast.Attribute)):
-        name = getattr(expr, "id", getattr(expr, "attr", ""))
-        return name if name.isupper() else None
+        name = _name(expr)
+        return name if name.isupper() and len(name) > 1 else None
     try:
         ast.literal_eval(expr)
     except (ValueError, TypeError):
@@ -248,3 +262,14 @@ def test_a_parameter_always_passed_one_constant_is_named():
                "k.m(3, h=OTHER)\nK.m(3, h=other)\ns(*args)\n_private(4)\n")
     assert constant_arguments(public_parameters(source, "mod"), call_sites(callers)) == [
         "mod.K.m(g)", "mod.f(b)", "mod.f(c)"]
+
+
+def test_a_function_passed_by_name_counts_as_called_with_the_other_arguments():
+    source = ("def f(a, b=1, *, c=2):\n    pass\n"
+              "def g(d, e=3):\n    pass\n")
+    callers = "_timed(f, X, 1.0, c=LIMIT)\nrun(mod.g, 5)\n"
+    parameters = public_parameters(source, "mod")
+    calls = call_sites(callers)
+    assert unpassed_defaults(parameters, calls) == ["mod.g(e)"]
+    assert constant_arguments(parameters, calls) == [
+        "mod.f(b)", "mod.f(c)", "mod.g(d)"]

@@ -1,3 +1,4 @@
+import re
 import struct
 import sys
 import threading
@@ -370,3 +371,17 @@ class TestTensorFormat:
         version, dtype, rank, frames, bins = struct.unpack_from("<IIIII", header, 4)
         assert (version, dtype, rank) == (1, 1, 2)
         assert (frames, bins) == spec.magnitudes.shape
+
+    @pytest.mark.parametrize("damage, complaint", [
+        (lambda data: b"USVX" + data[4:], "not a USVT tensor file"),
+        (lambda data: data[:20], "not a USVT tensor file"),
+        (lambda data: data[:4] + struct.pack("<I", 2) + data[8:],
+         "unsupported tensor header (version=2, dtype=1, rank=2)"),
+        (lambda data: data[:-4], "payload size mismatch"),
+    ], ids=["magic", "short", "version", "truncated"])
+    def test_damaged_file_is_refused_by_name(self, tmp_path, damage, complaint):
+        path = tmp_path / "t.usvt"
+        write_tensor(export_spectrogram(sine_clip(8000, duration_s=0.4)), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {complaint}")):
+            read_tensor(path)

@@ -518,6 +518,25 @@ def test_read_model_reads_a_file_with_a_zero_variance_row_as_before(model_lines)
         (m.class_pos, m.class_neg, m.bias, m.weights.tolist()) for m in before.machines]
 
 
+def test_read_model_refuses_mean_and_std_rows_of_unequal_length(model_lines):
+    lines, path = model_lines
+    std_row = next(i for i, line in enumerate(lines) if line.startswith("std,"))
+    lines[std_row] = lines[std_row].rstrip("\n").rsplit(",", 1)[0] + "\n"
+    with refused(path, lines) as refusal:
+        read_model(path)
+    assert "the mean and std rows differ in length" in str(refusal.value)
+
+
+def test_read_model_refuses_a_number_that_does_not_parse(model_lines):
+    lines, path = model_lines
+    mean_row = next(i for i, line in enumerate(lines) if line.startswith("mean,"))
+    fields = lines[mean_row].split(",")
+    lines[mean_row] = ",".join(["mean", "abc"] + fields[2:])
+    with refused(path, lines) as refusal:
+        read_model(path)
+    assert "could not convert string to float: 'abc'" in str(refusal.value)
+
+
 def test_read_model_refuses_a_file_cut_mid_row(model_lines):
     lines, path = model_lines
     last = lines[-1]
