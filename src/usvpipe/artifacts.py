@@ -35,7 +35,9 @@ def write_atomic(path: str | Path, *chunks) -> None:
 
 def write_table(path: str | Path, header: Sequence, rows: Iterable[Sequence],
                 comment: str | None = None) -> None:
-    """Write "# comment", header and rows; if rows raises, path is untouched."""
+    """Write "# comment", header and rows; if rows raises, path is untouched.
+    A float cell (numpy float64 included) is written to 6 significant
+    digits, as format(v, ".6g"); every other cell as csv writes it."""
     buf = io.StringIO()
     if comment:
         buf.write(f"# {comment}\n")
@@ -45,6 +47,7 @@ def write_table(path: str | Path, header: Sequence, rows: Iterable[Sequence],
     # which would read back as a line break
     quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     for row in rows:
+        row = [format(v, ".6g") if isinstance(v, float) else v for v in row]
         (quoted if any(isinstance(v, str) and "\r" in v for v in row)
          else writer).writerow(row)
     write_atomic(path, buf.getvalue().encode("utf-8"))

@@ -48,7 +48,6 @@ class AudioClip:
 
     samples: np.ndarray
     sample_rate: int
-    source_id: str = ""
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -167,7 +166,7 @@ def load_wav(path: str | Path) -> AudioClip:
     # only float samples can be non-finite, so PCM pays no check
     if tag == _WAVE_FORMAT_IEEE_FLOAT and not np.isfinite(samples).all():
         raise MalformedWavError(f"{path}: NaN or infinite float sample")
-    return AudioClip(samples=samples, sample_rate=int(rate), source_id=path.stem)
+    return AudioClip(samples=samples, sample_rate=int(rate))
 
 
 def wav_duration(path: str | Path) -> float:
@@ -202,9 +201,8 @@ def padded_length(clip: AudioClip) -> int:
     """
     target = int(round(MAX_UTTERANCE_S * clip.sample_rate))
     if clip.samples.size > target:
-        raise ClipTooLongError(
-            f"{clip.source_id or 'clip'}: {clip.samples.size} samples exceed the "
-            f"{MAX_UTTERANCE_S} s target of {target}")
+        raise ClipTooLongError(f"{clip.samples.size} samples exceed the "
+                               f"{MAX_UTTERANCE_S} s target of {target}")
     return target
 
 

@@ -3,10 +3,12 @@
 Stages communicate exclusively through files under the output directory
 (features.csv, folds.csv, ...), so a 35k-utterance corpus can be processed
 stage by stage and audited in between.  Every text artifact starts with a
-provenance comment (tool version, seed, config hash) and reruns with
-identical inputs and seed are byte-identical.  partition and train-eval
-check the fold plan by one function, partition.fold_sides, so partition
-writes no folds.csv that train-eval refuses.
+provenance comment (tool version, seed, config hash), and reruns with
+identical inputs at the same paths and seed are byte-identical; the hash
+covers the input paths, so a run from another directory differs only in
+its stamp lines.  partition and train-eval check the fold plan by one
+function, partition.fold_sides, so partition writes no folds.csv that
+train-eval refuses.
 
 The per-utterance stages (extract, export-spectrograms), like synth, run
 their files through audio_io.map_ordered, on a thread per CPU the process
@@ -134,8 +136,9 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
     WAV, sorted by id, refuse it if over 3 s and call fn(utterance, clip).
     Missing annotation or schema paths are a ValueError, as is an empty
     cohort, whose error names the rule that dropped the most records.
-    Returns (utterance, result) for each file fn succeeded on, and the exit
-    status: 1 when more files failed than EXTRACT_FAILURE_TOLERANCE allows.
+    Returns fn's result for each file it succeeded on, in id order, and the
+    exit status: 1 when more files failed than EXTRACT_FAILURE_TOLERANCE
+    allows.
     An exception in _SKIP_REASONS, or a file error, costs one row in
     skip_report; any other, and a full disk, is raised again and the files
     not yet started are dropped.  Each rate other than CORPUS_SAMPLE_RATE_HZ
@@ -169,7 +172,7 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
     done, skips, failures = [], [], 0
     for utt, result in zip(cohort, map_ordered(read, cohort)):
         if not isinstance(result, Exception):
-            done.append((utt, result))
+            done.append(result)
         elif type(result) in _SKIP_REASONS:
             skips.append((utt.utterance_id, _SKIP_REASONS[type(result)]))
         elif (isinstance(result, _FILE_ERRORS)
@@ -198,14 +201,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
     frame; the loaded clip gives its duration."""
     cfg = _resolve_config(args)
 
-    def extract(utt: Utterance, clip):
-        return clip.duration_s, contour_stats(extract_f0(clip))
+    def extract(utt: Utterance, clip) -> FeatureRecord:
+        return FeatureRecord(utt.utterance_id, utt.emitter_id, utt.context,
+                             clip.duration_s, contour_stats(extract_f0(clip)))
 
-    done, status = _per_utterance(cfg, "extract", extract, "skip_report.csv")
-    write_feature_csv(cfg.output_dir / "features.csv",
-                      [FeatureRecord(utt.utterance_id, utt.emitter_id, utt.context,
-                                     duration, features)
-                       for utt, (duration, features) in done],
+    records, status = _per_utterance(cfg, "extract", extract, "skip_report.csv")
+    write_feature_csv(cfg.output_dir / "features.csv", records,
                       comment=cfg.provenance())
     return status
 
@@ -275,19 +276,17 @@ def cmd_export_spectrograms(args: argparse.Namespace) -> int:
     costs one row in export_skip_report.csv and is left out of the manifest.
     """
     cfg = _resolve_config(args)
-    tensor_dir = cfg.output_dir / "spectrograms"
 
-    def export(utt: Utterance, clip) -> tuple[int, int]:
+    def export(utt: Utterance, clip) -> tuple[str, str, int, int]:
+        file = f"spectrograms/{utt.utterance_id}.usvt"
         spec = export_spectrogram(clip)
-        write_tensor(spec, tensor_dir / f"{utt.utterance_id}.usvt")
-        return spec.magnitudes.shape
+        write_tensor(spec, cfg.output_dir / file)
+        return (utt.utterance_id, file, *spec.magnitudes.shape)
 
-    done, status = _per_utterance(cfg, "export-spectrograms", export,
+    rows, status = _per_utterance(cfg, "export-spectrograms", export,
                                   "export_skip_report.csv")
     write_table(cfg.output_dir / "spectrogram_manifest.csv",
-                ("utterance_id", "file", "frames", "bins"),
-                [(utt.utterance_id, f"spectrograms/{utt.utterance_id}.usvt", *shape)
-                 for utt, shape in done], cfg.provenance())
+                ("utterance_id", "file", "frames", "bins"), rows, cfg.provenance())
     return status
 
 
@@ -301,8 +300,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     out_path = cfg.output_dir / "context_f0_stats.csv"
     write_table(out_path, ("context", "n", "mean_hz", "std_hz", "max_hz", "min_hz",
                            "slope_hz_per_s"),
-                ([context, len(rows)]
-                 + [format(v, ".6g") for v in np.array(rows).mean(axis=0)]
+                ([context, len(rows), *np.array(rows).mean(axis=0)]
                  for context, rows in sorted(by_context.items())), cfg.provenance())
     print(f"table1: {len(by_context)} contexts in {out_path}")
     return 0

@@ -81,7 +81,7 @@ def uar_from_labels(y_true: Sequence[str], y_pred: Sequence[str]) -> float:
     return float(np.nanmean(_recalls(t, p, len(order))))
 
 
-def bootstrap_ci(preds: PredictionSet, seed: int = 0) -> tuple[float, float]:
+def bootstrap_ci(preds: PredictionSet, seed: int) -> tuple[float, float]:
     """Percentile bootstrap 95% CI of the UAR over BOOTSTRAP_REPLICATES
     replicates.
 
@@ -136,22 +136,30 @@ def build_report(preds: PredictionSet, seed: int = 0) -> dict:
 
 
 def write_confusion_csv(path: str | Path, report: dict,
-                        comment: str | None = None) -> None:
+                        comment: str | None) -> None:
     labels = report["labels"]
     write_table(path, ("true\\pred", *labels),
-                ((lab, *(format(v, ".6g") for v in row))
+                ((lab, *row)
                  for lab, row in zip(labels, report["confusion_row_normalised"])),
                 comment)
 
 
 def write_predictions_csv(path: str | Path, preds: PredictionSet,
-                          comment: str | None = None) -> None:
+                          comment: str | None) -> None:
     write_table(path, PREDICTIONS_CSV_HEADER,
                 ((r.utterance_id, r.fold, r.true_label, r.predicted_label)
                  for r in preds.records), comment)
 
 
 def read_predictions_csv(path: str | Path) -> PredictionSet:
-    return PredictionSet([Prediction(uid, true_label, predicted, int(fold))
-                          for uid, fold, true_label, predicted
-                          in read_table(path, PREDICTIONS_CSV_HEADER)])
+    """Read back a write_predictions_csv file.  A fold that is not an
+    integer is a ValueError naming the path and the utterance."""
+    predictions = []
+    for uid, fold, true_label, predicted in read_table(path, PREDICTIONS_CSV_HEADER):
+        try:
+            number = int(fold)
+        except ValueError:
+            raise ValueError(f"{path}: utterance {uid}: fold {fold!r} is not an "
+                             "integer") from None
+        predictions.append(Prediction(uid, true_label, predicted, number))
+    return PredictionSet(predictions)

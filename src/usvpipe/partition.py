@@ -124,7 +124,7 @@ def build_plan(cohort: list[FeatureRecord], seed: int) -> dict[str, tuple[str, .
 
 
 def write_fold_plan(path: str | Path, plan: dict[str, tuple[str, ...]],
-                    comment: str | None = None) -> None:
+                    comment: str | None) -> None:
     """Serialise as utterance_id,fold,role rows, sorted for byte stability."""
     write_table(path, FOLD_CSV_HEADER,
                 ((uid, fold, role) for uid in sorted(plan)

@@ -147,16 +147,12 @@ class FeatureRecord:
     features: FeatureVector
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".6g")
-
-
 def write_feature_csv(path: str | Path, records: list[FeatureRecord],
                       comment: str | None = None) -> None:
-    """Write the feature table, sorted by utterance id, floats to 6 significant digits."""
+    """Write the feature table, sorted by utterance id."""
     write_table(path, FEATURE_CSV_HEADER, (
-        [rec.utterance_id, rec.emitter_id, rec.context, _fmt(rec.duration_s)]
-        + [_fmt(v) for v in rec.features.as_row()]
+        [rec.utterance_id, rec.emitter_id, rec.context, rec.duration_s,
+         *rec.features.as_row()]
         for rec in sorted(records, key=lambda r: r.utterance_id)), comment)
 
 

@@ -86,9 +86,8 @@ def _frame_count(clip: AudioClip, window_samples: int, hop_samples: int,
         raise ValueError("window and hop must each span at least one sample")
     span = clip.samples.size if span is None else span
     if span < window_samples:
-        raise ClipTooShortError(
-            f"{clip.source_id or 'clip'}: {span} samples but the analysis "
-            f"window needs {window_samples}")
+        raise ClipTooShortError(f"{span} samples but the analysis window "
+                                f"needs {window_samples}")
     return (span - window_samples) // hop_samples + 1
 
 

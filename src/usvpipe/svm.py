@@ -368,7 +368,7 @@ def nested_select(X_dev: np.ndarray, y_dev: Sequence[str],
 
 
 def write_model(path: str | Path, model: OvoModel,
-                comment: str | None = None) -> None:
+                comment: str | None) -> None:
     """CSV-like model dump: the chosen cost in the header's place, standardiser
     stats, then one row per machine (so rows vary in width and have no header)."""
     write_table(path, ("cost", repr(float(model.cost))), [
@@ -382,10 +382,11 @@ def write_model(path: str | Path, model: OvoModel,
 def read_model(path: str | Path) -> OvoModel:
     """Read back a write_model file.
 
-    ValueError names the path when a row is missing or empty, a number does
-    not parse, a machine's weight count differs from the standardiser's, a
-    machine names a label not in labels, or the K labels do not come with
-    K*(K-1)/2 machines.
+    ValueError names the path when a row is missing or empty, a machine's
+    weight count differs from the standardiser's, a machine names a label
+    not in labels, or the K labels do not come with K*(K-1)/2 machines; and
+    the path and the row when a number does not parse or is not finite, or
+    a std is not above 0, since predict would then label every row alike.
     """
     rows: dict[str, list[str]] = {}
     machine_rows = []
@@ -413,17 +414,25 @@ def read_model(path: str | Path) -> OvoModel:
             raise ValueError(f"{path}: machine {number} ({row[0]} vs {row[1]}) "
                              "names a label not in labels")
 
-    def floats(values: list[str]) -> np.ndarray:
+    def floats(row: str, values: list[str]) -> np.ndarray:
         try:
-            return np.array([float(v) for v in values])
+            numbers = np.array([float(v) for v in values])
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {row} row: {exc}") from exc
+        if not np.isfinite(numbers).all():
+            text = values[np.isfinite(numbers).argmin()]
+            raise ValueError(f"{path}: {row} row: {text!r} is not a finite number")
+        return numbers
 
-    cost = float(floats(rows["cost"])[0])
-    standardiser = Standardiser(mean=floats(rows["mean"]), std=floats(rows["std"]))
+    cost = float(floats("cost", rows["cost"])[0])
+    std = floats("std", rows["std"])
+    if (std <= 0.0).any():
+        raise ValueError(f"{path}: std row: {rows['std'][(std <= 0.0).argmax()]!r} "
+                         "is not above 0")
+    standardiser = Standardiser(mean=floats("mean", rows["mean"]), std=std)
     machines = []
-    for class_pos, class_neg, *numbers in machine_rows:
-        values = floats(numbers)
+    for number, (class_pos, class_neg, *numbers) in enumerate(machine_rows):
+        values = floats(f"machine {number}", numbers)
         machines.append(BinarySvm(class_pos=class_pos, class_neg=class_neg,
                                   weights=values[1:], bias=float(values[0]),
                                   cost=cost))

@@ -123,12 +123,11 @@ def synth_utterance(spec: SynthSpec, sample_rate: int) -> AudioClip:
     out /= sample_rate
     np.sin(out, out=out)
     out *= spec.amplitude
-    return AudioClip(samples=out, sample_rate=sample_rate,
-                     source_id=f"synth-{spec.context}-{spec.seed}")
+    return AudioClip(samples=out, sample_rate=sample_rate)
 
 
 def synth_corpus(out_dir: str | Path, n_emitters: int, per_class_count: int,
-                 seed: int = 0) -> tuple[Path, Path]:
+                 seed: int) -> tuple[Path, Path]:
     """Write a synthetic corpus: WAVs, an annotation table, and its schema.
 
     The classes are SEPARABLE_CLASS_SPECS, and utterances rotate round-robin

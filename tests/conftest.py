@@ -35,12 +35,11 @@ def one_shot_stft(samples, window, hop):
 
 
 def sine_clip(freq_hz: float, duration_s: float = 1.0, sample_rate: int = 50_000,
-              amplitude: float = 0.5, phase: float = 0.0,
-              source_id: str = "tone") -> AudioClip:
+              amplitude: float = 0.5, phase: float = 0.0) -> AudioClip:
     """Pure sinusoid test clip."""
     t = np.arange(int(round(duration_s * sample_rate))) / sample_rate
     return AudioClip(samples=amplitude * np.sin(2 * np.pi * freq_hz * t + phase),
-                     sample_rate=sample_rate, source_id=source_id)
+                     sample_rate=sample_rate)
 
 
 def weighted_primal(w, b, X, y, box) -> float:

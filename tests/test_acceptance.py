@@ -279,7 +279,7 @@ def test_criterion_9_spectrogram_export(tmp_path):
         n = int(round(duration * 250_000))
         t = np.arange(n) / 250_000
         clip = AudioClip(samples=0.4 * np.sin(2 * np.pi * 30_000 * t),
-                         sample_rate=250_000, source_id=f"c{i}")
+                         sample_rate=250_000)
         spec = export_spectrogram(clip)
         shapes_ok = shapes_ok and spec.magnitudes.shape == (299, 2049)
         path = tmp_path / f"t{i}.usvt"

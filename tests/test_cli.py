@@ -461,13 +461,16 @@ def test_over_long_clip_is_dropped_by_the_filter(tmp_path):
     assert victim.stem not in featured
 
 
-def test_export_skips_an_over_long_clip(tmp_path, monkeypatch):
+def test_export_skips_an_over_long_clip(tmp_path, monkeypatch, caplog):
     args = _three_class_corpus(tmp_path / "c")
     victim = sorted((tmp_path / "c" / "wavs").iterdir())[4]
     write_wav(victim, AudioClip(samples=np.zeros(175_000), sample_rate=50_000))
     _under_report_durations(monkeypatch)
     out = tmp_path / "out"
     assert main(["export-spectrograms"] + args + ["--out", str(out)]) == 1  # 1/12 > 1 %
+    # the stage names the utterance once; the error states sample counts
+    assert (f"{victim.stem}: 175000 samples exceed the 3.0 s target of 150000"
+            in caplog.messages)
     skips = [l for l in (out / "export_skip_report.csv").read_text().splitlines()
              if not l.startswith("#")]
     assert skips == ["utterance_id,reason", f"{victim.stem},error:ClipTooLongError"]

@@ -177,3 +177,14 @@ class TestReportAndCsv:
         write_predictions_csv(path, FOUR_POINT, comment="x")
         back = read_predictions_csv(path)
         assert back.records == FOUR_POINT.records
+
+    def test_predictions_csv_fold_that_is_no_integer_names_file_and_utterance(
+            self, tmp_path):
+        path = tmp_path / "preds.csv"
+        write_predictions_csv(path, FOUR_POINT, comment="x")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace("u001,0,", "u001,x,")
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as refusal:
+            read_predictions_csv(path)
+        assert str(refusal.value) == f"{path}: utterance u001: fold 'x' is not an integer"

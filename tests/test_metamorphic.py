@@ -2,18 +2,25 @@
 
 No oracle knows the right artifacts for a corpus, but some changes to the
 input must leave them as they are.  Each relation runs the stages through
-cli.main on the quick-start corpus (synth --seed 7 --emitters 12
---per-class 50) and on a transformed copy, and compares the artifacts below
-their provenance stamps, which hash the input paths.
+cli.main on a corpus and on a transformed copy, and compares the artifacts
+below their provenance stamps, which hash the input paths.  The corpora are
+the quick-start one (synth --seed 7 --emitters 12 --per-class 50), a small
+one (synth --seed 7 --emitters 4 --per-class 4) and, for the feature
+columns, a feature table of 11 overlapping classes, on which the
+classifier is far from perfect.
 """
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
+from usvpipe.artifacts import write_table
 from usvpipe.audio_io import load_wav
 from usvpipe.cli import main
+from usvpipe.corpus import CONTEXT_LABELS
+from usvpipe.pitch import FEATURE_CSV_HEADER
 
 from conftest import write_raw_wav
 
@@ -27,11 +34,11 @@ def _run(config, out, stages=STAGES, flags=()):
 
 def _below_stamp(path) -> bytes:
     """The artifact's bytes without its provenance: a text table's leading
-    comment lines, report.json's provenance object."""
+    comment lines, the config hash in report.json's provenance."""
     data = path.read_bytes()
     if path.name == "report.json":
         report = json.loads(data)
-        del report["provenance"]
+        del report["provenance"]["config"]
         return json.dumps(report, sort_keys=True).encode()
     if path.suffix == ".csv":
         lines = data.splitlines(keepends=True)
@@ -41,14 +48,22 @@ def _below_stamp(path) -> bytes:
     return data
 
 
-def _changed(out, expected) -> list[str]:
+def _changed(out, expected, undo=lambda text: text) -> list[str]:
     """The artifacts that differ below their stamps between two output
-    directories, or are in one of them only."""
-    names = {path.relative_to(base).as_posix() for base in (out, expected)
-             for path in base.rglob("*") if path.is_file()}
-    return sorted(name for name in names
-                  if not ((out / name).is_file() and (expected / name).is_file())
-                  or _below_stamp(out / name) != _below_stamp(expected / name))
+    directories, or are in one of them only.  undo maps each path under out,
+    and the text of each artifact there but a tensor, to expected's."""
+    def files(base, rename):
+        return {rename(path.relative_to(base).as_posix()): path
+                for path in base.rglob("*") if path.is_file()}
+
+    def undone(path) -> bytes:
+        data = _below_stamp(path)
+        return data if path.suffix == ".usvt" else undo(data.decode()).encode()
+
+    got, want = files(out, undo), files(expected, str)
+    return sorted(name for name in got.keys() | want.keys()
+                  if name not in got or name not in want
+                  or undone(got[name]) != _below_stamp(want[name]))
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +111,108 @@ def test_float_wavs_at_half_amplitude_change_no_feature(quick_start):
     _run(copy / "config.json", out, ("extract",))
     assert _below_stamp(out / "features.csv") == _below_stamp(
         corpus / "results" / "features.csv")
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """A 44-clip corpus of 4 emitters, pushed through all five stages once."""
+    root = tmp_path_factory.mktemp("small")
+    corpus = root / "demo"
+    assert main(["synth", "--out", str(corpus), "--seed", "7", "--emitters", "4",
+                 "--per-class", "4"]) == 0
+    _run(corpus / "config.json", corpus / "results")
+    return root, corpus
+
+
+def _copy_with_annotations(corpus, copy, edit) -> None:
+    """The corpus without its results, with edit(row) applied to each data
+    row of annotations.csv (a list of its cells)."""
+    shutil.copytree(corpus, copy, ignore=shutil.ignore_patterns("results"))
+    header, *rows = (copy / "annotations.csv").read_text().splitlines()
+    (copy / "annotations.csv").write_text("".join(
+        f"{line}\n" for line in [header] + [",".join(edit(row.split(",")))
+                                            for row in rows]))
+
+
+def test_renamed_ids_in_the_same_order_change_no_artifact(small_corpus):
+    """u... -> w... and bat... -> cat... keep the ids' order, so every artifact
+    is the same once the renaming is undone: the plan and the predictions
+    follow from the order of the ids, not from their text."""
+    root, corpus = small_corpus
+    copy = root / "renamed"
+
+    def rename(row):
+        uid, emitter, *rest = row
+        assert re.fullmatch(r"u\d{6}", uid) and re.fullmatch(r"bat\d\d", emitter)
+        return ["w" + uid[1:], "c" + emitter[1:], *rest]
+
+    def undo(text):
+        text = re.sub(r"\bw(\d{6})\b", r"u\1", text)
+        return re.sub(r"\bcat(\d\d)\b", r"bat\1", text)
+
+    _copy_with_annotations(corpus, copy, rename)
+    _run(copy / "config.json", copy / "results")
+    assert undo("spectrograms/w000012.usvt,cat03") == "spectrograms/u000012.usvt,bat03"
+    assert _changed(copy / "results", corpus / "results", undo) == []
+
+
+def test_raw_context_codes_mapped_by_the_schema_change_no_artifact(small_corpus):
+    """The annotation table holds codes c00-c10, and the schema's context_map
+    maps each to its label: every artifact is the same as with the labels."""
+    root, corpus = small_corpus
+    copy = root / "coded"
+    code = {label: f"c{i:02d}" for i, label in enumerate(CONTEXT_LABELS)}
+
+    def encode(row):
+        uid, emitter, context, *rest = row
+        return [uid, emitter, code[context], *rest]
+
+    _copy_with_annotations(corpus, copy, encode)
+    schema = json.loads((copy / "schema.json").read_text())
+    assert schema["context_map"] == {label: label for label in CONTEXT_LABELS}
+    schema["context_map"] = {c: label for label, c in code.items()}
+    (copy / "schema.json").write_text(json.dumps(schema))
+    _run(copy / "config.json", copy / "results")
+    assert _changed(copy / "results", corpus / "results") == []
+
+
+def _overlapping_features():
+    """330 feature rows, 30 per class, over 12 emitters: per column, a class
+    mean and an emitter offset plus unit noise, so the classes overlap.
+    The duration is an exact text, the ten features are floats."""
+    rng = np.random.default_rng(7)
+    class_means = rng.normal(0.0, 0.35, (len(CONTEXT_LABELS), 10))
+    offsets = rng.normal(0.0, 0.3, (12, 10))
+    rows = []
+    for label, mean in zip(CONTEXT_LABELS, class_means):
+        for _ in range(30):
+            emitter = len(rows) % 12
+            z = mean + offsets[emitter] + rng.standard_normal(10)
+            rows.append([f"u{len(rows):06d}", f"bat{emitter:02d}", label,
+                         repr(float(rng.uniform(0.5, 1.0))), *z])
+    return rows
+
+
+def test_a_power_of_two_per_feature_column_changes_no_prediction(tmp_path):
+    """Standardisation undoes any positive scale of a column, and a power of
+    two scales a column's mean and std exactly, so the fold plan, the
+    predictions, the confusion and report.json (its provenance included,
+    bar the config hash) are the same.  The scaled values are written as exact texts: write_table
+    would round a float to 6 digits, which does not commute with scaling."""
+    rows = _overlapping_features()
+    scales = 2.0 ** np.array([-7, 3, 1, -2, 5, 0, 9, -4, 2, -1])
+    outputs = []
+    for name, scale in (("plain", np.ones(10)), ("scaled", scales)):
+        out = tmp_path / name
+        write_table(out / "features.csv", FEATURE_CSV_HEADER,
+                    [row[:4] + [repr(float(v)) for v in np.multiply(row[4:], scale)]
+                     for row in rows], "stamp")
+        for stage in ("partition", "train-eval"):
+            assert main([stage, "--out", str(out), "--seed", "7"]) == 0
+        outputs.append(out)
+    plain, scaled = outputs
+    report = json.loads((plain / "report.json").read_text())
+    assert 0.15 < report["uar"] < 0.5, "the classes should overlap"
+    assert len(set(report["provenance"]["chosen_costs"].values())) > 1
+    for name in ("folds.csv", "predictions.csv", "confusion.csv", "report.json"):
+        assert _below_stamp(scaled / name) == _below_stamp(plain / name), name

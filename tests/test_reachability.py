@@ -6,8 +6,10 @@ records each Python function called, in worker threads too, and names each
 public member no stage calls.  Static checks parse usvpipe and the
 benchmark scripts (test files aside) with ast.  One names each defaulted
 parameter of a public function or method that no call there passes, by
-keyword or by position.  The other names each parameter that every call
-there passes the same literal or ALL_CAPS constant: it would be a constant.
+keyword or by position.  One names each defaulted parameter that every call
+there passes: only tests would use its default.  The last names each
+parameter that every call there passes the same literal or ALL_CAPS
+constant: it would be a constant.
 """
 import ast
 import importlib
@@ -95,6 +97,11 @@ def test_every_public_member_is_reached_by_a_stage(tmp_path, monkeypatch):
 # passes, each kept for a reason outside those calls: "module.function
 # (parameter)" -> the reason.
 ALLOWED_DEFAULTS: dict[str, str] = {}
+
+# Defaulted parameters that every call in usvpipe or the benchmark scripts
+# passes, each kept for a reason outside those calls: "module.function
+# (parameter)" -> the reason.
+ALLOWED_ALWAYS_PASSED: dict[str, str] = {}
 
 # Parameters that every call in usvpipe or the benchmark scripts passes the
 # same literal or ALL_CAPS constant, each kept for a reason outside those
@@ -190,6 +197,19 @@ def unpassed_defaults(parameters: dict, calls: list) -> list[str]:
                       for call in calls))
 
 
+def always_passed_defaults(parameters: dict, calls: list) -> list[str]:
+    """The keys of the defaulted parameters that one or more calls to a
+    function of that name pass, every one of them by keyword or by position
+    (a *args or **kwargs that may hold it does not count)."""
+    named = []
+    for key, (function, name, position, defaulted) in parameters.items():
+        values = [passed(call, name, position) for call in calls if call[0] == function]
+        if defaulted and values and all(
+                value is not None and value is not SPLAT for value in values):
+            named.append(key)
+    return sorted(named)
+
+
 def _constant(expr) -> str | None:
     """The ALL_CAPS name expr refers to (LIMIT, module.LIMIT), expr's dump if
     it is a literal, or None.  A one-letter name (X, a matrix) is no
@@ -233,6 +253,15 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     assert not stale, f"allowed defaults that are gone or now passed: {stale}"
 
 
+def test_no_default_is_left_to_the_tests_alone():
+    always = always_passed_defaults(*_usvpipe_parameters_and_calls())
+    extra = [key for key in always if key not in ALLOWED_ALWAYS_PASSED]
+    assert not extra, ("every call in usvpipe and benchmarks/ passes "
+                       f"{', '.join(extra)}, so only tests use the default")
+    stale = sorted(ALLOWED_ALWAYS_PASSED.keys() - set(always))
+    assert not stale, f"allowed defaults that are gone or not always passed: {stale}"
+
+
 def test_no_parameter_is_always_passed_one_constant():
     constant = constant_arguments(*_usvpipe_parameters_and_calls())
     extra = [key for key in constant if key not in ALLOWED_CONSTANT_ARGUMENTS]
@@ -250,6 +279,18 @@ def test_an_unpassed_default_is_named():
     callers = "f(0, 1, c=2)\nk.m(4)\nK.s(**options)\n"
     assert unpassed_defaults(public_parameters(source, "mod"),
                              call_sites(callers)) == ["mod.K.m(g)", "mod.f(d)"]
+
+
+def test_a_default_every_call_passes_is_named():
+    source = ("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+              "class K:\n    def m(self, e=4, g=5):\n        pass\n"
+              "def s(h=6):\n    pass\n"
+              "def unused(i=7):\n    pass\n"
+              "def _private(j=8):\n    pass\n")
+    callers = ("f(0, 1, c=2)\nf(0, b=2, d=3)\nk.m(4, g=5)\nK.m(e=4)\n"
+               "s(**options)\n_private(8)\n")
+    assert always_passed_defaults(public_parameters(source, "mod"),
+                                  call_sites(callers)) == ["mod.K.m(e)", "mod.f(b)"]
 
 
 def test_a_parameter_always_passed_one_constant_is_named():

@@ -287,7 +287,7 @@ def _export_clip(rate, length, nan=False):
     samples = np.random.default_rng(length).uniform(-1, 1, length)
     if nan:
         samples[length // 2] = np.nan
-    return AudioClip(samples, rate, source_id="clip")
+    return AudioClip(samples, rate)
 
 
 def _export_lengths(rate):

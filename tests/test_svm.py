@@ -537,6 +537,29 @@ def test_read_model_refuses_a_number_that_does_not_parse(model_lines):
     assert "could not convert string to float: 'abc'" in str(refusal.value)
 
 
+# (row, the field index in it, the text put there, the error's end); field 1
+# of a machine row is its bias, field 4 its first weight
+@pytest.mark.parametrize("row, field, text, error", [
+    ("cost", 1, "nan", "cost row: 'nan' is not a finite number"),
+    ("mean", 2, "inf", "mean row: 'inf' is not a finite number"),
+    ("std", 1, "nan", "std row: 'nan' is not a finite number"),
+    ("machine", 3, "-inf", "machine 0 row: '-inf' is not a finite number"),
+    ("machine", 4, "nan", "machine 0 row: 'nan' is not a finite number"),
+    ("std", 1, "0", "std row: '0' is not above 0"),
+    ("std", 3, "-0.5", "std row: '-0.5' is not above 0"),
+], ids=["cost", "mean", "std", "bias", "weight", "zero_std", "negative_std"])
+def test_read_model_refuses_a_number_predict_cannot_use(model_lines, row, field,
+                                                        text, error):
+    lines, path = model_lines
+    at = next(i for i, line in enumerate(lines) if line.startswith(row + ","))
+    fields = lines[at].rstrip("\n").split(",")
+    fields[field] = text
+    lines[at] = ",".join(fields) + "\n"
+    with refused(path, lines) as refusal:
+        read_model(path)
+    assert str(refusal.value) == f"{path}: {error}"
+
+
 def test_read_model_refuses_a_file_cut_mid_row(model_lines):
     lines, path = model_lines
     last = lines[-1]
