@@ -1,5 +1,9 @@
 """Mono WAV reading and writing, the 3 s clip limit, and the per-file thread map.
 
+load_wav keeps a clip in its file's own sample type with the power of two
+that maps it to amplitudes (see AudioClip), so a 16-bit clip holds 2 bytes
+a sample, not 8; the STFT folds that scale into its window.
+
 The target corpora are mono recordings at 250 kHz.  Other rates are
 accepted: load_wav keeps no state and logs nothing, and each per-file stage
 logs one INFO notice per other rate it read (synth writes 50 kHz).  All
@@ -10,6 +14,7 @@ clip.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -44,19 +49,32 @@ class ClipTooLongError(ValueError):
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono audio with amplitudes normalised to [-1, 1]."""
+    """Mono audio whose amplitudes are samples * scale.
+
+    load_wav gives the data chunk's own numbers (int16 for 8- and 16-bit
+    PCM, int32 for 24- and 32-bit, float32 or float64 for float files) and
+    the scale that maps integer PCM to [-1, 1]; a clip built from amplitudes
+    has scale 1.  Integer and float samples keep their type, anything else
+    becomes float64.  The scale is a positive power of two, so a sample
+    times it, or times a window already multiplied by it, is exact.
+    """
 
     samples: np.ndarray
     sample_rate: int
+    scale: float = 1.0
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind not in "iuf":
+            samples = samples.astype(np.float64)
         if samples.ndim != 1:
             raise ValueError("AudioClip samples must be one-dimensional")
         if samples.size == 0:
             raise ValueError("AudioClip samples must be non-empty")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not (self.scale > 0 and math.frexp(self.scale)[0] == 0.5):
+            raise ValueError(f"scale must be a positive power of two, got {self.scale}")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -125,36 +143,32 @@ def _wav_header(fh, path: Path) -> tuple[int, int, int, int, int]:
     return tag, bits, rate, offset, size
 
 
-def _decode(body: bytes, tag: int, bits: int) -> np.ndarray:
-    """Float samples as-is; integer PCM scaled to [-1, 1] by the type's
-    maximum magnitude.  Each path makes one float64 array and scales it in
-    place; the scale is a power of two, so every sample is exact."""
+def _decode(body: bytes, tag: int, bits: int) -> tuple[np.ndarray, float]:
+    """The data chunk's samples in their own type, and the power of two that
+    maps them to amplitudes: integer PCM to [-1, 1] by the type's maximum
+    magnitude, float samples as they are.  16- and 32-bit PCM and float
+    samples are views of body; 8-bit PCM becomes int16 and 24-bit int32."""
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
-        return np.frombuffer(body, dtype=f"<f{bits // 8}").astype(np.float64)
-    if bits == 8:
-        x = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
-        x -= 128.0
-        x /= 128.0
-        return x
+        return np.frombuffer(body, dtype=f"<f{bits // 8}"), 1.0
+    if bits == 8:  # unsigned around 128
+        x = np.frombuffer(body, dtype=np.uint8).astype(np.int16)
+        x -= 128
+        return x, 2.0 ** -7
     if bits == 24:
-        # each sample in the top three bytes of a little-endian int32, so an
-        # arithmetic shift right by 8 sign-extends it
+        # each sample in the top three bytes of a little-endian int32 is the
+        # sample times 2^8, so it takes the 32-bit scale
         raw = np.zeros((len(body) // 3, 4), dtype=np.uint8)
         raw[:, 1:] = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3)
-        ints = raw.view("<i4").reshape(-1)
-        ints >>= 8
-    else:
-        ints = np.frombuffer(body, dtype=f"<i{bits // 8}")
-    x = ints.astype(np.float64)
-    x /= float(2 ** (bits - 1))
-    return x
+        return raw.view("<i4").reshape(-1), 2.0 ** -31
+    return np.frombuffer(body, dtype=f"<i{bits // 8}"), 2.0 ** (1 - bits)
 
 
 def load_wav(path: str | Path) -> AudioClip:
     """Read a mono PCM or IEEE-float WAV file.
 
-    Integer samples are scaled to [-1, 1] by the type's maximum magnitude
-    (e.g. 32768 for 16-bit); float samples are taken as-is.  Rejects the
+    The clip holds the samples in their own type with the scale that maps
+    them to amplitudes (see _decode): 2^-15 for 16-bit PCM, whose samples are
+    a view of the data chunk's bytes, and 1 for float files.  Rejects the
     files wav_duration rejects, with the same errors (see _wav_header), and
     a float file holding a NaN or infinite sample (MalformedWavError).
     """
@@ -162,11 +176,11 @@ def load_wav(path: str | Path) -> AudioClip:
     with open(path, "rb") as fh:
         tag, bits, rate, offset, size = _wav_header(fh, path)
         fh.seek(offset)
-        samples = _decode(fh.read(size), tag, bits)
+        samples, scale = _decode(fh.read(size), tag, bits)
     # only float samples can be non-finite, so PCM pays no check
     if tag == _WAVE_FORMAT_IEEE_FLOAT and not np.isfinite(samples).all():
         raise MalformedWavError(f"{path}: NaN or infinite float sample")
-    return AudioClip(samples=samples, sample_rate=int(rate))
+    return AudioClip(samples=samples, sample_rate=int(rate), scale=scale)
 
 
 def wav_duration(path: str | Path) -> float:
@@ -180,9 +194,9 @@ def wav_duration(path: str | Path) -> float:
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
-    """Write a mono 16-bit PCM WAV file: samples times 32767, rounded and
+    """Write a mono 16-bit PCM WAV file: amplitudes times 32767, rounded and
     clipped to the int16 range.  The file is replaced atomically."""
-    scaled = clip.samples * 32767.0
+    scaled = clip.samples * (32767.0 * clip.scale)  # exact: scale is a power of two
     np.rint(scaled, out=scaled)  # np.round at 0 decimals, without a new array
     np.clip(scaled, -32768, 32767, out=scaled)
     payload = scaled.astype("<i2")

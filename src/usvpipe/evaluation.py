@@ -17,6 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .artifacts import read_table, write_table
+from .corpus import CONTEXT_LABELS
+from .partition import FOLD_COUNT
 from .seeding import rng_for
 
 BOOTSTRAP_REPLICATES = 1000
@@ -152,14 +154,24 @@ def write_predictions_csv(path: str | Path, preds: PredictionSet,
 
 
 def read_predictions_csv(path: str | Path) -> PredictionSet:
-    """Read back a write_predictions_csv file.  A fold that is not an
-    integer is a ValueError naming the path and the utterance."""
+    """Read back a write_predictions_csv file.  An utterance listed twice is
+    a ValueError naming path:line; a fold that is not an integer in
+    0..FOLD_COUNT-1, and a true or predicted label outside CONTEXT_LABELS,
+    are ValueErrors naming the path and the utterance."""
     predictions = []
-    for uid, fold, true_label, predicted in read_table(path, PREDICTIONS_CSV_HEADER):
+    for uid, fold, true_label, predicted in read_table(path, PREDICTIONS_CSV_HEADER,
+                                                       unique=True):
         try:
             number = int(fold)
         except ValueError:
             raise ValueError(f"{path}: utterance {uid}: fold {fold!r} is not an "
                              "integer") from None
+        if not 0 <= number < FOLD_COUNT:
+            raise ValueError(f"{path}: utterance {uid}: fold {number} is outside "
+                             f"0..{FOLD_COUNT - 1}")
+        for label in (true_label, predicted):
+            if label not in CONTEXT_LABELS:
+                raise ValueError(f"{path}: utterance {uid}: {label!r} is not a "
+                                 "context label")
         predictions.append(Prediction(uid, true_label, predicted, number))
     return PredictionSet(predictions)

@@ -10,13 +10,20 @@ come; export stores them as float32 in its 3 s tensor, with the padding
 read as zeros rather than copied.  That tensor is the only magnitude matrix
 ever held whole; there is no float64 whole-matrix path.
 
+The clip's samples stay in their own type (int16 for a 16-bit WAV); each
+block copies its frames into float64 and multiplies them by the Hann
+window times the clip's scale, so no float64 copy of the whole clip is
+made.  The scale is a power of two, so the windowed frames are bit for bit
+those of the amplitudes times the plain window.
+
 The blocks live in two flat buffers: float64 for the windowed frames,
 whose rows then take the magnitudes, and complex128 for the spectrum rfft
 writes.  A call takes an idle pair from a lock-guarded list, or makes one,
 and puts it back when it returns, so the next call (in any thread) reuses
 the same pages instead of allocating, and the OS faulting in, two fresh
-2 MB arrays per clip and per block.  The list holds as many pairs as calls
-ever ran at once, about 4 MB each for the pitch and export windows.
+2 MB arrays per clip and per block.  Each buffer is made at the block
+budget, so one pair serves the pitch and the export windows alike; the
+list holds as many pairs as calls ever ran at once, about 4 MB each.
 """
 from __future__ import annotations
 
@@ -43,6 +50,13 @@ _TENSOR_DTYPE_F32 = 1
 # frames, so the windowed copy and its complex spectrum stay small for any
 # clip length instead of each matching the whole magnitude matrix.
 _STFT_BLOCK_BYTES = 2 << 20
+# The least each buffer of a pair is made with: the budget's float64 frames,
+# and the complex bins of a budget's frames of any window of 4096 samples or
+# more (floor(F / w) rows of w // 2 + 1 bins is at most F / 2 + F / 4096 for
+# F frame samples), so a pair made for the 100 ms pitch window also takes an
+# export block, and the reverse.
+_FRAMES_CAPACITY = _STFT_BLOCK_BYTES // 8
+_SPECTRUM_CAPACITY = _FRAMES_CAPACITY // 2 + _FRAMES_CAPACITY // EXPORT_WINDOW_SAMPLES
 
 
 class ClipTooShortError(ValueError):
@@ -66,9 +80,12 @@ class Spectrogram:
 
 
 @functools.lru_cache(maxsize=8)
-def _hann(n: int) -> np.ndarray:
-    """Periodic Hann window (cached per length, read-only)."""
+def _hann(n: int, scale: float) -> np.ndarray:
+    """Periodic Hann window times a clip's scale (cached per length and
+    scale, read-only).  The scale is a power of two, so samples times this
+    window equal, bit for bit, amplitudes times the plain one."""
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window *= scale
     window.flags.writeable = False
     return window
 
@@ -121,21 +138,23 @@ def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int,
     if started > inside:
         # The frames that run past the end read a zero-padded copy of the
         # samples they cover, under window + ceil(window / hop) * hop of them.
-        tail = np.zeros((started - inside - 1) * hop_samples + window_samples)
+        tail = np.zeros((started - inside - 1) * hop_samples + window_samples,
+                        dtype=x.dtype)
         tail[:x.size - inside * hop_samples] = x[inside * hop_samples:]
         parts.append((inside, tail, started - inside))
 
-    window = _hann(window_samples)
+    window = _hann(window_samples, clip.scale)
     bins = window_samples // 2 + 1
-    block = max(1, _STFT_BLOCK_BYTES // (x.itemsize * window_samples))
+    block = max(1, _STFT_BLOCK_BYTES // (8 * window_samples))  # float64 frames
     with _idle_lock:
         flat_frames, flat_spectrum = _idle.pop() if _idle else (
             np.empty(0), np.empty(0, dtype=np.complex128))
     block_rows = min(block, started)
     if flat_frames.size < block_rows * window_samples:
-        flat_frames = np.empty(block_rows * window_samples)
+        flat_frames = np.empty(max(block_rows * window_samples, _FRAMES_CAPACITY))
     if flat_spectrum.size < block_rows * bins:
-        flat_spectrum = np.empty(block_rows * bins, dtype=np.complex128)
+        flat_spectrum = np.empty(max(block_rows * bins, _SPECTRUM_CAPACITY),
+                                 dtype=np.complex128)
     buffer = flat_frames[:block_rows * window_samples].reshape(block_rows, window_samples)
     spectrum = flat_spectrum[:block_rows * bins].reshape(block_rows, bins)
     try:
@@ -146,8 +165,9 @@ def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int,
             view = view[::hop_samples][:count]
             for start in range(0, count, block):
                 rows = min(block, count - start)
-                windowed = np.multiply(view[start:start + rows], window,
-                                       out=buffer[:rows])
+                windowed = buffer[:rows]
+                np.copyto(windowed, view[start:start + rows])
+                windowed *= window
                 np.fft.rfft(windowed, axis=1, out=spectrum[:rows])
                 # Once transformed, the windowed frames are spent, so their
                 # buffer takes the magnitudes.

@@ -10,6 +10,7 @@ from usvpipe import audio_io
 from usvpipe.audio_io import (AudioClip, ClipTooLongError, MalformedWavError,
                               UnsupportedFormatError, load_wav, padded_length,
                               wav_duration, write_wav)
+from usvpipe.pitch import extract_f0
 from usvpipe.spectral import export_spectrogram
 
 from conftest import one_shot_stft, write_raw_wav
@@ -19,8 +20,18 @@ def test_int16_scaling_by_type_maximum(tmp_wav_factory):
     # constant 16384 in int16 -> 16384/32768 = 0.5 exactly
     payload = struct.pack("<200h", *([16384] * 200))
     clip = load_wav(tmp_wav_factory(bits=16, payload=payload))
-    assert np.all(clip.samples == 0.5)
+    assert clip.scale == 2.0 ** -15
+    assert np.all(clip.samples * clip.scale == 0.5)
     assert clip.sample_rate == 50_000
+
+
+def test_16bit_pcm_loads_as_its_data_chunk_in_int16(tmp_wav_factory):
+    """No float64 copy: the samples are the data chunk's own 2-byte numbers."""
+    payload = np.arange(-500, 500, dtype="<i2").tobytes()
+    clip = load_wav(tmp_wav_factory(bits=16, payload=payload))
+    assert clip.samples.dtype == np.dtype("<i2")
+    assert clip.samples.nbytes == len(payload)
+    assert clip.samples.tobytes() == payload
 
 
 def test_empty_data_chunk_rejected(tmp_wav_factory):
@@ -62,8 +73,8 @@ def test_float32_roundtrip(tmp_path):
                   payload=samples.astype("<f4").tobytes())
     loaded = load_wav(path)
     assert loaded.sample_rate == 250_000
-    np.testing.assert_array_equal(loaded.samples,
-                                  samples.astype(np.float32).astype(np.float64))
+    assert loaded.samples.dtype == np.dtype("<f4") and loaded.scale == 1.0
+    np.testing.assert_array_equal(loaded.samples, samples.astype(np.float32))
 
 
 @pytest.mark.parametrize("bits", [32, 64])
@@ -109,7 +120,7 @@ def test_int16_roundtrip_quantisation_bound(tmp_path):
     write_wav(path, clip)
     loaded = load_wav(path)
     # half-step rounding plus the 32767-write / 32768-read scale asymmetry
-    assert np.abs(loaded.samples - clip.samples).max() < 1.5 / 32768
+    assert np.abs(loaded.samples * loaded.scale - clip.samples).max() < 1.5 / 32768
 
 
 def test_int16_payload_is_the_rounded_clipped_product(tmp_path):
@@ -136,7 +147,8 @@ def test_24bit_pcm_decodes(tmp_path):
     path = tmp_path / "i24.wav"
     write_raw_wav(path, bits=24, payload=payload)
     clip = load_wav(path)
-    np.testing.assert_allclose(clip.samples, [0.5, -0.5])
+    assert clip.samples.dtype == np.dtype("<i4")
+    np.testing.assert_array_equal(clip.samples * clip.scale, [0.5, -0.5])
 
 
 def _decode_by_divide(body, bits):
@@ -161,8 +173,9 @@ def test_pcm_decode_equals_the_divide_formula_bit_for_bit(bits):
                             rng.integers(low, high, 1000, endpoint=True)])
     width = (bits + 7) // 8
     body = b"".join(int(c).to_bytes(width, "little", signed=bits > 8) for c in codes)
-    decoded = audio_io._decode(body, 1, bits)
-    assert decoded.dtype == np.float64
+    samples, scale = audio_io._decode(body, 1, bits)
+    assert samples.dtype == np.dtype("<i2" if bits <= 16 else "<i4")
+    decoded = samples * scale
     assert decoded.tobytes() == _decode_by_divide(body, bits).tobytes()
     assert decoded.min() >= -1.0 and decoded.max() < 1.0
 
@@ -173,7 +186,51 @@ def test_scaling_linearity(tmp_wav_factory):
     double = struct.pack("<4h", *[2 * v for v in values])
     c1 = load_wav(tmp_wav_factory(payload=single))
     c2 = load_wav(tmp_wav_factory(payload=double))
-    np.testing.assert_array_equal(c2.samples, 2.0 * c1.samples)
+    np.testing.assert_array_equal(c2.samples * c2.scale, 2.0 * c1.samples * c1.scale)
+
+
+def _payload(amplitudes, fmt_tag, bits) -> bytes:
+    """The amplitudes as a data chunk of the given encoding."""
+    if fmt_tag == 3:
+        return amplitudes.astype(f"<f{bits // 8}").tobytes()
+    codes = np.round(amplitudes * (2 ** (bits - 1) - 1)).astype(np.int64)
+    if bits == 8:
+        return (codes + 128).astype(np.uint8).tobytes()
+    return b"".join(int(c).to_bytes(bits // 8, "little", signed=True) for c in codes)
+
+
+@pytest.mark.parametrize("fmt_tag,bits", [(1, 8), (1, 16), (1, 24), (1, 32),
+                                          (3, 32), (3, 64)])
+def test_clip_in_its_own_type_analyses_as_its_float64_amplitudes(tmp_path, fmt_tag,
+                                                                   bits):
+    """A loaded clip keeps its file's numbers and a power-of-two scale; its
+    pitch contour and export tensor equal, bit for bit, those of the float64
+    clip of samples x scale.  At 0.25 s the export frames run into the zero
+    padding at the tail of the 3 s span."""
+    rng = np.random.default_rng(bits)
+    t = np.arange(12_345) / 50_000
+    amplitudes = (0.6 * np.sin(2 * np.pi * (8000 * t + 24_000 * t * t))
+                  + rng.uniform(-0.05, 0.05, t.size))
+    path = tmp_path / "clip.wav"
+    write_raw_wav(path, fmt_tag=fmt_tag, bits=bits,
+                  payload=_payload(amplitudes, fmt_tag, bits))
+    clip = load_wav(path)
+    pcm_type = "<i2" if bits <= 16 else "<i4"
+    assert clip.samples.dtype == np.dtype(pcm_type if fmt_tag == 1 else f"<f{bits // 8}")
+    reference = AudioClip(samples=clip.samples.astype(np.float64) * clip.scale,
+                          sample_rate=clip.sample_rate)
+    contour, expected = extract_f0(clip), extract_f0(reference)
+    assert (contour.f0_hz > 0).sum() > contour.f0_hz.size // 2
+    assert contour.f0_hz.tobytes() == expected.f0_hz.tobytes()
+    mags = export_spectrogram(clip).magnitudes
+    assert mags[(12_345 - 4096) // 500 + 1].any()  # a frame past the clip's end
+    assert mags.tobytes() == export_spectrogram(reference).magnitudes.tobytes()
+
+
+def test_scale_must_be_a_positive_power_of_two():
+    for scale in (0.0, -0.5, 3.0, 2.0 ** -15 * 1.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="scale must be a positive power of two"):
+            AudioClip(samples=np.ones(10, dtype=np.int16), sample_rate=8000, scale=scale)
 
 
 def test_wav_duration_matches_full_load(tmp_wav_factory):

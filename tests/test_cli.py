@@ -522,7 +522,8 @@ def test_float_wav_with_a_sample_that_is_not_finite_is_a_file_error(tmp_path, ca
     args = _three_class_corpus(tmp_path / "c")
     victims = sorted((tmp_path / "c" / "wavs").iterdir())[3:5]
     for victim, bad in zip(victims, (np.nan, np.inf)):
-        samples = load_wav(victim).samples.astype("<f4")
+        clip = load_wav(victim)
+        samples = (clip.samples * clip.scale).astype("<f4")
         samples[len(samples) // 2] = bad
         write_raw_wav(victim, fmt_tag=3, bits=32, payload=samples.tobytes())
     out = tmp_path / "out"

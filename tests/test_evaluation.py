@@ -17,6 +17,9 @@ def preds_from(truth, pred):
 
 
 FOUR_POINT = preds_from(["A", "A", "B", "B"], ["A", "B", "B", "B"])
+# the same outcomes under context labels, as predictions.csv holds them
+CONTEXT_POINTS = preds_from(["biting", "biting", "feeding", "feeding"],
+                            ["biting", "feeding", "feeding", "feeding"])
 
 
 class TestUar:
@@ -174,17 +177,53 @@ class TestReportAndCsv:
 
     def test_predictions_csv_roundtrip(self, tmp_path):
         path = tmp_path / "preds.csv"
-        write_predictions_csv(path, FOUR_POINT, comment="x")
+        write_predictions_csv(path, CONTEXT_POINTS, comment="x")
         back = read_predictions_csv(path)
-        assert back.records == FOUR_POINT.records
+        assert back.records == CONTEXT_POINTS.records
+
+    @staticmethod
+    def _edited_predictions_csv(path, old, new):
+        """CONTEXT_POINTS written to path, with old replaced by new in the
+        row of u001 (line 4: a stamp line, the header, u000, u001)."""
+        write_predictions_csv(path, CONTEXT_POINTS, comment="x")
+        lines = path.read_text().splitlines(keepends=True)
+        assert old in lines[3]
+        lines[3] = lines[3].replace(old, new)
+        path.write_text("".join(lines))
 
     def test_predictions_csv_fold_that_is_no_integer_names_file_and_utterance(
             self, tmp_path):
         path = tmp_path / "preds.csv"
-        write_predictions_csv(path, FOUR_POINT, comment="x")
-        lines = path.read_text().splitlines(keepends=True)
-        lines[3] = lines[3].replace("u001,0,", "u001,x,")
-        path.write_text("".join(lines))
+        self._edited_predictions_csv(path, "u001,0,", "u001,x,")
         with pytest.raises(ValueError) as refusal:
             read_predictions_csv(path)
         assert str(refusal.value) == f"{path}: utterance u001: fold 'x' is not an integer"
+
+    @pytest.mark.parametrize("fold", ["-7", "3"])
+    def test_predictions_csv_fold_outside_the_plan_names_file_and_utterance(
+            self, tmp_path, fold):
+        path = tmp_path / "preds.csv"
+        self._edited_predictions_csv(path, "u001,0,", f"u001,{fold},")
+        with pytest.raises(ValueError) as refusal:
+            read_predictions_csv(path)
+        assert str(refusal.value) == f"{path}: utterance u001: fold {fold} is outside 0..2"
+
+    @pytest.mark.parametrize("old,new", [(",biting,feeding", ",nonsense,feeding"),
+                                         (",biting,feeding", ",biting,Feeding")],
+                             ids=["true", "predicted"])
+    def test_predictions_csv_label_outside_the_contexts_names_file_and_utterance(
+            self, tmp_path, old, new):
+        path = tmp_path / "preds.csv"
+        self._edited_predictions_csv(path, old, new)
+        label = "nonsense" if "nonsense" in new else "Feeding"
+        with pytest.raises(ValueError) as refusal:
+            read_predictions_csv(path)
+        assert str(refusal.value) == (f"{path}: utterance u001: {label!r} is not a "
+                                      "context label")
+
+    def test_predictions_csv_repeated_utterance_names_file_and_line(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        self._edited_predictions_csv(path, "u001,", "u000,")
+        with pytest.raises(ValueError) as refusal:
+            read_predictions_csv(path)
+        assert str(refusal.value) == f"{path}:4: utterance_id u000 is listed twice"

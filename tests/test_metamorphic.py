@@ -103,14 +103,39 @@ def test_float_wavs_at_half_amplitude_change_no_feature(quick_start):
     shutil.copytree(corpus, copy, ignore=shutil.ignore_patterns("results"))
     for wav in sorted((copy / "wavs").iterdir()):
         clip = load_wav(wav)
-        half = (clip.samples * 0.5).astype("<f4")
-        assert (half.astype(np.float64) == clip.samples * 0.5).all()
+        amplitudes = clip.samples * clip.scale
+        half = (amplitudes * 0.5).astype("<f4")
+        assert (half.astype(np.float64) == amplitudes * 0.5).all()
         write_raw_wav(wav, sample_rate=clip.sample_rate, fmt_tag=3, bits=32,
                       payload=half.tobytes())
     out = copy / "results"
     _run(copy / "config.json", out, ("extract",))
     assert _below_stamp(out / "features.csv") == _below_stamp(
         corpus / "results" / "features.csv")
+
+
+def test_32bit_pcm_wavs_of_the_same_amplitudes_change_no_artifact(quick_start):
+    """Every WAV rewritten as 32-bit PCM, each 16-bit sample times 2^16: the
+    amplitudes are the same numbers, so features.csv and every tensor are
+    identical below their stamps.  This runs the int32 clips end to end."""
+    root, corpus = quick_start
+    copy = root / "pcm32"
+    shutil.copytree(corpus, copy, ignore=shutil.ignore_patterns("results"))
+    for wav in sorted((copy / "wavs").iterdir()):
+        clip = load_wav(wav)
+        assert clip.samples.dtype == np.dtype("<i2")
+        write_raw_wav(wav, sample_rate=clip.sample_rate, bits=32,
+                      payload=(clip.samples.astype("<i4") << 16).tobytes())
+    out = copy / "results"
+    try:
+        _run(copy / "config.json", out, ("extract", "export-spectrograms"))
+        written = sorted(path.relative_to(out) for path in out.rglob("*")
+                         if path.is_file())
+        assert len([name for name in written if name.suffix == ".usvt"]) == 550
+        assert [name for name in written if _below_stamp(out / name)
+                != _below_stamp(corpus / "results" / name)] == []
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
 
 
 @pytest.fixture(scope="module")
