@@ -79,8 +79,8 @@ def read_table(path: str | Path, header: Sequence[str] | None = None,
     The file must be UTF-8 text.  With a header, the file's header and the
     field count of every row must match it, and with unique as well no two
     rows may share a first field, else ValueError names path:line.  Without
-    a header, every row after the comments is data, of any width.  "\\r\\n"
-    rows read as "\\n" ones.
+    a header, every row after the comments is data, of 1 field or more.
+    "\\r\\n" rows read as "\\n" ones.
     """
     reader, skipped = reader_after_comments(path)
     rows, keys = [], set()
@@ -91,6 +91,8 @@ def read_table(path: str | Path, header: Sequence[str] | None = None,
             if header is not None and len(row) != len(header):
                 raise ValueError(f"{path}:{skipped + reader.line_num}: expected "
                                  f"{len(header)} fields, got {len(row)}")
+            if not row:
+                raise ValueError(f"{path}:{skipped + reader.line_num}: blank line")
             if unique:
                 if row[0] in keys:
                     raise ValueError(f"{path}:{skipped + reader.line_num}: "

@@ -4,11 +4,10 @@ Stages communicate exclusively through files under the output directory
 (features.csv, folds.csv, ...), so a 35k-utterance corpus can be processed
 stage by stage and audited in between.  Every text artifact starts with a
 provenance comment (tool version, seed, config hash), and reruns with
-identical inputs at the same paths and seed are byte-identical; the hash
-covers the input paths, so a run from another directory differs only in
-its stamp lines.  partition and train-eval check the fold plan by one
-function, partition.fold_sides, so partition writes no folds.csv that
-train-eval refuses.
+identical inputs and seed are byte-identical, from any directory and with
+the inputs reached by any path.  partition and train-eval check the fold
+plan by one function, partition.fold_sides, so partition writes no
+folds.csv that train-eval refuses.
 
 The per-utterance stages (extract, export-spectrograms), like synth, run
 their files through audio_io.map_ordered, on a thread per CPU the process
@@ -71,11 +70,9 @@ class RunConfig:
     seed: int = 0
 
     def config_hash(self) -> str:
-        """Hash of everything that shapes results (the output location doesn't)."""
+        """Hash of what shapes the numbers: the seed, the cost grid and the
+        bootstrap replicate count.  No input or output path is hashed."""
         payload = {
-            "annotation_file": str(self.annotation_file),
-            "schema_file": str(self.schema_file),
-            "audio_dir": str(self.audio_dir),
             "seed": self.seed,
             "cost_grid": list(svm.COST_GRID),
             "bootstrap_replicates": evaluation.BOOTSTRAP_REPLICATES,

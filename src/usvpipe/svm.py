@@ -384,9 +384,10 @@ def read_model(path: str | Path) -> OvoModel:
 
     ValueError names the path when a row is missing or empty, a machine's
     weight count differs from the standardiser's, a machine names a label
-    not in labels, or the K labels do not come with K*(K-1)/2 machines; and
-    the path and the row when a number does not parse or is not finite, or
-    a std is not above 0, since predict would then label every row alike.
+    not in labels, or the K labels do not come with K*(K-1)/2 machines; the
+    path and the row when a number does not parse or is not finite, or a
+    std is not above 0, since predict would then label every row alike; and
+    the path and the line of a blank line.
     """
     rows: dict[str, list[str]] = {}
     machine_rows = []

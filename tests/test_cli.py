@@ -995,9 +995,13 @@ def test_setting_takes_flag_then_config_file_then_default(tmp_path, monkeypatch,
 
 
 def test_config_file_paths_are_relative_to_its_directory(tmp_path, monkeypatch):
+    """The five stages run as the quick start shows, and again from another
+    directory with the absolute config path and another --out, give
+    byte-identical trees, stamps, report.json and tensors included: the
+    config hash covers no path."""
     monkeypatch.chdir(tmp_path)
     assert main(["synth", "--out", "c", "--seed", "3", "--emitters", "3",
-                 "--per-class", "1"]) == 0
+                 "--per-class", "2"]) == 0
     assert json.loads((tmp_path / "c" / "config.json").read_text()) == {
         "annotation_file": "annotations.csv", "schema_file": "schema.json",
         "audio_dir": ".", "output_dir": "results", "seed": 3}
@@ -1005,10 +1009,26 @@ def test_config_file_paths_are_relative_to_its_directory(tmp_path, monkeypatch):
     cfg = _resolved(["--config", "c/config.json"])
     assert [str(cfg.annotation_file), str(cfg.audio_dir), str(cfg.output_dir)] == [
         "c/annotations.csv", "c", "c/results"]
+    stages = ("extract", "partition", "train-eval", "table1", "export-spectrograms")
+    for stage in stages:
+        assert main([stage, "--config", "c/config.json"]) == 0
+    ran_in_c = tmp_path / "c" / "results"
+    features = (ran_in_c / "features.csv").read_bytes()
+    (ran_in_c / "features.csv").unlink()
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path / "elsewhere")
     config = str(tmp_path / "c" / "config.json")
-    assert main(["extract", "--config", config]) == 0
-    assert main(["extract", "--config", config, "--out", "here"]) == 0  # a flag
-    ran_in_c = (tmp_path / "c" / "results" / "features.csv").read_text()
-    assert (tmp_path / "elsewhere" / "here" / "features.csv").read_text() == ran_in_c
+    assert main(["extract", "--config", config]) == 0  # into c/results again
+    assert (ran_in_c / "features.csv").read_bytes() == features
+    for stage in stages:
+        assert main([stage, "--config", config, "--out", "here"]) == 0  # a flag
+    here = tmp_path / "elsewhere" / "here"
+
+    def files(base):
+        return sorted(path.relative_to(base) for path in base.rglob("*")
+                      if path.is_file())
+
+    assert files(here) == files(ran_in_c)
+    assert len([name for name in files(here) if name.suffix == ".usvt"]) == 22
+    assert [name for name in files(here)
+            if (here / name).read_bytes() != (ran_in_c / name).read_bytes()] == []

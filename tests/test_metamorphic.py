@@ -2,8 +2,9 @@
 
 No oracle knows the right artifacts for a corpus, but some changes to the
 input must leave them as they are.  Each relation runs the stages through
-cli.main on a corpus and on a transformed copy, and compares the artifacts
-below their provenance stamps, which hash the input paths.  The corpora are
+cli.main on a corpus and on a transformed copy, with the same seed, and
+compares whole artifacts, provenance stamps included: the config hash
+covers no path, so a copy's stamps are the original's.  The corpora are
 the quick-start one (synth --seed 7 --emitters 12 --per-class 50), a small
 one (synth --seed 7 --emitters 4 --per-class 4) and, for the feature
 columns, a feature table of 11 overlapping classes, on which the
@@ -32,38 +33,22 @@ def _run(config, out, stages=STAGES, flags=()):
         assert main([stage, "--config", str(config), "--out", str(out), *flags]) == 0
 
 
-def _below_stamp(path) -> bytes:
-    """The artifact's bytes without its provenance: a text table's leading
-    comment lines, the config hash in report.json's provenance."""
-    data = path.read_bytes()
-    if path.name == "report.json":
-        report = json.loads(data)
-        del report["provenance"]["config"]
-        return json.dumps(report, sort_keys=True).encode()
-    if path.suffix == ".csv":
-        lines = data.splitlines(keepends=True)
-        while lines and lines[0].startswith(b"#"):
-            lines.pop(0)
-        return b"".join(lines)
-    return data
-
-
 def _changed(out, expected, undo=lambda text: text) -> list[str]:
-    """The artifacts that differ below their stamps between two output
-    directories, or are in one of them only.  undo maps each path under out,
-    and the text of each artifact there but a tensor, to expected's."""
+    """The artifacts that differ between two output directories, or are in
+    one of them only.  undo maps each path under out, and the text of each
+    artifact there but a tensor, to expected's."""
     def files(base, rename):
         return {rename(path.relative_to(base).as_posix()): path
                 for path in base.rglob("*") if path.is_file()}
 
     def undone(path) -> bytes:
-        data = _below_stamp(path)
+        data = path.read_bytes()
         return data if path.suffix == ".usvt" else undo(data.decode()).encode()
 
     got, want = files(out, undo), files(expected, str)
     return sorted(name for name in got.keys() | want.keys()
                   if name not in got or name not in want
-                  or undone(got[name]) != _below_stamp(want[name]))
+                  or undone(got[name]) != want[name].read_bytes())
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +95,14 @@ def test_float_wavs_at_half_amplitude_change_no_feature(quick_start):
                       payload=half.tobytes())
     out = copy / "results"
     _run(copy / "config.json", out, ("extract",))
-    assert _below_stamp(out / "features.csv") == _below_stamp(
-        corpus / "results" / "features.csv")
+    assert (out / "features.csv").read_bytes() == (
+        corpus / "results" / "features.csv").read_bytes()
 
 
 def test_32bit_pcm_wavs_of_the_same_amplitudes_change_no_artifact(quick_start):
     """Every WAV rewritten as 32-bit PCM, each 16-bit sample times 2^16: the
     amplitudes are the same numbers, so features.csv and every tensor are
-    identical below their stamps.  This runs the int32 clips end to end."""
+    identical.  This runs the int32 clips end to end."""
     root, corpus = quick_start
     copy = root / "pcm32"
     shutil.copytree(corpus, copy, ignore=shutil.ignore_patterns("results"))
@@ -132,8 +117,8 @@ def test_32bit_pcm_wavs_of_the_same_amplitudes_change_no_artifact(quick_start):
         written = sorted(path.relative_to(out) for path in out.rglob("*")
                          if path.is_file())
         assert len([name for name in written if name.suffix == ".usvt"]) == 550
-        assert [name for name in written if _below_stamp(out / name)
-                != _below_stamp(corpus / "results" / name)] == []
+        assert [name for name in written if (out / name).read_bytes()
+                != (corpus / "results" / name).read_bytes()] == []
     finally:
         shutil.rmtree(out, ignore_errors=True)
 
@@ -221,8 +206,8 @@ def _overlapping_features():
 def test_a_power_of_two_per_feature_column_changes_no_prediction(tmp_path):
     """Standardisation undoes any positive scale of a column, and a power of
     two scales a column's mean and std exactly, so the fold plan, the
-    predictions, the confusion and report.json (its provenance included,
-    bar the config hash) are the same.  The scaled values are written as exact texts: write_table
+    predictions, the confusion and report.json (its provenance included)
+    are the same.  The scaled values are written as exact texts: write_table
     would round a float to 6 digits, which does not commute with scaling."""
     rows = _overlapping_features()
     scales = 2.0 ** np.array([-7, 3, 1, -2, 5, 0, 9, -4, 2, -1])
@@ -240,4 +225,4 @@ def test_a_power_of_two_per_feature_column_changes_no_prediction(tmp_path):
     assert 0.15 < report["uar"] < 0.5, "the classes should overlap"
     assert len(set(report["provenance"]["chosen_costs"].values())) > 1
     for name in ("folds.csv", "predictions.csv", "confusion.csv", "report.json"):
-        assert _below_stamp(scaled / name) == _below_stamp(plain / name), name
+        assert (scaled / name).read_bytes() == (plain / name).read_bytes(), name

@@ -568,6 +568,15 @@ def test_read_model_refuses_a_file_cut_mid_row(model_lines):
         read_model(path)
 
 
+def test_read_model_refuses_a_blank_line(model_lines):
+    lines, path = model_lines
+    labels_row = next(i for i, line in enumerate(lines) if line.startswith("labels,"))
+    lines.insert(labels_row + 1, "\n")
+    with refused(path, lines) as refusal:
+        read_model(path)
+    assert str(refusal.value) == f"{path}:{labels_row + 2}: blank line"
+
+
 def test_read_model_refuses_a_machine_with_an_unknown_label(model_lines):
     lines, path = model_lines
     lines[-1] = lines[-1].replace("machine,b,c,", "machine,b,z,")
