@@ -6,8 +6,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import secrets
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -72,32 +74,79 @@ def reader_after_comments(path: str | Path, delimiter: str = ",",
     return csv.reader(lines[skipped:], delimiter=delimiter), skipped
 
 
-def read_table(path: str | Path, header: Sequence[str] | None = None,
-               unique: bool = False) -> list[list[str]]:
-    """Data rows of a table.  Only lines before the header are comments.
+def finite(text: str) -> float:
+    """A cell parser: a finite float."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError("is not a finite number")
 
-    The file must be UTF-8 text.  With a header, the file's header and the
-    field count of every row must match it, and with unique as well no two
-    rows may share a first field, else ValueError names path:line.  Without
-    a header, every row after the comments is data, of 1 field or more.
-    "\\r\\n" rows read as "\\n" ones.
+
+def positive(text: str) -> float:
+    """A cell parser: a finite float above 0."""
+    value = finite(text)
+    if not value > 0.0:
+        raise ValueError("is not above 0")
+    return value
+
+
+def plain_name(text: str) -> str:
+    """A cell parser: an utterance id, a plain file name as it names files."""
+    if not text:
+        raise ValueError("is blank")
+    if text in (".", "..") or "/" in text or "\\" in text or "\0" in text:
+        raise ValueError("is not a plain file name")
+    return text
+
+
+def _one_of(allowed: tuple, text: str) -> str:
+    if text not in allowed:
+        raise ValueError(f"is not one of {', '.join(allowed)}")
+    return text
+
+
+def read_table(path: str | Path, columns: dict | None = None,
+               unique: bool = False) -> list[list]:
+    """Data rows of a table, each cell parsed.  Only lines before the header
+    are comments.  The file must be UTF-8 text; "\\r\\n" rows read as "\\n" ones.
+
+    columns maps each header name, in order, to its cell parser: str,
+    finite, positive, plain_name, or a tuple of the texts allowed.  The
+    header and every row's field count must match it, and with unique no
+    two rows may share a first cell.  Each refusal is a ValueError naming
+    path:line, and a refused cell reads "<column> '<text>' <reason>".
+    Without columns every row is data, of 1 field or more, and unparsed.
     """
     reader, skipped = reader_after_comments(path)
-    rows, keys = [], set()
+    header = list(columns or ())
+    parsers = [partial(_one_of, parse) if isinstance(parse, tuple) else parse
+               for parse in (columns or {}).values()]
+    rows, first_line = [], {}
     try:
-        if header is not None and next(reader, None) != list(header):
+        if columns is not None and next(reader, None) != header:
             raise ValueError(f"{path}:{skipped + 1}: expected header {','.join(header)}")
         for row in reader:
-            if header is not None and len(row) != len(header):
-                raise ValueError(f"{path}:{skipped + reader.line_num}: expected "
-                                 f"{len(header)} fields, got {len(row)}")
-            if not row:
-                raise ValueError(f"{path}:{skipped + reader.line_num}: blank line")
+            line = skipped + reader.line_num
+            if columns is None:
+                if not row:
+                    raise ValueError(f"{path}:{line}: blank line")
+            elif len(row) != len(header):
+                raise ValueError(f"{path}:{line}: expected {len(header)} fields, "
+                                 f"got {len(row)}")
+            else:
+                cells, row = row, []
+                for name, parse, text in zip(header, parsers, cells):
+                    try:
+                        row.append(parse(text))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{line}: {name} {text!r} {exc}") from None
             if unique:
-                if row[0] in keys:
-                    raise ValueError(f"{path}:{skipped + reader.line_num}: "
-                                     f"{header[0]} {row[0]} is listed twice")
-                keys.add(row[0])
+                if row[0] in first_line:
+                    raise ValueError(f"{path}:{line}: {header[0]} {row[0]!r} is already "
+                                     f"used on line {first_line[row[0]]}")
+                first_line[row[0]] = line
             rows.append(row)
     except csv.Error as exc:
         raise ValueError(f"{path}:{skipped + reader.line_num}: {exc}") from exc

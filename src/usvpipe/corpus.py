@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
-from .artifacts import read_json, reader_after_comments
+from .artifacts import plain_name, read_json, reader_after_comments
 from .audio_io import (MAX_UTTERANCE_S, MalformedWavError, UnsupportedFormatError,
                        wav_duration)
 
@@ -130,9 +130,10 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[Utterance]:
                     for role, name in schema.columns.items()}
             uid = cell["id"]
             try:
-                _check_id(uid, first_line)
+                if plain_name(uid) in first_line:
+                    raise ValueError(f"is already used on line {first_line[uid]}")
             except ValueError as exc:
-                raise ValueError(f"{path}:{line}: {exc}") from exc
+                raise ValueError(f"{path}:{line}: utterance id {uid!r} {exc}") from None
             first_line[uid] = line
             records.append(Utterance(
                 utterance_id=uid, emitter_id=cell["emitter"],
@@ -141,17 +142,6 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[Utterance]:
     except csv.Error as exc:
         raise ValueError(f"{path}:{comments + reader.line_num}: {exc}") from exc
     return records
-
-
-def _check_id(uid: str, first_line: dict[str, int]) -> None:
-    """A ValueError unless uid can name its artifact files and is new."""
-    if not uid:
-        raise ValueError("blank utterance id")
-    if uid in (".", "..") or any(c in uid for c in "/\\\0"):
-        raise ValueError(f"utterance id {uid!r} is not a plain file name")
-    if uid in first_line:
-        raise ValueError(f"utterance id {uid!r} is already used on line "
-                         f"{first_line[uid]}")
 
 
 # The exclusion rules in the order they are tried; filter_report.csv has a

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import read_table, write_table
+from .artifacts import plain_name, read_table, write_table
 from .corpus import CONTEXT_LABELS
-from .partition import FOLD_COUNT
+from .partition import FOLDS
 from .seeding import rng_for
 
 BOOTSTRAP_REPLICATES = 1000
@@ -26,7 +26,8 @@ BOOTSTRAP_REPLICATES = 1000
 # prediction set takes 500-odd stacks instead of one 280 MB array.
 _BOOTSTRAP_STACK_ITEMS = 1 << 16
 CI_PERCENTILES = (2.5, 97.5)
-PREDICTIONS_CSV_HEADER = ("utterance_id", "fold", "true", "predicted")
+PREDICTIONS_CSV_COLUMNS = {"utterance_id": plain_name, "fold": FOLDS,
+                           "true": CONTEXT_LABELS, "predicted": CONTEXT_LABELS}
 
 
 @dataclass(frozen=True)
@@ -148,30 +149,14 @@ def write_confusion_csv(path: str | Path, report: dict,
 
 def write_predictions_csv(path: str | Path, preds: PredictionSet,
                           comment: str | None) -> None:
-    write_table(path, PREDICTIONS_CSV_HEADER,
+    write_table(path, tuple(PREDICTIONS_CSV_COLUMNS),
                 ((r.utterance_id, r.fold, r.true_label, r.predicted_label)
                  for r in preds.records), comment)
 
 
 def read_predictions_csv(path: str | Path) -> PredictionSet:
-    """Read back a write_predictions_csv file.  An utterance listed twice is
-    a ValueError naming path:line; a fold that is not an integer in
-    0..FOLD_COUNT-1, and a true or predicted label outside CONTEXT_LABELS,
-    are ValueErrors naming the path and the utterance."""
-    predictions = []
-    for uid, fold, true_label, predicted in read_table(path, PREDICTIONS_CSV_HEADER,
-                                                       unique=True):
-        try:
-            number = int(fold)
-        except ValueError:
-            raise ValueError(f"{path}: utterance {uid}: fold {fold!r} is not an "
-                             "integer") from None
-        if not 0 <= number < FOLD_COUNT:
-            raise ValueError(f"{path}: utterance {uid}: fold {number} is outside "
-                             f"0..{FOLD_COUNT - 1}")
-        for label in (true_label, predicted):
-            if label not in CONTEXT_LABELS:
-                raise ValueError(f"{path}: utterance {uid}: {label!r} is not a "
-                                 "context label")
-        predictions.append(Prediction(uid, true_label, predicted, number))
-    return PredictionSet(predictions)
+    """Read back a write_predictions_csv file: read_table under
+    PREDICTIONS_CSV_COLUMNS, each utterance id once."""
+    return PredictionSet([Prediction(uid, true_label, predicted, int(fold))
+                          for uid, fold, true_label, predicted
+                          in read_table(path, PREDICTIONS_CSV_COLUMNS, unique=True)])

@@ -17,16 +17,18 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from pathlib import Path
 
-from .artifacts import read_table, write_table
+from .artifacts import plain_name, read_table, write_table
 from .pitch import FeatureRecord
 from .seeding import rng_for
 
 FOLD_COUNT = 3
+FOLDS = tuple(str(fold) for fold in range(FOLD_COUNT))  # as folds.csv spells them
 
 ROLE_TEST = "test"
 ROLE_TRAIN = "train"
 ROLE_VAL = "val"
-FOLD_CSV_HEADER = ("utterance_id", "fold", "role")
+FOLD_CSV_COLUMNS = {"utterance_id": plain_name, "fold": FOLDS,
+                    "role": (ROLE_TEST, ROLE_TRAIN, ROLE_VAL)}
 
 
 def make_folds(cohort: list[FeatureRecord], seed: int) -> dict[str, int]:
@@ -126,35 +128,29 @@ def build_plan(cohort: list[FeatureRecord], seed: int) -> dict[str, tuple[str, .
 def write_fold_plan(path: str | Path, plan: dict[str, tuple[str, ...]],
                     comment: str | None) -> None:
     """Serialise as utterance_id,fold,role rows, sorted for byte stability."""
-    write_table(path, FOLD_CSV_HEADER,
+    write_table(path, tuple(FOLD_CSV_COLUMNS),
                 ((uid, fold, role) for uid in sorted(plan)
                  for fold, role in enumerate(plan[uid])), comment)
 
 
 def read_fold_plan(path: str | Path) -> dict[str, tuple[str, ...]]:
-    """Read back a plan written by write_fold_plan.
-
-    Raises ValueError naming the file and the utterance unless every
-    utterance has one known role in each of the FOLD_COUNT folds and exactly
-    one test fold.  fold_sides checks the folds themselves.
+    """Read back a plan written by write_fold_plan: read_table under
+    FOLD_CSV_COLUMNS.  Raises ValueError naming the file and the utterance
+    unless every utterance has one role in each of the FOLD_COUNT folds and
+    exactly one test fold.  fold_sides checks the folds themselves.
     """
-    cells: dict[str, list[tuple[str, str]]] = defaultdict(list)
-    for uid, fold, role in read_table(path, FOLD_CSV_HEADER):
-        cells[uid].append((fold, role))
-    folds = [str(fold) for fold in range(FOLD_COUNT)]
-    roles = {}
-    for uid, pairs in cells.items():
-        pairs.sort()
-        uid_roles = tuple(role for _, role in pairs)
-        if ([fold for fold, _ in pairs] != folds or uid_roles.count(ROLE_TEST) != 1
-                or not set(uid_roles) <= {ROLE_TEST, ROLE_TRAIN, ROLE_VAL}):
-            found = ", ".join(f"fold {fold} {role}" for fold, role in pairs)
-            raise ValueError(
-                f"{path}: utterance {uid} has {found}; each utterance needs one "
-                f"role of {ROLE_TEST}/{ROLE_TRAIN}/{ROLE_VAL} in each of folds "
-                f"{', '.join(folds)} and exactly one {ROLE_TEST} role")
-        roles[uid] = uid_roles
-    return roles
+    plan = defaultdict(list)
+    for uid, fold, role in read_table(path, FOLD_CSV_COLUMNS):
+        plan[uid].append((fold, role))
+    for uid, pairs in plan.items():
+        folds, roles = zip(*sorted(pairs))
+        if folds != FOLDS or roles.count(ROLE_TEST) != 1:
+            found = ", ".join(f"fold {fold} {role}" for fold, role in sorted(pairs))
+            raise ValueError(f"{path}: utterance {uid} has {found}; each utterance needs "
+                             f"one role in each of folds {', '.join(FOLDS)} and exactly "
+                             f"one {ROLE_TEST} role")
+        plan[uid] = roles
+    return dict(plan)
 
 
 def fold_sides(plan: dict[str, tuple[str, ...]], records: list[FeatureRecord],

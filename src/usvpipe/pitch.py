@@ -11,13 +11,12 @@ contour is its F0 track and hop alone: voicing (f0 > 0) and frame times
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_table, write_table
+from .artifacts import finite, plain_name, positive, read_table, write_table
 from .audio_io import AudioClip
 from .corpus import CONTEXT_LABELS
 from .spectral import stft_samples
@@ -62,8 +61,9 @@ class FeatureVector:
 
 
 FEATURE_NAMES = tuple(field.name for field in fields(FeatureVector))
-FEATURE_CSV_HEADER = (
-    "utterance_id", "emitter_id", "context", "duration_s") + FEATURE_NAMES
+FEATURE_CSV_COLUMNS = {"utterance_id": plain_name, "emitter_id": str,
+                       "context": CONTEXT_LABELS, "duration_s": positive,
+                       **dict.fromkeys(FEATURE_NAMES, finite)}
 
 
 def extract_f0(clip: AudioClip) -> PitchContour:
@@ -150,43 +150,15 @@ class FeatureRecord:
 def write_feature_csv(path: str | Path, records: list[FeatureRecord],
                       comment: str | None = None) -> None:
     """Write the feature table, sorted by utterance id."""
-    write_table(path, FEATURE_CSV_HEADER, (
+    write_table(path, tuple(FEATURE_CSV_COLUMNS), (
         [rec.utterance_id, rec.emitter_id, rec.context, rec.duration_s,
          *rec.features.as_row()]
         for rec in sorted(records, key=lambda r: r.utterance_id)), comment)
 
 
-def _finite(path: str | Path, uid: str, column: str, text: str) -> float:
-    try:
-        value = float(text)
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"{path}: utterance {uid}: {column} {text!r} is not a "
-                     "finite number")
-
-
 def read_feature_csv(path: str | Path) -> list[FeatureRecord]:
-    """Read a feature table written by write_feature_csv.
-
-    An utterance id listed twice is a ValueError naming path:line.  A context
-    outside CONTEXT_LABELS, a duration or feature that is not a finite
-    number, or a duration not above 0 is a ValueError naming the path, the
-    utterance and the column.
-    """
-    records = []
-    for row in read_table(path, FEATURE_CSV_HEADER, unique=True):
-        uid, emitter, context = row[:3]
-        if context not in CONTEXT_LABELS:
-            raise ValueError(f"{path}: utterance {uid}: context {context!r} is "
-                             "not a context label")
-        values = [_finite(path, uid, column, text)
-                  for column, text in zip(FEATURE_CSV_HEADER[3:], row[3:])]
-        if values[0] <= 0.0:
-            raise ValueError(f"{path}: utterance {uid}: duration_s {row[3]!r} is "
-                             "not above 0")
-        records.append(FeatureRecord(
-            utterance_id=uid, emitter_id=emitter, context=context,
-            duration_s=values[0], features=FeatureVector(*values[1:])))
-    return records
+    """Read a feature table written by write_feature_csv: read_table under
+    FEATURE_CSV_COLUMNS, each utterance id once."""
+    return [FeatureRecord(uid, emitter, context, duration, FeatureVector(*values))
+            for uid, emitter, context, duration, *values
+            in read_table(path, FEATURE_CSV_COLUMNS, unique=True)]

@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import read_table, write_table
+from .artifacts import finite, positive, read_table, write_table
 from .evaluation import uar_from_labels
 
 COST_GRID = (0.0001, 0.001, 0.005, 0.05, 0.1, 0.5, 1.0)
@@ -382,58 +382,64 @@ def write_model(path: str | Path, model: OvoModel,
 def read_model(path: str | Path) -> OvoModel:
     """Read back a write_model file.
 
-    ValueError names the path when a row is missing or empty, a machine's
-    weight count differs from the standardiser's, a machine names a label
-    not in labels, or the K labels do not come with K*(K-1)/2 machines; the
-    path and the row when a number does not parse or is not finite, or a
-    std is not above 0, since predict would then label every row alike; and
-    the path and the line of a blank line.
+    ValueError names the path and the row when a row is missing, empty or
+    repeated, the cost row holds more than one number, a label repeats, the
+    mean, std and machine rows differ in width, or the machines are not the
+    K*(K-1)/2 pairs of labels, each once; and when a number is not finite,
+    or the cost or a std is not above 0.  A blank line is a ValueError
+    naming path:line.  Rows of other names, such as the zero_variance row
+    of older files, are ignored.
     """
     rows: dict[str, list[str]] = {}
     machine_rows = []
-    for row in read_table(path):
-        if row[0] == "machine":
-            machine_rows.append(row[1:])
+    for key, *cells in read_table(path):
+        if key == "machine":
+            machine_rows.append(cells)
+        elif key in rows:
+            raise ValueError(f"{path}: {key} row: listed twice")
         else:
-            rows[row[0]] = row[1:]
+            rows[key] = cells
     missing = [key for key in ("cost", "labels", "mean", "std") if not rows.get(key)]
     if missing:
         raise ValueError(f"{path}: incomplete model file, no {', '.join(missing)}")
+
+    def parsed(row: str, parse, texts: list[str]) -> np.ndarray:
+        values = []
+        for text in texts:
+            try:
+                values.append(parse(text))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {row} row: {text!r} {exc}") from None
+        return np.array(values)
+
+    if len(rows["cost"]) != 1:
+        raise ValueError(f"{path}: cost row: {len(rows['cost'])} numbers, expected 1")
+    cost = float(parsed("cost", positive, rows["cost"])[0])
     labels = tuple(rows["labels"])
-    width = len(rows["mean"])
-    if len(rows["std"]) != width:
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{path}: labels row: a label is listed twice")
+    standardiser = Standardiser(mean=parsed("mean", finite, rows["mean"]),
+                                std=parsed("std", positive, rows["std"]))
+    width = len(standardiser.mean)
+    if len(standardiser.std) != width:
         raise ValueError(f"{path}: the mean and std rows differ in length")
-    pairs = len(labels) * (len(labels) - 1) // 2
-    if len(machine_rows) != pairs:
+    pairs = {frozenset(pair) for pair in combinations(labels, 2)}
+    if len(machine_rows) != len(pairs):
         raise ValueError(f"{path}: {len(machine_rows)} machines for "
-                         f"{len(labels)} labels, expected {pairs}")
-    for number, row in enumerate(machine_rows):
-        if len(row) != 3 + width:
-            raise ValueError(f"{path}: machine {number} has {len(row) - 3} "
-                             f"weights, the standardiser {width} features")
-        if row[0] not in labels or row[1] not in labels:
-            raise ValueError(f"{path}: machine {number} ({row[0]} vs {row[1]}) "
-                             "names a label not in labels")
-
-    def floats(row: str, values: list[str]) -> np.ndarray:
-        try:
-            numbers = np.array([float(v) for v in values])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {row} row: {exc}") from exc
-        if not np.isfinite(numbers).all():
-            text = values[np.isfinite(numbers).argmin()]
-            raise ValueError(f"{path}: {row} row: {text!r} is not a finite number")
-        return numbers
-
-    cost = float(floats("cost", rows["cost"])[0])
-    std = floats("std", rows["std"])
-    if (std <= 0.0).any():
-        raise ValueError(f"{path}: std row: {rows['std'][(std <= 0.0).argmax()]!r} "
-                         "is not above 0")
-    standardiser = Standardiser(mean=floats("mean", rows["mean"]), std=std)
+                         f"{len(labels)} labels, expected {len(pairs)}")
     machines = []
-    for number, (class_pos, class_neg, *numbers) in enumerate(machine_rows):
-        values = floats(f"machine {number}", numbers)
+    for number, cells in enumerate(machine_rows):
+        row = f"machine {number}"
+        if len(cells) != 3 + width:
+            raise ValueError(f"{path}: {row} row: {len(cells) - 3} weights, the "
+                             f"standardiser {width} features")
+        class_pos, class_neg, *texts = cells
+        try:
+            pairs.remove(frozenset((class_pos, class_neg)))
+        except KeyError:
+            raise ValueError(f"{path}: {row} row: {class_pos} vs {class_neg} is not a "
+                             "pair of two labels, or is listed twice") from None
+        values = parsed(row, finite, texts)
         machines.append(BinarySvm(class_pos=class_pos, class_neg=class_neg,
                                   weights=values[1:], bias=float(values[0]),
                                   cost=cost))

@@ -7,55 +7,56 @@ import pytest
 
 from usvpipe.artifacts import read_json, read_table, write_atomic, write_json, write_table
 
-HEADER = ("utterance_id", "reason")
+COLUMNS = {"utterance_id": str, "reason": str}
+HEADER = tuple(COLUMNS)
 
 
 def test_roundtrip_stamp_and_line_endings(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, HEADER, [("u1", "too_short"), ("u2", "a,b")], comment="stamp")
     assert path.read_bytes() == b'# stamp\nutterance_id,reason\nu1,too_short\nu2,"a,b"\n'
-    assert read_table(path, HEADER) == [["u1", "too_short"], ["u2", "a,b"]]
+    assert read_table(path, COLUMNS) == [["u1", "too_short"], ["u2", "a,b"]]
 
 
 def test_line_breaks_in_fields_read_back(tmp_path):
     path = tmp_path / "t.csv"
     rows = [["u\r1", "a\nb"], ["u2", "c\r\nd"], ["u3", "plain"]]
     write_table(path, HEADER, rows)
-    assert read_table(path, HEADER) == rows
+    assert read_table(path, COLUMNS) == rows
 
 
 def test_only_lines_before_the_header_are_comments(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, HEADER, [("#u1", "too_short"), ("u2", "all_unvoiced")],
                 comment="stamp")
-    assert read_table(path, HEADER) == [["#u1", "too_short"], ["u2", "all_unvoiced"]]
+    assert read_table(path, COLUMNS) == [["#u1", "too_short"], ["u2", "all_unvoiced"]]
 
 
 def test_reads_crlf_rows_of_older_files(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"# stamp\nutterance_id,reason\r\nu1,too_short\r\n")
-    assert read_table(path, HEADER) == [["u1", "too_short"]]
+    assert read_table(path, COLUMNS) == [["u1", "too_short"]]
 
 
 def test_foreign_header_names_path_and_line(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("# a\n# b\nid,why\nu1,x\n")
     with pytest.raises(ValueError, match=r"t\.csv:3: expected header"):
-        read_table(path, HEADER)
+        read_table(path, COLUMNS)
 
 
 def test_short_row_names_path_and_line(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("# stamp\nutterance_id,reason\nu1,too_short\nu2\n")
     with pytest.raises(ValueError, match=r"t\.csv:4: expected 2 fields, got 1"):
-        read_table(path, HEADER)
+        read_table(path, COLUMNS)
 
 
 def test_byte_that_is_not_utf8_names_path_and_line(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"# stamp\nutterance_id,reason\nu1,caf\xe9\n")
     with pytest.raises(ValueError, match=r"t\.csv:3: not UTF-8 text: .* byte 0xe9"):
-        read_table(path, HEADER)
+        read_table(path, COLUMNS)
 
 
 def test_without_header_rows_may_vary_in_width(tmp_path):
@@ -124,4 +125,4 @@ def test_csv_error_names_path_and_line(tmp_path):
     too_wide = "x" * (csv.field_size_limit() + 1)
     path.write_text(f"# stamp\nutterance_id,reason\nu1,ok\nu2,{too_wide}\n")
     with pytest.raises(ValueError, match=r"t\.csv:4: field larger than field limit"):
-        read_table(path, HEADER)
+        read_table(path, COLUMNS)

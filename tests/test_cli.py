@@ -695,14 +695,17 @@ def _test_once_more(rows: list[str]) -> list[str]:
     return rows[:i] + [_set_role(rows[i], "test")] + rows[i + 1:]
 
 
-# (table edited, edit of its data rows); the first utterance is the stale one
+# (table edited, edit of its data rows, what the error names); the first
+# utterance, {uid}, is the stale one
 STALE_INPUTS = {
-    "featured_utterance_not_in_folds": ("folds.csv", lambda rows: rows[3:]),
-    "fold_row_without_features": ("features.csv", lambda rows: rows[1:]),
-    "one_fold_row_missing": ("folds.csv", lambda rows: rows[1:]),
-    "tested_in_two_folds": ("folds.csv", _test_once_more),
-    "unknown_role": ("folds.csv",
-                     lambda rows: [_set_role(rows[0], "holdout")] + rows[1:]),
+    "featured_utterance_not_in_folds": ("folds.csv", lambda rows: rows[3:],
+                                        "utterance {uid} "),
+    "fold_row_without_features": ("features.csv", lambda rows: rows[1:],
+                                  "utterance {uid} "),
+    "one_fold_row_missing": ("folds.csv", lambda rows: rows[1:], "utterance {uid} "),
+    "tested_in_two_folds": ("folds.csv", _test_once_more, "utterance {uid} "),
+    "unknown_role": ("folds.csv", lambda rows: [_set_role(rows[0], "holdout")] + rows[1:],
+                     "folds.csv:3: role 'holdout' is not one of test, train, val"),
 }
 
 
@@ -710,14 +713,14 @@ STALE_INPUTS = {
 def test_train_eval_refuses_features_and_folds_that_disagree(small_corpus, tmp_path,
                                                              caplog, case):
     root, _config = small_corpus
-    name, edit = STALE_INPUTS[case]
+    name, edit, named = STALE_INPUTS[case]
     for table in ("features.csv", "folds.csv"):
         (tmp_path / table).write_bytes((root / "results" / table).read_bytes())
     lines = (tmp_path / name).read_text().splitlines(keepends=True)
     (tmp_path / name).write_text("".join(lines[:2] + edit(lines[2:])))  # stamp, header
     stale_id = lines[2].split(",")[0]
     assert main(["train-eval", "--out", str(tmp_path)]) == 2
-    assert f"utterance {stale_id} " in caplog.text
+    assert named.format(uid=stale_id) in caplog.text
     assert "folds.csv" in caplog.text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
 
@@ -923,11 +926,13 @@ def test_repeated_feature_row_exits_2_naming_it(small_corpus, tmp_path, caplog, 
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     repeated_id = lines[2].split(",")[0]
     assert main([stage, "--out", str(tmp_path)]) == 2
-    assert f"features.csv:{len(lines) + 1}: utterance_id {repeated_id} " in caplog.text
+    assert (f"features.csv:{len(lines) + 1}: utterance_id '{repeated_id}' is already "
+            "used on line 3") in caplog.text
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-# case: (column index, text written there in the first data row)
+# case: (column index, text written there in the first data row); the
+# reader's own table in test_pitch.py holds every refused cell
 BAD_FEATURE_FIELDS = {
     "nan_feature": (4, "nan"),
     "infinite_duration": (3, "inf"),
@@ -953,7 +958,7 @@ def test_bad_feature_field_exits_2_naming_it(small_corpus, tmp_path, caplog, sta
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert main([stage, "--out", str(tmp_path)]) == 2
     name = lines[1].rstrip("\n").split(",")[column]
-    assert f"features.csv: utterance {fields[0]}: {name} '{text}' " in caplog.text
+    assert f"features.csv:3: {name} '{text}' " in caplog.text
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

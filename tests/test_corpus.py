@@ -148,7 +148,8 @@ class TestLoadAnnotations:
 # complaint: a regular expression.  Python 3.10's csv module refuses a NUL
 # itself, so the NUL case names that instead.
 @pytest.mark.parametrize("uid, complaint", [
-    ("", "blank utterance id"), ("  ", "blank utterance id"),
+    pytest.param("", "utterance id '' is blank", id="blank"),
+    pytest.param("  ", "utterance id '' is blank", id="spaces"),
     ("../../escaped", r"utterance id '\.\./\.\./escaped' is not a plain file name"),
     ("a/b", "utterance id 'a/b' is not a plain file name"),
     ("a\\b", r"utterance id 'a\\\\b' is not a plain file name"),

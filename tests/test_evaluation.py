@@ -5,6 +5,7 @@ import pytest
 
 from usvpipe import evaluation
 from usvpipe.artifacts import write_json
+from usvpipe.corpus import CONTEXT_LABELS
 from usvpipe.evaluation import (Prediction, PredictionSet, bootstrap_ci,
                                 build_report, read_predictions_csv,
                                 uar_from_labels, write_predictions_csv)
@@ -182,48 +183,51 @@ class TestReportAndCsv:
         assert back.records == CONTEXT_POINTS.records
 
     @staticmethod
-    def _edited_predictions_csv(path, old, new):
-        """CONTEXT_POINTS written to path, with old replaced by new in the
-        row of u001 (line 4: a stamp line, the header, u000, u001)."""
+    def _refusal(path, old, new):
+        """read_predictions_csv's refusal, as text, of CONTEXT_POINTS written to
+        path with old replaced by new in the row of u001 (line 4: a stamp
+        line, the header, u000, u001)."""
         write_predictions_csv(path, CONTEXT_POINTS, comment="x")
         lines = path.read_text().splitlines(keepends=True)
         assert old in lines[3]
         lines[3] = lines[3].replace(old, new)
         path.write_text("".join(lines))
+        with pytest.raises(ValueError) as refusal:
+            read_predictions_csv(path)
+        return str(refusal.value)
 
     def test_predictions_csv_fold_that_is_no_integer_names_file_and_utterance(
             self, tmp_path):
         path = tmp_path / "preds.csv"
-        self._edited_predictions_csv(path, "u001,0,", "u001,x,")
-        with pytest.raises(ValueError) as refusal:
-            read_predictions_csv(path)
-        assert str(refusal.value) == f"{path}: utterance u001: fold 'x' is not an integer"
+        assert self._refusal(path, "u001,0,", "u001,x,") == (
+            f"{path}:4: fold 'x' is not one of 0, 1, 2")
 
-    @pytest.mark.parametrize("fold", ["-7", "3"])
+    # a fold is written as str(int) writes it, and read back only so
+    @pytest.mark.parametrize("fold", ["-7", "3", " 1", "01", "+1"])
     def test_predictions_csv_fold_outside_the_plan_names_file_and_utterance(
             self, tmp_path, fold):
         path = tmp_path / "preds.csv"
-        self._edited_predictions_csv(path, "u001,0,", f"u001,{fold},")
-        with pytest.raises(ValueError) as refusal:
-            read_predictions_csv(path)
-        assert str(refusal.value) == f"{path}: utterance u001: fold {fold} is outside 0..2"
+        assert self._refusal(path, "u001,0,", f"u001,{fold},") == (
+            f"{path}:4: fold {fold!r} is not one of 0, 1, 2")
 
-    @pytest.mark.parametrize("old,new", [(",biting,feeding", ",nonsense,feeding"),
-                                         (",biting,feeding", ",biting,Feeding")],
+    @pytest.mark.parametrize("new, bad", [(",nonsense,feeding", "true 'nonsense'"),
+                                          (",biting,Feeding", "predicted 'Feeding'")],
                              ids=["true", "predicted"])
     def test_predictions_csv_label_outside_the_contexts_names_file_and_utterance(
-            self, tmp_path, old, new):
+            self, tmp_path, new, bad):
         path = tmp_path / "preds.csv"
-        self._edited_predictions_csv(path, old, new)
-        label = "nonsense" if "nonsense" in new else "Feeding"
-        with pytest.raises(ValueError) as refusal:
-            read_predictions_csv(path)
-        assert str(refusal.value) == (f"{path}: utterance u001: {label!r} is not a "
-                                      "context label")
+        assert self._refusal(path, ",biting,feeding", new) == (
+            f"{path}:4: {bad} is not one of {', '.join(CONTEXT_LABELS)}")
+
+    @pytest.mark.parametrize("uid, reason", [("", "is blank"),
+                                             ("../x", "is not a plain file name")])
+    def test_predictions_csv_id_that_cannot_name_a_file_names_file_and_line(
+            self, tmp_path, uid, reason):
+        path = tmp_path / "preds.csv"
+        assert self._refusal(path, "u001,", f"{uid},") == (
+            f"{path}:4: utterance_id {uid!r} {reason}")
 
     def test_predictions_csv_repeated_utterance_names_file_and_line(self, tmp_path):
         path = tmp_path / "preds.csv"
-        self._edited_predictions_csv(path, "u001,", "u000,")
-        with pytest.raises(ValueError) as refusal:
-            read_predictions_csv(path)
-        assert str(refusal.value) == f"{path}:4: utterance_id u000 is listed twice"
+        assert self._refusal(path, "u001,", "u000,") == (
+            f"{path}:4: utterance_id 'u000' is already used on line 3")

@@ -21,7 +21,7 @@ from usvpipe.artifacts import write_table
 from usvpipe.audio_io import load_wav
 from usvpipe.cli import main
 from usvpipe.corpus import CONTEXT_LABELS
-from usvpipe.pitch import FEATURE_CSV_HEADER
+from usvpipe.pitch import FEATURE_CSV_COLUMNS
 
 from conftest import write_raw_wav
 
@@ -214,7 +214,7 @@ def test_a_power_of_two_per_feature_column_changes_no_prediction(tmp_path):
     outputs = []
     for name, scale in (("plain", np.ones(10)), ("scaled", scales)):
         out = tmp_path / name
-        write_table(out / "features.csv", FEATURE_CSV_HEADER,
+        write_table(out / "features.csv", tuple(FEATURE_CSV_COLUMNS),
                     [row[:4] + [repr(float(v)) for v in np.multiply(row[4:], scale)]
                      for row in rows], "stamp")
         for stage in ("partition", "train-eval"):

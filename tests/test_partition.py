@@ -1,4 +1,3 @@
-import re
 from collections import Counter
 
 import pytest
@@ -172,18 +171,33 @@ class TestFoldPlanCsv:
         plan2 = build_plan(cohort, seed=2)
         assert plan1 != plan2
 
-    @pytest.mark.parametrize("rows", [
-        ["u1,0,test", "u1,1,train"],                 # no row for fold 2
-        ["u1,0,test", "u1,1,train", "u1,1,val"],     # fold 1 twice, no fold 2
-        ["u1,0,test", "u1,1,train", "u1,3,val"],     # no fold 3
-        ["u1,0,test", "u1,1,test", "u1,2,val"],      # tested twice
-        ["u1,0,train", "u1,1,val", "u1,2,train"],    # never tested
-        ["u1,0,test", "u1,1,train", "u1,2,holdout"],  # unknown role
-    ])
+    # (u1's rows, after u0's three on lines 2-4, and the refusal after the path)
+    NEEDS = ("; each utterance needs one role in each of folds 0, 1, 2 and exactly "
+             "one test role")
+    ROW_CASES = [
+        (["u1,0,test", "u1,1,train"],
+         ": utterance u1 has fold 0 test, fold 1 train" + NEEDS),
+        (["u1,0,test", "u1,1,train", "u1,1,val"],
+         ": utterance u1 has fold 0 test, fold 1 train, fold 1 val" + NEEDS),
+        (["u1,0,test", "u1,1,train", "u1,3,val"], ":7: fold '3' is not one of 0, 1, 2"),
+        (["u1,0,test", "u1,1,test", "u1,2,val"],
+         ": utterance u1 has fold 0 test, fold 1 test, fold 2 val" + NEEDS),
+        (["u1,0,train", "u1,1,val", "u1,2,train"],
+         ": utterance u1 has fold 0 train, fold 1 val, fold 2 train" + NEEDS),
+        (["u1,0,test", "u1,1,train", "u1,2,holdout"],
+         ":7: role 'holdout' is not one of test, train, val"),
+        ([",0,test"], ":5: utterance_id '' is blank"),
+        (["../u1,0,test"], ":5: utterance_id '../u1' is not a plain file name"),
+        (["u1,01,test"], ":5: fold '01' is not one of 0, 1, 2"),
+    ]
+
+    @pytest.mark.parametrize("rows, complaint", ROW_CASES,
+                             ids=[f"rows{i}" for i in range(len(ROW_CASES))])
     def test_read_rejects_an_utterance_without_one_role_per_fold(self, tmp_path,
-                                                                 rows):
+                                                                 rows, complaint):
         path = tmp_path / "folds.csv"
         path.write_text("\n".join(["utterance_id,fold,role", "u0,0,train",
                                     "u0,1,test", "u0,2,val"] + rows) + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: utterance u1 has")):
+        with pytest.raises(ValueError) as refusal:
             read_fold_plan(path)
+        assert str(refusal.value) == f"{path}{complaint}"

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usvpipe import pitch
+from usvpipe.artifacts import write_table
 from usvpipe.audio_io import AudioClip
-from usvpipe.pitch import (GATE_DB, EmptyVoicedSetError, FeatureRecord,
-                           FeatureVector, PitchContour, contour_stats, extract_f0,
-                           read_feature_csv, write_feature_csv)
+from usvpipe.corpus import CONTEXT_LABELS
+from usvpipe.pitch import (FEATURE_CSV_COLUMNS, GATE_DB, EmptyVoicedSetError,
+                           FeatureRecord, FeatureVector, PitchContour, contour_stats,
+                           extract_f0, read_feature_csv, write_feature_csv)
 from usvpipe.spectral import _STFT_BLOCK_BYTES, ClipTooShortError
 
 from conftest import sine_clip
@@ -317,7 +319,7 @@ class TestEndToEndPitch:
 def test_feature_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{path}:1: expected header utterance_id,"):
         read_feature_csv(path)
 
 
@@ -329,8 +331,36 @@ def test_feature_csv_rejects_repeated_id(tmp_path):
                       comment="stamp")
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines + lines[2:3]))  # u001 again, on line 5
-    with pytest.raises(ValueError, match=f"^{path}:5: utterance_id u001 is listed twice"):
+    with pytest.raises(ValueError, match=f"^{path}:5: utterance_id 'u001' is already "
+                                         "used on line 3$"):
         read_feature_csv(path)
+
+
+# case: (column, text written there in the row on line 3, the refusal's reason)
+BAD_FEATURE_CELLS = {
+    "blank_id": (0, "", "is blank"),
+    "path_id": (0, "../x", "is not a plain file name"),
+    "unknown_context": (2, "chirping", f"is not one of {', '.join(CONTEXT_LABELS)}"),
+    "infinite_duration": (3, "inf", "is not a finite number"),
+    "zero_duration": (3, "0", "is not above 0"),
+    "negative_duration": (3, "-0.5", "is not above 0"),
+    "nan_feature": (4, "nan", "is not a finite number"),
+    "non_numeric_feature": (13, "high", "is not a finite number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FEATURE_CELLS))
+def test_feature_csv_refuses_a_bad_cell_naming_path_line_and_column(tmp_path, case):
+    column, text, reason = BAD_FEATURE_CELLS[case]
+    row = ["u002", "batB", "biting", "0.5", *"0123456789"]
+    row[column] = text
+    path = tmp_path / "features.csv"
+    write_table(path, tuple(FEATURE_CSV_COLUMNS),
+                [["u001", "batA", "feeding", "0.5", *"0123456789"], row])
+    with pytest.raises(ValueError) as refusal:
+        read_feature_csv(path)
+    name = list(FEATURE_CSV_COLUMNS)[column]
+    assert str(refusal.value) == f"{path}:3: {name} {text!r} {reason}"
 
 
 def test_feature_csv_roundtrip(tmp_path):

@@ -1,4 +1,3 @@
-import re
 from itertools import combinations
 
 import numpy as np
@@ -489,16 +488,31 @@ def model_lines(tmp_path):
     return path.read_text().splitlines(keepends=True), path
 
 
-def refused(path, lines):
+NOT_A_PAIR = "is not a pair of two labels, or is listed twice"
+
+
+def refusal(path, lines) -> str:
+    """read_model's refusal of lines written to path."""
     path.write_text("".join(lines))
-    return pytest.raises(ValueError, match=re.escape(str(path)))
+    with pytest.raises(ValueError) as refused:
+        read_model(path)
+    return str(refused.value)
+
+
+def edited(lines, row, field, text):
+    """lines with field `field` of the first row starting `row,` set to text,
+    appended when field is one past the row's end, or deleted when text is None."""
+    at = next(i for i, line in enumerate(lines) if line.startswith(row + ","))
+    fields = lines[at].rstrip("\n").split(",")
+    fields[field:field + 1] = [] if text is None else [text]
+    return lines[:at] + [",".join(fields) + "\n"] + lines[at + 1:]
 
 
 @pytest.mark.parametrize("row", ["mean", "std"])
 def test_read_model_refuses_a_missing_standardiser_row(model_lines, row):
     lines, path = model_lines
-    with refused(path, [l for l in lines if not l.startswith(row + ",")]):
-        read_model(path)
+    assert refusal(path, [l for l in lines if not l.startswith(row + ",")]) == (
+        f"{path}: incomplete model file, no {row}")
 
 
 def test_read_model_reads_a_file_with_a_zero_variance_row_as_before(model_lines):
@@ -520,24 +534,17 @@ def test_read_model_reads_a_file_with_a_zero_variance_row_as_before(model_lines)
 
 def test_read_model_refuses_mean_and_std_rows_of_unequal_length(model_lines):
     lines, path = model_lines
-    std_row = next(i for i, line in enumerate(lines) if line.startswith("std,"))
-    lines[std_row] = lines[std_row].rstrip("\n").rsplit(",", 1)[0] + "\n"
-    with refused(path, lines) as refusal:
-        read_model(path)
-    assert "the mean and std rows differ in length" in str(refusal.value)
+    assert refusal(path, edited(lines, "std", 4, None)) == (
+        f"{path}: the mean and std rows differ in length")
 
 
 def test_read_model_refuses_a_number_that_does_not_parse(model_lines):
     lines, path = model_lines
-    mean_row = next(i for i, line in enumerate(lines) if line.startswith("mean,"))
-    fields = lines[mean_row].split(",")
-    lines[mean_row] = ",".join(["mean", "abc"] + fields[2:])
-    with refused(path, lines) as refusal:
-        read_model(path)
-    assert "could not convert string to float: 'abc'" in str(refusal.value)
+    assert refusal(path, edited(lines, "mean", 1, "abc")) == (
+        f"{path}: mean row: 'abc' is not a finite number")
 
 
-# (row, the field index in it, the text put there, the error's end); field 1
+# (row, the field index in it, the text put there, the error's end); field 3
 # of a machine row is its bias, field 4 its first weight
 @pytest.mark.parametrize("row, field, text, error", [
     ("cost", 1, "nan", "cost row: 'nan' is not a finite number"),
@@ -551,40 +558,46 @@ def test_read_model_refuses_a_number_that_does_not_parse(model_lines):
 def test_read_model_refuses_a_number_predict_cannot_use(model_lines, row, field,
                                                         text, error):
     lines, path = model_lines
-    at = next(i for i, line in enumerate(lines) if line.startswith(row + ","))
-    fields = lines[at].rstrip("\n").split(",")
-    fields[field] = text
-    lines[at] = ",".join(fields) + "\n"
-    with refused(path, lines) as refusal:
-        read_model(path)
-    assert str(refusal.value) == f"{path}: {error}"
+    assert refusal(path, edited(lines, row, field, text)) == f"{path}: {error}"
+
+
+# (row, the field index in it, the text put there, the error's end); the
+# machine rows are a,b then a,c then b,c
+@pytest.mark.parametrize("row, field, text, error", [
+    ("std", 0, "mean", "mean row: listed twice"),
+    ("cost", 2, "99", "cost row: 2 numbers, expected 1"),
+    ("cost", 1, "0", "cost row: '0' is not above 0"),
+    ("labels", 2, "a", "labels row: a label is listed twice"),
+    ("machine,a,b", 2, "a", "machine 0 row: a vs a " + NOT_A_PAIR),
+    ("machine,b,c", 1, "a", "machine 2 row: a vs c " + NOT_A_PAIR),
+], ids=["second_mean", "extra_cost", "zero_cost", "repeated_label", "same_label_twice",
+        "repeated_pair"])
+def test_read_model_refuses_a_row_predict_would_misuse(model_lines, row, field, text,
+                                                       error):
+    lines, path = model_lines
+    assert refusal(path, edited(lines, row, field, text)) == f"{path}: {error}"
 
 
 def test_read_model_refuses_a_file_cut_mid_row(model_lines):
     lines, path = model_lines
-    last = lines[-1]
-    cut = last[:[i for i, ch in enumerate(last) if ch == ","][5]]
-    with refused(path, lines[:-1] + [cut]):
-        read_model(path)
+    cut = lines[-1][:[i for i, ch in enumerate(lines[-1]) if ch == ","][5]]
+    assert refusal(path, lines[:-1] + [cut]) == (
+        f"{path}: machine 2 row: 2 weights, the standardiser 4 features")
 
 
 def test_read_model_refuses_a_blank_line(model_lines):
     lines, path = model_lines
     labels_row = next(i for i, line in enumerate(lines) if line.startswith("labels,"))
     lines.insert(labels_row + 1, "\n")
-    with refused(path, lines) as refusal:
-        read_model(path)
-    assert str(refusal.value) == f"{path}:{labels_row + 2}: blank line"
+    assert refusal(path, lines) == f"{path}:{labels_row + 2}: blank line"
 
 
 def test_read_model_refuses_a_machine_with_an_unknown_label(model_lines):
     lines, path = model_lines
-    lines[-1] = lines[-1].replace("machine,b,c,", "machine,b,z,")
-    with refused(path, lines):
-        read_model(path)
+    assert refusal(path, edited(lines, "machine,b,c", 2, "z")) == (
+        f"{path}: machine 2 row: b vs z " + NOT_A_PAIR)
 
 
 def test_read_model_refuses_a_missing_machine(model_lines):
     lines, path = model_lines
-    with refused(path, lines[:-1]):
-        read_model(path)
+    assert refusal(path, lines[:-1]) == f"{path}: 2 machines for 3 labels, expected 3"
