@@ -8,6 +8,7 @@ import pytest
 
 from usvpipe import svm
 from usvpipe.audio_io import AudioClip
+from usvpipe.pitch import FeatureRecord, FeatureVector
 
 
 def brute_force_dft_magnitudes(frame: np.ndarray, block: int = 256) -> np.ndarray:
@@ -94,3 +95,67 @@ def tmp_wav_factory(tmp_path):
         return path
 
     return make
+
+
+def record(uid, emitter, context):
+    """A feature-table record; the plan never reads the features."""
+    return FeatureRecord(utterance_id=uid, emitter_id=emitter, context=context,
+                         duration_s=0.5, features=FeatureVector(*[0.0] * 10))
+
+
+# Twelve utterances: bat0, bat1 and bat2 each bite twice (u00-u02, u06-u08)
+# and feed twice (u03-u05, u09-u11), and each emitter is tested in its own
+# fold.  Development rows u00-u05 train and u06-u11 are val, so every fold
+# trains and validates on both contexts and fold_sides accepts the plan.
+SIDE_RECORDS = [record(f"u{i:02d}", f"bat{i % 3}", ("biting", "feeding")[i // 3 % 2])
+                for i in range(12)]
+SIDE_PLAN = {f"u{i:02d}": tuple("test" if fold == i % 3 else "val" if i >= 6 else "train"
+                                for fold in range(3)) for i in range(12)}
+
+
+def _each_role(change):
+    """An edit giving each utterance the roles change(record, fold, role)."""
+    return lambda records, plan: (records, {
+        r.utterance_id: tuple(change(r, fold, role)
+                              for fold, role in enumerate(plan[r.utterance_id]))
+        for r in records})
+
+
+# case: (edit of the records and the plan, the refusal with {features}
+# and {folds} standing for the two tables' paths).  test_partition.py
+# checks partition.fold_sides on each row, test_cli.py train-eval.
+SIDE_DEFECTS = {
+    "featured_utterance_not_in_folds": (
+        lambda records, plan: (records, {u: roles for u, roles in plan.items()
+                                         if u != "u04"}),
+        "{features} and {folds} must list the same utterances once each: "
+        "utterance u04 has no row in folds.csv"),
+    "fold_row_without_features": (
+        lambda records, plan: ([r for r in records if r.utterance_id != "u04"], plan),
+        "{features} and {folds} must list the same utterances once each: "
+        "utterance u04 has no row in features.csv"),
+    "empty_test_fold": (
+        _each_role(lambda r, fold, role: ("train", "test", role)[fold]
+                   if r.emitter_id == "bat0" else role),  # bat0 tested in fold 1
+        "{folds}: no utterance is tested in fold 0; each of the 3 folds must test "
+        "one or more"),
+    "emitter_on_both_sides": (
+        lambda records, plan: (records, {**plan, "u00": ("train", "test", "train")}),
+        "{folds}: emitter bat0 is in both the test and the development set of fold 0; "
+        "folds must be emitter-disjoint"),
+    "one_context": (  # bat0 and bat1 only bite: fold 2 develops on them alone
+        lambda records, plan: ([record(r.utterance_id, r.emitter_id,
+                                       r.context if r.emitter_id == "bat2" else "biting")
+                                for r in records], plan),
+        "{folds}: the development set of fold 2 holds only context biting; training "
+        "needs two or more"),
+    "no_val": (
+        _each_role(lambda r, fold, role: "train" if role == "val" else role),
+        "{folds}: the development set of fold 0 holds no val utterance; cost "
+        "selection needs one or more"),
+    "val_context_not_in_train": (
+        _each_role(lambda r, fold, role: "val" if (fold, r.context, role) == (
+            1, "biting", "train") else role),
+        "{folds}: the development set of fold 1 holds context biting in val but not "
+        "in train; cost selection needs each val context in train"),
+}

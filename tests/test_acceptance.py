@@ -215,7 +215,8 @@ def test_criterion_6_partition_invariants(e2e_run):
 def test_criterion_7_svm_solver_correctness():
     m = train_binary(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]),
                      cost=1.0)
-    two_point = abs(m.weights[0] - 1.0) < 1e-3 and abs(m.bias) < 1e-3
+    two_point = (abs(m.weights[0] - 1.0) < 1e-3 and abs(m.bias) < 1e-3
+                 and m.converged is True)
 
     rng = np.random.default_rng(707)
     worst_gap = 0.0
@@ -236,17 +237,19 @@ def test_criterion_7_svm_solver_correctness():
 
     X = np.random.default_rng(708).normal(size=(6, 2))
     y = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
-    mw = train_weighted(X, y, cost=0.5, weight_neg=3.0)
-    md = train_binary(np.vstack([X[:4], np.repeat(X[4:], 3, axis=0)]),
-                      np.concatenate([np.ones(4), -np.ones(6)]), cost=0.5)
-    dup_ok = (np.abs(mw.weights - md.weights).max() < 1e-3
-              and abs(mw.bias - md.bias) < 1e-3)
+    dup_ok = True
+    for d in (2, 3):
+        mw = train_weighted(X, y, cost=0.5, weight_neg=float(d))
+        md = train_binary(np.vstack([X[:4], np.repeat(X[4:], d, axis=0)]),
+                          np.concatenate([np.ones(4), -np.ones(2 * d)]), cost=0.5)
+        dup_ok = dup_ok and (np.abs(mw.weights - md.weights).max() < 1e-3
+                             and abs(mw.bias - md.bias) < 1e-3)
 
     ok = two_point and brute_ok and dup_ok
-    report(7, ok, f"two-point (w, b) = (1, 0) within 1e-3: {two_point}; "
+    report(7, ok, f"two-point (w, b) = (1, 0) within 1e-3, converged: {two_point}; "
                   f"20 tiny problems within 1e-3 of fine search (worst gap "
-                  f"{worst_gap:.2e}): {brute_ok}; weighted = duplicated within "
-                  f"1e-3: {dup_ok}")
+                  f"{worst_gap:.2e}): {brute_ok}; weights 2 and 3 = duplicated rows "
+                  f"within 1e-3: {dup_ok}")
 
 
 def test_criterion_8_end_to_end_uar(e2e_run):

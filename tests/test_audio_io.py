@@ -235,8 +235,9 @@ def test_scale_must_be_a_positive_power_of_two():
 
 def test_wav_duration_matches_full_load(tmp_wav_factory):
     payload = struct.pack("<300h", *([0] * 300))
-    path = tmp_wav_factory(payload=payload, sample_rate=10_000)
-    assert wav_duration(path) == load_wav(path).duration_s == 0.03
+    for rate, seconds in ((10_000, 0.03), (1, 300.0)):  # 1 Hz: the lowest rate read
+        path = tmp_wav_factory(payload=payload, sample_rate=rate)
+        assert wav_duration(path) == load_wav(path).duration_s == seconds
 
 
 class TestPadToDuration:
@@ -287,42 +288,79 @@ def _riff(*chunks) -> bytes:
 
 
 _FMT = struct.pack("<HHIIHH", 1, 1, 50_000, 100_000, 2, 16)
+_STEREO_FMT = struct.pack("<HHIIHH", 1, 2, 50_000, 200_000, 4, 16)
+_EXTENSIBLE_FMT = (struct.pack("<HHIIHHHHIH", 0xFFFE, 1, 50_000, 100_000, 2, 16, 22, 16,
+                               0x4, 1) + _KSDATAFORMAT_GUID_TAIL)
 _DATA = b"\x00\x00" * 100
+_SHORT_FMT = "missing or short fmt chunk"
 
+# defect: (file bytes, the error both readers raise, its message after the path)
 CONTAINER_DEFECTS = {
-    "not_riff": b"OggS" + b"\x00" * 64,
-    "shorter_than_riff_header": b"RIFF\x00\x00",
-    "truncated_data_chunk": _riff((b"fmt ", _FMT), (b"data", _DATA))[:-37],
-    "truncated_trailing_chunk": _riff((b"fmt ", _FMT), (b"data", _DATA))
-    + b"LIST" + struct.pack("<I", 64) + b"abc",
-    "missing_fmt": _riff((b"data", _DATA)),
-    "short_fmt": _riff((b"fmt ", _FMT[:14]), (b"data", _DATA)),
-    "missing_data": _riff((b"fmt ", _FMT)),
-    "empty_data": _riff((b"fmt ", _FMT), (b"data", b"")),
+    "not_riff": (b"OggS" + b"\x00" * 64, MalformedWavError, "not a RIFF/WAVE file"),
+    "shorter_than_riff_header": (b"RIFF\x00\x00", MalformedWavError,
+                                 "not a RIFF/WAVE file"),
+    "rifx_magic": (b"RIFX" + _riff((b"fmt ", _FMT), (b"data", _DATA))[4:],
+                   MalformedWavError, "not a RIFF/WAVE file"),
+    "truncated_data_chunk": (_riff((b"fmt ", _FMT), (b"data", _DATA))[:-37],
+                             MalformedWavError,
+                             "chunk b'data' declares 200 bytes but file is truncated"),
+    "truncated_trailing_chunk": (_riff((b"fmt ", _FMT), (b"data", _DATA))
+                                 + b"LIST" + struct.pack("<I", 64) + b"abc",
+                                 MalformedWavError,
+                                 "chunk b'LIST' declares 64 bytes but file is truncated"),
+    "missing_fmt": (_riff((b"data", _DATA)), MalformedWavError, _SHORT_FMT),
+    "short_fmt": (_riff((b"fmt ", _FMT[:14]), (b"data", _DATA)), MalformedWavError,
+                  _SHORT_FMT),
+    "fmt_of_15_bytes": (_riff((b"fmt ", _FMT[:15]), (b"data", _DATA)), MalformedWavError,
+                        _SHORT_FMT),
+    "short_extensible_fmt": (_riff((b"fmt ", _EXTENSIBLE_FMT[:39]), (b"data", _DATA)),
+                             MalformedWavError, "truncated extensible fmt chunk"),
+    "first_fmt_is_stereo": (_riff((b"fmt ", _STEREO_FMT), (b"fmt ", _FMT),
+                                  (b"data", _DATA)),
+                            UnsupportedFormatError, "2 channels, mono required"),
+    "missing_data": (_riff((b"fmt ", _FMT)), MalformedWavError, "missing data chunk"),
+    "other_chunk_without_data": (_riff((b"fmt ", _FMT), (b"LIST", b"abcd")),
+                                 MalformedWavError, "missing data chunk"),
+    "empty_data": (_riff((b"fmt ", _FMT), (b"data", b"")), MalformedWavError,
+                   "empty data chunk"),
+    "empty_data_after_odd_chunk": (_riff((b"fmt ", _FMT), (b"LIST", b"abc"),
+                                         (b"data", b"")),
+                                   MalformedWavError, "empty data chunk"),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(CONTAINER_DEFECTS))
 def test_container_defects_rejected_alike(tmp_path, defect):
+    content, error, message = CONTAINER_DEFECTS[defect]
     path = tmp_path / "bad.wav"
-    path.write_bytes(CONTAINER_DEFECTS[defect])
-    with pytest.raises(MalformedWavError) as by_load:
-        load_wav(path)
-    with pytest.raises(MalformedWavError) as by_duration:
-        wav_duration(path)
-    assert type(by_load.value) is type(by_duration.value)
+    path.write_bytes(content)
+    for read in (load_wav, wav_duration):
+        with pytest.raises(error) as refusal:
+            read(path)
+        assert type(refusal.value) is error
+        assert str(refusal.value) == f"{path}: {message}"
 
 
-FORMAT_DEFECTS = {
-    "stereo": ({"channels": 2}, UnsupportedFormatError),
-    "compressed": ({"fmt_tag": 0x0055}, UnsupportedFormatError),
+FORMAT_DEFECTS = {  # defect: (write_raw_wav arguments, error, message after the path)
+    "stereo": ({"channels": 2}, UnsupportedFormatError, "2 channels, mono required"),
+    "compressed": ({"fmt_tag": 0x0055}, UnsupportedFormatError,
+                   "compressed or unknown encoding (format tag 0x0055)"),
     "compressed_partial_frame": ({"fmt_tag": 0x0055, "payload": b"\x00" * 201},
-                                 UnsupportedFormatError),
-    "partial_frame": ({"payload": b"\x00" * 201}, MalformedWavError),
+                                 UnsupportedFormatError,
+                                 "compressed or unknown encoding (format tag 0x0055)"),
+    "zero_rate": ({"sample_rate": 0}, MalformedWavError, "invalid fmt fields"),
+    "zero_block_align": ({"block_align": 0}, MalformedWavError, "invalid fmt fields"),
+    "partial_frame": ({"payload": b"\x00" * 201}, MalformedWavError,
+                      "data chunk is not a whole number of frames"),
     "block_align_under_sample_width": ({"bits": 16, "block_align": 1},
-                                       MalformedWavError),
-    "pcm_bit_depth": ({"bits": 12, "block_align": 2}, UnsupportedFormatError),
-    "float_bit_depth": ({"fmt_tag": 3, "bits": 16}, UnsupportedFormatError),
+                                       MalformedWavError,
+                                       "block_align 1 does not fit 16-bit samples"),
+    "pcm_bit_depth": ({"bits": 12, "block_align": 2}, UnsupportedFormatError,
+                      "12-bit samples not supported for format tag 0x0001"),
+    "pcm_9_bit_depth": ({"bits": 9, "block_align": 2}, UnsupportedFormatError,
+                        "9-bit samples not supported for format tag 0x0001"),
+    "float_bit_depth": ({"fmt_tag": 3, "bits": 16}, UnsupportedFormatError,
+                        "16-bit samples not supported for format tag 0x0003"),
 }
 
 
@@ -330,13 +368,13 @@ FORMAT_DEFECTS = {
 def test_format_defects_rejected_alike(tmp_wav_factory, defect):
     # filter_cohort reads durations with wav_duration, extract loads with
     # load_wav: a file either passes both or costs the same error in both
-    kwargs, error = FORMAT_DEFECTS[defect]
+    kwargs, error, message = FORMAT_DEFECTS[defect]
     path = tmp_wav_factory(**kwargs)
-    with pytest.raises(error) as by_load:
-        load_wav(path)
-    with pytest.raises(error) as by_duration:
-        wav_duration(path)
-    assert type(by_load.value) is type(by_duration.value)
+    for read in (load_wav, wav_duration):
+        with pytest.raises(error) as refusal:
+            read(path)
+        assert type(refusal.value) is error
+        assert str(refusal.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("fmt_tag,bits,block_align", [

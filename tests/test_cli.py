@@ -15,7 +15,7 @@ from usvpipe.cli import main
 from usvpipe.spectral import read_tensor
 from usvpipe.synth import SEPARABLE_CLASS_SPECS, synth_corpus
 
-from conftest import sine_clip, write_raw_wav
+from conftest import SIDE_DEFECTS, SIDE_PLAN, SIDE_RECORDS, sine_clip, write_raw_wav
 
 
 def _synth(root, labels, **kwargs):
@@ -741,106 +741,39 @@ def test_a_few_utterances_per_emitter_run_through_table1_with_every_fold_tested(
     assert min(tested) >= 1 and sum(tested) == 33
 
 
-def test_train_eval_refuses_folds_with_an_empty_test_fold(small_corpus, tmp_path,
-                                                           caplog):
-    root, _config = small_corpus
-    for table in ("features.csv", "folds.csv"):
-        (tmp_path / table).write_bytes((root / "results" / table).read_bytes())
-    stamp, header, *rows = (tmp_path / "folds.csv").read_text().splitlines(keepends=True)
-    for i in range(0, len(rows), 3):  # each utterance's fold 0, 1 and 2 rows
-        if rows[i].endswith(",test\n"):  # test it in fold 1 instead
-            rows[i] = _set_role(rows[i], "train")
-            rows[i + 1] = _set_role(rows[i + 1], "test")
-    (tmp_path / "folds.csv").write_text("".join([stamp, header] + rows))
+def _train_eval_refuses(tmp_path, caplog, case):
+    """train-eval on SIDE_DEFECTS' case exits 2, logs the refusal and writes
+    nothing."""
+    from usvpipe.partition import write_fold_plan
+    from usvpipe.pitch import write_feature_csv
+    edit, complaint = SIDE_DEFECTS[case]
+    records, plan = edit(SIDE_RECORDS, SIDE_PLAN)
+    write_feature_csv(tmp_path / "features.csv", records, comment="stamp")
+    write_fold_plan(tmp_path / "folds.csv", plan, comment="stamp")
     assert main(["train-eval", "--out", str(tmp_path)]) == 2
-    assert f"{tmp_path / 'folds.csv'}: no utterance is tested in fold 0;" in caplog.text
+    assert complaint.format(features=tmp_path / "features.csv",
+                            folds=tmp_path / "folds.csv") in caplog.text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+
+
+def test_train_eval_refuses_folds_with_an_empty_test_fold(tmp_path, caplog):
+    _train_eval_refuses(tmp_path, caplog, "empty_test_fold")
 
 
 def test_train_eval_refuses_a_development_set_of_one_context(tmp_path, caplog):
-    from usvpipe.partition import write_fold_plan
-    from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
-    # bat0 and bat1 only bite and bat2 only feeds; each emitter is tested in
-    # its own fold, so the development set of fold 2 holds biting alone
-    records, roles = [], {}
-    for i in range(18):
-        bat, context = i % 3, ("biting", "biting", "feeding")[i % 3]
-        fv = FeatureVector(*(9000.0 + 3000.0 * (bat == 2) + 10.0 * i + np.arange(10)))
-        records.append(FeatureRecord(f"u{i:02d}", f"bat{bat}", context, 0.5, fv))
-        roles[f"u{i:02d}"] = tuple("test" if fold == bat else ("val" if i % 2 else "train")
-                                   for fold in range(3))
-    write_feature_csv(tmp_path / "features.csv", records, comment="stamp")
-    write_fold_plan(tmp_path / "folds.csv", roles, comment="stamp")
-    assert main(["train-eval", "--out", str(tmp_path)]) == 2
-    assert (f"{tmp_path / 'folds.csv'}: the development set of fold 2 holds only "
-            "context biting;" in caplog.text)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+    _train_eval_refuses(tmp_path, caplog, "one_context")
 
 
 def test_train_eval_refuses_a_fold_without_val_utterances(tmp_path, caplog):
-    from usvpipe.partition import write_fold_plan
-    from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
-    # one utterance per emitter and context, each tested in its own fold and
-    # train in the other two, so no fold has a val utterance
-    contexts = ("biting", "feeding", "general")
-    write_feature_csv(tmp_path / "features.csv",
-                      [FeatureRecord(f"u{i}", f"bat{i}", context, 0.5,
-                                     FeatureVector(*(9000.0 + 1000.0 * i + np.arange(10))))
-                       for i, context in enumerate(contexts)], comment="stamp")
-    write_fold_plan(tmp_path / "folds.csv",
-                    {f"u{i}": tuple("test" if fold == i else "train"
-                                    for fold in range(3)) for i in range(3)},
-                    comment="stamp")
-    assert main(["train-eval", "--out", str(tmp_path)]) == 2
-    assert (f"{tmp_path / 'folds.csv'}: the development set of fold 0 holds no val "
-            "utterance;" in caplog.text)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+    _train_eval_refuses(tmp_path, caplog, "no_val")
 
 
 def test_train_eval_refuses_a_val_context_missing_from_train(tmp_path, caplog):
-    from usvpipe.partition import write_fold_plan
-    from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
-    # each emitter bites and feeds and is tested in its own fold; every
-    # biting utterance of fold 1's development set is val
-    records, roles = [], {}
-    for i in range(18):
-        bat, context = i % 3, ("biting", "feeding")[i // 3 % 2]
-        fv = FeatureVector(*(9000.0 + 3000.0 * (context == "feeding") + 10.0 * i
-                             + np.arange(10)))
-        records.append(FeatureRecord(f"u{i:02d}", f"bat{bat}", context, 0.5, fv))
-        roles[f"u{i:02d}"] = tuple(
-            "test" if fold == bat else
-            ("val" if i % 4 == 1 or (fold, context) == (1, "biting") else "train")
-            for fold in range(3))
-    write_feature_csv(tmp_path / "features.csv", records, comment="stamp")
-    write_fold_plan(tmp_path / "folds.csv", roles, comment="stamp")
-    assert main(["train-eval", "--out", str(tmp_path)]) == 2
-    assert (f"{tmp_path / 'folds.csv'}: the development set of fold 1 holds "
-            "context biting in val but not in train;" in caplog.text)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+    _train_eval_refuses(tmp_path, caplog, "val_context_not_in_train")
 
 
 def test_train_eval_refuses_an_emitter_on_both_sides_of_a_fold(tmp_path, caplog):
-    from usvpipe.partition import write_fold_plan
-    from usvpipe.pitch import FeatureRecord, FeatureVector, write_feature_csv
-    # each emitter bites and feeds and is tested in its own fold, but u00 of
-    # bat0 is tested in fold 1, so fold 0 tests bat0 and develops on u00
-    records, roles = [], {}
-    for i in range(18):
-        bat, context = i % 3, ("biting", "feeding")[i // 3 % 2]
-        fv = FeatureVector(*(9000.0 + 3000.0 * (context == "feeding") + 10.0 * i
-                             + np.arange(10)))
-        records.append(FeatureRecord(f"u{i:02d}", f"bat{bat}", context, 0.5, fv))
-        tested = 1 if i == 0 else bat
-        roles[f"u{i:02d}"] = tuple("test" if fold == tested else
-                                   ("val" if i % 4 == 1 else "train")
-                                   for fold in range(3))
-    write_feature_csv(tmp_path / "features.csv", records, comment="stamp")
-    write_fold_plan(tmp_path / "folds.csv", roles, comment="stamp")
-    assert main(["train-eval", "--out", str(tmp_path)]) == 2
-    assert (f"{tmp_path / 'folds.csv'}: emitter bat0 is in both the test and the "
-            "development set of fold 0;" in caplog.text)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "folds.csv"]
+    _train_eval_refuses(tmp_path, caplog, "emitter_on_both_sides")
 
 
 def test_partition_refuses_a_plan_without_val_utterances(tmp_path, caplog):

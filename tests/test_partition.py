@@ -1,19 +1,15 @@
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usvpipe.corpus import CONTEXT_LABELS
-from usvpipe.partition import (build_plan, make_folds, read_fold_plan,
+from usvpipe.partition import (build_plan, fold_sides, make_folds, read_fold_plan,
                                split_dev, write_fold_plan)
-from usvpipe.pitch import FeatureRecord, FeatureVector
 
-
-def record(uid, emitter, context):
-    """A feature-table record; the plan never reads the features."""
-    return FeatureRecord(utterance_id=uid, emitter_id=emitter, context=context,
-                         duration_s=0.5, features=FeatureVector(*[0.0] * 10))
+from conftest import SIDE_DEFECTS, SIDE_PLAN, SIDE_RECORDS, record
 
 
 def make_cohort(n_emitters, per_class, labels=CONTEXT_LABELS):
@@ -201,3 +197,19 @@ class TestFoldPlanCsv:
         with pytest.raises(ValueError) as refusal:
             read_fold_plan(path)
         assert str(refusal.value) == f"{path}{complaint}"
+
+
+FEATURES, FOLDS = Path("out/features.csv"), Path("out/folds.csv")
+
+
+@pytest.mark.parametrize("case", list(SIDE_DEFECTS))
+def test_fold_sides_refuses_a_plan_train_eval_cannot_use(case):
+    # the unedited plan gives each fold's sides, in utterance-id order
+    assert fold_sides(SIDE_PLAN, SIDE_RECORDS, FEATURES, FOLDS) == [
+        tuple([r for r in SIDE_RECORDS if SIDE_PLAN[r.utterance_id][fold] == role]
+              for role in ("train", "val", "test")) for fold in range(3)]
+    edit, complaint = SIDE_DEFECTS[case]
+    records, plan = edit(SIDE_RECORDS, SIDE_PLAN)
+    with pytest.raises(ValueError) as refusal:
+        fold_sides(plan, records, FEATURES, FOLDS)
+    assert str(refusal.value) == complaint.format(features=FEATURES, folds=FOLDS)
