@@ -8,9 +8,9 @@ The target corpora are mono recordings at 250 kHz.  Other rates are
 accepted: load_wav keeps no state and logs nothing, and each per-file stage
 logs one INFO notice per other rate it read (synth writes 50 kHz).  All
 window/hop sample counts downstream derive from the actual rate, so nothing
-else special-cases 250 kHz.  MAX_UTTERANCE_S is the one length limit: the
-cohort filter drops a longer WAV header, and padded_length refuses a longer
-clip.
+else special-cases 250 kHz.  MAX_UTTERANCE_S is the one length limit:
+load_wav refuses a longer file from its header, before it reads the
+samples, and padded_length refuses a longer clip.
 """
 from __future__ import annotations
 
@@ -168,29 +168,21 @@ def load_wav(path: str | Path) -> AudioClip:
 
     The clip holds the samples in their own type with the scale that maps
     them to amplitudes (see _decode): 2^-15 for 16-bit PCM, whose samples are
-    a view of the data chunk's bytes, and 1 for float files.  Rejects the
-    files wav_duration rejects, with the same errors (see _wav_header), and
-    a float file holding a NaN or infinite sample (MalformedWavError).
+    a view of the data chunk's bytes, and 1 for float files.  Rejects a
+    malformed or unsupported file (see _wav_header), then, unread, a file
+    longer than MAX_UTTERANCE_S (ClipTooLongError), and a float file holding
+    a NaN or infinite sample (MalformedWavError).
     """
     path = Path(path)
     with open(path, "rb") as fh:
         tag, bits, rate, offset, size = _wav_header(fh, path)
+        _padded_frames(size // ((bits + 7) // 8), rate)
         fh.seek(offset)
         samples, scale = _decode(fh.read(size), tag, bits)
     # only float samples can be non-finite, so PCM pays no check
     if tag == _WAVE_FORMAT_IEEE_FLOAT and not np.isfinite(samples).all():
         raise MalformedWavError(f"{path}: NaN or infinite float sample")
     return AudioClip(samples=samples, sample_rate=int(rate), scale=scale)
-
-
-def wav_duration(path: str | Path) -> float:
-    """Duration in seconds from the WAV header, without reading the samples;
-    raises for exactly the files load_wav raises for, save a float file
-    with a NaN or infinite sample, which only load_wav reads."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        _tag, bits, rate, _offset, size = _wav_header(fh, path)
-    return (size // ((bits + 7) // 8)) / rate
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
@@ -213,9 +205,14 @@ def padded_length(clip: AudioClip) -> int:
 
     Raises ClipTooLongError if the clip is already longer than that.
     """
-    target = int(round(MAX_UTTERANCE_S * clip.sample_rate))
-    if clip.samples.size > target:
-        raise ClipTooLongError(f"{clip.samples.size} samples exceed the "
+    return _padded_frames(clip.samples.size, clip.sample_rate)
+
+
+def _padded_frames(frames: int, rate: int) -> int:
+    """round(MAX_UTTERANCE_S * rate), or ClipTooLongError if frames exceed it."""
+    target = int(round(MAX_UTTERANCE_S * rate))
+    if frames > target:
+        raise ClipTooLongError(f"{frames} samples exceed the "
                                f"{MAX_UTTERANCE_S} s target of {target}")
     return target
 

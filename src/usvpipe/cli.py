@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, evaluation, svm
 from .artifacts import read_json, write_json, write_table
-from .audio_io import CORPUS_SAMPLE_RATE_HZ, load_wav, map_ordered, padded_length
+from .audio_io import CORPUS_SAMPLE_RATE_HZ, ClipTooLongError, load_wav, map_ordered
 from .corpus import (FILTER_RULES, SchemaConfig, Utterance, filter_cohort,
                      load_annotations)
 from .evaluation import (Prediction, PredictionSet, build_report,
@@ -129,8 +129,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
-    """Filter the cohort, write filter_report.csv, then load each cohort
-    WAV, sorted by id, refuse it if over 3 s and call fn(utterance, clip).
+    """Filter the cohort by its annotations, then load each cohort WAV,
+    sorted by id, and call fn(utterance, clip).  A file load_wav refuses as
+    over 3 s is counted as too_long and left out of the cohort, with no
+    skip row; filter_report.csv is written after the map.
     Missing annotation or schema paths are a ValueError, as is an empty
     cohort, whose error names the rule that dropped the most records.
     Returns fn's result for each file it succeeded on, in id order, and the
@@ -146,30 +148,21 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
     schema = SchemaConfig.from_json(cfg.schema_file)
     cohort, counts = filter_cohort(load_annotations(cfg.annotation_file, schema),
                                    schema.emitter_placeholders, cfg.audio_dir)
-    write_table(cfg.output_dir / "filter_report.csv", ("rule", "count"),
-                counts.items(), cfg.provenance())
-    log.info("cohort: %d retained of %d records", counts["retained"],
-             counts["total_in"])
-    if not cohort:
-        if not counts["total_in"]:
-            raise ValueError(f"{cfg.annotation_file}: the table has no data rows")
-        rule = max(FILTER_RULES, key=counts.__getitem__)
-        raise ValueError(f"{cfg.annotation_file}: no utterance is left after "
-                         f"filtering; rule {rule} dropped {counts[rule]} "
-                         f"of {counts['total_in']} records")
     cohort.sort(key=lambda u: u.utterance_id)
     rates = []  # list.append is atomic, so the map's threads share it
 
     def read(utt: Utterance):
         clip = load_wav(utt.audio_path)
         rates.append(clip.sample_rate)
-        padded_length(clip)
         return fn(utt, clip)
 
     done, skips, failures = [], [], 0
     for utt, result in zip(cohort, map_ordered(read, cohort)):
         if not isinstance(result, Exception):
             done.append(result)
+        elif type(result) is ClipTooLongError:
+            counts["too_long"] += 1
+            counts["retained"] -= 1
         elif type(result) in _SKIP_REASONS:
             skips.append((utt.utterance_id, _SKIP_REASONS[type(result)]))
         elif (isinstance(result, _FILE_ERRORS)
@@ -179,16 +172,27 @@ def _per_utterance(cfg: RunConfig, stage: str, fn, skip_report: str):
             failures += 1
         else:
             raise result
+    write_table(cfg.output_dir / "filter_report.csv", ("rule", "count"),
+                counts.items(), cfg.provenance())
+    retained = counts["retained"]
+    log.info("cohort: %d retained of %d records", retained, counts["total_in"])
+    if not retained:
+        if not counts["total_in"]:
+            raise ValueError(f"{cfg.annotation_file}: the table has no data rows")
+        rule = max(FILTER_RULES, key=counts.__getitem__)
+        raise ValueError(f"{cfg.annotation_file}: no utterance is left after "
+                         f"filtering; rule {rule} dropped {counts[rule]} "
+                         f"of {counts['total_in']} records")
     for rate in sorted(set(rates) - {CORPUS_SAMPLE_RATE_HZ}):
         log.info("sample rate %d Hz differs from the expected corpus rate %d Hz",
                  rate, CORPUS_SAMPLE_RATE_HZ)
     write_table(cfg.output_dir / skip_report, ("utterance_id", "reason"), skips,
                 cfg.provenance())
-    print(f"{stage}: {len(done)} of {len(cohort)} utterances done, "
+    print(f"{stage}: {len(done)} of {retained} utterances done, "
           f"{len(skips)} skipped ({failures} file errors)")
-    if failures / len(cohort) > EXTRACT_FAILURE_TOLERANCE:
+    if failures / retained > EXTRACT_FAILURE_TOLERANCE:
         log.error("%s: %d of %d files failed, above the %.0f%% tolerance",
-                  stage, failures, len(cohort), 100 * EXTRACT_FAILURE_TOLERANCE)
+                  stage, failures, retained, 100 * EXTRACT_FAILURE_TOLERANCE)
         return done, 1
     return done, 0
 
@@ -269,8 +273,8 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
 def cmd_export_spectrograms(args: argparse.Namespace) -> int:
     """Fixed-shape linear-magnitude spectrogram tensors for external consumers.
 
-    A file that cannot be exported (unreadable, or longer than the 3 s pad)
-    costs one row in export_skip_report.csv and is left out of the manifest.
+    A file that cannot be read costs one row in export_skip_report.csv and
+    is left out of the manifest; one longer than the 3 s pad is too_long.
     """
     cfg = _resolve_config(args)
 

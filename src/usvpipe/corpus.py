@@ -4,13 +4,14 @@ Column names, context-code mappings, and emitter placeholder codes live in
 a user-editable schema file: annotation releases differ in vocabulary, and
 guessing it in code would be unauditable.  Each annotation row becomes one
 Utterance, keyed by an id that is non-blank, unique and a plain file name,
-since it names the utterance's artifacts.  Filtering applies four rules in
-a fixed order (unknown context, landing, unidentified emitter, longer than
-audio_io.MAX_UTTERANCE_S, named in FILTER_RULES) and returns, with the
-cohort, the rows of filter_report.csv: the record count, the records each
-rule dropped, and the count retained.  An utterance's length is its WAV
-header's, never an annotation cell's: one file holds one utterance, and
-segments cut from a longer file by start/end times are not supported.
+since it names the utterance's artifacts.  filter_report.csv counts four
+rules in a fixed order (unknown context, landing, unidentified emitter,
+longer than audio_io.MAX_UTTERANCE_S, named in FILTER_RULES).  Filtering
+applies the three annotation rules and opens no file; the length rule is
+load_wav's refusal, counted by the stage that loads each file.  An
+utterance's length is its WAV header's, never an annotation cell's: one
+file holds one utterance, and segments cut from a longer file by start/end
+times are not supported.
 """
 from __future__ import annotations
 
@@ -21,8 +22,6 @@ from pathlib import Path
 from typing import Iterable
 
 from .artifacts import plain_name, read_json, reader_after_comments
-from .audio_io import (MAX_UTTERANCE_S, MalformedWavError, UnsupportedFormatError,
-                       wav_duration)
 
 CONTEXT_LABELS = (
     "biting", "feeding", "fighting", "general", "grooming", "isolation",
@@ -86,8 +85,8 @@ class SchemaConfig:
 @dataclass(frozen=True)
 class Utterance:
     """One annotation row, under the feature table's names.  filter_cohort
-    resolves audio_path against the audio root; the file's WAV header gives
-    the duration."""
+    resolves audio_path against the audio root; the stage that loads the
+    file takes the duration from it."""
 
     utterance_id: str
     emitter_id: str
@@ -145,50 +144,43 @@ def load_annotations(path: str | Path, schema: SchemaConfig) -> list[Utterance]:
 
 
 # The exclusion rules in the order they are tried; filter_report.csv has a
-# row per rule between total_in and retained
+# row per rule between total_in and retained.  too_long, a WAV over
+# audio_io.MAX_UTTERANCE_S, is tried last, by the stage's load_wav.
 FILTER_RULES = ("unknown_context", "landing", "unidentified_emitter", "too_long")
 
 
 def filter_cohort(records: list[Utterance], emitter_placeholders: Iterable[str],
                   audio_root: str | Path) -> tuple[list[Utterance], dict[str, int]]:
-    """Apply the exclusion rules and build the analysis cohort.
+    """Apply the annotation rules and build the analysis cohort.
 
     Rules, in order (a dropped record is counted under the first that fires):
     unknown context, landing, unidentified emitter (empty or one of the
-    schema's placeholder codes), WAV header duration strictly over 3 s.
-    Each kept record's audio_path is resolved against audio_root.  A header
-    that cannot be read keeps the record, so the stage that loads the file
-    reports it as one file error.  Returns the cohort and the counts in
-    filter_report.csv's row order: total_in, one per FILTER_RULES name (the
-    records it dropped), and retained; the rule counts sum to total_in -
-    retained.
+    schema's placeholder codes).  Each kept record's audio_path is resolved
+    against audio_root.  No file is opened, so too_long is 0: the stage that
+    loads the files adds those load_wav refuses.  Returns the cohort and the
+    counts in filter_report.csv's row order: total_in, one per FILTER_RULES
+    name (the records it dropped), and retained; the rule counts sum to
+    total_in - retained.
     """
     placeholders = frozenset(emitter_placeholders)
     root = Path(audio_root)
     cohort: list[Utterance] = []
     counts = {"total_in": len(records), **dict.fromkeys(FILTER_RULES, 0)}
     for rec in records:
-        utt = replace(rec, audio_path=root / rec.audio_path)
-        rule = _dropped_by(utt, placeholders)
+        rule = _dropped_by(rec, placeholders)
         if rule is None:
-            cohort.append(utt)
+            cohort.append(replace(rec, audio_path=root / rec.audio_path))
         else:
             counts[rule] += 1
     return cohort, {**counts, "retained": len(cohort)}
 
 
 def _dropped_by(utt: Utterance, placeholders: frozenset[str]) -> str | None:
-    """The first of FILTER_RULES that drops utt, or None; a WAV header that
-    cannot be read drops nothing."""
+    """The first annotation rule of FILTER_RULES that drops utt, or None."""
     if utt.context == LABEL_UNKNOWN:
         return "unknown_context"
     if utt.context == LABEL_LANDING:
         return "landing"
     if utt.emitter_id == "" or utt.emitter_id in placeholders:
         return "unidentified_emitter"
-    try:
-        if wav_duration(utt.audio_path) > MAX_UTTERANCE_S:
-            return "too_long"
-    except (MalformedWavError, UnsupportedFormatError, OSError):
-        pass
     return None

@@ -264,7 +264,10 @@ def test_criterion_8_end_to_end_uar(e2e_run):
 
 def test_every_fold_certified_without_capped_machines(e2e_run):
     """The separable pairs of this corpus meet the duality gap before the
-    epoch cap, validation and refit machines alike."""
+    epoch cap, validation and refit machines alike, in about as many
+    interior-point iterations as the solver took when this test was written:
+    9 921 over the three folds (3 307, 3 312 and 3 302).  A change that
+    slows or speeds the convergence leaves the band."""
     provenance = json.loads(
         (e2e_run["results"] / "report.json").read_text())["provenance"]
     folds = set(provenance["chosen_costs"])
@@ -272,6 +275,7 @@ def test_every_fold_certified_without_capped_machines(e2e_run):
     assert all(count == 0 for count in provenance["capped_machines"].values())
     assert set(provenance["max_relative_gap"]) == folds
     assert all(gap <= SOLVER_GAP for gap in provenance["max_relative_gap"].values())
+    assert 9_400 <= sum(provenance["solver_epochs"].values()) <= 10_400
 
 
 def test_criterion_9_spectrogram_export(tmp_path):

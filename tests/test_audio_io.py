@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from usvpipe import audio_io
 from usvpipe.audio_io import (AudioClip, ClipTooLongError, MalformedWavError,
                               UnsupportedFormatError, load_wav, padded_length,
-                              wav_duration, write_wav)
+                              write_wav)
 from usvpipe.pitch import extract_f0
 from usvpipe.spectral import export_spectrogram
 
@@ -88,7 +88,6 @@ def test_float_sample_that_is_not_finite_is_malformed(tmp_path, bits, bad):
     with pytest.raises(MalformedWavError, match=re.escape(
             f"{path}: NaN or infinite float sample")):
         load_wav(path)
-    assert wav_duration(path) == 400 / 50_000  # the header alone is sound
 
 
 _KSDATAFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
@@ -110,7 +109,6 @@ def test_extensible_fmt_reads_as_its_subformat(tmp_path, fmt_tag, bits, dtype):
     clip = load_wav(extensible)
     np.testing.assert_array_equal(clip.samples, load_wav(plain).samples)
     assert clip.sample_rate == 50_000
-    assert wav_duration(extensible) == wav_duration(plain) == 400 / 50_000
 
 
 def test_int16_roundtrip_quantisation_bound(tmp_path):
@@ -233,11 +231,27 @@ def test_scale_must_be_a_positive_power_of_two():
             AudioClip(samples=np.ones(10, dtype=np.int16), sample_rate=8000, scale=scale)
 
 
-def test_wav_duration_matches_full_load(tmp_wav_factory):
-    payload = struct.pack("<300h", *([0] * 300))
-    for rate, seconds in ((10_000, 0.03), (1, 300.0)):  # 1 Hz: the lowest rate read
-        path = tmp_wav_factory(payload=payload, sample_rate=rate)
-        assert wav_duration(path) == load_wav(path).duration_s == seconds
+@pytest.mark.parametrize("rate", [1_000, 11_025, 44_100, 250_000])
+def test_file_over_3_s_refused_before_its_samples_are_read(tmp_path, monkeypatch, rate):
+    """load_wav and padded_length share one limit, round(3 s x rate) frames:
+    a file one frame over it is refused from its header, without a call to
+    _decode, and a file exactly at it loads."""
+    limit = round(3 * rate)
+    decoded = []
+    decode = audio_io._decode
+    monkeypatch.setattr(audio_io, "_decode", lambda body, *fields: (
+        decoded.append(len(body)) or decode(body, *fields)))
+    over, at = tmp_path / "over.wav", tmp_path / "at.wav"
+    write_raw_wav(over, sample_rate=rate, payload=bytes(2 * (limit + 1)))
+    write_raw_wav(at, sample_rate=rate, payload=bytes(2 * limit))
+    with pytest.raises(ClipTooLongError) as refusal:
+        load_wav(over)
+    assert str(refusal.value) == (f"{limit + 1} samples exceed the 3.0 s target "
+                                  f"of {limit}")
+    assert decoded == []
+    clip = load_wav(at)
+    assert decoded == [2 * limit]
+    assert clip.samples.size == padded_length(clip) == limit
 
 
 class TestPadToDuration:
@@ -294,7 +308,7 @@ _EXTENSIBLE_FMT = (struct.pack("<HHIIHHHHIH", 0xFFFE, 1, 50_000, 100_000, 2, 16,
 _DATA = b"\x00\x00" * 100
 _SHORT_FMT = "missing or short fmt chunk"
 
-# defect: (file bytes, the error both readers raise, its message after the path)
+# defect: (file bytes, the error load_wav raises, its message after the path)
 CONTAINER_DEFECTS = {
     "not_riff": (b"OggS" + b"\x00" * 64, MalformedWavError, "not a RIFF/WAVE file"),
     "shorter_than_riff_header": (b"RIFF\x00\x00", MalformedWavError,
@@ -334,11 +348,10 @@ def test_container_defects_rejected_alike(tmp_path, defect):
     content, error, message = CONTAINER_DEFECTS[defect]
     path = tmp_path / "bad.wav"
     path.write_bytes(content)
-    for read in (load_wav, wav_duration):
-        with pytest.raises(error) as refusal:
-            read(path)
-        assert type(refusal.value) is error
-        assert str(refusal.value) == f"{path}: {message}"
+    with pytest.raises(error) as refusal:
+        load_wav(path)
+    assert type(refusal.value) is error
+    assert str(refusal.value) == f"{path}: {message}"
 
 
 FORMAT_DEFECTS = {  # defect: (write_raw_wav arguments, error, message after the path)
@@ -366,15 +379,12 @@ FORMAT_DEFECTS = {  # defect: (write_raw_wav arguments, error, message after the
 
 @pytest.mark.parametrize("defect", sorted(FORMAT_DEFECTS))
 def test_format_defects_rejected_alike(tmp_wav_factory, defect):
-    # filter_cohort reads durations with wav_duration, extract loads with
-    # load_wav: a file either passes both or costs the same error in both
     kwargs, error, message = FORMAT_DEFECTS[defect]
     path = tmp_wav_factory(**kwargs)
-    for read in (load_wav, wav_duration):
-        with pytest.raises(error) as refusal:
-            read(path)
-        assert type(refusal.value) is error
-        assert str(refusal.value) == f"{path}: {message}"
+    with pytest.raises(error) as refusal:
+        load_wav(path)
+    assert type(refusal.value) is error
+    assert str(refusal.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("fmt_tag,bits,block_align", [
@@ -406,48 +416,23 @@ def _fuzzed_wav():
     return st.one_of(container, container, cut, st.binary(max_size=128))
 
 
-@settings(max_examples=1000, deadline=None)
-@given(data=_fuzzed_wav())
-def test_fuzzed_bytes_raise_only_pipeline_errors(tmp_path_factory, data):
-    path = tmp_path_factory.getbasetemp() / "fuzz.wav"
-    path.write_bytes(data)
-    for read in (load_wav, wav_duration):
+def test_fuzzed_bytes_raise_only_pipeline_errors(tmp_path, monkeypatch):
+    """load_wav returns a clip or raises one of its three errors (a 1 Hz
+    header over 3 frames is too long), and the decoder is reached."""
+    decoded = []
+    decode = audio_io._decode
+    monkeypatch.setattr(audio_io, "_decode",
+                        lambda *args: decoded.append(True) or decode(*args))
+    path = tmp_path / "fuzz.wav"
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=_fuzzed_wav())
+    def read(data):
+        path.write_bytes(data)
         try:
-            read(path)
-        except (MalformedWavError, UnsupportedFormatError):
+            load_wav(path)
+        except (MalformedWavError, UnsupportedFormatError, ClipTooLongError):
             pass
 
-
-def _outcome(read, path):
-    try:
-        read(path)
-    except (MalformedWavError, UnsupportedFormatError) as exc:
-        return type(exc)
-    return None
-
-
-def _holds_a_float_sample_that_is_not_finite(path) -> bool:
-    """Whether path has a readable float header and a NaN or infinite sample."""
-    try:
-        with open(path, "rb") as fh:
-            tag, bits, _rate, offset, size = audio_io._wav_header(fh, path)
-            fh.seek(offset)
-            body = fh.read(size)
-    except (MalformedWavError, UnsupportedFormatError):
-        return False
-    return tag == 3 and not np.isfinite(np.frombuffer(body, f"<f{bits // 8}")).all()
-
-
-@settings(max_examples=1000, deadline=None)
-@given(data=_fuzzed_wav())
-def test_readers_agree_on_fuzzed_bytes(tmp_path_factory, data):
-    """Both readers refuse the same files, with the same error, save a float
-    file with a NaN or infinite sample: wav_duration reads no samples, so it
-    returns the header's duration where load_wav refuses the file."""
-    path = tmp_path_factory.getbasetemp() / "agree.wav"
-    path.write_bytes(data)
-    if _holds_a_float_sample_that_is_not_finite(path):
-        assert (_outcome(load_wav, path), _outcome(wav_duration, path)) == (
-            MalformedWavError, None)
-    else:
-        assert _outcome(load_wav, path) is _outcome(wav_duration, path)
+    read()
+    assert decoded

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from usvpipe import audio_io, cli, corpus, evaluation, svm, synth
+from usvpipe import audio_io, cli, evaluation, svm, synth
 from usvpipe.audio_io import AudioClip, load_wav, write_wav
 from usvpipe.cli import main
 from usvpipe.spectral import read_tensor
@@ -193,8 +193,7 @@ def test_corrupt_wav_below_tolerance_still_succeeds(tmp_path):
 
 
 def test_bad_frame_size_without_annotated_duration_costs_one_row(tmp_path):
-    # the cohort filter reads durations from the WAV headers, so a header
-    # it rejects must cost one row, not end the run
+    # a header load_wav rejects costs one row, not the run
     args = _two_class_corpus(tmp_path, per_class=60)
     victim = sorted((tmp_path / "wavs").iterdir())[7]
     write_raw_wav(victim, bits=16, block_align=1, payload=b"\x00" * 2000)
@@ -435,20 +434,30 @@ def test_rate_notices_hold_with_more_workers_than_cores(tmp_path, monkeypatch, c
         for rate in (50_000, 100_000)]
 
 
-def _under_report_durations(monkeypatch):
-    """The cohort filter reads every clip as one second long, as when a file
-    grows after the filter read its header, so the stages' guards see it."""
-    monkeypatch.setattr(corpus, "wav_duration", lambda path: 1.0)
-
-
-def test_over_long_clip_is_dropped_by_the_filter(tmp_path):
+def test_each_cohort_wav_is_parsed_once_per_stage(tmp_path, monkeypatch):
     args = _three_class_corpus(tmp_path / "c")
-    victim = sorted((tmp_path / "c" / "wavs").iterdir())[4]
-    write_wav(victim, sine_clip(9000, duration_s=3.5, sample_rate=50_000))
+    wavs = sorted((tmp_path / "c" / "wavs").iterdir())
+    parsed = []
+    header = audio_io._wav_header
+    monkeypatch.setattr(audio_io, "_wav_header",
+                        lambda fh, path: parsed.append(path) or header(fh, path))
+    for stage in ("extract", "export-spectrograms"):
+        parsed.clear()
+        assert main([stage] + args + ["--out", str(tmp_path / "out")]) == 0
+        assert sorted(parsed) == wavs, stage
+
+
+def test_over_long_clip_is_dropped_by_the_filter(tmp_path, caplog):
+    """load_wav refuses a file over 3 s, and each stage counts it as
+    too_long in filter_report.csv: no skip row, no file error."""
+    args = _three_class_corpus(tmp_path / "c")
+    wavs = sorted((tmp_path / "c" / "wavs").iterdir())
+    voiced = sine_clip(9000, duration_s=3.5, sample_rate=50_000)
+    write_wav(wavs[4], voiced)
     out = tmp_path / "out"
     for stage, skip_report in (("extract", "skip_report.csv"),
                                ("export-spectrograms", "export_skip_report.csv")):
-        assert main([stage] + args + ["--out", str(out)]) == 0
+        assert main([stage] + args + ["--out", str(out)]) == 0  # a file error is 1/12
         report = (out / "filter_report.csv").read_text().splitlines()[1:]
         assert "too_long,1" in report and "retained,11" in report
         assert (out / skip_report).read_text().splitlines()[1:] == [
@@ -458,47 +467,19 @@ def test_over_long_clip_is_dropped_by_the_filter(tmp_path):
     exported = [l.split(",")[0] for l in
                 (out / "spectrogram_manifest.csv").read_text().splitlines()[2:]]
     assert len(featured) == 11 and featured == exported
-    assert victim.stem not in featured
-
-
-def test_export_skips_an_over_long_clip(tmp_path, monkeypatch, caplog):
-    args = _three_class_corpus(tmp_path / "c")
-    victim = sorted((tmp_path / "c" / "wavs").iterdir())[4]
-    write_wav(victim, AudioClip(samples=np.zeros(175_000), sample_rate=50_000))
-    _under_report_durations(monkeypatch)
-    out = tmp_path / "out"
-    assert main(["export-spectrograms"] + args + ["--out", str(out)]) == 1  # 1/12 > 1 %
-    # the stage names the utterance once; the error states sample counts
-    assert (f"{victim.stem}: 175000 samples exceed the 3.0 s target of 150000"
-            in caplog.messages)
-    skips = [l for l in (out / "export_skip_report.csv").read_text().splitlines()
-             if not l.startswith("#")]
-    assert skips == ["utterance_id,reason", f"{victim.stem},error:ClipTooLongError"]
-    manifest = [l.split(",") for l in
-                (out / "spectrogram_manifest.csv").read_text().splitlines()[2:]]
-    assert len(manifest) == 11
-    assert victim.stem not in {row[0] for row in manifest}
-    for uid, rel, frames, bins in manifest:
-        assert read_tensor(out / rel).shape == (int(frames), int(bins))
-
-
-def test_extract_and_export_skip_the_same_over_long_clip(tmp_path, monkeypatch):
-    args = _three_class_corpus(tmp_path / "c")
-    # a voiced 3.5 s tone
-    victim = sorted((tmp_path / "c" / "wavs").iterdir())[4]
-    write_wav(victim, sine_clip(9000, duration_s=3.5, sample_rate=50_000))
-    _under_report_durations(monkeypatch)
-    out = tmp_path / "out"
-    for stage, skip_report in (("extract", "skip_report.csv"),
-                               ("export-spectrograms", "export_skip_report.csv")):
-        assert main([stage] + args + ["--out", str(out)]) == 1  # 1/12 > 1 %
-        skips = (out / skip_report).read_text().splitlines()[1:]
-        assert skips == ["utterance_id,reason", f"{victim.stem},error:ClipTooLongError"]
-    featured = [l.split(",")[0] for l in
-                (out / "features.csv").read_text().splitlines()[2:]]
-    exported = [l.split(",")[0] for l in
-                (out / "spectrogram_manifest.csv").read_text().splitlines()[2:]]
-    assert len(featured) == 11 and featured == exported
+    assert wavs[4].stem not in featured
+    assert not (out / "spectrograms" / f"{wavs[4].stem}.usvt").exists()
+    # every clip over 3 s: the cohort is empty after the map
+    for wav in wavs:
+        write_wav(wav, voiced)
+    for stage in ("extract", "export-spectrograms"):
+        out = tmp_path / stage
+        assert main([stage] + args + ["--out", str(out)]) == 2
+        assert (f"{args[1]}: no utterance is left after filtering; rule too_long "
+                "dropped 12 of 12 records") in caplog.messages
+        assert [p.name for p in out.iterdir()] == ["filter_report.csv"]
+        report = (out / "filter_report.csv").read_text().splitlines()[1:]
+        assert "too_long,12" in report and "retained,0" in report
 
 
 @pytest.mark.parametrize("given", [(), ("--annotations",), ("--schema",)])
@@ -516,9 +497,9 @@ def test_per_file_stage_without_annotations_or_schema_exits_2(tmp_path, caplog, 
 
 def test_float_wav_with_a_sample_that_is_not_finite_is_a_file_error(tmp_path, caplog,
                                                                       recwarn):
-    """A NaN or infinite float sample passes the header-only filter and
-    costs each stage one error:MalformedWavError row: no features, no
-    tensor, no manifest row and no numpy warning."""
+    """A NaN or infinite float sample costs each stage one
+    error:MalformedWavError row: no features, no tensor, no manifest row and
+    no numpy warning."""
     args = _three_class_corpus(tmp_path / "c")
     victims = sorted((tmp_path / "c" / "wavs").iterdir())[3:5]
     for victim, bad in zip(victims, (np.nan, np.inf)):
