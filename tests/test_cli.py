@@ -449,11 +449,47 @@ def test_each_cohort_wav_is_parsed_once_per_stage(tmp_path, monkeypatch):
 
 def test_over_long_clip_is_dropped_by_the_filter(tmp_path, caplog):
     """load_wav refuses a file over 3 s, and each stage counts it as
-    too_long in filter_report.csv: no skip row, no file error."""
+    too_long in filter_report.csv; when every clip is over 3 s the cohort
+    is empty after the map."""
     args = _three_class_corpus(tmp_path / "c")
-    wavs = sorted((tmp_path / "c" / "wavs").iterdir())
     voiced = sine_clip(9000, duration_s=3.5, sample_rate=50_000)
-    write_wav(wavs[4], voiced)
+    for wav in (tmp_path / "c" / "wavs").iterdir():
+        write_wav(wav, voiced)
+    for stage in ("extract", "export-spectrograms"):
+        out = tmp_path / stage
+        assert main([stage] + args + ["--out", str(out)]) == 2
+        assert (f"{args[1]}: no utterance is left after filtering; rule too_long "
+                "dropped 12 of 12 records") in caplog.messages
+        assert [p.name for p in out.iterdir()] == ["filter_report.csv"]
+        report = (out / "filter_report.csv").read_text().splitlines()[1:]
+        assert "too_long,12" in report and "retained,0" in report
+
+
+def test_export_skips_an_over_long_clip(tmp_path):
+    args = _three_class_corpus(tmp_path / "c")
+    victim = sorted((tmp_path / "c" / "wavs").iterdir())[4]
+    write_wav(victim, AudioClip(samples=np.zeros(175_000), sample_rate=50_000))
+    out = tmp_path / "out"
+    assert main(["export-spectrograms"] + args + ["--out", str(out)]) == 0
+    report = (out / "filter_report.csv").read_text().splitlines()[1:]
+    assert "too_long,1" in report and "retained,11" in report
+    skips = [l for l in (out / "export_skip_report.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    assert skips == ["utterance_id,reason"]  # no skip row, no file error
+    manifest = [l.split(",") for l in
+                (out / "spectrogram_manifest.csv").read_text().splitlines()[2:]]
+    assert len(manifest) == 11
+    assert victim.stem not in {row[0] for row in manifest}
+    assert not (out / "spectrograms" / f"{victim.stem}.usvt").exists()
+    for uid, rel, frames, bins in manifest:
+        assert read_tensor(out / rel).shape == (int(frames), int(bins))
+
+
+def test_extract_and_export_skip_the_same_over_long_clip(tmp_path):
+    args = _three_class_corpus(tmp_path / "c")
+    # a voiced 3.5 s tone
+    victim = sorted((tmp_path / "c" / "wavs").iterdir())[4]
+    write_wav(victim, sine_clip(9000, duration_s=3.5, sample_rate=50_000))
     out = tmp_path / "out"
     for stage, skip_report in (("extract", "skip_report.csv"),
                                ("export-spectrograms", "export_skip_report.csv")):
@@ -467,19 +503,7 @@ def test_over_long_clip_is_dropped_by_the_filter(tmp_path, caplog):
     exported = [l.split(",")[0] for l in
                 (out / "spectrogram_manifest.csv").read_text().splitlines()[2:]]
     assert len(featured) == 11 and featured == exported
-    assert wavs[4].stem not in featured
-    assert not (out / "spectrograms" / f"{wavs[4].stem}.usvt").exists()
-    # every clip over 3 s: the cohort is empty after the map
-    for wav in wavs:
-        write_wav(wav, voiced)
-    for stage in ("extract", "export-spectrograms"):
-        out = tmp_path / stage
-        assert main([stage] + args + ["--out", str(out)]) == 2
-        assert (f"{args[1]}: no utterance is left after filtering; rule too_long "
-                "dropped 12 of 12 records") in caplog.messages
-        assert [p.name for p in out.iterdir()] == ["filter_report.csv"]
-        report = (out / "filter_report.csv").read_text().splitlines()[1:]
-        assert "too_long,12" in report and "retained,0" in report
+    assert victim.stem not in featured
 
 
 @pytest.mark.parametrize("given", [(), ("--annotations",), ("--schema",)])
