@@ -38,8 +38,8 @@ from .corpus import (FILTER_RULES, SchemaConfig, Utterance, filter_cohort,
 from .evaluation import (Prediction, PredictionSet, build_report,
                          write_confusion_csv, write_predictions_csv)
 from .partition import FOLD_COUNT, build_plan, fold_sides, read_fold_plan, write_fold_plan
-from .pitch import (EmptyVoicedSetError, FeatureRecord, contour_stats, extract_f0,
-                    read_feature_csv, write_feature_csv)
+from .pitch import (VOICED_FEATURES, EmptyVoicedSetError, FeatureRecord,
+                    contour_stats, extract_f0, read_feature_csv, write_feature_csv)
 from .spectral import ClipTooShortError, export_spectrogram, write_tensor
 from .svm import nested_select, predict, write_model
 from .synth import synth_corpus
@@ -236,7 +236,7 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
     diagnostics: dict[str, dict] = defaultdict(dict)  # report.json key -> fold -> value
     for fold, (train, val, test) in enumerate(sides):
         dev = train + val
-        model, diag = nested_select(np.array([r.features.as_row() for r in dev]),
+        model, diag = nested_select(np.array([r.features for r in dev]),
                                     [r.context for r in dev], np.arange(len(train)),
                                     np.arange(len(train), len(dev)))
         write_model(cfg.output_dir / f"model_fold{fold}.csv", model,
@@ -249,7 +249,7 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
                         diag["capped_machines"], svm.SOLVER_MAX_EPOCHS,
                         svm.SOLVER_GAP)
 
-        X_test = np.array([r.features.as_row() for r in test])
+        X_test = np.array([r.features for r in test])
         predictions += [Prediction(r.utterance_id, r.context, predicted, fold)
                         for r, predicted in zip(test, predict(model, X_test))]
         log.info("fold %d: cost %g, %d test predictions",
@@ -297,7 +297,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
     records = read_feature_csv(cfg.output_dir / "features.csv")
     by_context: dict[str, list] = defaultdict(list)
     for r in records:
-        by_context[r.context].append(r.features.as_row()[5:])  # the voiced five
+        by_context[r.context].append([getattr(r.features, name)
+                                      for name in VOICED_FEATURES])
     out_path = cfg.output_dir / "context_f0_stats.csv"
     write_table(out_path, ("context", "n", "mean_hz", "std_hz", "max_hz", "min_hz",
                            "slope_hz_per_s"),

@@ -11,8 +11,9 @@ contour is its F0 track and hop alone: voicing (f0 > 0) and frame times
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +40,10 @@ class PitchContour:
     hop_s: float
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """The ten contour statistics: five over all frames (unvoiced frames
-    contribute 0 Hz) and five over voiced frames only.  Slopes are Hz/s;
-    everything else is Hz."""
+class FeatureVector(NamedTuple):
+    """The ten contour statistics, in the feature table's column order: five
+    over all frames (unvoiced frames contribute 0 Hz) and five over voiced
+    frames only.  Slopes are Hz/s; everything else is Hz."""
 
     f0_mean_all: float
     f0_std_all: float
@@ -56,11 +56,10 @@ class FeatureVector:
     f0_min_voiced: float
     f0_slope_voiced: float
 
-    def as_row(self) -> list[float]:
-        return [getattr(self, name) for name in FEATURE_NAMES]
 
-
-FEATURE_NAMES = tuple(field.name for field in fields(FeatureVector))
+FEATURE_NAMES = FeatureVector._fields
+# Table 1's statistics: mean, std, max, min and slope over voiced frames
+VOICED_FEATURES = tuple(name for name in FEATURE_NAMES if name.endswith("_voiced"))
 FEATURE_CSV_COLUMNS = {"utterance_id": plain_name, "emitter_id": str,
                        "context": CONTEXT_LABELS, "duration_s": positive,
                        **dict.fromkeys(FEATURE_NAMES, finite)}
@@ -80,9 +79,10 @@ def extract_f0(clip: AudioClip) -> PitchContour:
     largest cell passes the gate has the plain first argmax as its gated
     argmax, and a frame whose largest cell fails is zeroed whole.  So the
     STFT is reduced a block at a time, never held whole: each frame's first
-    argmax and its magnitude, and a per-bin power sum that adds the frames'
-    power rows one at a time in frame order: exactly the sum the mean over
-    frames takes, whatever the block boundaries.
+    argmax and its magnitude, and a per-bin power sum.  Each block adds the
+    sum so far into its first power row, then reduces its rows into the sum
+    in one call, which adds them in frame order: exactly the sum the mean
+    over frames takes, whatever the block boundaries.
 
     Raises ClipTooShortError if the clip does not admit one analysis window.
     """
@@ -95,8 +95,9 @@ def extract_f0(clip: AudioClip) -> PitchContour:
         peak_bin = np.argmax(mags, axis=1)
         peak_bins.append(peak_bin)
         peak_mags.append(mags[np.arange(mags.shape[0]), peak_bin])
-        for power in np.square(mags, out=mags):
-            np.add(power_sum, power, out=power_sum)
+        power = np.square(mags, out=mags)
+        np.add(power_sum, power[0], out=power[0])
+        np.add.reduce(power, axis=0, out=power_sum)
 
     frames = stft_samples(clip, window_samples, hop_samples, reduce)
     peak_bin, peak_mag = np.concatenate(peak_bins), np.concatenate(peak_mags)
@@ -152,7 +153,7 @@ def write_feature_csv(path: str | Path, records: list[FeatureRecord],
     """Write the feature table, sorted by utterance id."""
     write_table(path, tuple(FEATURE_CSV_COLUMNS), (
         [rec.utterance_id, rec.emitter_id, rec.context, rec.duration_s,
-         *rec.features.as_row()]
+         *rec.features]
         for rec in sorted(records, key=lambda r: r.utterance_id)), comment)
 
 

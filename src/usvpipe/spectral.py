@@ -3,8 +3,8 @@
 Two parameterisations are in play: long 100 ms windows for pitch analysis
 (see pitch.py) and short 4096-sample windows for spectrogram export.  Both
 run through one kernel, stft_samples: Hann window, FFT size equal to the
-window length, no centre padding.  It transforms about 2 MB of frames at a
-time and hands each magnitude block to a consumer, so no caller has to
+window length, no centre padding.  It transforms about 2 MB of spectrum at
+a time and hands each magnitude block to a consumer, so no caller has to
 hold the whole spectrogram.  Pitch analysis reduces the blocks as they
 come; export stores them as float32 in its 3 s tensor, with the padding
 read as zeros rather than copied.  That tensor is the only magnitude matrix
@@ -21,9 +21,12 @@ whose rows then take the magnitudes, and complex128 for the spectrum rfft
 writes.  A call takes an idle pair from a lock-guarded list, or makes one,
 and puts it back when it returns, so the next call (in any thread) reuses
 the same pages instead of allocating, and the OS faulting in, two fresh
-2 MB arrays per clip and per block.  Each buffer is made at the block
-budget, so one pair serves the pitch and the export windows alike; the
-list holds as many pairs as calls ever ran at once, about 4 MB each.
+2 MB arrays per clip and per block.  A block is as many rows as fit the
+budget in complex spectrum, and a row's float64 frame takes at most the
+bytes of its spectrum, so each buffer is made at the budget and one pair
+serves every window; only a window whose single row is over the budget
+(262 144 samples or more) grows one.  The list holds as many pairs as calls
+ever ran at once, about 4 MB each.
 """
 from __future__ import annotations
 
@@ -46,17 +49,10 @@ _TENSOR_MAGIC = b"USVT"
 _TENSOR_VERSION = 1
 _TENSOR_DTYPE_F32 = 1
 
-# Frames windowed and transformed per rfft call: about 2 MB of float64
-# frames, so the windowed copy and its complex spectrum stay small for any
-# clip length instead of each matching the whole magnitude matrix.
+# Complex spectrum transformed per rfft call, so the windowed copy and its
+# spectrum stay small for any clip length instead of each matching the
+# whole magnitude matrix.
 _STFT_BLOCK_BYTES = 2 << 20
-# The least each buffer of a pair is made with: the budget's float64 frames,
-# and the complex bins of a budget's frames of any window of 4096 samples or
-# more (floor(F / w) rows of w // 2 + 1 bins is at most F / 2 + F / 4096 for
-# F frame samples), so a pair made for the 100 ms pitch window also takes an
-# export block, and the reverse.
-_FRAMES_CAPACITY = _STFT_BLOCK_BYTES // 8
-_SPECTRUM_CAPACITY = _FRAMES_CAPACITY // 2 + _FRAMES_CAPACITY // EXPORT_WINDOW_SAMPLES
 
 
 class ClipTooShortError(ValueError):
@@ -145,16 +141,14 @@ def stft_samples(clip: AudioClip, window_samples: int, hop_samples: int,
 
     window = _hann(window_samples, clip.scale)
     bins = window_samples // 2 + 1
-    block = max(1, _STFT_BLOCK_BYTES // (8 * window_samples))  # float64 frames
+    block = max(1, _STFT_BLOCK_BYTES // (16 * bins))  # complex128 rows
     with _idle_lock:
-        flat_frames, flat_spectrum = _idle.pop() if _idle else (
-            np.empty(0), np.empty(0, dtype=np.complex128))
+        pair = _idle.pop() if _idle else None
+    if pair is None or pair[1].size < bins:
+        size = max(_STFT_BLOCK_BYTES // 16, bins)
+        pair = np.empty(2 * size), np.empty(size, dtype=np.complex128)
+    flat_frames, flat_spectrum = pair
     block_rows = min(block, started)
-    if flat_frames.size < block_rows * window_samples:
-        flat_frames = np.empty(max(block_rows * window_samples, _FRAMES_CAPACITY))
-    if flat_spectrum.size < block_rows * bins:
-        flat_spectrum = np.empty(max(block_rows * bins, _SPECTRUM_CAPACITY),
-                                 dtype=np.complex128)
     buffer = flat_frames[:block_rows * window_samples].reshape(block_rows, window_samples)
     spectrum = flat_spectrum[:block_rows * bins].reshape(block_rows, bins)
     try:

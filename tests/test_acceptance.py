@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from usvpipe import svm
 from usvpipe.audio_io import AudioClip
 from usvpipe.cli import main
 from usvpipe.evaluation import (Prediction, PredictionSet, bootstrap_ci,
@@ -276,6 +278,40 @@ def test_every_fold_certified_without_capped_machines(e2e_run):
     assert set(provenance["max_relative_gap"]) == folds
     assert all(gap <= SOLVER_GAP for gap in provenance["max_relative_gap"].values())
     assert 9_400 <= sum(provenance["solver_epochs"].values()) <= 10_400
+
+
+# Interior-point iterations summed over each solver batch of each fold: the
+# 55 class pairs at each cost of COST_GRID, in increasing order, then the
+# refit, as the solver took them when the next test was written.
+BATCH_ITERATIONS = ((165, 171, 281, 430, 482, 543, 592, 643),
+                    (165, 171, 285, 437, 480, 548, 586, 640),
+                    (165, 171, 286, 435, 484, 554, 581, 626))
+
+
+def test_each_solver_batch_takes_its_pinned_iterations(e2e_run, tmp_path, monkeypatch):
+    """train-eval rerun on the end-to-end run's feature table and plan, with
+    svm._train_pairs wrapped: each batch's iteration sum is within 2 % (plus
+    2 iterations) of BATCH_ITERATIONS.  The fold totals alone hide a change
+    that slows the large costs and speeds the small ones; per batch, one
+    machine more or fewer in 55 is within the band, a different step rule
+    is not."""
+    sums = []
+    train_pairs = svm._train_pairs
+
+    def counted(problems, pairs, cost):
+        machines = train_pairs(problems, pairs, cost)
+        sums.append(sum(len(m.objective_history) - 1 for m in machines))
+        return machines
+
+    monkeypatch.setattr(svm, "_train_pairs", counted)
+    for name in ("features.csv", "folds.csv"):
+        shutil.copyfile(e2e_run["results"] / name, tmp_path / name)
+    assert main(["train-eval", "--out", str(tmp_path), "--seed", "7"]) == 0
+    batches = [tuple(sums[i:i + 8]) for i in range(0, len(sums), 8)]
+    assert len(batches) == len(BATCH_ITERATIONS)
+    assert all(abs(got - want) <= 2 + 0.02 * want
+               for fold, pinned in zip(batches, BATCH_ITERATIONS)
+               for got, want in zip(fold, pinned, strict=True)), f"{batches}"
 
 
 def test_criterion_9_spectrogram_export(tmp_path):

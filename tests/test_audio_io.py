@@ -436,3 +436,39 @@ def test_fuzzed_bytes_raise_only_pipeline_errors(tmp_path, monkeypatch):
 
     read()
     assert decoded
+
+
+# (format tag, bits) of each encoding load_wav decodes
+_ENCODINGS = ((1, 8), (1, 16), (1, 24), (1, 32), (3, 32), (3, 64))
+
+
+def test_fuzzed_bodies_under_valid_headers_reach_the_decoder(tmp_path, monkeypatch):
+    """A well-formed mono header of each supported encoding over a random
+    body of whole frames, at rates as low as 1 Hz, so some bodies are over
+    3 s: load_wav returns the body's frames at the header's rate or raises
+    one of its three errors, and most examples reach the decoder."""
+    decoded = []
+    decode = audio_io._decode
+    monkeypatch.setattr(audio_io, "_decode",
+                        lambda *args: decoded.append(True) or decode(*args))
+    path = tmp_path / "fuzz.wav"
+    outcomes = []
+
+    @settings(max_examples=500, deadline=None)
+    @given(encoding=st.sampled_from(_ENCODINGS), rate=st.integers(1, 30),
+           body=st.binary(min_size=8, max_size=2048))
+    def read(encoding, rate, body):
+        tag, bits = encoding
+        body = body[:len(body) // (bits // 8) * (bits // 8)]
+        write_raw_wav(path, sample_rate=rate, fmt_tag=tag, bits=bits, payload=body)
+        try:
+            clip = load_wav(path)
+        except (MalformedWavError, UnsupportedFormatError, ClipTooLongError) as exc:
+            outcomes.append(type(exc))
+        else:
+            assert (clip.samples.size, clip.sample_rate) == (len(body) // (bits // 8), rate)
+            outcomes.append(AudioClip)
+
+    read()
+    assert {AudioClip, ClipTooLongError} <= set(outcomes)
+    assert len(decoded) > len(outcomes) // 2

@@ -9,10 +9,16 @@ the quick-start one (synth --seed 7 --emitters 12 --per-class 50), a small
 one (synth --seed 7 --emitters 4 --per-class 4) and, for the feature
 columns, a feature table of 11 overlapping classes, on which the
 classifier is far from perfect.
+
+One more test pins the quick-start run: a digest of every file under its
+results/ must equal the one in pinned.json, so a change that moves any
+artifact's bytes fails tier-1 by name.
 """
+import hashlib
 import json
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +68,42 @@ def quick_start(tmp_path_factory):
     _run(corpus / "config.json", corpus / "results")
     yield root, corpus
     shutil.rmtree(corpus / "results")
+
+
+PINNED = Path(__file__).with_name("pinned.json")
+# A decimal number that is not part of a name, a version or a hash
+_NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def _digests(results) -> dict[str, str]:
+    """The sha256 of every file under results, by its relative path.  The
+    numbers of model_fold*.csv and report.json come from BLAS products,
+    whose last bits may differ between hosts, so those two are digested as
+    their text with every number rounded to 6 significant digits."""
+    table = {}
+    for path in sorted(results.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "report.json" or path.name.startswith("model_fold"):
+                data = _NUMBER.sub(lambda m: format(float(m.group()), ".6g"),
+                                   data.decode()).encode()
+            table[path.relative_to(results).as_posix()] = hashlib.sha256(data).hexdigest()
+    return table
+
+
+def test_quick_start_results_match_the_pinned_digests(quick_start):
+    """Every quick-start artifact, stamps and the 550 tensors included, has
+    the digest pinned.json holds.  On a mismatch the test names each file
+    that differs and prints the new table; a change that moves an artifact
+    on purpose replaces pinned.json with it and says why."""
+    _root, corpus = quick_start
+    table = _digests(corpus / "results")
+    pinned = json.loads(PINNED.read_text())
+    changed = sorted(name for name in table.keys() | pinned.keys()
+                     if table.get(name) != pinned.get(name))
+    if changed:
+        print(json.dumps(table, indent=1, sort_keys=True))
+    assert changed == [], f"{len(changed)} of {len(table)} files differ"
 
 
 def test_permuted_annotation_rows_change_no_artifact(quick_start):

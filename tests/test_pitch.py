@@ -9,7 +9,7 @@ from usvpipe import pitch
 from usvpipe.artifacts import write_table
 from usvpipe.audio_io import AudioClip
 from usvpipe.corpus import CONTEXT_LABELS
-from usvpipe.pitch import (FEATURE_CSV_COLUMNS, GATE_DB, EmptyVoicedSetError,
+from usvpipe.pitch import (FEATURE_CSV_COLUMNS, EmptyVoicedSetError,
                            FeatureRecord, FeatureVector, PitchContour, contour_stats,
                            extract_f0, read_feature_csv, write_feature_csv)
 from usvpipe.spectral import _STFT_BLOCK_BYTES, ClipTooShortError
@@ -65,10 +65,12 @@ class TestExtractF0:
 
 def gated_argmax_oracle(mags: np.ndarray, bin_hz: float):
     """The original gate, kept as an oracle: zero every cell more than 20 dB
-    (in energy) below the reference, then take each frame's argmax."""
+    (in energy) below the reference, then take each frame's argmax.  The
+    paper's 20 dB is written here, not read from pitch.GATE_DB, so a moved
+    gate fails the oracle clips that sit at its edge."""
     power = mags ** 2
     reference = power.mean(axis=0).max()
-    threshold = reference * 10.0 ** (-GATE_DB / 10.0)
+    threshold = reference * 10.0 ** (-20.0 / 10.0)
     gated = np.where(power >= threshold, mags, 0.0)
     peak_bin = np.argmax(gated, axis=1)
     peak_mag = gated[np.arange(gated.shape[0]), peak_bin]
@@ -93,6 +95,15 @@ def _fading_tone():
     return np.sin(2 * np.pi * 12_000 * t) * np.exp(-8.0 * t)  # tail falls below the gate
 
 
+def _gate_edge():
+    """0.4 s of a 9 kHz tone, then 1.2 s of a 12 kHz one falling from 26 to
+    29 dB below it, so the quiet frames step through the gate 0.04 dB apart."""
+    t = np.arange(80_000) / 50_000
+    loud = t < 0.4
+    level = np.where(loud, 1.0, 10.0 ** (-(26.0 + 2.5 * (t - 0.4)) / 20.0))
+    return 0.5 * level * np.sin(2 * np.pi * np.where(loud, 9000, 12_000) * t)
+
+
 def _nan_clip():
     samples = _noisy_tone().astype(np.float32).astype(np.float64)
     samples[20_000] = np.nan
@@ -100,8 +111,9 @@ def _nan_clip():
 
 
 # At 50 kHz the pitch STFT has a 5000-sample window and an 800-sample hop,
-# and stft_samples transforms _PITCH_BLOCK frames at a time.
-_PITCH_BLOCK = _STFT_BLOCK_BYTES // (8 * 5000)
+# and stft_samples transforms _PITCH_BLOCK frames (of 2501 complex bins) at
+# a time.
+_PITCH_BLOCK = _STFT_BLOCK_BYTES // (16 * 2501)
 
 
 def _frames_50k(frames):
@@ -117,6 +129,7 @@ ORACLE_CLIPS = {
     "silence": lambda: AudioClip(np.zeros(20_000), 50_000),
     "one_frame": lambda: AudioClip(_noisy_tone()[:5000], 50_000),
     "fading_below_gate": lambda: AudioClip(_fading_tone(), 50_000),
+    "gate_edge": lambda: AudioClip(_gate_edge(), 50_000),
     "float_with_nan": lambda: AudioClip(_nan_clip(), 50_000),
     "block-1_frames": _frames_50k(_PITCH_BLOCK - 1),
     "block_frames": _frames_50k(_PITCH_BLOCK),
@@ -148,6 +161,10 @@ def test_extract_f0_matches_gated_argmax_oracle(name):
     assert contour.hop_s == hop_s
     if name == "fading_below_gate":
         assert voiced[0] and not voiced[-1]
+    if name == "gate_edge":  # a gate moved by 0.1 dB either way flips a frame
+        level_db = 10.0 * np.log10(mags.max(axis=1) ** 2 / (mags ** 2).mean(axis=0).max())
+        assert ((level_db >= -20.0) & (level_db < -19.9)).any()
+        assert ((level_db < -20.0) & (level_db > -20.1)).any()
     if name == "one_frame":
         assert len(contour.f0_hz) == 1
     if name.endswith("_frames"):
@@ -231,7 +248,7 @@ def reference_contour_stats(f0, hop_s):
        hop_s=st.sampled_from([0.016, 0.0123, 1e-4, 3.0]))
 def test_contour_stats_equal_the_ndarray_method_formulas(f0, hop_s):
     f0 = np.array(f0)
-    row = contour_stats(PitchContour(f0_hz=f0, hop_s=hop_s)).as_row()
+    row = contour_stats(PitchContour(f0_hz=f0, hop_s=hop_s))
     # compared as bits, so a -0.0 slope differs from 0.0
     assert (np.array(row).view(np.uint64).tolist()
             == np.array(reference_contour_stats(f0, hop_s)).view(np.uint64).tolist())

@@ -113,7 +113,7 @@ def test_kernel_pads_with_zeros_and_skips_frames_past_the_end(length, window, ho
 @pytest.mark.parametrize("window", [4096, 5000])
 @pytest.mark.parametrize("offset", ["one", "block-1", "block", "block+1"])
 def test_block_wise_stft_equals_one_shot_rfft(window, offset):
-    block = _STFT_BLOCK_BYTES // (8 * window)
+    block = _STFT_BLOCK_BYTES // (16 * (window // 2 + 1))  # complex128 rows
     frames = {"one": 1, "block-1": block - 1, "block": block,
               "block+1": block + 1}[offset]
     hop = 500
@@ -133,11 +133,14 @@ def _noise_clip(length, rate, seed):
 
 # (window, hop, clip length, span): the pitch windows at 250 and 50 kHz, then
 # export's, each from a long clip to a short one, so every call reuses a
-# buffer pair a larger call left behind
+# buffer pair an earlier call left behind; then a window whose one row is
+# over the block budget, so the pair grows, and calls that reuse the grown
+# pair
 WORKSPACE_CALLS = [
     (25_000, 4000, 750_000, None), (25_000, 4000, 26_000, None),
     (5000, 800, 150_000, None), (5000, 800, 5000, None),
     (4096, 2500, 750_000, None), (4096, 2500, 10_000, 750_000),
+    (300_000, 4000, 308_001, None),
     (25_000, 4000, 300_007, None), (4096, 500, 4096 + 70 * 500, None),
 ]
 
