@@ -110,17 +110,13 @@ def extract_f0(clip: AudioClip) -> PitchContour:
 
 def _stats(times: np.ndarray, values: np.ndarray) -> tuple[float, ...]:
     """Mean, population std, max, min and least-squares slope (Hz/s; 0 below
-    2 distinct times) of values at times.  The same ufunc calls, in the same
-    order, as ndarray.mean, .std, .max and .min, each mean taken once."""
-    n = values.size
-    mean = np.add.reduce(values) / n
-    deviation = values - mean
-    std = np.sqrt(np.add.reduce(np.square(deviation)) / n)
-    t = times - np.add.reduce(times) / n
+    2 distinct times) of values at times."""
+    mean = values.mean()
+    t = times - times.mean()
     denom = float(np.dot(t, t))
-    slope = 0.0 if denom == 0.0 else float(np.dot(t, deviation) / denom)
-    return (float(mean), float(std), float(np.maximum.reduce(values)),
-            float(np.minimum.reduce(values)), slope)
+    slope = 0.0 if denom == 0.0 else float(np.dot(t, values - mean) / denom)
+    return (float(mean), float(values.std()), float(values.max()),
+            float(values.min()), slope)
 
 
 def contour_stats(contour: PitchContour) -> FeatureVector:

@@ -77,8 +77,6 @@ class Standardiser:
 
 def fit_standardiser(X: np.ndarray) -> Standardiser:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("need a non-empty feature matrix")
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     return Standardiser(mean=mean, std=np.where(std == 0.0, 1.0, std))

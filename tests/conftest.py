@@ -1,14 +1,50 @@
 """Shared fixtures and independent oracles for the test suite."""
 from __future__ import annotations
 
+import shutil
 import struct
+import time
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from usvpipe import svm
 from usvpipe.audio_io import AudioClip
+from usvpipe.cli import main
 from usvpipe.pitch import FeatureRecord, FeatureVector
+
+STAGES = ("extract", "partition", "train-eval", "table1", "export-spectrograms")
+
+
+def run_stages(config, out, stages=STAGES, flags=()) -> None:
+    for stage in stages:
+        assert main([stage, "--config", str(config), "--out", str(out), *flags]) == 0
+
+
+class QuickStart(NamedTuple):
+    root: Path          # a directory for the tests' own copies and outputs
+    corpus: Path        # the synthesised corpus, with config.json
+    results: Path       # what the five stages wrote; tests only read it
+    pipeline_s: float   # extract + partition + train-eval, for criterion 8
+
+
+@pytest.fixture(scope="session")
+def quick_start(tmp_path_factory):
+    """The README quick start, built and run once per session: synth --seed 7
+    --emitters 12 --per-class 50, then the five stages, before any test's
+    monkeypatch.  results/ is removed at the end: its tensors fill 1.3 GB."""
+    root = tmp_path_factory.mktemp("quick_start")
+    corpus = root / "demo"
+    assert main(["synth", "--out", str(corpus), "--seed", "7", "--emitters", "12",
+                 "--per-class", "50"]) == 0
+    t0 = time.perf_counter()
+    run_stages(corpus / "config.json", corpus / "results", STAGES[:3])
+    pipeline_s = time.perf_counter() - t0
+    run_stages(corpus / "config.json", corpus / "results", STAGES[3:])
+    yield QuickStart(root, corpus, corpus / "results", pipeline_s)
+    shutil.rmtree(corpus / "results")
 
 
 def brute_force_dft_magnitudes(frame: np.ndarray, block: int = 256) -> np.ndarray:
@@ -64,7 +100,8 @@ def refine_grid_minimum(X, y, box, half_range=4.0, points=13, rounds=9):
     for _ in range(rounds):
         axes = [np.linspace(c - half_range, c + half_range, points) for c in centre]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        vals = np.array([weighted_primal(v[:-1], v[-1], X, y, box) for v in mesh])
+        margins = y * (mesh[:, :-1] @ X.T + mesh[:, -1:])
+        vals = 0.5 * np.square(mesh).sum(axis=1) + np.clip(1 - margins, 0, None) @ box
         centre = mesh[int(np.argmin(vals))]
         step = 2 * half_range / (points - 1)
         half_range = 1.5 * step

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 1-9 are self-contained and run in CI.  Criterion 10 needs the
-public corpus on disk and is skipped unless the USV_CORPUS_* environment
-variables point at it (see README).  One more test reads the end-to-end
-run's solver certificate from report.json.
+Criteria 1-9 run in CI.  Criterion 10 needs the public corpus on disk and
+is skipped unless the USV_CORPUS_* environment variables point at it (see
+README).  Criteria 6 and 8, and two tests of the solver's certificate and
+iterations, read conftest's quick_start run.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from usvpipe.partition import read_fold_plan
 from usvpipe.pitch import contour_stats, extract_f0, read_feature_csv
 from usvpipe.spectral import export_spectrogram, read_tensor, write_tensor
 from usvpipe.svm import SOLVER_GAP, train_binary
-from usvpipe.synth import SynthSpec, synth_corpus, synth_utterance
+from usvpipe.synth import SynthSpec, synth_utterance
 
 from conftest import (brute_force_dft_magnitudes, refine_grid_minimum, train_weighted,
                       weighted_primal)
@@ -45,26 +45,6 @@ def tone_spec(f0, seed, **overrides):
                 duration_s=0.5, amplitude=0.5, emitter_id="bat00", seed=seed)
     base.update(overrides)
     return SynthSpec(**base)
-
-
-@pytest.fixture(scope="module")
-def e2e_run(tmp_path_factory):
-    """The 11-class, 12-emitter, 50-per-class corpus pushed through the CLI."""
-    root = tmp_path_factory.mktemp("acceptance")
-    t0 = time.perf_counter()
-    synth_corpus(root, n_emitters=12, per_class_count=50, seed=7)
-    synth_s = time.perf_counter() - t0
-    args = ["--annotations", str(root / "annotations.csv"),
-            "--schema", str(root / "schema.json"),
-            "--audio-dir", str(root), "--out", str(root / "results"),
-            "--seed", "7"]
-    t0 = time.perf_counter()
-    assert main(["extract"] + args) == 0
-    assert main(["partition"] + args) == 0
-    assert main(["train-eval"] + args) == 0
-    pipeline_s = time.perf_counter() - t0
-    return {"root": root, "results": root / "results",
-            "synth_s": synth_s, "pipeline_s": pipeline_s}
 
 
 def test_criterion_1_pitch_oracle():
@@ -177,10 +157,10 @@ def test_criterion_5_bootstrap_determinism():
                   f"{reproduced}")
 
 
-def test_criterion_6_partition_invariants(e2e_run):
-    plan = read_fold_plan(e2e_run["results"] / "folds.csv")
+def test_criterion_6_partition_invariants(quick_start):
+    plan = read_fold_plan(quick_start.results / "folds.csv")
     records = {r.utterance_id: r
-               for r in read_feature_csv(e2e_run["results"] / "features.csv")}
+               for r in read_feature_csv(quick_start.results / "features.csv")}
     n = len(records)
     from collections import Counter
     global_counts = Counter(r.context for r in records.values())
@@ -254,24 +234,24 @@ def test_criterion_7_svm_solver_correctness():
                   f"within 1e-3: {dup_ok}")
 
 
-def test_criterion_8_end_to_end_uar(e2e_run):
-    payload = json.loads((e2e_run["results"] / "report.json").read_text())
+def test_criterion_8_end_to_end_uar(quick_start):
+    payload = json.loads((quick_start.results / "report.json").read_text())
     pooled_uar = payload["uar"]
-    elapsed = e2e_run["pipeline_s"]
+    elapsed = quick_start.pipeline_s
     ok = pooled_uar >= 0.80 and payload["n"] == 550 and elapsed < 300.0
     report(8, ok, f"pooled UAR {pooled_uar:.4f} (>= 0.80) over {payload['n']} "
                   f"predictions; extract+partition+train-eval took "
                   f"{elapsed:.0f} s (< 300 s)")
 
 
-def test_every_fold_certified_without_capped_machines(e2e_run):
+def test_every_fold_certified_without_capped_machines(quick_start):
     """The separable pairs of this corpus meet the duality gap before the
     epoch cap, validation and refit machines alike, in about as many
     interior-point iterations as the solver took when this test was written:
     9 921 over the three folds (3 307, 3 312 and 3 302).  A change that
     slows or speeds the convergence leaves the band."""
     provenance = json.loads(
-        (e2e_run["results"] / "report.json").read_text())["provenance"]
+        (quick_start.results / "report.json").read_text())["provenance"]
     folds = set(provenance["chosen_costs"])
     assert set(provenance["capped_machines"]) == folds
     assert all(count == 0 for count in provenance["capped_machines"].values())
@@ -288,8 +268,8 @@ BATCH_ITERATIONS = ((165, 171, 281, 430, 482, 543, 592, 643),
                     (165, 171, 286, 435, 484, 554, 581, 626))
 
 
-def test_each_solver_batch_takes_its_pinned_iterations(e2e_run, tmp_path, monkeypatch):
-    """train-eval rerun on the end-to-end run's feature table and plan, with
+def test_each_solver_batch_takes_its_pinned_iterations(quick_start, tmp_path, monkeypatch):
+    """train-eval rerun on the quick-start run's feature table and plan, with
     svm._train_pairs wrapped: each batch's iteration sum is within 2 % (plus
     2 iterations) of BATCH_ITERATIONS.  The fold totals alone hide a change
     that slows the large costs and speeds the small ones; per batch, one
@@ -305,7 +285,7 @@ def test_each_solver_batch_takes_its_pinned_iterations(e2e_run, tmp_path, monkey
 
     monkeypatch.setattr(svm, "_train_pairs", counted)
     for name in ("features.csv", "folds.csv"):
-        shutil.copyfile(e2e_run["results"] / name, tmp_path / name)
+        shutil.copyfile(quick_start.results / name, tmp_path / name)
     assert main(["train-eval", "--out", str(tmp_path), "--seed", "7"]) == 0
     batches = [tuple(sums[i:i + 8]) for i in range(0, len(sums), 8)]
     assert len(batches) == len(BATCH_ITERATIONS)

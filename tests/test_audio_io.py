@@ -231,6 +231,18 @@ def test_scale_must_be_a_positive_power_of_two():
             AudioClip(samples=np.ones(10, dtype=np.int16), sample_rate=8000, scale=scale)
 
 
+@pytest.mark.parametrize("samples, rate, message", [
+    (np.ones((2, 5)), 8000, "AudioClip samples must be one-dimensional"),
+    (np.ones(0), 8000, "AudioClip samples must be non-empty"),
+    (np.ones(10), 0, "sample_rate must be positive, got 0"),
+    (np.ones(10), -8000, "sample_rate must be positive, got -8000"),
+], ids=["two_dimensional", "empty", "zero_rate", "negative_rate"])
+def test_clip_needs_one_line_of_samples_and_a_positive_rate(samples, rate, message):
+    with pytest.raises(ValueError) as refusal:
+        AudioClip(samples=samples, sample_rate=rate)
+    assert str(refusal.value) == message
+
+
 @pytest.mark.parametrize("rate", [1_000, 11_025, 44_100, 250_000])
 def test_file_over_3_s_refused_before_its_samples_are_read(tmp_path, monkeypatch, rate):
     """load_wav and padded_length share one limit, round(3 s x rate) frames:

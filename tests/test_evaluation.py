@@ -172,9 +172,10 @@ class TestReportAndCsv:
         assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refusal:
             PredictionSet([Prediction("u1", "A", "A", 0),
                            Prediction("u1", "A", "B", 1)])
+        assert str(refusal.value) == "duplicate utterance ids in prediction set"
 
     def test_predictions_csv_roundtrip(self, tmp_path):
         path = tmp_path / "preds.csv"

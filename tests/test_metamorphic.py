@@ -5,10 +5,10 @@ input must leave them as they are.  Each relation runs the stages through
 cli.main on a corpus and on a transformed copy, with the same seed, and
 compares whole artifacts, provenance stamps included: the config hash
 covers no path, so a copy's stamps are the original's.  The corpora are
-the quick-start one (synth --seed 7 --emitters 12 --per-class 50), a small
-one (synth --seed 7 --emitters 4 --per-class 4) and, for the feature
-columns, a feature table of 11 overlapping classes, on which the
-classifier is far from perfect.
+the quick-start one (synth --seed 7 --emitters 12 --per-class 50, run once
+per session by conftest's quick_start), a small one (synth --seed 7
+--emitters 4 --per-class 4) and, for the feature columns, a feature table
+of 11 overlapping classes, on which the classifier is far from perfect.
 
 One more test pins the quick-start run: a digest of every file under its
 results/ must equal the one in pinned.json, so a change that moves any
@@ -29,14 +29,7 @@ from usvpipe.cli import main
 from usvpipe.corpus import CONTEXT_LABELS
 from usvpipe.pitch import FEATURE_CSV_COLUMNS
 
-from conftest import write_raw_wav
-
-STAGES = ("extract", "partition", "train-eval", "table1", "export-spectrograms")
-
-
-def _run(config, out, stages=STAGES, flags=()):
-    for stage in stages:
-        assert main([stage, "--config", str(config), "--out", str(out), *flags]) == 0
+from conftest import run_stages, write_raw_wav
 
 
 def _changed(out, expected, undo=lambda text: text) -> list[str]:
@@ -55,19 +48,6 @@ def _changed(out, expected, undo=lambda text: text) -> list[str]:
     return sorted(name for name in got.keys() | want.keys()
                   if name not in got or name not in want
                   or undone(got[name]) != want[name].read_bytes())
-
-
-@pytest.fixture(scope="module")
-def quick_start(tmp_path_factory):
-    """The quick-start corpus, pushed through all five stages once.  The
-    outputs are removed at the end, as their 550 tensors fill 1.3 GB."""
-    root = tmp_path_factory.mktemp("quick_start")
-    corpus = root / "demo"
-    assert main(["synth", "--out", str(corpus), "--seed", "7", "--emitters", "12",
-                 "--per-class", "50"]) == 0
-    _run(corpus / "config.json", corpus / "results")
-    yield root, corpus
-    shutil.rmtree(corpus / "results")
 
 
 PINNED = Path(__file__).with_name("pinned.json")
@@ -96,8 +76,7 @@ def test_quick_start_results_match_the_pinned_digests(quick_start):
     the digest pinned.json holds.  On a mismatch the test names each file
     that differs and prints the new table; a change that moves an artifact
     on purpose replaces pinned.json with it and says why."""
-    _root, corpus = quick_start
-    table = _digests(corpus / "results")
+    table = _digests(quick_start.results)
     pinned = json.loads(PINNED.read_text())
     changed = sorted(name for name in table.keys() | pinned.keys()
                      if table.get(name) != pinned.get(name))
@@ -107,7 +86,7 @@ def test_quick_start_results_match_the_pinned_digests(quick_start):
 
 
 def test_permuted_annotation_rows_change_no_artifact(quick_start):
-    root, corpus = quick_start
+    root, corpus, *_ = quick_start
     header, *rows = (corpus / "annotations.csv").read_text().splitlines(keepends=True)
     order = np.random.default_rng(7).permutation(len(rows))
     assert (order != np.arange(len(rows))).any()
@@ -115,7 +94,7 @@ def test_permuted_annotation_rows_change_no_artifact(quick_start):
     permuted.write_text(header + "".join(rows[i] for i in order))
     out = root / "permuted_results"
     try:
-        _run(corpus / "config.json", out, flags=("--annotations", str(permuted)))
+        run_stages(corpus / "config.json", out, flags=("--annotations", str(permuted)))
         assert _changed(out, corpus / "results") == []
     finally:
         shutil.rmtree(out, ignore_errors=True)
@@ -125,7 +104,7 @@ def test_float_wavs_at_half_amplitude_change_no_feature(quick_start):
     """Every WAV rewritten as 32-bit float at exactly half its amplitude (a
     16-bit sample halved is exact in float32): the gated contour is
     invariant to a positive rescaling, so features.csv is unchanged."""
-    root, corpus = quick_start
+    root, corpus, *_ = quick_start
     copy = root / "float_half"
     shutil.copytree(corpus, copy, ignore=shutil.ignore_patterns("results"))
     for wav in sorted((copy / "wavs").iterdir()):
@@ -136,7 +115,7 @@ def test_float_wavs_at_half_amplitude_change_no_feature(quick_start):
         write_raw_wav(wav, sample_rate=clip.sample_rate, fmt_tag=3, bits=32,
                       payload=half.tobytes())
     out = copy / "results"
-    _run(copy / "config.json", out, ("extract",))
+    run_stages(copy / "config.json", out, ("extract",))
     assert (out / "features.csv").read_bytes() == (
         corpus / "results" / "features.csv").read_bytes()
 
@@ -145,7 +124,7 @@ def test_32bit_pcm_wavs_of_the_same_amplitudes_change_no_artifact(quick_start):
     """Every WAV rewritten as 32-bit PCM, each 16-bit sample times 2^16: the
     amplitudes are the same numbers, so features.csv and every tensor are
     identical.  This runs the int32 clips end to end."""
-    root, corpus = quick_start
+    root, corpus, *_ = quick_start
     copy = root / "pcm32"
     shutil.copytree(corpus, copy, ignore=shutil.ignore_patterns("results"))
     for wav in sorted((copy / "wavs").iterdir()):
@@ -155,7 +134,7 @@ def test_32bit_pcm_wavs_of_the_same_amplitudes_change_no_artifact(quick_start):
                       payload=(clip.samples.astype("<i4") << 16).tobytes())
     out = copy / "results"
     try:
-        _run(copy / "config.json", out, ("extract", "export-spectrograms"))
+        run_stages(copy / "config.json", out, ("extract", "export-spectrograms"))
         written = sorted(path.relative_to(out) for path in out.rglob("*")
                          if path.is_file())
         assert len([name for name in written if name.suffix == ".usvt"]) == 550
@@ -172,7 +151,7 @@ def small_corpus(tmp_path_factory):
     corpus = root / "demo"
     assert main(["synth", "--out", str(corpus), "--seed", "7", "--emitters", "4",
                  "--per-class", "4"]) == 0
-    _run(corpus / "config.json", corpus / "results")
+    run_stages(corpus / "config.json", corpus / "results")
     return root, corpus
 
 
@@ -203,7 +182,7 @@ def test_renamed_ids_in_the_same_order_change_no_artifact(small_corpus):
         return re.sub(r"\bcat(\d\d)\b", r"bat\1", text)
 
     _copy_with_annotations(corpus, copy, rename)
-    _run(copy / "config.json", copy / "results")
+    run_stages(copy / "config.json", copy / "results")
     assert undo("spectrograms/w000012.usvt,cat03") == "spectrograms/u000012.usvt,bat03"
     assert _changed(copy / "results", corpus / "results", undo) == []
 
@@ -224,7 +203,7 @@ def test_raw_context_codes_mapped_by_the_schema_change_no_artifact(small_corpus)
     assert schema["context_map"] == {label: label for label in CONTEXT_LABELS}
     schema["context_map"] = {c: label for label, c in code.items()}
     (copy / "schema.json").write_text(json.dumps(schema))
-    _run(copy / "config.json", copy / "results")
+    run_stages(copy / "config.json", copy / "results")
     assert _changed(copy / "results", corpus / "results") == []
 
 

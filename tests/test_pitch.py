@@ -62,6 +62,23 @@ class TestExtractF0:
         assert voiced.any() and not voiced.all()
         np.testing.assert_array_equal(contour.f0_hz[~voiced], 0.0)
 
+    def test_harmonic_call_reads_its_loudest_partial(self):
+        """Today's behaviour, pinned: the gated argmax follows the loudest
+        partial, not the fundamental.  A 0.5 s call at 250 kHz, FM of
+        12 kHz +- 300 Hz at 3 Hz, with partials 0.6 / 1.0 / 0.5, reads twice
+        its F0 in every frame; its fundamental alone reads the F0."""
+        t = np.arange(125_000) / 250_000
+        phase = 2 * np.pi * 12_000 * t - 100 * np.cos(2 * np.pi * 3 * t)
+        centres = np.arange(26) * 0.016 + 0.05  # each frame's window centre
+        true_f0 = 12_000 + 300 * np.sin(2 * np.pi * 3 * centres)
+        stack = sum(w * np.sin(k * phase) for k, w in ((1, 0.6), (2, 1.0), (3, 0.5)))
+        harmonic, pure = (extract_f0(AudioClip(samples=samples, sample_rate=250_000))
+                          for samples in (stack, np.sin(phase)))
+        for contour, reads in ((harmonic, 2 * true_f0), (pure, true_f0)):
+            assert contour.f0_hz.size == 26 and (contour.f0_hz > 0).all()
+            assert np.all(np.abs(contour.f0_hz / reads - 1) <= 0.05)
+        assert round(contour_stats(harmonic).f0_mean_voiced) == 24_115
+
 
 def gated_argmax_oracle(mags: np.ndarray, bin_hz: float):
     """The original gate, kept as an oracle: zero every cell more than 20 dB

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from usvpipe import spectral
 from usvpipe.audio_io import AudioClip, ClipTooLongError
-from usvpipe.spectral import (_STFT_BLOCK_BYTES, ClipTooShortError, export_spectrogram,
-                              read_tensor, stft_samples, write_tensor)
+from usvpipe.spectral import (_STFT_BLOCK_BYTES, ClipTooShortError, Spectrogram,
+                              export_spectrogram, read_tensor, stft_samples,
+                              write_tensor)
 
 from conftest import brute_force_dft_magnitudes, one_shot_stft, sine_clip
 
@@ -348,13 +349,19 @@ class TestTensorFormat:
         back = read_tensor(path)
         np.testing.assert_array_equal(back, spec.magnitudes.astype(np.float32))
         # writing the read-back again is byte-identical
-        from usvpipe.spectral import Spectrogram
         spec2 = Spectrogram(magnitudes=back.astype(np.float64),
                             frame_hop_s=spec.frame_hop_s, window_s=spec.window_s,
                             bin_hz=spec.bin_hz, sample_rate=spec.sample_rate)
         path2 = tmp_path / "t2.usvt"
         write_tensor(spec2, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_magnitudes_that_are_no_matrix_are_refused(self):
+        for magnitudes in (np.zeros(2049), np.zeros((1, 299, 2049))):
+            with pytest.raises(ValueError) as refusal:
+                Spectrogram(magnitudes=magnitudes, frame_hop_s=0.01, window_s=0.016384,
+                            bin_hz=61.03515625, sample_rate=250_000)
+            assert str(refusal.value) == "magnitudes must be a frames x bins matrix"
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         clip = sine_clip(8000, duration_s=0.4, sample_rate=50_000)

@@ -63,8 +63,9 @@ class TestSolver:
         assert m1.bias == m2.bias
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValueError, match="both classes must be present"):
+        with pytest.raises(ValueError) as refusal:
             train_binary(np.ones((4, 2)), np.ones(4), cost=1.0)
+        assert str(refusal.value) == "both classes must be present"
 
     def test_objective_history_non_increasing(self):
         rng = np.random.default_rng(3)
@@ -94,8 +95,9 @@ class TestSolver:
 
     def test_non_finite_features_rejected(self):
         X = np.array([[0.0], [1.0], [np.nan]])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError) as refusal:
             train_binary(X, np.array([-1.0, 1.0, 1.0]), cost=1.0)
+        assert str(refusal.value) == "features must be finite numbers"
 
     def test_separable_pair_with_few_support_vectors_meets_the_gap_early(self):
         """Coordinate steps crawl along the few strongly coupled margin rows

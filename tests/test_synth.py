@@ -119,6 +119,12 @@ class TestSynthUtterance:
         with pytest.raises(ValueError, match=re.escape("amplitude 0.0 outside (0, 1]")):
             synth_utterance(spec(amplitude=0.0), 50_000)
 
+    def test_non_positive_duration_rejected(self):
+        for duration in (0.0, -1.0):
+            with pytest.raises(ValueError) as refusal:
+                synth_utterance(spec(duration_s=duration), 50_000)
+            assert str(refusal.value) == "duration must be positive"
+
     def test_frequency_range_validated_against_nyquist(self):
         with pytest.raises(ValueError, match=re.escape(
                 "frequency range [22500.0, 25500.0] Hz outside (0, 25000.0)")):
